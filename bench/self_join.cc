@@ -8,11 +8,9 @@
 //                       HammingDistance loop (the mostsimilar shape) with
 //                       bounded-heap reduction; also the identity oracle
 //   naive/radius      : ReferenceRadiusJoin — same loop, threshold filter
-//   join/topk/<tier>  : tiled TopKJoin forced to <tier>, fused block-min
-//   join/topk/unfused : dispatched tier, two-pass min (fusion A/B)
-//   join/radius/<tier>: tiled RadiusJoin forced to <tier> — the min-skip
-//                       showcase (a sparse radius prunes almost all work
-//                       at tile/chunk granularity)
+//   join/topk/<tier>  : tiled TopKJoin forced to <tier> (emitting kernel)
+//   join/radius/<tier>: tiled RadiusJoin forced to <tier> — a sparse
+//                       radius emits almost no pair from the kernel
 //   tile/topk/<rows>  : tile-size sweep at the dispatched tier
 //
 // Every engine result is checked byte-identical to its naive reference —
@@ -249,7 +247,7 @@ int Main(int argc, char** argv) {
             nullptr);
   }
 
-  // Tiled TopKJoin per tier (fused — the default). The scalar row
+  // Tiled TopKJoin per tier. The scalar row
   // isolates the tiling/batching win; higher tiers add the SIMD win.
   double engine_topk_secs = 0.0;
   for (const index::KernelTier tier : tiers) {
@@ -273,28 +271,8 @@ int Main(int argc, char** argv) {
     if (tier == active_tier) engine_topk_secs = secs;
   }
 
-  // Fusion A/B at the dispatched tier.
-  {
-    index::SelfJoinOptions options;
-    options.threads = flags.threads;
-    options.fused_min = false;
-    options.tombstones = &dead;
-    index::SelfJoinStats stats;
-    std::vector<std::vector<index::Neighbor>> got;
-    const double secs = TimeBest(flags.reps, [&] {
-      got = index::TopKJoin(corpus, flags.k, options, &stats);
-    });
-    if (!SameTopK(got, want_topk)) {
-      std::fprintf(stderr,
-                   "FATAL: unfused TopKJoin differs from naive reference\n");
-      return 1;
-    }
-    add_row(std::string("join/topk/") + simd_name + "/unfused", simd_name,
-            secs, naive_topk_secs, &stats);
-  }
-
-  // Tiled RadiusJoin per tier — the min-skip showcase: at a sparse
-  // radius nearly every tile/chunk dies at its minimum.
+  // Tiled RadiusJoin per tier: at a sparse radius the kernel emits
+  // almost nothing.
   double engine_radius_secs = 0.0;
   for (const index::KernelTier tier : tiers) {
     index::SelfJoinOptions options;

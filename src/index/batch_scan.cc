@@ -11,6 +11,21 @@ namespace {
 /// across all queries of the batch.
 constexpr int kTargetBlockBytes = 64 * 1024;
 
+/// Sub-chunk width for hierarchical min-skip walks over a just-written
+/// distance buffer: a chunk whose minimum is >= the frozen threshold is
+/// skipped without paying the per-code displacement branch (see the
+/// safety argument in src/index/README.md).
+constexpr int kDistChunk = 128;
+
+/// Minimum of dist[lo..hi) — a straight-line reduction the compiler
+/// auto-vectorizes; the buffer is L1-resident because the kernel just
+/// wrote it. Precondition: lo < hi.
+int32_t ChunkMin(const int32_t* dist, int lo, int hi) {
+  int32_t m = dist[lo];
+  for (int i = lo + 1; i < hi; ++i) m = m < dist[i] ? m : dist[i];
+  return m;
+}
+
 }  // namespace
 
 int PickCodeBlockSize(int words_per_code, int requested) {

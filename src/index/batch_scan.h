@@ -40,22 +40,6 @@ struct BatchScanOptions {
 /// engine, whose tiles are both query blocks and code blocks at once.
 int PickCodeBlockSize(int words_per_code, int requested);
 
-/// Sub-chunk width for hierarchical min-skip walks over a just-written
-/// distance buffer: a chunk whose minimum is >= the frozen threshold is
-/// skipped without paying the per-code displacement branch (see the
-/// safety argument in src/index/README.md). Shared by the batched scan
-/// and the self-join engine.
-inline constexpr int kDistChunk = 128;
-
-/// Minimum of dist[lo..hi) — a straight-line reduction the compiler
-/// auto-vectorizes; the buffer is L1-resident because the kernel just
-/// wrote it. Precondition: lo < hi.
-inline int32_t ChunkMin(const int32_t* dist, int lo, int hi) {
-  int32_t m = dist[lo];
-  for (int i = lo + 1; i < hi; ++i) m = m < dist[i] ? m : dist[i];
-  return m;
-}
-
 /// \brief Query-blocked x code-blocked exact top-k over packed codes.
 ///
 /// Scores all `num_queries` queries against one cache-resident block of

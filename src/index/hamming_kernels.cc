@@ -33,6 +33,76 @@ inline int Popcount64(uint64_t x) {
 constexpr int kPruneMinWords = 16;
 
 inline int32_t MinInt32(int32_t a, int32_t b) { return a < b ? a : b; }
+inline int32_t MaxInt32(int32_t a, int32_t b) { return a > b ? a : b; }
+
+/// The bound code i of an emitting call must beat (see BatchEmitFn).
+inline int32_t EmitBound(int32_t row_bound, const int32_t* code_bounds,
+                         int i) {
+  return code_bounds == nullptr ? row_bound
+                                : MaxInt32(row_bound, code_bounds[i]);
+}
+
+/// Appends hit (i, d) to an emitting call's output when d beats `bound`.
+inline void EmitIfBelow(int i, int32_t d, int32_t bound, int32_t* out_index,
+                        int32_t* out_distance, int* count) {
+  if (d < bound) {
+    out_index[*count] = i;
+    out_distance[*count] = d;
+    ++*count;
+  }
+}
+
+/// Emits codes [lo, n) of a run one at a time from plain popcounts and
+/// returns the updated hit count. The scalar tier's path for 64- and
+/// 128-bit codes, where a code costs one or two popcounts and a pass
+/// over a buffer would cost as much, and the vector layouts' tails.
+inline int EmitEach(const uint64_t* query, const uint64_t* codes, int lo,
+                    int n, int words, int32_t row_bound,
+                    const int32_t* code_bounds, int32_t* out_index,
+                    int32_t* out_distance, int count) {
+  for (int i = lo; i < n; ++i) {
+    EmitIfBelow(i,
+                ScalarPair(query, codes + static_cast<size_t>(i) * words,
+                           words),
+                EmitBound(row_bound, code_bounds, i), out_index, out_distance,
+                &count);
+  }
+  return count;
+}
+
+/// Codes per block of an emitting kernel built on a plain kernel.
+constexpr int kEmitBlock = 128;
+
+/// Emitting kernel built on the fused plain kernel `kBatchMin`: scores
+/// the run in blocks of kEmitBlock codes into an L1-resident buffer and
+/// keeps the distances that beat their own bound. Each block's threshold
+/// is its loosest bound. A code abandoned at or above it can never beat
+/// its own bound, which is no looser; and a block whose fused minimum
+/// reaches it has no hit, so its buffer is never read. Every tier's path
+/// for codes of three or more words.
+template <BatchDistanceMinFn kBatchMin>
+int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
+                     int words, int32_t row_bound, const int32_t* code_bounds,
+                     int32_t* out_index, int32_t* out_distance) {
+  int32_t dist[kEmitBlock];
+  int count = 0;
+  for (int lo = 0; lo < n; lo += kEmitBlock) {
+    const int m = n - lo < kEmitBlock ? n - lo : kEmitBlock;
+    int32_t threshold = row_bound;
+    for (int j = 0; code_bounds != nullptr && j < m; ++j) {
+      threshold = MaxInt32(threshold, code_bounds[lo + j]);
+    }
+    if (kBatchMin(query, codes + static_cast<size_t>(lo) * words, m, words,
+                  threshold, dist) >= threshold) {
+      continue;
+    }
+    for (int j = 0; j < m; ++j) {
+      EmitIfBelow(lo + j, dist[j], EmitBound(row_bound, code_bounds, lo + j),
+                  out_index, out_distance, &count);
+    }
+  }
+  return count;
+}
 
 /// Scalar reference. The kTrackMin=false instantiation compiles the min
 /// bookkeeping out entirely so the plain kernel keeps its old shape.
@@ -85,6 +155,17 @@ int32_t BatchDistancesMinScalar(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out) {
   return BatchScalarImpl<true>(query, codes, n, words, threshold, out);
+}
+
+int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
+                    int words, int32_t row_bound, const int32_t* code_bounds,
+                    int32_t* out_index, int32_t* out_distance) {
+  if (words <= 2) {
+    return EmitEach(query, codes, 0, n, words, row_bound, code_bounds,
+                    out_index, out_distance, 0);
+  }
+  return EmitThroughBatch<&BatchDistancesMinScalar>(
+      query, codes, n, words, row_bound, code_bounds, out_index, out_distance);
 }
 
 #if defined(UHSCM_HAVE_AVX2_KERNELS)
@@ -287,6 +368,90 @@ int32_t BatchAvx2Impl(const uint64_t* query, const uint64_t* codes, int n,
   return BatchGeneric<kTrackMin>(query, codes, n, words, threshold, out);
 }
 
+/// Distances of the eight 64-bit codes at `p`, as int32 lanes in code
+/// order.
+UHSCM_AVX2_FN inline __m256i Distances8Words1(__m256i q, const uint64_t* p) {
+  const __m256i a = PopcountLanes64(_mm256_xor_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), q));
+  const __m256i b = PopcountLanes64(_mm256_xor_si256(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4)), q));
+  // Dwords [d0 d4 d1 d5 d2 d6 d3 d7] -> code order.
+  return _mm256_permutevar8x32_epi32(
+      _mm256_or_si256(a, _mm256_slli_epi64(b, 32)),
+      _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
+}
+
+/// Distances of the eight 128-bit codes at `p`, as int32 lanes in code
+/// order.
+UHSCM_AVX2_FN inline __m256i Distances8Words2(__m256i q, const uint64_t* p) {
+  __m256i s[4];
+  for (int v = 0; v < 4; ++v) {
+    s[v] = PopcountLanes64(_mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4 * v)), q));
+  }
+  // s[v] holds codes 2v, 2v+1, one per 128-bit lane as (low, high) word
+  // counts; the unpacks add each code's halves: lane 0 gets [d0 d2],
+  // lane 1 [d1 d3] (then [d4 d6] and [d5 d7]).
+  const __m256i d03 = _mm256_add_epi64(_mm256_unpacklo_epi64(s[0], s[1]),
+                                       _mm256_unpackhi_epi64(s[0], s[1]));
+  const __m256i d47 = _mm256_add_epi64(_mm256_unpacklo_epi64(s[2], s[3]),
+                                       _mm256_unpackhi_epi64(s[2], s[3]));
+  // Dwords [d0 d4 d2 d6 d1 d5 d3 d7] -> code order.
+  return _mm256_permutevar8x32_epi32(
+      _mm256_or_si256(d03, _mm256_slli_epi64(d47, 32)),
+      _mm256_setr_epi32(0, 4, 2, 6, 1, 5, 3, 7));
+}
+
+/// Emitting kernel for 64- and 128-bit codes: eight distances per step
+/// are compared against their bounds in registers; only a step with a
+/// hit spills its distances, and the hits are walked by mask bit.
+template <int kWords>
+UHSCM_AVX2_FN int EmitNarrowAvx2(const uint64_t* query, const uint64_t* codes,
+                                 int n, int32_t row_bound,
+                                 const int32_t* code_bounds,
+                                 int32_t* out_index, int32_t* out_distance) {
+  __m256i q;
+  if constexpr (kWords == 1) {
+    q = _mm256_set1_epi64x(static_cast<long long>(query[0]));
+  } else {
+    q = _mm256_setr_epi64x(
+        static_cast<long long>(query[0]), static_cast<long long>(query[1]),
+        static_cast<long long>(query[0]), static_cast<long long>(query[1]));
+  }
+  const __m256i row = _mm256_set1_epi32(row_bound);
+  alignas(32) int32_t dist[8];
+  int count = 0;
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t* p = codes + kWords * static_cast<size_t>(i);
+    __m256i d;
+    if constexpr (kWords == 1) {
+      d = Distances8Words1(q, p);
+    } else {
+      d = Distances8Words2(q, p);
+    }
+    const __m256i bound =
+        code_bounds == nullptr
+            ? row
+            : _mm256_max_epi32(row, _mm256_loadu_si256(
+                                        reinterpret_cast<const __m256i*>(
+                                            code_bounds + i)));
+    unsigned hits = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(bound, d))));
+    if (hits == 0) continue;
+    _mm256_store_si256(reinterpret_cast<__m256i*>(dist), d);
+    do {
+      const int lane = __builtin_ctz(hits);
+      out_index[count] = i + lane;
+      out_distance[count] = dist[lane];
+      ++count;
+      hits &= hits - 1;
+    } while (hits != 0);
+  }
+  return EmitEach(query, codes, i, n, kWords, row_bound, code_bounds,
+                  out_index, out_distance, count);
+}
+
 }  // namespace
 
 void BatchDistancesAvx2(const uint64_t* query, const uint64_t* codes, int n,
@@ -298,6 +463,21 @@ int32_t BatchDistancesMinAvx2(const uint64_t* query, const uint64_t* codes,
                               int n, int words, int32_t threshold,
                               int32_t* out) {
   return BatchAvx2Impl<true>(query, codes, n, words, threshold, out);
+}
+
+int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
+                  int words, int32_t row_bound, const int32_t* code_bounds,
+                  int32_t* out_index, int32_t* out_distance) {
+  if (words == 1) {
+    return EmitNarrowAvx2<1>(query, codes, n, row_bound, code_bounds,
+                             out_index, out_distance);
+  }
+  if (words == 2) {
+    return EmitNarrowAvx2<2>(query, codes, n, row_bound, code_bounds,
+                             out_index, out_distance);
+  }
+  return EmitThroughBatch<&BatchDistancesMinAvx2>(
+      query, codes, n, words, row_bound, code_bounds, out_index, out_distance);
 }
 
 #endif  // UHSCM_HAVE_AVX2_KERNELS
@@ -559,6 +739,88 @@ int32_t BatchAvx512Impl(const uint64_t* query, const uint64_t* codes, int n,
   return BatchAvx2Impl<kTrackMin>(query, codes, n, words, threshold, out);
 }
 
+/// Distances of the sixteen 64-bit codes at `p`, as int32 lanes in code
+/// order.
+UHSCM_AVX512VP_FN inline __m512i Distances16Words1Vp(__m512i q,
+                                                     const uint64_t* p) {
+  const __m512i a =
+      _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(p), q));
+  const __m512i b =
+      _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(p + 8), q));
+  // The low dword of every 64-bit lane, a's lanes then b's.
+  return _mm512_permutex2var_epi32(
+      a,
+      _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28,
+                        30),
+      b);
+}
+
+/// Distances of the sixteen 128-bit codes at `p`, as int32 lanes in code
+/// order.
+UHSCM_AVX512VP_FN inline __m512i Distances16Words2Vp(__m512i q,
+                                                     const uint64_t* p) {
+  __m512i s[4];
+  for (int v = 0; v < 4; ++v) {
+    s[v] = _mm512_popcnt_epi64(
+        _mm512_xor_si512(_mm512_loadu_si512(p + 8 * v), q));
+  }
+  // s[v] holds codes 4v..4v+3; code c's low/high word counts sit in
+  // dwords 4c and 4c+2. Gather the low halves of two vectors' codes into
+  // the lower 256 bits and the high halves into the upper 256 bits.
+  const __m512i halves = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 2, 6,
+                                           10, 14, 18, 22, 26, 30);
+  const __m512i h07 = _mm512_permutex2var_epi32(s[0], halves, s[1]);
+  const __m512i h8f = _mm512_permutex2var_epi32(s[2], halves, s[3]);
+  const __m512i lo = _mm512_shuffle_i64x2(h07, h8f, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m512i hi = _mm512_shuffle_i64x2(h07, h8f, _MM_SHUFFLE(3, 2, 3, 2));
+  return _mm512_add_epi32(lo, hi);
+}
+
+/// Emitting kernel for 64- and 128-bit codes: sixteen distances per step
+/// are compared against their bounds in registers, and a step with hits
+/// compress-stores exactly those (index, distance) pairs.
+template <int kWords>
+UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
+                                   const uint64_t* codes, int n,
+                                   int32_t row_bound,
+                                   const int32_t* code_bounds,
+                                   int32_t* out_index, int32_t* out_distance) {
+  __m512i q;
+  if constexpr (kWords == 1) {
+    q = _mm512_set1_epi64(static_cast<long long>(query[0]));
+  } else {
+    q = _mm512_broadcast_i32x4(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(query)));
+  }
+  const __m512i row = _mm512_set1_epi32(row_bound);
+  const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                          11, 12, 13, 14, 15);
+  int count = 0;
+  int i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const uint64_t* p = codes + kWords * static_cast<size_t>(i);
+    __m512i d;
+    if constexpr (kWords == 1) {
+      d = Distances16Words1Vp(q, p);
+    } else {
+      d = Distances16Words2Vp(q, p);
+    }
+    const __m512i bound =
+        code_bounds == nullptr
+            ? row
+            : _mm512_max_epi32(row, _mm512_loadu_si512(code_bounds + i));
+    const __mmask16 hits = _mm512_cmplt_epi32_mask(d, bound);
+    if (hits == 0) continue;
+    _mm512_mask_compressstoreu_epi32(
+        out_index + count, hits,
+        _mm512_add_epi32(lanes, _mm512_set1_epi32(i)));
+    _mm512_mask_compressstoreu_epi32(out_distance + count, hits, d);
+    count += Popcount64(hits);
+  }
+  return EmitEach(query, codes, i, n, kWords, row_bound, code_bounds,
+                  out_index, out_distance, count);
+}
+
 }  // namespace
 
 void BatchDistancesAvx512(const uint64_t* query, const uint64_t* codes, int n,
@@ -570,6 +832,31 @@ int32_t BatchDistancesMinAvx512(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out) {
   return BatchAvx512Impl<true>(query, codes, n, words, threshold, out);
+}
+
+int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
+                    int words, int32_t row_bound, const int32_t* code_bounds,
+                    int32_t* out_index, int32_t* out_distance) {
+  // Wider codes take the plain kernel's routing: VPOPCNTDQ, Harley–Seal
+  // BW or AVX2 bodies by width and host.
+  if (words > 2) {
+    return EmitThroughBatch<&BatchDistancesMinAvx512>(query, codes, n, words,
+                                                   row_bound, code_bounds,
+                                                   out_index, out_distance);
+  }
+  // BW-only hosts emit narrow codes through the AVX2 layouts, as the
+  // plain kernels do.
+  static const bool vpopcnt = Avx512VpopcntSupported();
+  if (!vpopcnt) {
+    return BatchEmitAvx2(query, codes, n, words, row_bound, code_bounds,
+                         out_index, out_distance);
+  }
+  if (words == 1) {
+    return EmitNarrowVp<1>(query, codes, n, row_bound, code_bounds, out_index,
+                           out_distance);
+  }
+  return EmitNarrowVp<2>(query, codes, n, row_bound, code_bounds, out_index,
+                         out_distance);
 }
 
 #endif  // UHSCM_HAVE_AVX512_KERNELS
@@ -728,6 +1015,21 @@ BatchDistanceMinFn GetBatchDistanceMinFn(KernelTier tier) {
   return &BatchDistancesMinScalar;
 }
 
+BatchEmitFn GetBatchEmitFn(KernelTier tier) {
+#if defined(UHSCM_HAVE_AVX512_KERNELS)
+  if (tier == KernelTier::kAvx512 && Avx512Available()) {
+    return &BatchEmitAvx512;
+  }
+#endif
+#if defined(UHSCM_HAVE_AVX2_KERNELS)
+  if (tier != KernelTier::kScalar && Avx2Available()) {
+    return &BatchEmitAvx2;
+  }
+#endif
+  (void)tier;
+  return &BatchEmitScalar;
+}
+
 BatchDistanceFn GetBatchDistanceFn() {
   return GetBatchDistanceFn(ActiveKernelTier());
 }
@@ -735,5 +1037,7 @@ BatchDistanceFn GetBatchDistanceFn() {
 BatchDistanceMinFn GetBatchDistanceMinFn() {
   return GetBatchDistanceMinFn(ActiveKernelTier());
 }
+
+BatchEmitFn GetBatchEmitFn() { return GetBatchEmitFn(ActiveKernelTier()); }
 
 }  // namespace uhscm::index

@@ -52,6 +52,22 @@ using BatchDistanceMinFn = int32_t (*)(const uint64_t* query,
                                        const uint64_t* codes, int n, int words,
                                        int32_t threshold, int32_t* out);
 
+/// Emitting variant for joins that keep only a few candidates per row.
+///
+/// Scores one query against `n` contiguous packed codes and writes out
+/// only the codes whose distance is strictly below their bound
+/// `max(row_bound, code_bounds[i])` (`code_bounds` holds `n` entries, or
+/// is null when every bound is `row_bound`).
+/// Each hit is written as its index into the run (`out_index`) and its
+/// exact distance (`out_distance`), in ascending index order; both
+/// buffers must hold `n` entries. Returns the number of hits; a run
+/// where nothing qualifies writes nothing. A bound of INT32_MAX admits
+/// every code; bounds of 0 admit none.
+using BatchEmitFn = int (*)(const uint64_t* query, const uint64_t* codes,
+                            int n, int words, int32_t row_bound,
+                            const int32_t* code_bounds, int32_t* out_index,
+                            int32_t* out_distance);
+
 /// Threshold value that disables pruning (every distance exact).
 inline constexpr int32_t kNoThreshold = INT32_MAX;
 
@@ -61,6 +77,9 @@ void BatchDistancesScalar(const uint64_t* query, const uint64_t* codes, int n,
 int32_t BatchDistancesMinScalar(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out);
+int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
+                    int words, int32_t row_bound, const int32_t* code_bounds,
+                    int32_t* out_index, int32_t* out_distance);
 
 /// True when this build carries the AVX2 tier and the CPU supports it.
 bool Avx2Available();
@@ -85,12 +104,18 @@ void BatchDistancesAvx2(const uint64_t* query, const uint64_t* codes, int n,
 int32_t BatchDistancesMinAvx2(const uint64_t* query, const uint64_t* codes,
                               int n, int words, int32_t threshold,
                               int32_t* out);
+int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
+                  int words, int32_t row_bound, const int32_t* code_bounds,
+                  int32_t* out_index, int32_t* out_distance);
 /// AVX-512 tier. Precondition: Avx512Available().
 void BatchDistancesAvx512(const uint64_t* query, const uint64_t* codes, int n,
                           int words, int32_t threshold, int32_t* out);
 int32_t BatchDistancesMinAvx512(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out);
+int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
+                    int words, int32_t row_bound, const int32_t* code_bounds,
+                    int32_t* out_index, int32_t* out_distance);
 #endif
 
 /// The tier the dispatcher selected for this process: the best tier the
@@ -120,12 +145,14 @@ bool KernelTierAvailable(KernelTier tier);
 /// The dispatched batch kernels for `ActiveKernelTier()`.
 BatchDistanceFn GetBatchDistanceFn();
 BatchDistanceMinFn GetBatchDistanceMinFn();
+BatchEmitFn GetBatchEmitFn();
 
 /// Kernels for an explicit tier (benches compare tiers side by side).
 /// An unavailable tier falls back to the best available tier below it
 /// (avx512 -> avx2 -> scalar).
 BatchDistanceFn GetBatchDistanceFn(KernelTier tier);
 BatchDistanceMinFn GetBatchDistanceMinFn(KernelTier tier);
+BatchEmitFn GetBatchEmitFn(KernelTier tier);
 
 }  // namespace uhscm::index
 

@@ -19,15 +19,15 @@ namespace {
 /// Flush bound for the buffered heap updates of an off-diagonal tile
 /// task: candidates are staged lock-free and applied under the owning
 /// tile's mutex in batches of at most this many, so a cold join (heaps
-/// not yet full, nothing prunable) cannot stage O(tile^2) entries.
+/// not yet full, every pair emitted) cannot stage O(tile^2) entries.
 constexpr size_t kFlushCandidates = 8192;
 
-/// Safe saturating "threshold + 1": the kernels prune at >= threshold,
-/// but a pair at exactly the heap-front distance can still displace the
-/// front on the id tie-break (tile mirroring delivers candidates out of
-/// id order, unlike the ascending-id serving scan), so the join may only
-/// prune pairs whose distance is *strictly* greater than every involved
-/// front. Passing front+1 buys exactly that.
+/// Safe saturating "threshold + 1": a pair at exactly the heap-front
+/// distance can still displace the front on the id tie-break (tile
+/// mirroring delivers candidates out of id order, unlike the
+/// ascending-id serving scan), so the join may only leave out pairs
+/// whose distance is *strictly* greater than every involved front. An
+/// emit bound of front+1 buys exactly that.
 int32_t PlusOne(int32_t threshold) {
   return threshold >= kNoThreshold - 1 ? kNoThreshold : threshold + 1;
 }
@@ -72,6 +72,12 @@ struct TileMap {
 struct TaskCounters {
   int64_t pruned = 0;
   int64_t scored = 0;
+
+  /// One kernel call over `live` live pairs, `emitted` of them emitted.
+  void Add(int live, int emitted) {
+    pruned += live - emitted;
+    scored += emitted;
+  }
 };
 
 struct JoinTotals {
@@ -117,8 +123,8 @@ void FlushJoinCounters(const JoinTotals& totals) {
 }
 
 /// All (I, J) tile pairs with I <= J, diagonals first: the diagonal task
-/// is what fills a tile's heaps (arming every later threshold), so it
-/// must not queue behind off-diagonal work that cannot prune yet.
+/// is what fills a tile's heaps (arming every later bound), so it must
+/// not queue behind off-diagonal work that cannot prune yet.
 std::vector<std::pair<int, int>> TilePairsDiagonalFirst(int num_tiles) {
   std::vector<std::pair<int, int>> pairs;
   pairs.reserve(static_cast<size_t>(num_tiles) *
@@ -130,6 +136,21 @@ std::vector<std::pair<int, int>> TilePairsDiagonalFirst(int num_tiles) {
   return pairs;
 }
 
+BatchEmitFn ResolveEmitFn(const SelfJoinOptions& options) {
+  return options.force_tier ? GetBatchEmitFn(options.tier) : GetBatchEmitFn();
+}
+
+/// Output of one emitting kernel call, sized for the longest run a task
+/// scores (one tile).
+struct Hits {
+  std::vector<int32_t> index;
+  std::vector<int32_t> distance;
+
+  explicit Hits(int capacity)
+      : index(static_cast<size_t>(capacity)),
+        distance(static_cast<size_t>(capacity)) {}
+};
+
 // ------------------------------------------------------------- TopKJoin
 
 /// Offers one candidate to a bounded max-heap under the full
@@ -138,9 +159,9 @@ std::vector<std::pair<int, int>> TilePairsDiagonalFirst(int num_tiles) {
 /// arrive out of id order, so an equal-distance smaller id must displace
 /// the front. Keeping the exact k-smallest set makes the final sorted
 /// list independent of arrival order — the byte-identity argument.
-/// Updates *front_cache (INT32_MAX while the heap is filling).
+/// Updates *bound to front + 1 once the heap holds k entries.
 void OfferNeighbor(std::vector<Neighbor>* heap, int k, Neighbor candidate,
-                   int32_t* front_cache) {
+                   int32_t* bound) {
   auto cmp = [](const Neighbor& a, const Neighbor& b) {
     return NeighborLess(a, b);
   };
@@ -155,18 +176,21 @@ void OfferNeighbor(std::vector<Neighbor>* heap, int k, Neighbor candidate,
     return;
   }
   if (static_cast<int>(heap->size()) == k) {
-    *front_cache = heap->front().distance;
+    *bound = PlusOne(heap->front().distance);
   }
 }
 
-/// Shared mutable state of one TopKJoin call. Heap i and fronts[i] are
+/// Shared mutable state of one TopKJoin call. Heap i and bounds[i] are
 /// owned by row i's tile: mutated only under tile_mu[i / tile]. Reads
 /// from other tasks go through the same lock and are used only as
-/// conservative (stale = larger) pruning bounds.
+/// conservative (stale = larger) emit bounds.
 struct TopKState {
   int k = 0;
   std::vector<std::vector<Neighbor>> heaps;
-  std::vector<int32_t> fronts;  // INT32_MAX until heap i holds k entries
+  /// Emit bound per row: front + 1 once heap i holds k entries,
+  /// INT32_MAX while it fills, 0 for tombstoned rows (which never take a
+  /// candidate, so only the live endpoint's bound may emit their pairs).
+  std::vector<int32_t> bounds;
   /// Plain std::mutex by design: a call-local stripe array (one lock
   /// per tile, sized at runtime), never held two at a time and never
   /// nested with any named lock in the serving hierarchy — the same
@@ -176,11 +200,13 @@ struct TopKState {
   TopKState(const TileMap& tiles, int k_eff)
       : k(k_eff),
         heaps(static_cast<size_t>(tiles.n)),
-        fronts(static_cast<size_t>(tiles.n), INT32_MAX),
+        bounds(static_cast<size_t>(tiles.n), INT32_MAX),
         tile_mu(static_cast<size_t>(std::max(1, tiles.num_tiles))) {
     for (int i = 0; i < tiles.n; ++i) {
       if (tiles.IsLive(i)) {
         heaps[static_cast<size_t>(i)].reserve(static_cast<size_t>(k));
+      } else {
+        bounds[static_cast<size_t>(i)] = 0;
       }
     }
   }
@@ -199,134 +225,58 @@ void ApplyOffers(TopKState* state, int tile_index,
       state->tile_mu[static_cast<size_t>(tile_index)]);
   for (const StagedOffer& offer : *offers) {
     OfferNeighbor(&state->heaps[static_cast<size_t>(offer.row)], state->k,
-                  offer.nb, &state->fronts[static_cast<size_t>(offer.row)]);
+                  offer.nb, &state->bounds[static_cast<size_t>(offer.row)]);
   }
   offers->clear();
 }
 
 /// Diagonal tile task: rows [t0, t1) against each other, each unordered
 /// pair once (row i scans the contiguous run [i+1, t1)). The task owns
-/// every heap it touches, so offers apply directly against live fronts.
-///
-/// Pruning is decided at kDistChunk granularity against *per-chunk*
-/// front maxima, not one tile-wide maximum: a single unlucky row with a
-/// weak (large) front would otherwise disarm the chunk skip for the
-/// whole tile. Chunk maxima are cached and recomputed lazily when an
-/// offer shrinks a front inside the chunk; stale (larger) values are
-/// conservative — they prune less, never wrongly.
+/// every heap it touches, so the kernel reads the live bounds directly:
+/// a pair is emitted unless its distance reaches both rows' bounds, and
+/// bounds only shrink, so a pair left out could never enter either heap.
+/// The emitted few are offered to both heaps, which decide exactly.
 void TopKDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
-                      BatchDistanceFn kernel, BatchDistanceMinFn fused_kernel,
-                      bool fused, int t, TopKState* state,
+                      BatchEmitFn emit, int t, TopKState* state,
                       TaskCounters* counters) {
   const int t0 = tiles.TileBegin(t);
   const int t1 = tiles.TileEnd(t);
   const int words = codes.words_per_code();
   std::lock_guard<std::mutex> lock(state->tile_mu[static_cast<size_t>(t)]);
-
-  // Per-chunk max of live fronts over tile-local row chunks
-  // [t0 + c*kDistChunk, ...), lazily refreshed via the dirty flags.
-  const int nchunks = (t1 - t0 + kDistChunk - 1) / kDistChunk;
-  std::vector<int32_t> chunk_max(static_cast<size_t>(nchunks), INT32_MAX);
-  std::vector<char> dirty(static_cast<size_t>(nchunks), 1);
-  auto chunk_front_max = [&](int c) {
-    if (dirty[static_cast<size_t>(c)]) {
-      const int lo = t0 + c * kDistChunk;
-      const int hi = std::min(lo + kDistChunk, t1);
-      int32_t m = INT32_MIN;
-      for (int j = lo; j < hi; ++j) {
-        if (tiles.IsLive(j)) {
-          m = std::max(m, state->fronts[static_cast<size_t>(j)]);
-        }
-      }
-      chunk_max[static_cast<size_t>(c)] = m;
-      dirty[static_cast<size_t>(c)] = 0;
-    }
-    return chunk_max[static_cast<size_t>(c)];
-  };
-
-  std::vector<int32_t> dist(static_cast<size_t>(t1 - t0));
+  int32_t* bounds = state->bounds.data();
+  Hits hits(t1 - t0);
   for (int i = t0; i < t1 - 1; ++i) {
     if (!tiles.IsLive(i)) continue;
-    const int count = t1 - i - 1;
     const int live_ahead = tiles.LiveIn(i + 1, t1);
     if (live_ahead == 0) break;  // no live candidate after i in this tile
-    // Kernel-call threshold: a pair may be disposed early only if it can
-    // enter *neither* endpoint's heap, so the call-wide bound is the max
-    // front over row i and every chunk ahead of it, plus one for the id
-    // tie-break. (The chunk containing i may include fronts of rows
-    // behind i — a larger, still-conservative bound.)
-    const int first_chunk = (i + 1 - t0) / kDistChunk;
-    int32_t max_front = state->fronts[static_cast<size_t>(i)];
-    for (int c = first_chunk; c < nchunks && max_front != INT32_MAX; ++c) {
-      max_front = std::max(max_front, chunk_front_max(c));
+    const int emitted =
+        emit(codes.code(i), codes.code(i + 1), t1 - i - 1, words, bounds[i],
+             bounds + i + 1, hits.index.data(), hits.distance.data());
+    int live_emitted = 0;
+    for (int e = 0; e < emitted; ++e) {
+      const int j = i + 1 + hits.index[static_cast<size_t>(e)];
+      if (!tiles.IsLive(j)) continue;
+      ++live_emitted;
+      const int32_t d = hits.distance[static_cast<size_t>(e)];
+      OfferNeighbor(&state->heaps[static_cast<size_t>(i)], state->k, {j, d},
+                    &bounds[i]);
+      OfferNeighbor(&state->heaps[static_cast<size_t>(j)], state->k, {i, d},
+                    &bounds[j]);
     }
-    const int32_t threshold =
-        max_front == INT32_MAX ? kNoThreshold : PlusOne(max_front);
-    int32_t block_min;
-    if (fused) {
-      block_min = fused_kernel(codes.code(i), codes.code(i + 1), count, words,
-                               threshold, dist.data());
-    } else {
-      kernel(codes.code(i), codes.code(i + 1), count, words, threshold,
-             dist.data());
-      block_min = ChunkMin(dist.data(), 0, count);
-    }
-    if (threshold != kNoThreshold && block_min >= threshold) {
-      counters->pruned += live_ahead;
-      continue;
-    }
-    // Chunk walk aligned to the *tile's* chunk grid (row i + 1 usually
-    // starts mid-chunk), so each dist range maps to one cached chunk
-    // maximum. Fronts only shrink during the walk, so every T_c here is
-    // <= the kernel-call threshold and distances below it are exact.
-    int j = i + 1;
-    while (j < t1) {
-      const int c = (j - t0) / kDistChunk;
-      const int chunk_end = std::min(t0 + (c + 1) * kDistChunk, t1);
-      const int lo = j - (i + 1);
-      const int hi = chunk_end - (i + 1);
-      const int live_chunk = tiles.LiveIn(j, chunk_end);
-      if (live_chunk == 0) {
-        j = chunk_end;
-        continue;
-      }
-      const int32_t front_i = state->fronts[static_cast<size_t>(i)];
-      const int32_t cmax = std::max(front_i, chunk_front_max(c));
-      const int32_t tc =
-          cmax == INT32_MAX ? kNoThreshold : PlusOne(cmax);
-      if (tc != kNoThreshold && ChunkMin(dist.data(), lo, hi) >= tc) {
-        counters->pruned += live_chunk;
-        j = chunk_end;
-        continue;
-      }
-      counters->scored += live_chunk;
-      const bool all_live = live_chunk == chunk_end - j;
-      for (int jj = j; jj < chunk_end; ++jj) {
-        if (!all_live && !tiles.IsLive(jj)) continue;
-        const int32_t d = dist[static_cast<size_t>(jj - (i + 1))];
-        if (d >= tc) continue;  // exact only below the threshold
-        OfferNeighbor(&state->heaps[static_cast<size_t>(i)], state->k,
-                      {jj, d}, &state->fronts[static_cast<size_t>(i)]);
-        OfferNeighbor(&state->heaps[static_cast<size_t>(jj)], state->k,
-                      {i, d}, &state->fronts[static_cast<size_t>(jj)]);
-        dirty[static_cast<size_t>(c)] = 1;
-      }
-      j = chunk_end;
-    }
-    // Row i's own front shrank during its scan; refresh its chunk.
-    dirty[static_cast<size_t>((i - t0) / kDistChunk)] = 1;
+    counters->Add(live_ahead, live_emitted);
   }
 }
 
 /// Off-diagonal tile task (ti < tj): every row of tile ti scans tile
-/// tj's contiguous codes once; each distance is offered to the query row
-/// (tile ti side) and mirrored to the candidate row (tile tj side).
-/// Front snapshots are taken under the owning tiles' locks; staleness is
-/// conservative because fronts only shrink.
+/// tj's contiguous codes once against a snapshot of both tiles' bounds,
+/// taken under the owning tiles' locks; staleness is conservative
+/// because bounds only shrink. Each emitted pair is staged for the query
+/// row (tile ti side) and mirrored to the candidate row (tile tj side)
+/// when that side's snapshot bound admits it, then applied under one
+/// lock per side.
 void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
-                         BatchDistanceFn kernel,
-                         BatchDistanceMinFn fused_kernel, bool fused, int ti,
-                         int tj, TopKState* state, TaskCounters* counters) {
+                         BatchEmitFn emit, int ti, int tj, TopKState* state,
+                         TaskCounters* counters) {
   const int i0 = tiles.TileBegin(ti), i1 = tiles.TileEnd(ti);
   const int j0 = tiles.TileBegin(tj), j1 = tiles.TileEnd(tj);
   const int count = j1 - j0;
@@ -334,86 +284,45 @@ void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
   if (live_j == 0 || tiles.LiveIn(i0, i1) == 0) return;
   const int words = codes.words_per_code();
 
-  std::vector<int32_t> fronts_i(static_cast<size_t>(i1 - i0));
-  std::vector<int32_t> fronts_j(static_cast<size_t>(count));
+  std::vector<int32_t> bounds_i(static_cast<size_t>(i1 - i0));
+  std::vector<int32_t> bounds_j(static_cast<size_t>(count));
   {
     std::lock_guard<std::mutex> lock(
         state->tile_mu[static_cast<size_t>(ti)]);
-    std::copy(state->fronts.begin() + i0, state->fronts.begin() + i1,
-              fronts_i.begin());
+    std::copy(state->bounds.begin() + i0, state->bounds.begin() + i1,
+              bounds_i.begin());
   }
   {
     std::lock_guard<std::mutex> lock(
         state->tile_mu[static_cast<size_t>(tj)]);
-    std::copy(state->fronts.begin() + j0, state->fronts.begin() + j1,
-              fronts_j.begin());
+    std::copy(state->bounds.begin() + j0, state->bounds.begin() + j1,
+              bounds_j.begin());
   }
-  // Per-chunk max of live mirror fronts (the dist buffer's chunk grid
-  // aligns with tile tj's rows): chunk-granular thresholds keep the
-  // chunk skip tight even when one row of the tile has a weak front.
-  const int nchunks = (count + kDistChunk - 1) / kDistChunk;
-  std::vector<int32_t> chunk_max(static_cast<size_t>(nchunks), INT32_MIN);
-  int32_t max_front_j = INT32_MIN;
-  for (int j = j0; j < j1; ++j) {
-    if (tiles.IsLive(j)) {
-      const int c = (j - j0) / kDistChunk;
-      chunk_max[static_cast<size_t>(c)] =
-          std::max(chunk_max[static_cast<size_t>(c)],
-                   fronts_j[static_cast<size_t>(j - j0)]);
-    }
-  }
-  for (const int32_t m : chunk_max) max_front_j = std::max(max_front_j, m);
 
-  std::vector<int32_t> dist(static_cast<size_t>(count));
+  Hits hits(count);
   std::vector<StagedOffer> query_side, mirror_side;
   for (int i = i0; i < i1; ++i) {
     if (!tiles.IsLive(i)) continue;
-    const int32_t front_i = fronts_i[static_cast<size_t>(i - i0)];
-    const int32_t max_front = std::max(front_i, max_front_j);
-    const int32_t threshold =
-        max_front == INT32_MAX ? kNoThreshold : PlusOne(max_front);
-    int32_t block_min;
-    if (fused) {
-      block_min = fused_kernel(codes.code(i), codes.code(j0), count, words,
-                               threshold, dist.data());
-    } else {
-      kernel(codes.code(i), codes.code(j0), count, words, threshold,
-             dist.data());
-      block_min = ChunkMin(dist.data(), 0, count);
-    }
-    if (threshold != kNoThreshold && block_min >= threshold) {
-      counters->pruned += live_j;
-      continue;
-    }
-    for (int c0 = 0; c0 < count; c0 += kDistChunk) {
-      const int c1 = std::min(c0 + kDistChunk, count);
-      const int live_chunk = tiles.LiveIn(j0 + c0, j0 + c1);
-      if (live_chunk == 0) continue;
-      // Chunk threshold: only row i and this chunk's mirror rows can
-      // accept a pair from this range.
-      const int32_t cmax =
-          std::max(front_i, chunk_max[static_cast<size_t>(c0 / kDistChunk)]);
-      const int32_t tc = cmax == INT32_MAX ? kNoThreshold : PlusOne(cmax);
-      if (tc != kNoThreshold && ChunkMin(dist.data(), c0, c1) >= tc) {
-        counters->pruned += live_chunk;
-        continue;
-      }
-      counters->scored += live_chunk;
-      const bool all_live = live_chunk == c1 - c0;
-      for (int c = c0; c < c1; ++c) {
-        const int j = j0 + c;
-        if (!all_live && !tiles.IsLive(j)) continue;
-        const int32_t d = dist[static_cast<size_t>(c)];
-        if (d >= tc) continue;  // exact only below the threshold
-        // Stage only candidates the snapshot fronts cannot already rule
-        // out (<= keeps equal-distance ties — the id tie-break is decided
-        // by the live heap under the lock).
-        if (d <= front_i) query_side.push_back({i, {j, d}});
-        if (d <= fronts_j[static_cast<size_t>(c)]) {
-          mirror_side.push_back({j, {i, d}});
-        }
+    const int32_t bound_i = bounds_i[static_cast<size_t>(i - i0)];
+    const int emitted =
+        emit(codes.code(i), codes.code(j0), count, words, bound_i,
+             bounds_j.data(), hits.index.data(), hits.distance.data());
+    int live_emitted = 0;
+    for (int e = 0; e < emitted; ++e) {
+      const int c = hits.index[static_cast<size_t>(e)];
+      const int j = j0 + c;
+      if (!tiles.IsLive(j)) continue;
+      ++live_emitted;
+      const int32_t d = hits.distance[static_cast<size_t>(e)];
+      // Stage each side only where its snapshot bound admits the pair.
+      // A bound is front + 1, so a pair tying the front is staged and the
+      // live heap decides the id tie-break under the lock.
+      if (d < bound_i) query_side.push_back({i, {j, d}});
+      if (d < bounds_j[static_cast<size_t>(c)]) {
+        mirror_side.push_back({j, {i, d}});
       }
     }
+    counters->Add(live_j, live_emitted);
     if (query_side.size() + mirror_side.size() >= kFlushCandidates) {
       ApplyOffers(state, ti, &query_side);
       ApplyOffers(state, tj, &mirror_side);
@@ -427,54 +336,34 @@ void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
 
 /// One tile-pair task of a radius join: emits every qualifying live pair
 /// of the (ti, tj) tile rectangle (diagonal tiles scan the strict upper
-/// triangle) into `out`, in (a, b) order within the task.
+/// triangle) into `out`, in (a, b) order within the task. The kernel
+/// emits only pairs below the row bound radius + 1 (no per-code bounds);
+/// tombstoned rows are dropped from those.
 void RadiusTileTask(const PackedCodes& codes, const TileMap& tiles,
-                    BatchDistanceFn kernel, BatchDistanceMinFn fused_kernel,
-                    bool fused, int radius, int ti, int tj,
+                    BatchEmitFn emit, int radius, int ti, int tj,
                     std::vector<JoinPair>* out, TaskCounters* counters) {
   const int i0 = tiles.TileBegin(ti), i1 = tiles.TileEnd(ti);
   const int j0 = tiles.TileBegin(tj), j1 = tiles.TileEnd(tj);
   if (tiles.LiveIn(i0, i1) == 0 || tiles.LiveIn(j0, j1) == 0) return;
   const int words = codes.words_per_code();
-  const int32_t threshold = PlusOne(radius);
-  std::vector<int32_t> dist(static_cast<size_t>(j1 - j0));
+  const int32_t bound = PlusOne(radius);
+  Hits hits(j1 - j0);
   for (int i = i0; i < i1; ++i) {
     if (!tiles.IsLive(i)) continue;
     const int start = ti == tj ? i + 1 : j0;  // each unordered pair once
-    const int count = j1 - start;
-    if (count <= 0) continue;
     const int live_range = tiles.LiveIn(start, j1);
     if (live_range == 0) continue;
-    int32_t block_min;
-    if (fused) {
-      block_min = fused_kernel(codes.code(i), codes.code(start), count, words,
-                               threshold, dist.data());
-    } else {
-      kernel(codes.code(i), codes.code(start), count, words, threshold,
-             dist.data());
-      block_min = ChunkMin(dist.data(), 0, count);
+    const int emitted =
+        emit(codes.code(i), codes.code(start), j1 - start, words, bound,
+             nullptr, hits.index.data(), hits.distance.data());
+    int live_emitted = 0;
+    for (int e = 0; e < emitted; ++e) {
+      const int j = start + hits.index[static_cast<size_t>(e)];
+      if (!tiles.IsLive(j)) continue;
+      ++live_emitted;
+      out->push_back({i, j, hits.distance[static_cast<size_t>(e)]});
     }
-    if (block_min > radius) {
-      counters->pruned += live_range;
-      continue;
-    }
-    for (int c0 = 0; c0 < count; c0 += kDistChunk) {
-      const int c1 = std::min(c0 + kDistChunk, count);
-      const int live_chunk = tiles.LiveIn(start + c0, start + c1);
-      if (live_chunk == 0) continue;
-      if (ChunkMin(dist.data(), c0, c1) > radius) {
-        counters->pruned += live_chunk;
-        continue;
-      }
-      counters->scored += live_chunk;
-      const bool all_live = live_chunk == c1 - c0;
-      for (int c = c0; c < c1; ++c) {
-        const int j = start + c;
-        if (!all_live && !tiles.IsLive(j)) continue;
-        const int32_t d = dist[static_cast<size_t>(c)];
-        if (d <= radius) out->push_back({i, j, d});
-      }
-    }
+    counters->Add(live_range, live_emitted);
   }
 }
 
@@ -493,7 +382,7 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
       static_cast<size_t>(std::max(0, tiles.n)));
   // Self excluded, so a live row has at most live-1 neighbors; clamping
   // (like the batched scan clamps to the live count) lets heaps actually
-  // fill, arming the pruning thresholds.
+  // fill, arming the emit bounds.
   k = std::min(k, live - 1);
   if (k <= 0 || tiles.n <= 0) {
     if (stats != nullptr) {
@@ -503,13 +392,7 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
     return results;
   }
 
-  const BatchDistanceFn kernel = options.force_tier
-                                     ? GetBatchDistanceFn(options.tier)
-                                     : GetBatchDistanceFn();
-  const BatchDistanceMinFn fused_kernel =
-      options.force_tier ? GetBatchDistanceMinFn(options.tier)
-                         : GetBatchDistanceMinFn();
-
+  const BatchEmitFn emit = ResolveEmitFn(options);
   TopKState state(tiles, k);
   JoinTotals totals;
   ThreadPool pool(options.threads);
@@ -517,12 +400,11 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
     StageTimer timer("stage.join_scan_ns");
     // Diagonal tiles first, as their own parallel phase: they fill every
     // row's heap (a tile holds up to `tile` rows, usually >> k), so by
-    // the time the off-diagonal rectangles run, the pruning thresholds
-    // are armed corpus-wide.
+    // the time the off-diagonal rectangles run, the emit bounds are
+    // armed corpus-wide.
     pool.ParallelFor(tiles.num_tiles, [&](int t) {
       TaskCounters counters;
-      TopKDiagonalTile(codes, tiles, kernel, fused_kernel, options.fused_min,
-                       t, &state, &counters);
+      TopKDiagonalTile(codes, tiles, emit, t, &state, &counters);
       totals.Absorb(counters);
     });
     const std::vector<std::pair<int, int>> pairs =
@@ -532,8 +414,7 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
       const auto [ti, tj] =
           pairs[static_cast<size_t>(tiles.num_tiles + task)];
       TaskCounters counters;
-      TopKOffDiagonalTile(codes, tiles, kernel, fused_kernel,
-                          options.fused_min, ti, tj, &state, &counters);
+      TopKOffDiagonalTile(codes, tiles, emit, ti, tj, &state, &counters);
       totals.Absorb(counters);
     });
   }
@@ -572,13 +453,7 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
     return result;
   }
 
-  const BatchDistanceFn kernel = options.force_tier
-                                     ? GetBatchDistanceFn(options.tier)
-                                     : GetBatchDistanceFn();
-  const BatchDistanceMinFn fused_kernel =
-      options.force_tier ? GetBatchDistanceMinFn(options.tier)
-                         : GetBatchDistanceMinFn();
-
+  const BatchEmitFn emit = ResolveEmitFn(options);
   const std::vector<std::pair<int, int>> pairs =
       TilePairsDiagonalFirst(tiles.num_tiles);
   std::vector<std::vector<JoinPair>> per_task(pairs.size());
@@ -589,9 +464,8 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
     pool.ParallelFor(static_cast<int>(pairs.size()), [&](int task) {
       const auto [ti, tj] = pairs[static_cast<size_t>(task)];
       TaskCounters counters;
-      RadiusTileTask(codes, tiles, kernel, fused_kernel, options.fused_min,
-                     radius, ti, tj, &per_task[static_cast<size_t>(task)],
-                     &counters);
+      RadiusTileTask(codes, tiles, emit, radius, ti, tj,
+                     &per_task[static_cast<size_t>(task)], &counters);
       totals.Absorb(counters);
     });
   }
@@ -732,16 +606,16 @@ std::vector<std::vector<Neighbor>> ReferenceTopKJoin(
   std::vector<std::vector<Neighbor>> results(static_cast<size_t>(n));
   k = std::min(k, live_count - 1);
   if (k <= 0) return results;
-  std::vector<int32_t> fronts(static_cast<size_t>(n), INT32_MAX);
+  std::vector<int32_t> bounds(static_cast<size_t>(n), INT32_MAX);
   for (int i = 0; i < n; ++i) {
     if (!live(i)) continue;
     for (int j = i + 1; j < n; ++j) {
       if (!live(j)) continue;
       const int d = HammingDistance(codes.code(i), codes.code(j), words);
       OfferNeighbor(&results[static_cast<size_t>(i)], k, {j, d},
-                    &fronts[static_cast<size_t>(i)]);
+                    &bounds[static_cast<size_t>(i)]);
       OfferNeighbor(&results[static_cast<size_t>(j)], k, {i, d},
-                    &fronts[static_cast<size_t>(j)]);
+                    &bounds[static_cast<size_t>(j)]);
     }
   }
   auto cmp = [](const Neighbor& a, const Neighbor& b) {

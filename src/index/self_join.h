@@ -17,13 +17,15 @@ namespace uhscm::index {
 /// simultaneously query and corpus. Instead of the branchy O(n^2)
 /// per-pair loop (the mostsimilar shape), the corpus is walked as an
 /// upper triangle of row tiles — each unordered pair of rows lands in
-/// exactly one tile pair, is scored once by the fused batched kernels
-/// (hamming_kernels.h), and credits both rows' reducers. Tile pairs run
-/// on a ThreadPool; results are nevertheless byte-identical to the naive
-/// per-pair reference (ReferenceTopKJoin / ReferenceRadiusJoin below),
-/// including tie handling and tombstoned rows, because every reducer
-/// keeps the exact k-smallest (distance, id) set, which is unique
-/// regardless of the order candidates arrive in.
+/// exactly one tile pair, is scored once by the emitting batched kernel
+/// (BatchEmitFn in hamming_kernels.h), and credits both rows' reducers.
+/// The kernel emits only the pairs that could enter a heap (or fall
+/// within the radius), so the few survivors are all that leave the
+/// kernel. Tile pairs run on a ThreadPool; results are nevertheless
+/// byte-identical to the naive per-pair reference (ReferenceTopKJoin /
+/// ReferenceRadiusJoin below), including tie handling and tombstoned
+/// rows, because every reducer keeps the exact k-smallest (distance, id)
+/// set, which is unique regardless of the order candidates arrive in.
 struct SelfJoinOptions {
   /// Rows per tile; 0 picks a size that keeps one tile of packed codes
   /// (~64 KiB) cache-resident while it is scanned as the inner block —
@@ -36,10 +38,6 @@ struct SelfJoinOptions {
   /// grade down like BatchScanOptions::force_tier.
   bool force_tier = false;
   KernelTier tier = KernelTier::kScalar;
-  /// Use the fused distance+block-min kernel for the tile skip decision;
-  /// `false` keeps the unfused two-pass walk for A/B benches. Results
-  /// are byte-identical either way.
-  bool fused_min = true;
   /// Deletion bitmap over rows (null = all live). Tombstoned rows are
   /// excluded from the join entirely: they are never queries (their
   /// result list stays empty), never candidates, and never pair
@@ -53,8 +51,12 @@ struct SelfJoinOptions {
 struct SelfJoinStats {
   int64_t tiles = 0;         ///< tile-pair tasks executed
   int64_t pairs_total = 0;   ///< unordered live pairs the join covers
-  int64_t pairs_pruned = 0;  ///< pairs disposed by tile/chunk min-skips
-  int64_t pairs_scored = 0;  ///< pairs that reached the per-pair branch
+  /// live pairs the kernel did not emit: their distance reached the
+  /// bound of every endpoint (front + 1, or radius + 1)
+  int64_t pairs_pruned = 0;
+  /// live pairs the kernel emitted, i.e. offered to a heap or the radius
+  /// output; pairs_pruned + pairs_scored == pairs_total
+  int64_t pairs_scored = 0;
   double seconds = 0.0;      ///< wall time of the join
 };
 
@@ -88,10 +90,10 @@ inline bool JoinPairLess(const JoinPair& x, const JoinPair& y) {
 /// \brief All unordered live pairs within Hamming radius (inclusive).
 ///
 /// WithinRadius semantics lifted to the whole corpus: every {i, j} with
-/// i < j, both live, and d(i, j) <= radius, sorted by (a, b). The tile
-/// walk prunes non-qualifying tiles via the fused block minimum and
-/// non-qualifying kDistChunk-code chunks via the chunk-min skip, so a
-/// sparse join (small radius) runs at raw-kernel speed.
+/// i < j, both live, and d(i, j) <= radius, sorted by (a, b). The
+/// emitting kernel compares every distance against radius + 1 and
+/// writes out only the qualifying pairs, so a sparse join (small
+/// radius) runs at raw-kernel speed.
 std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
                                  const SelfJoinOptions& options = {},
                                  SelfJoinStats* stats = nullptr);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -205,6 +206,151 @@ TEST(KernelThreshold, FusedMinIsExactLowerBoundUnderPruning) {
   }
 }
 
+// ------------------------------------------------------ emitting kernel
+
+/// What one emitting call wrote: (index, distance) hits in output order.
+struct Emitted {
+  std::vector<int32_t> index;
+  std::vector<int32_t> distance;
+};
+
+/// Runs `fn` on codes [0, n) of `db` with output buffers padded by a
+/// sentinel tail, and fails if the kernel writes past its returned count.
+Emitted RunEmit(BatchEmitFn fn, const PackedCodes& query,
+                const PackedCodes& db, int n, int32_t row_bound,
+                const int32_t* code_bounds, const std::string& label) {
+  constexpr int32_t kSentinel = -7;
+  constexpr int kPad = 16;
+  std::vector<int32_t> index(static_cast<size_t>(n + kPad), kSentinel);
+  std::vector<int32_t> distance(static_cast<size_t>(n + kPad), kSentinel);
+  const int count =
+      fn(query.code(0), db.code(0), n, db.words_per_code(), row_bound,
+         code_bounds, index.data(), distance.data());
+  EXPECT_GE(count, 0) << label;
+  EXPECT_LE(count, n) << label;
+  for (size_t i = static_cast<size_t>(std::max(count, 0)); i < index.size();
+       ++i) {
+    EXPECT_EQ(index[i], kSentinel) << label << " wrote index slot " << i;
+    EXPECT_EQ(distance[i], kSentinel) << label << " wrote distance slot " << i;
+  }
+  index.resize(static_cast<size_t>(std::max(count, 0)));
+  distance.resize(static_cast<size_t>(std::max(count, 0)));
+  return {index, distance};
+}
+
+/// The emitting contract from first principles: every code whose exact
+/// distance is below max(row_bound, code_bounds[i]) (row_bound alone when
+/// code_bounds is null), in index order.
+Emitted BruteForceEmit(const PackedCodes& query, const PackedCodes& db, int n,
+                       int32_t row_bound, const int32_t* code_bounds) {
+  Emitted want;
+  for (int i = 0; i < n; ++i) {
+    const int32_t bound = code_bounds == nullptr
+                              ? row_bound
+                              : std::max(row_bound, code_bounds[i]);
+    const int32_t d =
+        HammingDistance(query.code(0), db.code(i), db.words_per_code());
+    if (d < bound) {
+      want.index.push_back(i);
+      want.distance.push_back(d);
+    }
+  }
+  return want;
+}
+
+/// Every emitting tier must reproduce the scalar reference exactly —
+/// indices, distances and order — and the scalar reference must follow
+/// the contract, across widths (the width-specialized 1- and 2-word
+/// layouts, the generic path, the pruning widths), run lengths on and off
+/// the vector width, and bound patterns from "emit all" to "emit none",
+/// with and without per-code bounds.
+class EmitWidths : public ::testing::TestWithParam<int> {};
+
+TEST_P(EmitWidths, EveryTierMatchesScalarReference) {
+  const int words = GetParam();
+  const int bits = 64 * words;
+  const int max_n = 300;
+  Rng rng(5200 + words);
+  const PackedCodes db =
+      PackedCodes::FromSignMatrix(RandomSignCodes(max_n, bits, &rng));
+  const PackedCodes query =
+      PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
+
+  std::vector<int32_t> exact(static_cast<size_t>(max_n));
+  for (int i = 0; i < max_n; ++i) {
+    exact[static_cast<size_t>(i)] =
+        HammingDistance(query.code(0), db.code(i), words);
+  }
+  // Per-code bounds tying each distance exactly (never emits), one above
+  // it (always emits), and a mix around it.
+  std::vector<int32_t> tie = exact;
+  std::vector<int32_t> above = exact;
+  for (int32_t& b : above) ++b;
+  std::vector<int32_t> mixed(static_cast<size_t>(max_n));
+  for (int i = 0; i < max_n; ++i) {
+    mixed[static_cast<size_t>(i)] =
+        exact[static_cast<size_t>(i)] - 1 +
+        static_cast<int32_t>(rng.UniformInt(3));
+  }
+  const std::vector<int32_t> zeros(static_cast<size_t>(max_n), 0);
+  const std::vector<int32_t> maxes(static_cast<size_t>(max_n),
+                                   std::numeric_limits<int32_t>::max());
+
+  struct Case {
+    std::string name;
+    int32_t row_bound;
+    const std::vector<int32_t>* code_bounds;
+  };
+  const int32_t median = bits / 2;
+  const std::vector<Case> cases = {
+      {"row=max codes=0", std::numeric_limits<int32_t>::max(), &zeros},
+      {"row=0 codes=max", 0, &maxes},
+      {"row=0 codes=0", 0, &zeros},
+      {"row=median codes=0", median, &zeros},
+      {"row=0 codes=tie", 0, &tie},
+      {"row=0 codes=tie+1", 0, &above},
+      {"row=median codes=tie", median, &tie},
+      {"row=0 codes=mixed", 0, &mixed},
+      {"row=median-4 codes=mixed", median - 4, &mixed},
+      {"row=median codes=null", median, nullptr},
+      {"row=0 codes=null", 0, nullptr},
+  };
+  for (const int n : {0, 1, 7, 8, 15, 16, 17, 31, 33, 257, 300}) {
+    for (const Case& c : cases) {
+      const std::string label = "words=" + std::to_string(words) +
+                                " n=" + std::to_string(n) + " " + c.name;
+      const int32_t* bounds =
+          c.code_bounds == nullptr ? nullptr : c.code_bounds->data();
+      const Emitted want = BruteForceEmit(query, db, n, c.row_bound, bounds);
+      const Emitted ref = RunEmit(&BatchEmitScalar, query, db, n, c.row_bound,
+                                  bounds, "scalar " + label);
+      ASSERT_EQ(ref.index, want.index) << "scalar " << label;
+      ASSERT_EQ(ref.distance, want.distance) << "scalar " << label;
+      for (const KernelTier tier : AvailableTiers()) {
+        const Emitted got = RunEmit(GetBatchEmitFn(tier), query, db, n,
+                                    c.row_bound, bounds,
+                                    std::string(KernelTierName(tier)) + " " +
+                                        label);
+        ASSERT_EQ(got.index, ref.index) << KernelTierName(tier) << " " << label;
+        ASSERT_EQ(got.distance, ref.distance)
+            << KernelTierName(tier) << " " << label;
+      }
+      // Bound patterns whose outcome is known outright.
+      if (c.name == "row=max codes=0" || c.name == "row=0 codes=max" ||
+          c.name == "row=0 codes=tie+1") {
+        EXPECT_EQ(static_cast<int>(ref.index.size()), n) << label;
+      }
+      if (c.name == "row=0 codes=0" || c.name == "row=0 codes=tie" ||
+          c.name == "row=0 codes=null") {
+        EXPECT_TRUE(ref.index.empty()) << label;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, EmitWidths,
+                         ::testing::Values(1, 2, 3, 4, 8, 16, 33));
+
 TEST(KernelDispatch, TierNamesAndExplicitLookup) {
   EXPECT_STREQ(KernelTierName(KernelTier::kScalar), "scalar");
   EXPECT_STREQ(KernelTierName(KernelTier::kAvx2), "avx2");
@@ -212,6 +358,7 @@ TEST(KernelDispatch, TierNamesAndExplicitLookup) {
   EXPECT_EQ(GetBatchDistanceFn(KernelTier::kScalar), &BatchDistancesScalar);
   EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kScalar),
             &BatchDistancesMinScalar);
+  EXPECT_EQ(GetBatchEmitFn(KernelTier::kScalar), &BatchEmitScalar);
   EXPECT_TRUE(KernelTierAvailable(KernelTier::kScalar));
   // Graded fallback: asking for a tier the host lacks returns the next
   // tier down, never a crash and never a scalar jump past an available
@@ -223,6 +370,8 @@ TEST(KernelDispatch, TierNamesAndExplicitLookup) {
   if (!Avx512Available()) {
     EXPECT_EQ(GetBatchDistanceFn(KernelTier::kAvx512),
               GetBatchDistanceFn(KernelTier::kAvx2));
+    EXPECT_EQ(GetBatchEmitFn(KernelTier::kAvx512),
+              GetBatchEmitFn(KernelTier::kAvx2));
   }
 }
 

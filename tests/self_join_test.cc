@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -74,6 +76,26 @@ void ExpectTopKIdentical(const std::vector<std::vector<Neighbor>>& got,
   }
 }
 
+void ExpectPairsIdentical(const std::vector<JoinPair>& got,
+                          const std::vector<JoinPair>& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i])
+        << label << " pair " << i << ": {" << got[i].a << "," << got[i].b
+        << "," << got[i].distance << "} vs {" << want[i].a << ","
+        << want[i].b << "," << want[i].distance << "}";
+  }
+}
+
+/// Every third row tombstoned (row 0 included).
+TombstoneSet EveryThirdDead(int n) {
+  TombstoneSet dead;
+  dead.Resize(n);
+  for (int i = 0; i < n; i += 3) dead.Set(i);
+  return dead;
+}
+
 // --------------------------------------------------------- byte identity
 
 TEST(SelfJoinTest, TopKJoinMatchesReferenceAcrossTiersTilesThreads) {
@@ -84,27 +106,22 @@ TEST(SelfJoinTest, TopKJoinMatchesReferenceAcrossTiersTilesThreads) {
   for (const KernelTier tier : AvailableTiers()) {
     for (const int tile : {0, 17, 64}) {
       for (const int threads : {1, 4}) {
-        for (const bool fused : {true, false}) {
-          SelfJoinOptions options;
-          options.force_tier = true;
-          options.tier = tier;
-          options.tile = tile;
-          options.threads = threads;
-          options.fused_min = fused;
-          SelfJoinStats stats;
-          const auto got = TopKJoin(codes, 7, options, &stats);
-          const std::string label = std::string(KernelTierName(tier)) +
-                                    " tile=" + std::to_string(tile) +
-                                    " threads=" + std::to_string(threads) +
-                                    " fused=" + std::to_string(fused);
-          ExpectTopKIdentical(got, want, label);
-          // Every live pair is disposed exactly once: pruned at a
-          // tile/chunk minimum or scored at the per-pair branch.
-          EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored,
-                    stats.pairs_total)
-              << label;
-          EXPECT_GT(stats.tiles, 0) << label;
-        }
+        SelfJoinOptions options;
+        options.force_tier = true;
+        options.tier = tier;
+        options.tile = tile;
+        options.threads = threads;
+        SelfJoinStats stats;
+        const auto got = TopKJoin(codes, 7, options, &stats);
+        const std::string label = std::string(KernelTierName(tier)) +
+                                  " tile=" + std::to_string(tile) +
+                                  " threads=" + std::to_string(threads);
+        ExpectTopKIdentical(got, want, label);
+        // Every live pair is disposed exactly once: left out by the
+        // kernel (pruned) or emitted by it (scored).
+        EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored, stats.pairs_total)
+            << label;
+        EXPECT_GT(stats.tiles, 0) << label;
       }
     }
   }
@@ -135,9 +152,7 @@ TEST(SelfJoinTest, TopKJoinHonorsTombstones) {
   Rng rng(47);
   PackedCodes codes =
       PackedCodes::FromSignMatrix(RandomSignCodes(240, 64, &rng));
-  TombstoneSet dead;
-  dead.Resize(codes.size());
-  for (int i = 0; i < codes.size(); i += 3) dead.Set(i);
+  const TombstoneSet dead = EveryThirdDead(codes.size());
   const auto want = ReferenceTopKJoin(codes, 5, &dead);
   for (const KernelTier tier : AvailableTiers()) {
     SelfJoinOptions options;
@@ -216,31 +231,24 @@ TEST(SelfJoinTest, RadiusJoinMatchesReferenceAcrossTiersAndRadii) {
   for (const int radius : {0, 3, 8, 128}) {
     const auto want = ReferenceRadiusJoin(codes, radius);
     for (const KernelTier tier : AvailableTiers()) {
-      for (const bool fused : {true, false}) {
-        SelfJoinOptions options;
-        options.force_tier = true;
-        options.tier = tier;
-        options.fused_min = fused;
-        options.tile = 45;
-        options.threads = 4;
-        SelfJoinStats stats;
-        const auto got = RadiusJoin(codes, radius, options, &stats);
-        const std::string label = std::string(KernelTierName(tier)) +
-                                  " radius=" + std::to_string(radius) +
-                                  " fused=" + std::to_string(fused);
-        ASSERT_EQ(got.size(), want.size()) << label;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_TRUE(got[i] == want[i])
-              << label << " pair " << i << ": {" << got[i].a << ","
-              << got[i].b << "," << got[i].distance << "} vs {" << want[i].a
-              << "," << want[i].b << "," << want[i].distance << "}";
-        }
-        EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored, stats.pairs_total)
-            << label;
-        if (radius == 0) {
-          // Sparse join: almost everything must die at a min-skip.
-          EXPECT_GT(stats.pairs_pruned, stats.pairs_total / 2) << label;
-        }
+      SelfJoinOptions options;
+      options.force_tier = true;
+      options.tier = tier;
+      options.tile = 45;
+      options.threads = 4;
+      SelfJoinStats stats;
+      const auto got = RadiusJoin(codes, radius, options, &stats);
+      const std::string label = std::string(KernelTierName(tier)) +
+                                " radius=" + std::to_string(radius);
+      ExpectPairsIdentical(got, want, label);
+      EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored, stats.pairs_total)
+          << label;
+      // The kernel emits exactly the within-radius pairs.
+      EXPECT_EQ(stats.pairs_scored, static_cast<int64_t>(want.size()))
+          << label;
+      if (radius == 0) {
+        // Sparse join: almost nothing may leave the kernel.
+        EXPECT_GT(stats.pairs_pruned, stats.pairs_total / 2) << label;
       }
     }
   }
@@ -270,6 +278,101 @@ TEST(SelfJoinTest, RadiusJoinNegativeRadiusIsEmpty) {
   PackedCodes codes =
       PackedCodes::FromSignMatrix(RandomSignCodes(50, 64, &rng));
   EXPECT_TRUE(RadiusJoin(codes, -1).empty());
+}
+
+// ------------------------------------------------- loose fronts, big k
+
+/// `rows` copies of one random code: every pair ties at distance 0, so
+/// every bound stays at 1 and the kernel emits every pair.
+PackedCodes ExactDuplicates(int rows, int bits, Rng* rng) {
+  const PackedCodes base =
+      PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, rng));
+  PackedCodes result;
+  for (int r = 0; r < rows; ++r) result.Append(base);
+  return result;
+}
+
+TEST(SelfJoinTest, LooseFrontCorporaMatchReference) {
+  // Corpora where heap fronts stay loose and nearly every pair leaves the
+  // kernel: one code repeated (all ties, id order decides everything) and
+  // two centres with one-bit copies (fronts at 2, half the pairs within
+  // bound). The emitted-candidate path then carries the whole join.
+  Rng rng(83);
+  const std::vector<std::pair<std::string, PackedCodes>> corpora = {
+      {"duplicates", ExactDuplicates(150, 128, &rng)},
+      {"two-centres", PlantedDuplicates(2, 90, 0, 64, 1, &rng)}};
+  for (const auto& [name, codes] : corpora) {
+    const TombstoneSet dead = EveryThirdDead(codes.size());
+    for (const TombstoneSet* tombstones : {static_cast<const TombstoneSet*>(nullptr), &dead}) {
+      const auto want_topk = ReferenceTopKJoin(codes, 6, tombstones);
+      const auto want_radius = ReferenceRadiusJoin(codes, 2, tombstones);
+      for (const KernelTier tier : AvailableTiers()) {
+        for (const int tile : {0, 17, 64}) {
+          for (const int threads : {1, 4}) {
+            SelfJoinOptions options;
+            options.force_tier = true;
+            options.tier = tier;
+            options.tile = tile;
+            options.threads = threads;
+            options.tombstones = tombstones;
+            const std::string label =
+                name + " " + KernelTierName(tier) +
+                " tile=" + std::to_string(tile) +
+                " threads=" + std::to_string(threads) +
+                (tombstones != nullptr ? " tombstones" : "");
+            SelfJoinStats stats;
+            ExpectTopKIdentical(TopKJoin(codes, 6, options, &stats), want_topk,
+                                label);
+            EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored,
+                      stats.pairs_total)
+                << label;
+            if (name == "duplicates") {
+              EXPECT_EQ(stats.pairs_scored, stats.pairs_total) << label;
+            }
+            ExpectPairsIdentical(RadiusJoin(codes, 2, options), want_radius,
+                                 label + " radius");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SelfJoinTest, TopKJoinWithKAtLeastTileRowsMatchesReference) {
+  // k >= rows per tile: a diagonal tile cannot fill its own heaps, so the
+  // bounds stay at INT32_MAX into the off-diagonal phase and the
+  // staged-offer flushes carry the cold join.
+  Rng rng(89);
+  PackedCodes codes =
+      PackedCodes::FromSignMatrix(RandomSignCodes(150, 128, &rng));
+  const TombstoneSet dead = EveryThirdDead(codes.size());
+  for (const TombstoneSet* tombstones : {static_cast<const TombstoneSet*>(nullptr), &dead}) {
+    for (const auto& [tile, k] : {std::pair{8, 8}, std::pair{8, 20},
+                                  std::pair{17, 40}}) {
+      const auto want = ReferenceTopKJoin(codes, k, tombstones);
+      for (const KernelTier tier : AvailableTiers()) {
+        for (const int threads : {1, 4}) {
+          SelfJoinOptions options;
+          options.force_tier = true;
+          options.tier = tier;
+          options.tile = tile;
+          options.threads = threads;
+          options.tombstones = tombstones;
+          SelfJoinStats stats;
+          const std::string label =
+              std::string(KernelTierName(tier)) + " tile=" +
+              std::to_string(tile) + " k=" + std::to_string(k) +
+              " threads=" + std::to_string(threads) +
+              (tombstones != nullptr ? " tombstones" : "");
+          ExpectTopKIdentical(TopKJoin(codes, k, options, &stats), want,
+                              label);
+          EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored,
+                    stats.pairs_total)
+              << label;
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- reducers

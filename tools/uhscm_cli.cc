@@ -25,8 +25,9 @@
 //       clusters — transitive closure of pairs within R by default,
 //       or only reciprocal best matches with --link=best. At least one
 //       of --k / --radius is required. --tile overrides the
-//       cache-sized scan block (0 = auto); --json-out writes the full
-//       report (stats + group membership) as JSON.
+//       cache-sized scan block (0 = auto); a negative --k, --tile or
+//       --threads is a usage error. --json-out writes the full report
+//       (stats + group membership) as JSON.
 //   serve  --codes=PATH [--model=PATH --dataset=... --seed=N --scale=F]
 //          [--shards=N] [--threads=N] [--backend=scan|mih]
 //          [--replicas=N] [--batch-max=B] [--batch-timeout-us=T]
@@ -76,6 +77,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -548,6 +550,17 @@ int CmdDedup(const Flags& flags) {
   if (flags.codes.empty()) {
     std::fprintf(stderr, "dedup: --codes=PATH is required\n");
     return 2;
+  }
+  // A negative value is a typo, not "off": --k=-5 must not silently drop
+  // the top-k join, and the engine must never see a negative size.
+  for (const auto& [name, value] :
+       {std::pair<const char*, int>{"--k", flags.join_k},
+        {"--tile", flags.tile},
+        {"--threads", flags.threads}}) {
+    if (value < 0) {
+      std::fprintf(stderr, "dedup: %s must be >= 0, got %d\n", name, value);
+      return 2;
+    }
   }
   if (flags.join_k <= 0 && flags.radius < 0) {
     std::fprintf(stderr,
