@@ -334,9 +334,8 @@ int Main(int argc, char** argv) {
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   std::printf(
       "corpus n=%d bits=%d | %d requests, k=%d, %d clients, "
-      "%d hardware threads, faults %s\n\n",
-      flags.n, flags.bits, flags.requests, flags.k, flags.clients, hw,
-      serve::kFaultsCompiledIn ? "compiled in" : "compiled OUT");
+      "%d hardware threads\n\n",
+      flags.n, flags.bits, flags.requests, flags.k, flags.clients, hw);
 
   // ---- Phase A: kill -> supervised respawn under load ----
   const int64_t duration_ms = 1200;
@@ -354,27 +353,24 @@ int Main(int argc, char** argv) {
               "reference\n\n");
 
   // ---- Phase B: hedged vs unhedged p99 under an injected straggler ----
-  HedgeRunResult unhedged, hedged;
-  if (serve::kFaultsCompiledIn) {
-    unhedged = RunStragglerArm(corpus, queries, flags.k, flags.clients,
-                               flags.seed, /*hedge_budget=*/0.0);
-    hedged = RunStragglerArm(corpus, queries, flags.k, flags.clients,
-                             flags.seed, /*hedge_budget=*/0.3);
-    TableWriter hedge_table(
-        {"arm", "qps", "p50_ms", "p99_ms", "hedges", "hedge_wins"});
-    hedge_table.AddRow({"unhedged", Fmt(unhedged.qps),
-                        Fmt(unhedged.p50_ms, "%.3f"),
-                        Fmt(unhedged.p99_ms, "%.3f"),
-                        std::to_string(unhedged.hedges),
-                        std::to_string(unhedged.hedge_wins)});
-    hedge_table.AddRow({"hedged", Fmt(hedged.qps), Fmt(hedged.p50_ms, "%.3f"),
-                        Fmt(hedged.p99_ms, "%.3f"),
-                        std::to_string(hedged.hedges),
-                        std::to_string(hedged.hedge_wins)});
-    hedge_table.Print(std::cout);
-  } else {
-    std::printf("[phase B skipped: fault injection compiled out]\n");
-  }
+  const HedgeRunResult unhedged =
+      RunStragglerArm(corpus, queries, flags.k, flags.clients, flags.seed,
+                      /*hedge_budget=*/0.0);
+  const HedgeRunResult hedged =
+      RunStragglerArm(corpus, queries, flags.k, flags.clients, flags.seed,
+                      /*hedge_budget=*/0.3);
+  TableWriter hedge_table(
+      {"arm", "qps", "p50_ms", "p99_ms", "hedges", "hedge_wins"});
+  hedge_table.AddRow({"unhedged", Fmt(unhedged.qps),
+                      Fmt(unhedged.p50_ms, "%.3f"),
+                      Fmt(unhedged.p99_ms, "%.3f"),
+                      std::to_string(unhedged.hedges),
+                      std::to_string(unhedged.hedge_wins)});
+  hedge_table.AddRow({"hedged", Fmt(hedged.qps), Fmt(hedged.p50_ms, "%.3f"),
+                      Fmt(hedged.p99_ms, "%.3f"),
+                      std::to_string(hedged.hedges),
+                      std::to_string(hedged.hedge_wins)});
+  hedge_table.Print(std::cout);
 
   if (!flags.json.empty()) {
     std::FILE* f = std::fopen(flags.json.c_str(), "w");
@@ -388,9 +384,9 @@ int Main(int argc, char** argv) {
       WriteJsonRunMeta(f);
       std::fprintf(f,
                    "  \"n\": %d, \"bits\": %d, \"k\": %d, \"requests\": %d, "
-                   "\"clients\": %d, \"hw\": %d, \"faults_compiled_in\": %s,\n",
+                   "\"clients\": %d, \"hw\": %d,\n",
                    flags.n, flags.bits, flags.k, flags.requests, flags.clients,
-                   hw, serve::kFaultsCompiledIn ? "true" : "false");
+                   hw);
       std::fprintf(f,
                    "  \"kill_recovery\": {\"qps_before\": %.1f, "
                    "\"qps_dip\": %.1f, \"qps_after\": %.1f, "
@@ -446,24 +442,19 @@ int Main(int argc, char** argv) {
                 "pipeline.time_to_recovery_ns\n");
     return 1;
   }
-  if (serve::kFaultsCompiledIn) {
-    if (hedged.p99_ms > unhedged.p99_ms) {
-      std::printf("FAIL: hedged p99 %.3f ms exceeds unhedged p99 %.3f ms "
-                  "under the injected straggler\n",
-                  hedged.p99_ms, unhedged.p99_ms);
-      return 1;
-    }
-    if (hedged.hedges < 1) {
-      std::printf("FAIL: the hedged arm never issued a hedge\n");
-      return 1;
-    }
+  if (hedged.p99_ms > unhedged.p99_ms) {
+    std::printf("FAIL: hedged p99 %.3f ms exceeds unhedged p99 %.3f ms "
+                "under the injected straggler\n",
+                hedged.p99_ms, unhedged.p99_ms);
+    return 1;
   }
-  std::printf("PASS: kill absorbed (recovery %.3f ms, dip %.1f -> %.1f QPS)"
-              "%s\n",
-              kill.recovery_ms, kill.qps_dip, kill.qps_after,
-              serve::kFaultsCompiledIn
-                  ? ", hedging holds the straggler p99"
-                  : "");
+  if (hedged.hedges < 1) {
+    std::printf("FAIL: the hedged arm never issued a hedge\n");
+    return 1;
+  }
+  std::printf("PASS: kill absorbed (recovery %.3f ms, dip %.1f -> %.1f QPS), "
+              "hedging holds the straggler p99\n",
+              kill.recovery_ms, kill.qps_dip, kill.qps_after);
   return 0;
 }
 

@@ -5,27 +5,18 @@
 //
 //   per-query/topk    : LinearScanIndex::TopK in a loop (the pre-batching
 //                       serving path — one corpus pass per query)
-//   batched/<tier>    : cache-blocked BatchTopK, fused distance+block-min
-//                       kernel, forced to <tier>
-//   batched/<t>/unfused : the pre-fusion two-pass scan at the dispatched
-//                       tier (kernel writes distances, a second pass
-//                       re-reads them for the block minimum)
+//   batched/<tier>    : cache-blocked BatchTopK (distance + block-min
+//                       kernel), forced to <tier>
+//   serving/<tier>    : LinearScanIndex::TopKBatch at the dispatched tier
+//                       — the serving hot path, checked for identity
 //   kernel/<tier>     : the raw batch kernel, no top-k bookkeeping — the
 //                       upper-bound GB/s the scan is chasing
 //
 // Results land on stdout and in a machine-readable
 // BENCH_hamming_kernels.json (one row per tier) so the perf trajectory is
-// recorded across PRs. Two gates, both armed only on a machine where they
-// can hold (SIMD present, >=100k codes, >=128 bits, Release build):
-//
-//   headline : batched SIMD scan >= 3x the per-query scalar scan
-//   fused    : fused scan >= 1.3x the unfused two-pass scan at the
-//              dispatched tier when that tier is avx512 (the fusion win
-//              scales with kernel speed — the faster the distances are
-//              produced, the more the second min pass and the per-code
-//              heap branch cost); on avx2-only hosts the second pass is
-//              small next to the kernel itself, so the bar there is
-//              no-regression (>= 0.95x)
+// recorded across PRs. One gate, armed only on a machine where it can
+// hold (SIMD present, >=100k codes, >=128 bits, Release build): the
+// batched SIMD scan must run >= 3x the per-query scalar scan.
 //
 //   $ ./build/hamming_kernels [--n=100000] [--bits=128] [--queries=64]
 //                             [--k=10] [--json=BENCH_hamming_kernels.json]
@@ -90,7 +81,6 @@ Flags ParseFlags(int argc, char** argv) {
 struct Row {
   std::string name;
   std::string tier;
-  bool fused = false;
   double seconds = 0.0;
   double codes_per_s = 0.0;
   double gb_per_s = 0.0;
@@ -151,11 +141,10 @@ int Main(int argc, char** argv) {
 
   std::vector<Row> rows;
   auto add_row = [&](const std::string& name, const std::string& tier,
-                     bool fused, double seconds) {
+                     double seconds) {
     Row row;
     row.name = name;
     row.tier = tier;
-    row.fused = fused;
     row.seconds = seconds;
     row.codes_per_s = pair_count / seconds;
     row.gb_per_s = bytes_scanned / seconds / 1e9;
@@ -175,11 +164,10 @@ int Main(int argc, char** argv) {
       }
     });
     if (sink == 0) std::abort();
-    add_row("per-query/topk", "scalar", false, secs);
+    add_row("per-query/topk", "scalar", secs);
   }
 
-  // Batched cache-blocked scan per tier (fused kernel — the serving
-  // default). The scalar row isolates the blocking/batching win from the
+  // Batched cache-blocked scan per tier. The scalar row isolates the blocking/batching win from the
   // SIMD win; higher tiers add the SIMD win on identical work.
   for (const index::KernelTier tier : tiers) {
     index::BatchScanOptions options;
@@ -191,40 +179,21 @@ int Main(int argc, char** argv) {
       (void)results;
     });
     add_row(std::string("batched/") + index::KernelTierName(tier),
-            index::KernelTierName(tier), true, secs);
+            index::KernelTierName(tier), secs);
   }
 
-  // The pre-fusion two-pass scan at the dispatched tier — the fused-path
-  // A/B and the baseline for the fused gate.
-  double unfused_secs = 0.0;
-  std::vector<std::vector<index::Neighbor>> unfused_results;
-  {
-    index::BatchScanOptions options;
-    options.fused_min = false;
-    unfused_secs = TimeBest(kTimingReps, [&] {
-      unfused_results =
-          index::BatchTopK(scan.database(), queries, flags.k, options);
-    });
-    add_row(std::string("batched/") + simd_name + "/unfused", simd_name,
-            false, unfused_secs);
-  }
-
-  // The serving hot path itself (dispatched tier, fused) — measured last
-  // of the batched rows and checked for byte-identity below.
+  // The serving hot path itself (dispatched tier) — measured last of the
+  // batched rows and checked for byte-identity below.
   std::vector<std::vector<index::Neighbor>> simd_results;
-  double fused_secs = 0.0;
-  {
-    fused_secs = TimeBest(kTimingReps,
-                          [&] { simd_results = scan.TopKBatch(queries, flags.k); });
-    add_row(std::string("batched/") + simd_name + "/fused", simd_name, true,
-            fused_secs);
-  }
+  const double serving_secs = TimeBest(
+      kTimingReps, [&] { simd_results = scan.TopKBatch(queries, flags.k); });
+  add_row(std::string("serving/") + simd_name, simd_name, serving_secs);
 
   // Raw kernel sweeps per tier (no top-k bookkeeping): upper bound GB/s
   // the batched scan is chasing.
   std::vector<int32_t> dist(static_cast<size_t>(corpus.size()));
   for (const index::KernelTier tier : tiers) {
-    const index::BatchDistanceFn fn = index::GetBatchDistanceFn(tier);
+    const index::BatchDistanceMinFn fn = index::GetBatchDistanceMinFn(tier);
     int64_t sink = 0;
     const double secs = TimeBest(kTimingReps, [&] {
       sink = 0;
@@ -236,7 +205,7 @@ int Main(int argc, char** argv) {
     });
     if (sink < 0) std::abort();
     add_row(std::string("kernel/") + index::KernelTierName(tier),
-            index::KernelTierName(tier), false, secs);
+            index::KernelTierName(tier), secs);
   }
 
   TableWriter table({"config", "secs", "Mcodes/s", "GB/s", "speedup"});
@@ -247,9 +216,8 @@ int Main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  // Byte-identity checks: the fused batched results must equal the
-  // per-query scan (spot check) and the unfused batched results on every
-  // query (the fused/unfused contract in BatchScanOptions).
+  // Byte-identity check: the batched results must equal the per-query
+  // scan (spot check).
   for (int q = 0; q < std::min(queries.size(), 8); ++q) {
     const auto expect = scan.TopK(queries.code(q), flags.k);
     const auto& got = simd_results[static_cast<size_t>(q)];
@@ -262,29 +230,12 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  for (int q = 0; q < queries.size(); ++q) {
-    const auto& a = simd_results[static_cast<size_t>(q)];
-    const auto& b = unfused_results[static_cast<size_t>(q)];
-    if (a.size() != b.size()) std::abort();
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].id != b[i].id || a[i].distance != b[i].distance) {
-        std::fprintf(stderr,
-                     "FATAL: fused/unfused result mismatch at q=%d rank=%zu\n",
-                     q, i);
-        return 1;
-      }
-    }
-  }
-  std::printf(
-      "\nbatched results byte-identical to per-query TopK (spot check) and "
-      "to the unfused scan (all queries)\n");
+  std::printf("\nbatched results byte-identical to per-query TopK (spot "
+              "check)\n");
 
-  const double headline = rows.front().seconds / fused_secs;
-  const double fused_speedup = unfused_secs / fused_secs;
+  const double headline = rows.front().seconds / serving_secs;
   std::printf("headline: batched %s scan = %.2fx per-query scalar scan\n",
               simd_name, headline);
-  std::printf("fused:    fused block-min scan = %.2fx unfused two-pass scan\n",
-              fused_speedup);
 
   if (!flags.json.empty()) {
     std::FILE* f = std::fopen(flags.json.c_str(), "w");
@@ -310,24 +261,23 @@ int Main(int argc, char** argv) {
       for (size_t i = 0; i < rows.size(); ++i) {
         std::fprintf(f,
                      "    {\"config\": \"%s\", \"tier\": \"%s\", "
-                     "\"fused\": %s, \"seconds\": %.6f, "
+                     "\"seconds\": %.6f, "
                      "\"codes_per_s\": %.1f, \"gb_per_s\": %.3f, "
                      "\"speedup_vs_per_query\": %.3f}%s\n",
                      rows[i].name.c_str(), rows[i].tier.c_str(),
-                     rows[i].fused ? "true" : "false", rows[i].seconds,
+                     rows[i].seconds,
                      rows[i].codes_per_s, rows[i].gb_per_s, rows[i].speedup,
                      i + 1 < rows.size() ? "," : "");
       }
       std::fprintf(f,
-                   "  ],\n  \"headline_speedup\": %.3f,\n"
-                   "  \"fused_speedup\": %.3f\n}\n",
-                   headline, fused_speedup);
+                   "  ],\n  \"headline_speedup\": %.3f\n}\n",
+                   headline);
       std::fclose(f);
       std::printf("wrote %s\n", flags.json.c_str());
     }
   }
 
-  // The acceptance bars only apply where they can hold: SIMD present and
+  // The acceptance bar only applies where it can hold: SIMD present and
   // a corpus big enough that per-query scans actually pay for memory.
   const bool gates_armed = index::Avx2Available() &&
                            active_tier != index::KernelTier::kScalar &&
@@ -337,18 +287,6 @@ int Main(int argc, char** argv) {
                  "\nFAIL: batched SIMD scan only %.2fx the per-query scalar "
                  "scan (need >= 3x)\n",
                  headline);
-    return 1;
-  }
-  // 1.3x where fusion has room to pay (avx512 kernels produce distances
-  // fast enough that the second pass + per-code heap branch dominate);
-  // no-regression elsewhere.
-  const double fused_bar =
-      active_tier == index::KernelTier::kAvx512 ? 1.3 : 0.95;
-  if (gates_armed && fused_speedup < fused_bar) {
-    std::fprintf(stderr,
-                 "\nFAIL: fused block-min scan only %.2fx the unfused "
-                 "two-pass scan (need >= %.2fx at tier %s)\n",
-                 fused_speedup, fused_bar, simd_name);
     return 1;
   }
   return 0;

@@ -66,8 +66,9 @@ BENCHMARK(BM_LinearScanTopK)
     ->Args({100000, 64});
 
 void BM_BatchDistances(benchmark::State& state) {
-  // The dispatched batch kernel against a contiguous corpus run — the
-  // inner loop of the blocked scan, without top-k bookkeeping.
+  // The dispatched batch kernel (distances plus their minimum) against a
+  // contiguous corpus run — the inner loop of the blocked scan, without
+  // top-k bookkeeping.
   const int n = static_cast<int>(state.range(0));
   const int bits = static_cast<int>(state.range(1));
   const bool scalar = state.range(2) != 0;
@@ -76,13 +77,14 @@ void BM_BatchDistances(benchmark::State& state) {
       index::PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
   index::PackedCodes query =
       index::PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const index::BatchDistanceFn fn =
-      scalar ? index::GetBatchDistanceFn(index::KernelTier::kScalar)
-             : index::GetBatchDistanceFn();
+  const index::BatchDistanceMinFn fn =
+      scalar ? index::GetBatchDistanceMinFn(index::KernelTier::kScalar)
+             : index::GetBatchDistanceMinFn();
   std::vector<int32_t> dist(static_cast<size_t>(n));
   for (auto _ : state) {
-    fn(query.code(0), corpus.code(0), n, corpus.words_per_code(),
-       index::kNoThreshold, dist.data());
+    benchmark::DoNotOptimize(fn(query.code(0), corpus.code(0), n,
+                                corpus.words_per_code(), index::kNoThreshold,
+                                dist.data()));
     benchmark::DoNotOptimize(dist.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -98,49 +100,6 @@ BENCHMARK(BM_BatchDistances)
     ->Args({100000, 128, 0})
     ->Args({100000, 1024, 1})
     ->Args({100000, 1024, 0});
-
-void BM_BatchDistancesMin(benchmark::State& state) {
-  // Fused distance+block-min kernel vs the unfused pair (plain kernel
-  // followed by a separate min pass over the distance buffer) — the A/B
-  // behind BatchScanOptions::fused_min. Same dispatched tier both ways.
-  const int n = static_cast<int>(state.range(0));
-  const int bits = static_cast<int>(state.range(1));
-  const bool fused = state.range(2) != 0;
-  Rng rng(23);
-  index::PackedCodes corpus =
-      index::PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
-  index::PackedCodes query =
-      index::PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const int words = corpus.words_per_code();
-  const index::BatchDistanceMinFn fused_fn = index::GetBatchDistanceMinFn();
-  const index::BatchDistanceFn plain_fn = index::GetBatchDistanceFn();
-  std::vector<int32_t> dist(static_cast<size_t>(n));
-  int32_t sink = 0;
-  for (auto _ : state) {
-    if (fused) {
-      sink += fused_fn(query.code(0), corpus.code(0), n, words,
-                       index::kNoThreshold, dist.data());
-    } else {
-      plain_fn(query.code(0), corpus.code(0), n, words, index::kNoThreshold,
-               dist.data());
-      int32_t best = dist[0];
-      for (int i = 1; i < n; ++i) best = std::min(best, dist[i]);
-      sink += best;
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * int64_t{n} * words * 8);
-  state.SetLabel(std::string(fused ? "fused/" : "unfused/") +
-                 index::KernelTierName(index::ActiveKernelTier()));
-}
-BENCHMARK(BM_BatchDistancesMin)
-    ->Args({100000, 64, 0})
-    ->Args({100000, 64, 1})
-    ->Args({100000, 128, 0})
-    ->Args({100000, 128, 1})
-    ->Args({100000, 1024, 0})
-    ->Args({100000, 1024, 1});
 
 void BM_BatchTopK(benchmark::State& state) {
   // The full batched serving scan: query-blocked x code-blocked with

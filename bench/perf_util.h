@@ -86,7 +86,7 @@ inline void WriteJsonRunMeta(std::FILE* f) {
 /// registry's `stage.*_ns` histograms. Stages are populated by traced
 /// (sampled) requests — benches run one untimed sampled pass to fill
 /// them; an empty object means no span was recorded (sampling off or
-/// the observability layer compiled out).
+/// the observability layer runtime-disabled).
 inline void WriteJsonStageBreakdown(std::FILE* f) {
   const auto stages =
       obs::MetricsRegistry::Global().SnapshotHistograms("stage.");

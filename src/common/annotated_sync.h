@@ -30,9 +30,9 @@
 ///     potential deadlock that TSan needs a lucky interleaving to see
 ///     into a deterministic failure on any single execution of the two
 ///     code paths. Compiled out entirely with -DUHSCM_LOCK_ORDER=OFF
-///     (mirrors the UHSCM_OBS / UHSCM_FAULTS pattern): the wrappers then
-///     hold nothing but the underlying std primitive and every method
-///     inlines to the std call.
+///     (CI builds and tests both settings): the wrappers then hold
+///     nothing but the underlying std primitive and every method inlines
+///     to the std call.
 ///
 /// The global lock hierarchy (who may be acquired while holding what)
 /// and the naming/ranking rules live in src/serve/README.md under
@@ -165,11 +165,14 @@ class UHSCM_CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
 
+  /// The checker forgets the lock before it is released: once mu_ is
+  /// free another thread may destroy this mutex, so nothing here may
+  /// touch `this` after the release.
   void unlock() UHSCM_RELEASE() {
-    mu_.unlock();
 #ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnRelease(cls_, this);
 #endif
+    mu_.unlock();
   }
 
   /// Never blocks, so it cannot participate in a deadlock cycle; on
@@ -222,10 +225,10 @@ class UHSCM_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void unlock() UHSCM_RELEASE() {
-    mu_.unlock();
 #ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnRelease(cls_, this);
 #endif
+    mu_.unlock();
   }
 
   void lock_shared([[maybe_unused]] const lockorder::AcquireSite& site =
@@ -237,10 +240,10 @@ class UHSCM_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void unlock_shared() UHSCM_RELEASE_SHARED() {
-    mu_.unlock_shared();
 #ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnRelease(cls_, this);
 #endif
+    mu_.unlock_shared();
   }
 
   std::shared_mutex& native() { return mu_; }

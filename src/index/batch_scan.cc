@@ -51,12 +51,9 @@ std::vector<std::vector<Neighbor>> BatchTopK(const PackedCodes& db,
   const int n = db.size();
   const int words = db.words_per_code();
   const int block = PickCodeBlockSize(words, options.code_block);
-  const BatchDistanceFn kernel = options.force_tier
-                                     ? GetBatchDistanceFn(options.tier)
-                                     : GetBatchDistanceFn();
-  const BatchDistanceMinFn fused_kernel =
-      options.force_tier ? GetBatchDistanceMinFn(options.tier)
-                         : GetBatchDistanceMinFn();
+  const BatchDistanceMinFn kernel = options.force_tier
+                                        ? GetBatchDistanceMinFn(options.tier)
+                                        : GetBatchDistanceMinFn();
 
   auto cmp = [](const Neighbor& a, const Neighbor& b) {
     return NeighborLess(a, b);
@@ -83,31 +80,16 @@ std::vector<std::vector<Neighbor>> BatchTopK(const PackedCodes& db,
       // Warm heap: no insertion happened yet for this block, so the heap
       // front still equals `threshold`, and a block whose minimum
       // distance is >= it contains no qualifying code — skip the
-      // per-code branch loop entirely. The fused kernel returns that
-      // minimum from the registers the distances were computed in; the
-      // unfused path re-reads the distance buffer it just wrote.
-      if (options.fused_min) {
-        const int32_t best = fused_kernel(queries[q], block_codes, count,
-                                          words, threshold, dist.data());
-        counters.rows_scanned += count;
-        if (threshold != kNoThreshold) {
-          counters.early_abandon_calls += 1;
-          if (best >= threshold) {
-            counters.blocks_skipped += 1;
-            continue;
-          }
-        }
-      } else {
-        kernel(queries[q], block_codes, count, words, threshold, dist.data());
-        counters.rows_scanned += count;
-        if (threshold != kNoThreshold) {
-          counters.early_abandon_calls += 1;
-          int32_t best = dist[0];
-          for (int i = 1; i < count; ++i) best = std::min(best, dist[i]);
-          if (best >= threshold) {
-            counters.blocks_skipped += 1;
-            continue;
-          }
+      // per-code branch loop entirely. The kernel returns that minimum
+      // from the registers the distances were computed in.
+      const int32_t best = kernel(queries[q], block_codes, count, words,
+                                  threshold, dist.data());
+      counters.rows_scanned += count;
+      if (threshold != kNoThreshold) {
+        counters.early_abandon_calls += 1;
+        if (best >= threshold) {
+          counters.blocks_skipped += 1;
+          continue;
         }
       }
       auto insert_range = [&](int lo, int hi) {
@@ -126,7 +108,7 @@ std::vector<std::vector<Neighbor>> BatchTopK(const PackedCodes& db,
           }
         }
       };
-      if (options.fused_min && threshold != kNoThreshold) {
+      if (threshold != kNoThreshold) {
         // The block holds at least one qualifying code, but typically only
         // a handful: chunk-level min reductions (SIMD-friendly, L1-resident
         // reads) locate the hot chunks and only those pay the per-code

@@ -21,13 +21,6 @@ struct BatchScanOptions {
   /// Unavailable tiers fall back to the best available tier below them.
   bool force_tier = false;
   KernelTier tier = KernelTier::kScalar;
-  /// Use the fused distance+block-min kernel (BatchDistanceMinFn): the
-  /// per-block minimum that drives the block-skip decision is computed in
-  /// registers while the distances are written, instead of by a second
-  /// pass over the distance buffer. Results are byte-identical either way
-  /// (the kernels report the same distances); `false` keeps the unfused
-  /// two-pass path for A/B benches.
-  bool fused_min = true;
   /// Deletion bitmap over `db` rows (null = all rows live). Tombstoned
   /// rows are still scored by the kernel (the block stays contiguous) but
   /// can never enter a heap, so results match a scan over the survivors.

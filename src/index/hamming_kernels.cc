@@ -104,9 +104,7 @@ int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
   return count;
 }
 
-/// Scalar reference. The kTrackMin=false instantiation compiles the min
-/// bookkeeping out entirely so the plain kernel keeps its old shape.
-template <bool kTrackMin>
+/// Scalar reference.
 int32_t BatchScalarImpl(const uint64_t* query, const uint64_t* codes, int n,
                         int words, int32_t threshold, int32_t* out) {
   const bool prune = threshold != kNoThreshold && words >= kPruneMinWords;
@@ -134,27 +132,17 @@ int32_t BatchScalarImpl(const uint64_t* query, const uint64_t* codes, int n,
       for (; w < words; ++w) d0 += Popcount64(query[w] ^ code[w]);
     }
     out[i] = d0 + d1 + d2 + d3;
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
 
-bool ForceScalarEnv() {
-  const char* v = std::getenv("UHSCM_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 }  // namespace
-
-void BatchDistancesScalar(const uint64_t* query, const uint64_t* codes, int n,
-                          int words, int32_t threshold, int32_t* out) {
-  BatchScalarImpl<false>(query, codes, n, words, threshold, out);
-}
 
 int32_t BatchDistancesMinScalar(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out) {
-  return BatchScalarImpl<true>(query, codes, n, words, threshold, out);
+  return BatchScalarImpl(query, codes, n, words, threshold, out);
 }
 
 int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
@@ -215,7 +203,6 @@ UHSCM_AVX2_FN inline __m256i LoadXor(const uint64_t* code,
 }
 
 /// 64-bit codes: four codes per 256-bit load, one lane each.
-template <bool kTrackMin>
 UHSCM_AVX2_FN int32_t BatchWords1(uint64_t q0, const uint64_t* codes, int n,
                                   int32_t* out) {
   const __m256i q = _mm256_set1_epi64x(static_cast<long long>(q0));
@@ -231,21 +218,18 @@ UHSCM_AVX2_FN int32_t BatchWords1(uint64_t q0, const uint64_t* codes, int n,
     out[i + 1] = static_cast<int32_t>(tmp[1]);
     out[i + 2] = static_cast<int32_t>(tmp[2]);
     out[i + 3] = static_cast<int32_t>(tmp[3]);
-    if constexpr (kTrackMin) {
-      best = MinInt32(best, MinInt32(MinInt32(out[i], out[i + 1]),
-                                     MinInt32(out[i + 2], out[i + 3])));
-    }
+    best = MinInt32(best, MinInt32(MinInt32(out[i], out[i + 1]),
+                                   MinInt32(out[i + 2], out[i + 3])));
   }
   for (; i < n; ++i) {
     out[i] = Popcount64(q0 ^ codes[i]);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
 
 /// 128-bit codes: two codes per 256-bit load, two lanes each; two loads
 /// per iteration for instruction-level parallelism.
-template <bool kTrackMin>
 UHSCM_AVX2_FN int32_t BatchWords2(const uint64_t* query, const uint64_t* codes,
                                   int n, int32_t* out) {
   const __m256i q = _mm256_setr_epi64x(
@@ -268,14 +252,12 @@ UHSCM_AVX2_FN int32_t BatchWords2(const uint64_t* query, const uint64_t* codes,
     out[i + 1] = static_cast<int32_t>(t0[2] + t0[3]);
     out[i + 2] = static_cast<int32_t>(t1[0] + t1[1]);
     out[i + 3] = static_cast<int32_t>(t1[2] + t1[3]);
-    if constexpr (kTrackMin) {
-      best = MinInt32(best, MinInt32(MinInt32(out[i], out[i + 1]),
-                                     MinInt32(out[i + 2], out[i + 3])));
-    }
+    best = MinInt32(best, MinInt32(MinInt32(out[i], out[i + 1]),
+                                   MinInt32(out[i + 2], out[i + 3])));
   }
   for (; i < n; ++i) {
     out[i] = ScalarPair(query, codes + 2 * static_cast<size_t>(i), 2);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
@@ -286,7 +268,6 @@ UHSCM_AVX2_FN int32_t BatchWords2(const uint64_t* query, const uint64_t* codes,
 /// (words % 4) is scalar. With a finite `threshold`, the running lane
 /// accumulator provides a monotone lower bound used to abandon codes
 /// that can no longer beat the threshold.
-template <bool kTrackMin>
 UHSCM_AVX2_FN int32_t BatchGeneric(const uint64_t* query,
                                    const uint64_t* codes, int n, int words,
                                    int32_t threshold, int32_t* out) {
@@ -352,20 +333,19 @@ UHSCM_AVX2_FN int32_t BatchGeneric(const uint64_t* query,
       }
     }
     out[i] = static_cast<int32_t>(sum);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
 
-template <bool kTrackMin>
 int32_t BatchAvx2Impl(const uint64_t* query, const uint64_t* codes, int n,
                       int words, int32_t threshold, int32_t* out) {
   // Narrow codes are exact regardless of threshold — computing them fully
   // is cheaper than any pruning bookkeeping (the contract allows exact
   // values at or above the threshold).
-  if (words == 1) return BatchWords1<kTrackMin>(query[0], codes, n, out);
-  if (words == 2) return BatchWords2<kTrackMin>(query, codes, n, out);
-  return BatchGeneric<kTrackMin>(query, codes, n, words, threshold, out);
+  if (words == 1) return BatchWords1(query[0], codes, n, out);
+  if (words == 2) return BatchWords2(query, codes, n, out);
+  return BatchGeneric(query, codes, n, words, threshold, out);
 }
 
 /// Distances of the eight 64-bit codes at `p`, as int32 lanes in code
@@ -454,15 +434,10 @@ UHSCM_AVX2_FN int EmitNarrowAvx2(const uint64_t* query, const uint64_t* codes,
 
 }  // namespace
 
-void BatchDistancesAvx2(const uint64_t* query, const uint64_t* codes, int n,
-                        int words, int32_t threshold, int32_t* out) {
-  BatchAvx2Impl<false>(query, codes, n, words, threshold, out);
-}
-
 int32_t BatchDistancesMinAvx2(const uint64_t* query, const uint64_t* codes,
                               int n, int words, int32_t threshold,
                               int32_t* out) {
-  return BatchAvx2Impl<true>(query, codes, n, words, threshold, out);
+  return BatchAvx2Impl(query, codes, n, words, threshold, out);
 }
 
 int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
@@ -502,7 +477,6 @@ UHSCM_AVX512_FN inline __m512i LoadXor512(const uint64_t* code,
 
 /// 64-bit codes: eight codes per 512-bit load, one native popcount each;
 /// the 64->32 narrowing store writes all eight outputs at once.
-template <bool kTrackMin>
 UHSCM_AVX512VP_FN int32_t BatchWords1Vp(uint64_t q0, const uint64_t* codes,
                                         int n, int32_t* out) {
   const __m512i q = _mm512_set1_epi64(static_cast<long long>(q0));
@@ -511,24 +485,20 @@ UHSCM_AVX512VP_FN int32_t BatchWords1Vp(uint64_t q0, const uint64_t* codes,
   for (; i + 8 <= n; i += 8) {
     const __m512i v = _mm512_loadu_si512(codes + i);
     const __m512i p = _mm512_popcnt_epi64(_mm512_xor_si512(v, q));
-    if constexpr (kTrackMin) minacc = _mm512_min_epi64(minacc, p);
+    minacc = _mm512_min_epi64(minacc, p);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
                         _mm512_cvtepi64_epi32(p));
   }
-  int32_t best = INT32_MAX;
-  if constexpr (kTrackMin) {
-    best = static_cast<int32_t>(_mm512_reduce_min_epi64(minacc));
-  }
+  int32_t best = static_cast<int32_t>(_mm512_reduce_min_epi64(minacc));
   for (; i < n; ++i) {
     out[i] = Popcount64(q0 ^ codes[i]);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
 
 /// 128-bit codes: four codes per 512-bit load; adjacent 64-bit lane
 /// pairs sum into the even lanes, which a lane gather extracts.
-template <bool kTrackMin>
 UHSCM_AVX512VP_FN int32_t BatchWords2Vp(const uint64_t* query,
                                         const uint64_t* codes, int n,
                                         int32_t* out) {
@@ -546,17 +516,14 @@ UHSCM_AVX512VP_FN int32_t BatchWords2Vp(const uint64_t* query,
     const __m512i shifted = _mm512_alignr_epi64(_mm512_setzero_si512(), cnt, 1);
     const __m512i sums = _mm512_add_epi64(cnt, shifted);
     const __m512i packed = _mm512_permutexvar_epi64(even, sums);
-    if constexpr (kTrackMin) minacc = _mm512_min_epi64(minacc, packed);
+    minacc = _mm512_min_epi64(minacc, packed);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm256_castsi256_si128(_mm512_cvtepi64_epi32(packed)));
   }
-  int32_t best = INT32_MAX;
-  if constexpr (kTrackMin) {
-    best = static_cast<int32_t>(_mm512_reduce_min_epi64(minacc));
-  }
+  int32_t best = static_cast<int32_t>(_mm512_reduce_min_epi64(minacc));
   for (; i < n; ++i) {
     out[i] = ScalarPair(query, codes + 2 * static_cast<size_t>(i), 2);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
@@ -566,7 +533,6 @@ UHSCM_AVX512VP_FN int32_t BatchWords2Vp(const uint64_t* query,
 /// the vectorized region uses one vector, the final < 8 words are
 /// scalar. Pruning checks the running lane sums every 16 words, like the
 /// scalar kernel.
-template <bool kTrackMin>
 UHSCM_AVX512VP_FN int32_t BatchGenericVp(const uint64_t* query,
                                          const uint64_t* codes, int n,
                                          int words, int32_t threshold,
@@ -609,7 +575,7 @@ UHSCM_AVX512VP_FN int32_t BatchGenericVp(const uint64_t* query,
       }
     }
     out[i] = static_cast<int32_t>(sum);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
@@ -640,7 +606,6 @@ UHSCM_AVX512_FN inline void Csa512(__m512i* h, __m512i* l, __m512i a,
 /// Width >= 8 words without native popcount: LUT popcounts over 512-bit
 /// chunks, under a Harley–Seal carry-save tree once >= 8 chunks (64
 /// words) are in play — one full LUT popcount per eight vectors.
-template <bool kTrackMin>
 UHSCM_AVX512_FN int32_t BatchGenericBw(const uint64_t* query,
                                        const uint64_t* codes, int n, int words,
                                        int32_t threshold, int32_t* out) {
@@ -712,7 +677,7 @@ UHSCM_AVX512_FN int32_t BatchGenericBw(const uint64_t* query,
       }
     }
     out[i] = static_cast<int32_t>(sum);
-    if constexpr (kTrackMin) best = MinInt32(best, out[i]);
+    best = MinInt32(best, out[i]);
   }
   return best;
 }
@@ -721,22 +686,21 @@ bool Avx512VpopcntSupported() {
   return __builtin_cpu_supports("avx512vpopcntdq");
 }
 
-template <bool kTrackMin>
 int32_t BatchAvx512Impl(const uint64_t* query, const uint64_t* codes, int n,
                         int words, int32_t threshold, int32_t* out) {
   static const bool vpopcnt = Avx512VpopcntSupported();
   if (vpopcnt) {
-    if (words == 1) return BatchWords1Vp<kTrackMin>(query[0], codes, n, out);
-    if (words == 2) return BatchWords2Vp<kTrackMin>(query, codes, n, out);
-    return BatchGenericVp<kTrackMin>(query, codes, n, words, threshold, out);
+    if (words == 1) return BatchWords1Vp(query[0], codes, n, out);
+    if (words == 2) return BatchWords2Vp(query, codes, n, out);
+    return BatchGenericVp(query, codes, n, words, threshold, out);
   }
   // BW-only hosts: the 512-bit LUT path only beats AVX2 once a code
   // spans whole 512-bit chunks; narrower codes stay on the AVX2 layouts
   // (any AVX-512 CPU runs them).
   if (words >= 8) {
-    return BatchGenericBw<kTrackMin>(query, codes, n, words, threshold, out);
+    return BatchGenericBw(query, codes, n, words, threshold, out);
   }
-  return BatchAvx2Impl<kTrackMin>(query, codes, n, words, threshold, out);
+  return BatchAvx2Impl(query, codes, n, words, threshold, out);
 }
 
 /// Distances of the sixteen 64-bit codes at `p`, as int32 lanes in code
@@ -823,15 +787,10 @@ UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
 
 }  // namespace
 
-void BatchDistancesAvx512(const uint64_t* query, const uint64_t* codes, int n,
-                          int words, int32_t threshold, int32_t* out) {
-  BatchAvx512Impl<false>(query, codes, n, words, threshold, out);
-}
-
 int32_t BatchDistancesMinAvx512(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out) {
-  return BatchAvx512Impl<true>(query, codes, n, words, threshold, out);
+  return BatchAvx512Impl(query, codes, n, words, threshold, out);
 }
 
 int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
@@ -924,32 +883,16 @@ KernelTier BestAvailableTier() {
   return KernelTier::kScalar;
 }
 
-/// Resolves the override chain (see ActiveKernelTier in the header).
-/// Returns true and sets *tier when some override names a valid tier;
-/// `source` receives which knob did, for the fallback notice.
-bool ForcedTier(KernelTier* tier, const char** source) {
-  if (const char* v = std::getenv("UHSCM_FORCE_TIER");
-      v != nullptr && v[0] != '\0') {
-    if (ParseKernelTier(v, tier)) {
-      *source = "UHSCM_FORCE_TIER";
-      return true;
-    }
-    std::fprintf(stderr,
-                 "uhscm: UHSCM_FORCE_TIER=%s not recognized "
-                 "(scalar|avx2|avx512); using automatic dispatch\n",
-                 v);
-  }
-  if (ForceScalarEnv()) {
-    *tier = KernelTier::kScalar;
-    *source = "UHSCM_FORCE_SCALAR";
-    return true;
-  }
-#if defined(UHSCM_FORCE_TIER_BUILD)
-  if (ParseKernelTier(UHSCM_FORCE_TIER_BUILD, tier)) {
-    *source = "-DUHSCM_FORCE_TIER";
-    return true;
-  }
-#endif
+/// Reads the UHSCM_FORCE_TIER override (see ActiveKernelTier in the
+/// header). Returns true and sets *tier when it names a valid tier.
+bool ForcedTier(KernelTier* tier) {
+  const char* v = std::getenv("UHSCM_FORCE_TIER");
+  if (v == nullptr || v[0] == '\0') return false;
+  if (ParseKernelTier(v, tier)) return true;
+  std::fprintf(stderr,
+               "uhscm: UHSCM_FORCE_TIER=%s not recognized "
+               "(scalar|avx2|avx512); using automatic dispatch\n",
+               v);
   return false;
 }
 
@@ -958,14 +901,13 @@ bool ForcedTier(KernelTier* tier, const char** source) {
 KernelTier ActiveKernelTier() {
   static const KernelTier tier = [] {
     KernelTier forced;
-    const char* source = nullptr;
-    if (ForcedTier(&forced, &source)) {
+    if (ForcedTier(&forced)) {
       if (KernelTierAvailable(forced)) return forced;
       const KernelTier fallback = BestAvailableTier();
       std::fprintf(stderr,
-                   "uhscm: %s=%s is not runnable on this CPU; "
+                   "uhscm: UHSCM_FORCE_TIER=%s is not runnable on this CPU; "
                    "falling back to %s\n",
-                   source, KernelTierName(forced), KernelTierName(fallback));
+                   KernelTierName(forced), KernelTierName(fallback));
       return fallback;
     }
     return BestAvailableTier();
@@ -983,21 +925,6 @@ const char* KernelTierName(KernelTier tier) {
       return "avx512";
   }
   return "unknown";
-}
-
-BatchDistanceFn GetBatchDistanceFn(KernelTier tier) {
-#if defined(UHSCM_HAVE_AVX512_KERNELS)
-  if (tier == KernelTier::kAvx512 && Avx512Available()) {
-    return &BatchDistancesAvx512;
-  }
-#endif
-#if defined(UHSCM_HAVE_AVX2_KERNELS)
-  if (tier != KernelTier::kScalar && Avx2Available()) {
-    return &BatchDistancesAvx2;
-  }
-#endif
-  (void)tier;
-  return &BatchDistancesScalar;
 }
 
 BatchDistanceMinFn GetBatchDistanceMinFn(KernelTier tier) {
@@ -1028,10 +955,6 @@ BatchEmitFn GetBatchEmitFn(KernelTier tier) {
 #endif
   (void)tier;
   return &BatchEmitScalar;
-}
-
-BatchDistanceFn GetBatchDistanceFn() {
-  return GetBatchDistanceFn(ActiveKernelTier());
 }
 
 BatchDistanceMinFn GetBatchDistanceMinFn() {

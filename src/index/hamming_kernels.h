@@ -25,7 +25,8 @@ enum class KernelTier {
 /// Number of dispatchable tiers (bench sweeps iterate 0..kNumKernelTiers).
 inline constexpr int kNumKernelTiers = 3;
 
-/// Distances from one query to `n` contiguous packed codes.
+/// Distances from one query to `n` contiguous packed codes, plus their
+/// minimum.
 ///
 /// `codes` is a row-major run of `n * words` uint64s, `out` receives `n`
 /// distances. `threshold` enables early-abandon pruning: every output
@@ -34,20 +35,16 @@ inline constexpr int kNumKernelTiers = 3;
 /// distance that is itself >= threshold (the kernel may stop counting a
 /// code once its partial popcount proves it cannot beat the threshold).
 /// Pass `kNoThreshold` for fully exact output.
-using BatchDistanceFn = void (*)(const uint64_t* query, const uint64_t* codes,
-                                 int n, int words, int32_t threshold,
-                                 int32_t* out);
-
-/// Fused-reduction variant: identical output contract to BatchDistanceFn,
-/// plus the minimum of the `n` reported outputs is returned — computed in
-/// registers while the distances are still hot instead of by a second
+///
+/// The return value is the minimum of the `n` reported outputs, computed
+/// in registers while the distances are still hot instead of by a second
 /// pass over `out`. Because every reported output lower-bounds its true
-/// distance (exactly equal below `threshold`), the returned value is an
-/// exact lower bound of the true block minimum, and whenever the true
-/// block minimum is < `threshold` the return value equals it exactly
-/// (a code that beats the threshold is never abandoned). The batched scan
-/// uses this to decide block skips without re-reading the distance buffer
-/// it just wrote. Returns INT32_MAX when n == 0.
+/// distance (exactly equal below `threshold`), it is an exact lower bound
+/// of the true block minimum, and whenever the true block minimum is
+/// < `threshold` it equals it exactly (a code that beats the threshold is
+/// never abandoned). The batched scan uses it to decide block skips
+/// without re-reading the distance buffer it just wrote. Returns
+/// INT32_MAX when n == 0.
 using BatchDistanceMinFn = int32_t (*)(const uint64_t* query,
                                        const uint64_t* codes, int n, int words,
                                        int32_t threshold, int32_t* out);
@@ -72,8 +69,6 @@ using BatchEmitFn = int (*)(const uint64_t* query, const uint64_t* codes,
 inline constexpr int32_t kNoThreshold = INT32_MAX;
 
 /// Reference scalar kernels (always available, always exact semantics).
-void BatchDistancesScalar(const uint64_t* query, const uint64_t* codes, int n,
-                          int words, int32_t threshold, int32_t* out);
 int32_t BatchDistancesMinScalar(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out);
@@ -99,8 +94,6 @@ bool Avx512VpopcntAvailable();
 #define UHSCM_HAVE_AVX2_KERNELS 1
 #define UHSCM_HAVE_AVX512_KERNELS 1
 /// AVX2 tier. Precondition: Avx2Available().
-void BatchDistancesAvx2(const uint64_t* query, const uint64_t* codes, int n,
-                        int words, int32_t threshold, int32_t* out);
 int32_t BatchDistancesMinAvx2(const uint64_t* query, const uint64_t* codes,
                               int n, int words, int32_t threshold,
                               int32_t* out);
@@ -108,8 +101,6 @@ int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
                   int words, int32_t row_bound, const int32_t* code_bounds,
                   int32_t* out_index, int32_t* out_distance);
 /// AVX-512 tier. Precondition: Avx512Available().
-void BatchDistancesAvx512(const uint64_t* query, const uint64_t* codes, int n,
-                          int words, int32_t threshold, int32_t* out);
 int32_t BatchDistancesMinAvx512(const uint64_t* query, const uint64_t* codes,
                                 int n, int words, int32_t threshold,
                                 int32_t* out);
@@ -119,13 +110,10 @@ int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
 #endif
 
 /// The tier the dispatcher selected for this process: the best tier the
-/// CPU supports unless overridden. Override precedence, decided once at
-/// first use:
-///   1. UHSCM_FORCE_TIER=scalar|avx2|avx512 (environment)
-///   2. UHSCM_FORCE_SCALAR=1 (environment; compat alias for =scalar)
-///   3. -DUHSCM_FORCE_TIER=... at cmake configure time (build default)
-/// A forced tier the CPU cannot run falls back to the best available
-/// tier below it, with a one-time stderr notice; an unparseable value is
+/// CPU supports unless the UHSCM_FORCE_TIER=scalar|avx2|avx512
+/// environment variable overrides it, decided once at first use. A
+/// forced tier the CPU cannot run falls back to the best available tier
+/// below it, with a one-time stderr notice; an unparseable value is
 /// ignored the same way. CI uses the override to exercise every compiled
 /// tier on capable machines.
 KernelTier ActiveKernelTier();
@@ -143,14 +131,12 @@ const char* KernelTierName(KernelTier tier);
 bool KernelTierAvailable(KernelTier tier);
 
 /// The dispatched batch kernels for `ActiveKernelTier()`.
-BatchDistanceFn GetBatchDistanceFn();
 BatchDistanceMinFn GetBatchDistanceMinFn();
 BatchEmitFn GetBatchEmitFn();
 
 /// Kernels for an explicit tier (benches compare tiers side by side).
 /// An unavailable tier falls back to the best available tier below it
 /// (avx512 -> avx2 -> scalar).
-BatchDistanceFn GetBatchDistanceFn(KernelTier tier);
 BatchDistanceMinFn GetBatchDistanceMinFn(KernelTier tier);
 BatchEmitFn GetBatchEmitFn(KernelTier tier);
 

@@ -66,9 +66,8 @@ bool LinearScanIndex::Remove(int id) {
   return tombstones_.Set(id);
 }
 
-std::unique_ptr<ShardIndex> LinearScanIndex::Compact() const {
-  return std::make_unique<LinearScanIndex>(
-      CompactLiveRows(database_, tombstones_));
+LinearScanIndex LinearScanIndex::Compact() const {
+  return LinearScanIndex(CompactLiveRows(database_, tombstones_));
 }
 
 std::vector<int> LinearScanIndex::AllDistances(const uint64_t* query) const {

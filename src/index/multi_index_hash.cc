@@ -25,35 +25,13 @@ MultiIndexHashTable::MultiIndexHashTable(PackedCodes database,
   UHSCM_CHECK(substring_bits_ <= 63,
               "MultiIndexHashTable: substring too wide; raise num_substrings");
 
-  tombstones_.Resize(database_.size());
   tables_.resize(static_cast<size_t>(num_substrings_));
-  IndexRows(0, database_.size());
-}
-
-void MultiIndexHashTable::IndexRows(int begin, int end) {
-  for (int i = begin; i < end; ++i) {
+  for (int i = 0; i < database_.size(); ++i) {
     for (int s = 0; s < num_substrings_; ++s) {
       tables_[static_cast<size_t>(s)][ExtractSubstring(database_.code(i), s)]
           .push_back(i);
     }
   }
-}
-
-void MultiIndexHashTable::Append(const PackedCodes& batch) {
-  const int begin = database_.size();
-  database_.Append(batch);
-  tombstones_.Resize(database_.size());
-  IndexRows(begin, database_.size());
-}
-
-bool MultiIndexHashTable::Remove(int id) {
-  if (id < 0 || id >= database_.size()) return false;
-  return tombstones_.Set(id);
-}
-
-std::unique_ptr<ShardIndex> MultiIndexHashTable::Compact() const {
-  return std::make_unique<MultiIndexHashTable>(
-      CompactLiveRows(database_, tombstones_), num_substrings_);
 }
 
 uint64_t MultiIndexHashTable::ExtractSubstring(const uint64_t* code,
@@ -85,6 +63,9 @@ void MultiIndexHashTable::EnumerateNeighbors(
 
 std::vector<Neighbor> MultiIndexHashTable::WithinRadius(const uint64_t* query,
                                                         int r) const {
+  // A negative per-substring radius would never reach the enumeration's
+  // radius == 0 stop and probe every value of every table.
+  if (r < 0) return {};
   // Pigeonhole: a code at distance <= r matches some substring within
   // floor(r / s).
   const int sub_radius = r / num_substrings_;
@@ -122,43 +103,14 @@ std::vector<Neighbor> MultiIndexHashTable::WithinRadius(const uint64_t* query,
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
-  const bool dead_rows = tombstones_.any();
   std::vector<Neighbor> out;
   for (int id : candidates) {
-    if (dead_rows && tombstones_.Test(id)) continue;
     counters.mih_candidates_verified += 1;
     const int d = database_.DistanceTo(id, query);
     if (d <= r) out.push_back({id, d});
   }
   counters.Flush();
   return out;
-}
-
-std::vector<Neighbor> MultiIndexHashTable::TopK(const uint64_t* query,
-                                                int k) const {
-  k = std::min(k, size());
-  if (k <= 0) return {};
-  const int code_bits = bits();
-  int radius = std::max(1, code_bits / 16);
-  std::vector<Neighbor> hits;
-  for (;;) {
-    hits = WithinRadius(query, radius);
-    if (static_cast<int>(hits.size()) >= k || radius >= code_bits) break;
-    radius = std::min(code_bits, radius * 2);
-  }
-  std::sort(hits.begin(), hits.end(), NeighborLess);
-  hits.resize(static_cast<size_t>(std::min<int>(k, hits.size())));
-  return hits;
-}
-
-std::vector<std::vector<Neighbor>> MultiIndexHashTable::TopKBatch(
-    const uint64_t* const* queries, int num_queries, int k) const {
-  std::vector<std::vector<Neighbor>> results(
-      static_cast<size_t>(std::max(0, num_queries)));
-  for (int q = 0; q < num_queries; ++q) {
-    results[static_cast<size_t>(q)] = TopK(queries[q], k);
-  }
-  return results;
 }
 
 }  // namespace uhscm::index

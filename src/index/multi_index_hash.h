@@ -6,7 +6,6 @@
 
 #include "index/neighbor.h"
 #include "index/packed_codes.h"
-#include "index/shard_index.h"
 
 namespace uhscm::index {
 
@@ -21,65 +20,28 @@ namespace uhscm::index {
 /// popcount distance. For the radii the PR protocol uses (small r),
 /// enumeration stays tiny.
 ///
-/// Mutable through the ShardIndex seam: Append inserts the new rows into
-/// every substring table; Remove tombstones a row, which candidate
-/// verification then rejects (the stale table entries stay behind but can
-/// never surface). The substring count is fixed at construction from the
-/// initial database size.
-class MultiIndexHashTable : public ShardIndex {
+/// The table is frozen: it indexes the database it was built over and
+/// answers radius queries only. Exact top-k and mutable corpora belong to
+/// the batched linear scan (LinearScanIndex), which answers top-k far
+/// faster than growing a radius until k codes qualify.
+class MultiIndexHashTable {
  public:
   /// \param database packed database codes (owned).
   /// \param num_substrings s >= 1; substring width is ceil(bits/s). The
   ///        classic choice s = bits / log2(n) is applied when 0 is given.
   explicit MultiIndexHashTable(PackedCodes database, int num_substrings = 0);
 
-  /// Live (non-tombstoned) rows.
-  int size() const override {
-    return database_.size() - tombstones_.dead_count();
-  }
-  /// All rows ever appended, including tombstoned ones.
-  int total_size() const override { return database_.size(); }
-  int bits() const override { return database_.bits(); }
   int num_substrings() const { return num_substrings_; }
-  const PackedCodes& codes() const override { return database_; }
-  const TombstoneSet& tombstones() const override { return tombstones_; }
 
-  /// All live database codes within Hamming radius r of the query,
-  /// ascending id — exact, verified results (identical to
-  /// LinearScanIndex::WithinRadius, which the tests cross-check).
+  /// All database codes within Hamming radius r of the query, ascending
+  /// id — exact, verified results (identical to
+  /// LinearScanIndex::WithinRadius, which the tests cross-check). A
+  /// negative radius matches nothing.
   std::vector<Neighbor> WithinRadius(const uint64_t* query, int r) const;
-
-  /// Exact top-k by progressive radius growth: the Hamming radius doubles
-  /// until at least k verified live hits accumulate (or the radius covers
-  /// the whole space), then hits are ranked by (distance, id). k is
-  /// clamped to the live row count.
-  std::vector<Neighbor> TopK(const uint64_t* query, int k) const override;
-
-  /// Batched TopK — MIH has no cross-query amortization, so this is the
-  /// per-query search in a loop (byte-identical results).
-  std::vector<std::vector<Neighbor>> TopKBatch(const uint64_t* const* queries,
-                                               int num_queries,
-                                               int k) const override;
-
-  /// Appends `batch` after the current rows and indexes the new rows in
-  /// every substring table.
-  void Append(const PackedCodes& batch) override;
-
-  /// Tombstones row `id`; false when out of range or already dead.
-  bool Remove(int id) override;
-
-  /// Fresh MultiIndexHashTable over the survivor rows only: the stale
-  /// table entries Remove left behind are rebuilt away. The substring
-  /// count is carried over unchanged (not re-derived from the smaller
-  /// row count) so replicas compacting the same shard stay identical.
-  std::unique_ptr<ShardIndex> Compact() const override;
 
  private:
   /// Extracts substring `s` (width substring_bits_) from a packed code.
   uint64_t ExtractSubstring(const uint64_t* code, int s) const;
-
-  /// Inserts rows [begin, end) into all substring tables.
-  void IndexRows(int begin, int end);
 
   /// Recursively enumerates all values at Hamming distance <= radius from
   /// `value` over `width` bits, invoking the table probe for each.
@@ -88,7 +50,6 @@ class MultiIndexHashTable : public ShardIndex {
                           std::vector<int>* candidates) const;
 
   PackedCodes database_;
-  TombstoneSet tombstones_;
   int num_substrings_ = 1;
   int substring_bits_ = 0;
   /// tables_[s] maps substring value -> database ids.

@@ -97,12 +97,11 @@ struct JoinTotals {
 /// Records one stage duration into the registry's stage.* histograms
 /// (the same namespace the serving tracer fills), so the bench's
 /// stage_breakdown JSON works for joins too. No-op when the obs layer is
-/// compiled out or runtime-disabled.
+/// runtime-disabled.
 class StageTimer {
  public:
   explicit StageTimer(const char* name) : name_(name) {}
   ~StageTimer() {
-    if constexpr (!obs::kObsCompiledIn) return;
     if (!obs::RuntimeEnabled()) return;
     const int64_t ns =
         static_cast<int64_t>(watch_.ElapsedSeconds() * 1e9);

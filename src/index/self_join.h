@@ -47,7 +47,7 @@ struct SelfJoinOptions {
 
 /// Work accounting for one join call (also mirrored into the metrics
 /// registry as join.tiles / join.pairs_pruned / join.pairs_scored when
-/// the observability layer is compiled in).
+/// the observability layer is runtime-enabled).
 struct SelfJoinStats {
   int64_t tiles = 0;         ///< tile-pair tasks executed
   int64_t pairs_total = 0;   ///< unordered live pairs the join covers

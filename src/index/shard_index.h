@@ -2,10 +2,8 @@
 #define UHSCM_INDEX_SHARD_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "index/neighbor.h"
 #include "index/packed_codes.h"
 
 namespace uhscm::index {
@@ -81,61 +79,9 @@ inline bool TombstoneSet::Set(int i) {
   return true;
 }
 
-/// \brief The common contract of a mutable single-shard retrieval index.
-///
-/// Both LinearScanIndex and MultiIndexHashTable implement it, so
-/// serve::ShardedIndex composes shards through one seam instead of
-/// branching on the backend. Ids are shard-local append order: the first
-/// appended code after an N-row build gets id N, and Remove never
-/// reassigns ids. All query methods see exactly the live rows — results
-/// are byte-identical (after id compaction) to a fresh build over the
-/// surviving rows.
-///
-/// Thread safety: query methods are const and safe to call concurrently
-/// with each other; Append/Remove require external exclusion against
-/// queries (serve::ShardedIndex holds a per-shard reader/writer lock).
-class ShardIndex {
- public:
-  virtual ~ShardIndex() = default;
-
-  /// Live (non-tombstoned) rows.
-  virtual int size() const = 0;
-  /// All rows ever appended, including tombstoned ones.
-  virtual int total_size() const = 0;
-  virtual int bits() const = 0;
-
-  virtual const PackedCodes& codes() const = 0;
-  virtual const TombstoneSet& tombstones() const = 0;
-
-  /// Top-k live rows by (distance, id). k is clamped to size().
-  virtual std::vector<Neighbor> TopK(const uint64_t* query, int k) const = 0;
-
-  /// Batched TopK: one list per query, each byte-identical to the
-  /// per-query call.
-  virtual std::vector<std::vector<Neighbor>> TopKBatch(
-      const uint64_t* const* queries, int num_queries, int k) const = 0;
-
-  /// Appends `batch` (same bit width) after the current rows; the new
-  /// rows take ids total_size() .. total_size() + batch.size() - 1.
-  virtual void Append(const PackedCodes& batch) = 0;
-
-  /// Tombstones row `id`. Returns false when out of range or already
-  /// dead.
-  virtual bool Remove(int id) = 0;
-
-  /// Builds a fresh index of the same kind over the live rows only —
-  /// the rebuild half of the compaction protocol. Survivors keep their
-  /// relative order, so the new index's local id of an old survivor is
-  /// its rank among the survivors; queries against the compacted index
-  /// are byte-identical to this index after that rank remap. Const (and
-  /// safe to run concurrently with query methods): the caller swaps the
-  /// result in under its own writer lock.
-  virtual std::unique_ptr<ShardIndex> Compact() const = 0;
-};
-
 /// Copies the live rows of `codes` (those not set in `dead`) into a
-/// fresh PackedCodes, preserving order — the survivor copy both
-/// Compact() implementations start from.
+/// fresh PackedCodes, preserving order — the survivor copy
+/// LinearScanIndex::Compact() starts from.
 inline PackedCodes CompactLiveRows(const PackedCodes& codes,
                                    const TombstoneSet& dead) {
   const int words_per_code = codes.words_per_code();

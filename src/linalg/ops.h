@@ -30,10 +30,10 @@ Matrix MatMulBlocked(const Matrix& a, const Matrix& b);
 
 /// True when the packed-panel GEMM will use the AVX2+FMA micro-kernel on
 /// this host (compiled in, CPU supports it, and kernel dispatch is not
-/// forced to scalar via UHSCM_FORCE_TIER/UHSCM_FORCE_SCALAR — the forced
-/// -scalar CI leg covers the portable micro-kernel the same way it
-/// covers the scalar Hamming tier). When false, packed products run the
-/// portable 6x16 micro-kernel.
+/// forced to scalar via UHSCM_FORCE_TIER=scalar — the forced-scalar CI
+/// leg covers the portable micro-kernel the same way it covers the
+/// scalar Hamming tier). When false, packed products run the portable
+/// 6x16 micro-kernel.
 bool PackedGemmAvailable();
 
 /// y = A * x. Precondition: x.size() == A.cols().

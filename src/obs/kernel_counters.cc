@@ -3,10 +3,6 @@
 namespace uhscm::obs {
 
 void KernelCounters::Flush() {
-  if constexpr (!kObsCompiledIn) {
-    *this = KernelCounters{};
-    return;
-  }
   if (!RuntimeEnabled()) {
     *this = KernelCounters{};
     return;

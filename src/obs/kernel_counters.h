@@ -12,10 +12,9 @@ namespace uhscm::obs {
 /// The scan and MIH kernels bump these as plain (non-atomic) fields in a
 /// function-local instance — zero contention inside the kernel — and
 /// flush the totals to the global registry once per batch call. When the
-/// layer is compiled out (UHSCM_OBS_DISABLED) or runtime-disabled, the
-/// bumps remain (plain integer adds, invisible next to the hamming
-/// kernel work) but the flush becomes a no-op, so the atomics are never
-/// touched.
+/// layer is runtime-disabled, the bumps remain (plain integer adds,
+/// invisible next to the hamming kernel work) but the flush becomes a
+/// no-op, so the atomics are never touched.
 ///
 /// Registry names: scan.rows_scanned, scan.blocks_skipped,
 /// scan.early_abandon_calls, mih.candidates_probed,

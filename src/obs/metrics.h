@@ -13,17 +13,6 @@
 
 namespace uhscm::obs {
 
-/// Compile-time kill switch for the observability layer. Configure with
-/// -DUHSCM_OBS=OFF (which defines UHSCM_OBS_DISABLED) to compile the
-/// tracing + kernel-counter instrumentation down to nothing; the metrics
-/// registry and histograms stay, because the serving stats are built on
-/// them.
-#ifdef UHSCM_OBS_DISABLED
-inline constexpr bool kObsCompiledIn = false;
-#else
-inline constexpr bool kObsCompiledIn = true;
-#endif
-
 /// Runtime kill switch consulted by the sampling and kernel-counter
 /// flush paths — the "disabled" arm of the overhead A/B in
 /// bench/async_serve. Defaults to on.

@@ -24,7 +24,6 @@ TraceRecorder::TraceRecorder(size_t capacity)
       epoch_(std::chrono::steady_clock::now()) {}
 
 uint64_t TraceRecorder::MaybeStartTrace() {
-  if constexpr (!kObsCompiledIn) return 0;
   const uint32_t n = sample_every_.load(std::memory_order_relaxed);
   if (n == 0 || !RuntimeEnabled()) return 0;
   const uint64_t seq = admitted_.fetch_add(1, std::memory_order_relaxed);
@@ -36,7 +35,6 @@ void TraceRecorder::RecordSpan(uint64_t trace_id, uint64_t span_id,
                                uint64_t parent_id, const char* name,
                                int64_t start_us, int64_t end_us,
                                std::initializer_list<SpanAttr> attrs) {
-  if constexpr (!kObsCompiledIn) return;
   if (trace_id == 0) return;
   SpanRecord rec;
   rec.trace_id = trace_id;

@@ -73,8 +73,8 @@ class TraceRecorder {
   }
 
   /// Admission-time sampling decision: returns a fresh nonzero trace id
-  /// for 1-in-N calls, 0 otherwise (or always 0 when sampling is off,
-  /// the runtime kill switch is thrown, or the layer is compiled out).
+  /// for 1-in-N calls, 0 otherwise (or always 0 when sampling is off or
+  /// the runtime kill switch is thrown).
   uint64_t MaybeStartTrace();
 
   /// Fresh span id (never 0).
@@ -92,8 +92,7 @@ class TraceRecorder {
         .count();
   }
 
-  /// Records one completed span (no-op when trace_id == 0 or the layer
-  /// is compiled out). Also feeds the span's duration into the
+  /// Records one completed span (no-op when trace_id == 0). Also feeds the span's duration into the
   /// `stage.<name>_ns` histogram of the global registry, so stage
   /// latency distributions accumulate even though the ring is bounded.
   void RecordSpan(uint64_t trace_id, uint64_t span_id, uint64_t parent_id,
@@ -149,22 +148,18 @@ class ScopedSpan {
   ScopedSpan(TraceRecorder* recorder, const TraceContext& parent,
              const char* name)
       : recorder_(recorder), name_(name) {
-    if constexpr (kObsCompiledIn) {
-      if (parent) {
-        ctx_.trace_id = parent.trace_id;
-        parent_span_ = parent.parent_span;
-        ctx_.parent_span = recorder_->NewSpanId();  // this span's own id
-        start_us_ = recorder_->NowMicros();
-      }
+    if (parent) {
+      ctx_.trace_id = parent.trace_id;
+      parent_span_ = parent.parent_span;
+      ctx_.parent_span = recorder_->NewSpanId();  // this span's own id
+      start_us_ = recorder_->NowMicros();
     }
   }
   ~ScopedSpan() {
-    if constexpr (kObsCompiledIn) {
-      if (ctx_) {
-        recorder_->RecordSpan(ctx_.trace_id, ctx_.parent_span, parent_span_,
-                              name_, start_us_, recorder_->NowMicros(),
-                              {attrs_[0], attrs_[1], attrs_[2]});
-      }
+    if (ctx_) {
+      recorder_->RecordSpan(ctx_.trace_id, ctx_.parent_span, parent_span_,
+                            name_, start_us_, recorder_->NowMicros(),
+                            {attrs_[0], attrs_[1], attrs_[2]});
     }
   }
 
@@ -176,10 +171,8 @@ class ScopedSpan {
 
   /// Attaches up to SpanRecord::kMaxAttrs attributes (extras dropped).
   void AddAttr(const char* key, int64_t value) {
-    if constexpr (kObsCompiledIn) {
-      if (ctx_ && num_attrs_ < SpanRecord::kMaxAttrs) {
-        attrs_[num_attrs_++] = {key, value};
-      }
+    if (ctx_ && num_attrs_ < SpanRecord::kMaxAttrs) {
+      attrs_[num_attrs_++] = {key, value};
     }
   }
 

@@ -11,16 +11,6 @@
 
 namespace uhscm::serve {
 
-/// Compile-time kill switch for the fault-injection layer. Configure
-/// with -DUHSCM_FAULTS=OFF (which defines UHSCM_FAULTS_DISABLED) to
-/// compile every injection check down to a constant-false — the same
-/// pattern the obs layer uses for tracing.
-#ifdef UHSCM_FAULTS_DISABLED
-inline constexpr bool kFaultsCompiledIn = false;
-#else
-inline constexpr bool kFaultsCompiledIn = true;
-#endif
-
 /// \name Named failure points threaded into the serving hot path.
 ///
 /// A point can be armed process-wide (`Arm("replica.kill", ...)`) or
@@ -70,10 +60,8 @@ struct FaultSpec {
 ///
 /// The serving hot path asks `ShouldFail(point, tag)` / `DelayNs(point,
 /// tag)` at each threaded-in failure site. With nothing armed the cost
-/// is one relaxed atomic load; with the layer compiled out
-/// (-DUHSCM_FAULTS=OFF) the calls are constant-false and the optimizer
-/// removes them. Arming is runtime-only — production binaries carry the
-/// (idle) checks unless compiled out.
+/// is one relaxed atomic load. Arming is runtime-only — production
+/// binaries carry the (idle) checks.
 ///
 /// Determinism: all probabilistic draws come from one generator seeded
 /// by Seed(), and per-point hit counters advance only while the point
@@ -103,7 +91,6 @@ class FaultInjector {
   /// fires on this evaluation. `tag` >= 0 also consults `point#tag`,
   /// which wins over the bare name.
   bool ShouldFail(const char* point, int tag = -1) {
-    if constexpr (!kFaultsCompiledIn) return false;
     if (armed_points_.load(std::memory_order_relaxed) == 0) return false;
     return Evaluate(point, tag) != nullptr;
   }
@@ -111,7 +98,6 @@ class FaultInjector {
   /// The armed delay for this evaluation (0 = not firing / not a delay
   /// point). Same arming, counting, and precedence rules as ShouldFail.
   int64_t DelayNs(const char* point, int tag = -1) {
-    if constexpr (!kFaultsCompiledIn) return 0;
     if (armed_points_.load(std::memory_order_relaxed) == 0) return 0;
     const FaultSpec* spec = Evaluate(point, tag);
     return spec != nullptr ? spec->delay_ns : 0;

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/status.h"
-#include "index/linear_scan.h"
-#include "index/multi_index_hash.h"
 
 namespace uhscm::serve {
 
@@ -14,11 +12,10 @@ using index::Neighbor;
 
 ShardedIndex::ShardedIndex(index::PackedCodes corpus,
                            const ShardedIndexOptions& options)
-    : options_(options), bits_(corpus.bits()) {
+    : bits_(corpus.bits()) {
   UHSCM_CHECK(bits_ > 0, "ShardedIndex: corpus has zero code width");
   const int size = corpus.size();
   const int num_shards = std::clamp(options.num_shards, 1, std::max(1, size));
-  options_.num_shards = num_shards;
   live_size_.store(size, std::memory_order_relaxed);
   total_size_.store(size, std::memory_order_relaxed);
 
@@ -38,16 +35,9 @@ ShardedIndex::ShardedIndex(index::PackedCodes corpus,
     index::PackedCodes shard_codes =
         index::PackedCodes::FromRawWords(count, bits_, std::move(words));
 
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(std::move(shard_codes));
     shard->offset = begin;
     shard->base_count = count;
-    if (options_.backend == ShardBackend::kMultiIndexHash) {
-      shard->impl = std::make_unique<index::MultiIndexHashTable>(
-          std::move(shard_codes), options_.mih_substrings);
-    } else {
-      shard->impl =
-          std::make_unique<index::LinearScanIndex>(std::move(shard_codes));
-    }
     for (int local = 0; local < count; ++local) {
       locator_.push_back(Locator{s, local});
     }
@@ -62,7 +52,7 @@ std::vector<Neighbor> ShardedIndex::ShardTopK(int s, const uint64_t* query,
               "ShardedIndex::ShardTopK: shard out of range");
   const Shard& shard = *shards_[static_cast<size_t>(s)];
   SharedLock lock(shard.mu);
-  std::vector<Neighbor> local = shard.impl->TopK(query, k);
+  std::vector<Neighbor> local = shard.impl.TopK(query, k);
   // The local -> global map is strictly increasing, so the (distance, id)
   // sort order survives the remap.
   index::RemapNeighborIds(&local,
@@ -77,7 +67,7 @@ std::vector<std::vector<Neighbor>> ShardedIndex::ShardTopKBatch(
   const Shard& shard = *shards_[static_cast<size_t>(s)];
   SharedLock lock(shard.mu);
   std::vector<std::vector<Neighbor>> results =
-      shard.impl->TopKBatch(queries, num_queries, k);
+      shard.impl.TopKBatch(queries, num_queries, k);
   for (auto& list : results) {
     index::RemapNeighborIds(&list,
                             [&shard](int id) { return shard.GlobalId(id); });
@@ -105,8 +95,8 @@ std::vector<int> ShardedIndex::Append(const index::PackedCodes& batch) {
   ids.reserve(static_cast<size_t>(batch.size()));
   {
     ExclusiveLock lock(shard.mu);
-    const int local_base = shard.impl->total_size();
-    shard.impl->Append(batch);
+    const int local_base = shard.impl.total_size();
+    shard.impl.Append(batch);
     for (int i = 0; i < batch.size(); ++i) {
       const int gid = first_id + i;
       ids.push_back(gid);
@@ -130,7 +120,7 @@ bool ShardedIndex::Remove(int global_id) {
   if (loc.shard == Locator::kGone) return false;  // compacted away
   Shard& shard = *shards_[static_cast<size_t>(loc.shard)];
   ExclusiveLock lock(shard.mu);
-  if (!shard.impl->Remove(loc.local)) return false;
+  if (!shard.impl.Remove(loc.local)) return false;
   --shard_live_[static_cast<size_t>(loc.shard)];
   live_size_.fetch_sub(1, std::memory_order_release);
   return true;
@@ -156,7 +146,7 @@ int ShardedIndex::RemoveIds(const std::vector<int>& global_ids) {
     ExclusiveLock lock(shard.mu);
     int shard_removed = 0;
     for (int local : local_ids[s]) {
-      shard_removed += shard.impl->Remove(local) ? 1 : 0;
+      shard_removed += shard.impl.Remove(local) ? 1 : 0;
     }
     shard_live_[s] -= shard_removed;
     removed += shard_removed;
@@ -203,15 +193,15 @@ int ShardedIndex::CompactShardLocked(int s) {
   // shard write-quiescent — every mutator takes it first — while
   // in-flight queries keep reading the old impl under their shared
   // locks. Compact() only does const reads, so it races with nothing.
-  std::unique_ptr<index::ShardIndex> compacted = shard.impl->Compact();
-  const index::TombstoneSet& dead = shard.impl->tombstones();
-  const int old_total = shard.impl->total_size();
+  index::LinearScanIndex compacted = shard.impl.Compact();
+  const index::TombstoneSet& dead = shard.impl.tombstones();
+  const int old_total = shard.impl.total_size();
 
   // New local ids are survivor ranks; survivor global ids in old-local
   // order are strictly increasing (base ids ascend, appended ids ascend
   // above them), so the remapped shard stays merge-compatible.
   std::vector<int> survivor_gids;
-  survivor_gids.reserve(static_cast<size_t>(compacted->total_size()));
+  survivor_gids.reserve(static_cast<size_t>(compacted.total_size()));
   int reclaimed = 0;
   for (int local = 0; local < old_total; ++local) {
     const int gid = shard.GlobalId(local);
@@ -274,10 +264,10 @@ CorpusExport ShardedIndex::ExportLocked() const {
       continue;
     }
     const Shard& shard = *shards_[static_cast<size_t>(loc.shard)];
-    const uint64_t* src = shard.impl->codes().code(loc.local);
+    const uint64_t* src = shard.impl.database().code(loc.local);
     std::copy(src, src + words_per_code,
               words.begin() + static_cast<size_t>(gid) * words_per_code);
-    if (shard.impl->tombstones().Test(loc.local)) {
+    if (shard.impl.tombstones().Test(loc.local)) {
       tombstone_words[static_cast<size_t>(gid >> 6)] |= 1ULL << (gid & 63);
     }
   }

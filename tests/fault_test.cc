@@ -80,7 +80,6 @@ struct Pipeline {
 // FaultInjector semantics
 
 TEST(FaultInjectorTest, SkipHitsThenMaxFiresBoundsTheWindow) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   FaultInjector& injector = FaultInjector::Global();
   FaultSpec spec;
@@ -96,7 +95,6 @@ TEST(FaultInjectorTest, SkipHitsThenMaxFiresBoundsTheWindow) {
 }
 
 TEST(FaultInjectorTest, InstanceScopedSpecWinsOverBareName) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   FaultInjector& injector = FaultInjector::Global();
   FaultSpec never;
@@ -113,7 +111,6 @@ TEST(FaultInjectorTest, InstanceScopedSpecWinsOverBareName) {
 }
 
 TEST(FaultInjectorTest, ProbabilityDrawsAreSeedDeterministic) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   FaultInjector& injector = FaultInjector::Global();
   FaultSpec coin;
@@ -137,7 +134,6 @@ TEST(FaultInjectorTest, ProbabilityDrawsAreSeedDeterministic) {
 }
 
 TEST(FaultInjectorTest, DelayPointReturnsArmedDelayAndResetDisarms) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   FaultInjector& injector = FaultInjector::Global();
   FaultSpec slow;
@@ -196,7 +192,6 @@ TEST(RespawnTest, RespawnedReplicaIsByteIdenticalToSurvivor) {
 }
 
 TEST(RespawnTest, HydrationFaultCountsFailureAndNextAttemptRecovers) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   const PackedCodes corpus = RandomCorpus(120, 64, 111);
   ReplicaSetOptions options;
@@ -267,7 +262,6 @@ TEST(RespawnTest, SupervisorRespawnsWithoutManualIntervention) {
 // admission faults, hedging
 
 TEST(PipelineFaultTest, KillAtBatchKRetriesOntoSurvivorByteIdentically) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   const PackedCodes corpus = RandomCorpus(400, 64, 141);
   const PackedCodes queries = RandomCorpus(32, 64, 142);
@@ -362,7 +356,6 @@ TEST(PipelineFaultTest, ExpiredDeadlineResolvesWithoutTouchingAReplica) {
 }
 
 TEST(PipelineFaultTest, AdmissionFaultShedsExactlyTheArmedWindow) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   const PackedCodes corpus = RandomCorpus(100, 64, 171);
   BatcherOptions batcher_options;
@@ -394,7 +387,6 @@ TEST(PipelineFaultTest, AdmissionFaultShedsExactlyTheArmedWindow) {
 }
 
 TEST(PipelineFaultTest, HedgeBeatsInjectedStragglerFirstCompletionWins) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   const PackedCodes corpus = RandomCorpus(300, 64, 181);
   auto reference = MakeQueryEngine(
@@ -460,7 +452,6 @@ TEST(PipelineFaultTest, HedgeBudgetZeroNeverHedges) {
 // Randomized fault-schedule stress
 
 TEST(PipelineFaultTest, RandomizedFaultScheduleEveryFutureResolves) {
-  if (!kFaultsCompiledIn) GTEST_SKIP() << "faults compiled out";
   InjectorGuard guard;
   const int bits = 64;
   const PackedCodes corpus = RandomCorpus(250, bits, 201);

@@ -57,10 +57,16 @@ TEST_P(KernelWidths, AllTiersMatchScalarReferenceExactly) {
       ref[static_cast<size_t>(i)] =
           HammingDistance(queries.code(q), db.code(i), words);
     }
-    BatchDistancesScalar(queries.code(q), db.code(0), n, words, kNoThreshold,
-                         scalar.data());
-    GetBatchDistanceFn()(queries.code(q), db.code(0), n, words, kNoThreshold,
-                         dispatched.data());
+    const int32_t ref_min = *std::min_element(ref.begin(), ref.end());
+    EXPECT_EQ(BatchDistancesMinScalar(queries.code(q), db.code(0), n, words,
+                                      kNoThreshold, scalar.data()),
+              ref_min)
+        << "scalar bits=" << bits << " q=" << q;
+    EXPECT_EQ(GetBatchDistanceMinFn()(queries.code(q), db.code(0), n, words,
+                                      kNoThreshold, dispatched.data()),
+              ref_min)
+        << KernelTierName(ActiveKernelTier()) << " bits=" << bits
+        << " q=" << q;
     for (int i = 0; i < n; ++i) {
       EXPECT_EQ(scalar[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
           << "scalar bits=" << bits << " q=" << q << " i=" << i;
@@ -72,12 +78,11 @@ TEST_P(KernelWidths, AllTiersMatchScalarReferenceExactly) {
   }
 }
 
-TEST_P(KernelWidths, EveryAvailableTierAndMinVariantMatchesReference) {
-  // The full tier-cross matrix: every tier this host can run — through
-  // both the plain kernel and the fused distance+min kernel — must
-  // reproduce the scalar reference exactly, and the fused kernel's
-  // return value must equal the minimum of the distances it wrote.
-  // Ragged counts (257, then tails of 1 and 3) exercise every kernel's
+TEST_P(KernelWidths, EveryAvailableTierMatchesReference) {
+  // The full tier-cross matrix: every tier this host can run must
+  // reproduce the per-pair reference exactly, and the kernel's return
+  // value must equal the minimum of the distances it wrote. Ragged
+  // counts (257, then tails of 1 and 3) exercise every kernel's
   // partial-vector handling.
   const int bits = GetParam();
   Rng rng(4100 + bits);
@@ -87,30 +92,22 @@ TEST_P(KernelWidths, EveryAvailableTierAndMinVariantMatchesReference) {
 
   for (const int n : {257, 3, 1}) {
     std::vector<int32_t> ref(static_cast<size_t>(n));
-    BatchDistancesScalar(query.code(0), db.code(0), n, words, kNoThreshold,
-                         ref.data());
-    int32_t ref_min = ref[0];
-    for (int i = 1; i < n; ++i) ref_min = std::min(ref_min, ref[i]);
+    for (int i = 0; i < n; ++i) {
+      ref[static_cast<size_t>(i)] =
+          HammingDistance(query.code(0), db.code(i), words);
+    }
+    const int32_t ref_min = *std::min_element(ref.begin(), ref.end());
 
     for (const KernelTier tier : AvailableTiers()) {
       std::vector<int32_t> out(static_cast<size_t>(n), -1);
-      GetBatchDistanceFn(tier)(query.code(0), db.code(0), n, words,
-                               kNoThreshold, out.data());
+      const int32_t got_min = GetBatchDistanceMinFn(tier)(
+          query.code(0), db.code(0), n, words, kNoThreshold, out.data());
+      EXPECT_EQ(got_min, ref_min)
+          << KernelTierName(tier) << " bits=" << bits << " n=" << n;
       for (int i = 0; i < n; ++i) {
         ASSERT_EQ(out[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
             << KernelTierName(tier) << " bits=" << bits << " n=" << n
             << " i=" << i;
-      }
-
-      std::fill(out.begin(), out.end(), -1);
-      const int32_t got_min = GetBatchDistanceMinFn(tier)(
-          query.code(0), db.code(0), n, words, kNoThreshold, out.data());
-      EXPECT_EQ(got_min, ref_min)
-          << "min " << KernelTierName(tier) << " bits=" << bits << " n=" << n;
-      for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(out[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
-            << "min " << KernelTierName(tier) << " bits=" << bits
-            << " n=" << n << " i=" << i;
       }
     }
   }
@@ -135,12 +132,12 @@ TEST(KernelThreshold, PrunedOutputsAreSafeLowerBounds) {
   const int words = db.words_per_code();
 
   std::vector<int32_t> exact(static_cast<size_t>(n));
-  BatchDistancesScalar(query.code(0), db.code(0), n, words, kNoThreshold,
-                       exact.data());
+  BatchDistancesMinScalar(query.code(0), db.code(0), n, words, kNoThreshold,
+                          exact.data());
   // Median-ish threshold so both branches fire.
   const int32_t threshold = bits / 2;
-  for (BatchDistanceFn fn :
-       {GetBatchDistanceFn(KernelTier::kScalar), GetBatchDistanceFn()}) {
+  for (BatchDistanceMinFn fn : {GetBatchDistanceMinFn(KernelTier::kScalar),
+                                GetBatchDistanceMinFn()}) {
     std::vector<int32_t> pruned(static_cast<size_t>(n));
     fn(query.code(0), db.code(0), n, words, threshold, pruned.data());
     for (int i = 0; i < n; ++i) {
@@ -171,8 +168,8 @@ TEST(KernelThreshold, FusedMinIsExactLowerBoundUnderPruning) {
   const int words = db.words_per_code();
 
   std::vector<int32_t> exact(static_cast<size_t>(n));
-  BatchDistancesScalar(query.code(0), db.code(0), n, words, kNoThreshold,
-                       exact.data());
+  BatchDistancesMinScalar(query.code(0), db.code(0), n, words, kNoThreshold,
+                          exact.data());
   int32_t true_min = exact[0];
   for (int i = 1; i < n; ++i) true_min = std::min(true_min, exact[i]);
 
@@ -355,7 +352,6 @@ TEST(KernelDispatch, TierNamesAndExplicitLookup) {
   EXPECT_STREQ(KernelTierName(KernelTier::kScalar), "scalar");
   EXPECT_STREQ(KernelTierName(KernelTier::kAvx2), "avx2");
   EXPECT_STREQ(KernelTierName(KernelTier::kAvx512), "avx512");
-  EXPECT_EQ(GetBatchDistanceFn(KernelTier::kScalar), &BatchDistancesScalar);
   EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kScalar),
             &BatchDistancesMinScalar);
   EXPECT_EQ(GetBatchEmitFn(KernelTier::kScalar), &BatchEmitScalar);
@@ -364,12 +360,13 @@ TEST(KernelDispatch, TierNamesAndExplicitLookup) {
   // tier down, never a crash and never a scalar jump past an available
   // middle tier.
   if (!Avx2Available()) {
-    EXPECT_EQ(GetBatchDistanceFn(KernelTier::kAvx2), &BatchDistancesScalar);
+    EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kAvx2),
+              &BatchDistancesMinScalar);
     EXPECT_EQ(ActiveKernelTier(), KernelTier::kScalar);
   }
   if (!Avx512Available()) {
-    EXPECT_EQ(GetBatchDistanceFn(KernelTier::kAvx512),
-              GetBatchDistanceFn(KernelTier::kAvx2));
+    EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kAvx512),
+              GetBatchDistanceMinFn(KernelTier::kAvx2));
     EXPECT_EQ(GetBatchEmitFn(KernelTier::kAvx512),
               GetBatchEmitFn(KernelTier::kAvx2));
   }
@@ -474,12 +471,11 @@ TEST(BatchTopKTest, ForcedScalarTierMatchesDispatchedTier) {
   }
 }
 
-TEST(BatchTopKTest, FusedAndUnfusedAreByteIdenticalAcrossTiers) {
-  // The fused_min toggle and the tier must never change results — ids,
-  // distances, and tie-break order all match the per-query scan for
-  // every (tier, fused) combination. bits=16 forces heavy ties so the
-  // ordering contract is actually stressed; k=10 keeps the early-abandon
-  // threshold armed for most blocks.
+TEST(BatchTopKTest, EveryTierIsByteIdenticalToPerQueryScan) {
+  // The tier must never change results — ids, distances, and tie-break
+  // order all match the per-query scan on every tier. bits=16 forces
+  // heavy ties so the ordering contract is actually stressed; k=10
+  // keeps the early-abandon threshold armed for most blocks.
   Rng rng(91);
   PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(700, 16, &rng));
   PackedCodes queries =
@@ -488,34 +484,28 @@ TEST(BatchTopKTest, FusedAndUnfusedAreByteIdenticalAcrossTiers) {
       PackedCodes::FromRawWords(db.size(), db.bits(), db.words()));
 
   for (const KernelTier tier : AvailableTiers()) {
-    for (const bool fused : {false, true}) {
-      BatchScanOptions options;
-      options.force_tier = true;
-      options.tier = tier;
-      options.fused_min = fused;
-      options.code_block = 64;  // several blocks, so skips can trigger
-      const auto got = BatchTopK(db, queries, 10, options);
-      ASSERT_EQ(got.size(), 6u);
-      for (int q = 0; q < queries.size(); ++q) {
-        const auto expect = scan.TopK(queries.code(q), 10);
-        const auto& g = got[static_cast<size_t>(q)];
-        ASSERT_EQ(g.size(), expect.size())
-            << KernelTierName(tier) << " fused=" << fused << " q=" << q;
-        for (size_t i = 0; i < expect.size(); ++i) {
-          EXPECT_EQ(g[i].id, expect[i].id)
-              << KernelTierName(tier) << " fused=" << fused << " q=" << q
-              << " rank=" << i;
-          EXPECT_EQ(g[i].distance, expect[i].distance)
-              << KernelTierName(tier) << " fused=" << fused << " q=" << q
-              << " rank=" << i;
-        }
+    BatchScanOptions options;
+    options.force_tier = true;
+    options.tier = tier;
+    options.code_block = 64;  // several blocks, so skips can trigger
+    const auto got = BatchTopK(db, queries, 10, options);
+    ASSERT_EQ(got.size(), 6u);
+    for (int q = 0; q < queries.size(); ++q) {
+      const auto expect = scan.TopK(queries.code(q), 10);
+      const auto& g = got[static_cast<size_t>(q)];
+      ASSERT_EQ(g.size(), expect.size()) << KernelTierName(tier) << " q=" << q;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(g[i].id, expect[i].id)
+            << KernelTierName(tier) << " q=" << q << " rank=" << i;
+        EXPECT_EQ(g[i].distance, expect[i].distance)
+            << KernelTierName(tier) << " q=" << q << " rank=" << i;
       }
     }
   }
 }
 
 TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
-  // Tombstones and the fused block-min skip compose: dead rows are still
+  // Tombstones and the block-min skip compose: dead rows are still
   // scored by the kernel (the block stays contiguous) and can therefore
   // dominate a block's minimum, but must never enter a heap or corrupt
   // the early-abandon threshold. Wide codes (1024 bits = 16 words) take
@@ -567,29 +557,22 @@ TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
   }
 
   for (const KernelTier tier : AvailableTiers()) {
-    for (const bool fused : {false, true}) {
-      BatchScanOptions options;
-      options.force_tier = true;
-      options.tier = tier;
-      options.fused_min = fused;
-      options.tombstones = &dead;
-      options.code_block = 96;  // several blocks, so min-skips can fire
-      const auto got = BatchTopK(db, queries, k, options);
-      for (int q = 0; q < queries.size(); ++q) {
-        const auto& g = got[static_cast<size_t>(q)];
-        const auto& w = want[static_cast<size_t>(q)];
-        ASSERT_EQ(g.size(), w.size())
-            << KernelTierName(tier) << " fused=" << fused << " q=" << q;
-        for (size_t i = 0; i < w.size(); ++i) {
-          EXPECT_EQ(g[i].id, w[i].id)
-              << KernelTierName(tier) << " fused=" << fused << " q=" << q
-              << " rank=" << i;
-          EXPECT_EQ(g[i].distance, w[i].distance)
-              << KernelTierName(tier) << " fused=" << fused << " q=" << q
-              << " rank=" << i;
-          EXPECT_FALSE(dead.Test(g[i].id))
-              << KernelTierName(tier) << " fused=" << fused << " q=" << q;
-        }
+    BatchScanOptions options;
+    options.force_tier = true;
+    options.tier = tier;
+    options.tombstones = &dead;
+    options.code_block = 96;  // several blocks, so min-skips can fire
+    const auto got = BatchTopK(db, queries, k, options);
+    for (int q = 0; q < queries.size(); ++q) {
+      const auto& g = got[static_cast<size_t>(q)];
+      const auto& w = want[static_cast<size_t>(q)];
+      ASSERT_EQ(g.size(), w.size()) << KernelTierName(tier) << " q=" << q;
+      for (size_t i = 0; i < w.size(); ++i) {
+        EXPECT_EQ(g[i].id, w[i].id)
+            << KernelTierName(tier) << " q=" << q << " rank=" << i;
+        EXPECT_EQ(g[i].distance, w[i].distance)
+            << KernelTierName(tier) << " q=" << q << " rank=" << i;
+        EXPECT_FALSE(dead.Test(g[i].id)) << KernelTierName(tier) << " q=" << q;
       }
     }
   }

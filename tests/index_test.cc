@@ -216,7 +216,6 @@ TEST(MihTest, SubstringCountExceedingBitsIsClamped) {
 TEST(MihTest, EmptyIndexReturnsNoHits) {
   Matrix empty(0, 32);
   MultiIndexHashTable mih(PackedCodes::FromSignMatrix(empty), 4);
-  EXPECT_EQ(mih.size(), 0);
   Rng rng(57);
   Matrix query = RandomCodes(1, 32, &rng);
   PackedCodes pq = PackedCodes::FromSignMatrix(query);

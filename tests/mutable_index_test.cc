@@ -1,12 +1,13 @@
-// Mutability contract of the index layer: LinearScanIndex and
-// MultiIndexHashTable behind the common ShardIndex interface, tombstone
-// semantics of every scan path, and the byte-identity invariant —
-// results over the survivors equal a fresh build without the removed
-// rows (after compacting ids by survivor rank).
+// Mutability contract of the index layer: LinearScanIndex (the shard
+// type serve::ShardedIndex composes), tombstone semantics of every scan
+// path, and the byte-identity invariant — results over the survivors
+// equal a fresh build without the removed rows (after compacting ids by
+// survivor rank). Also the frozen MultiIndexHashTable radius index
+// against the linear scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -123,20 +124,7 @@ TEST(PackedCodesTest, AppendConcatenatesRows) {
   EXPECT_EQ(empty.bits(), 96);
 }
 
-/// Both ShardIndex implementations must satisfy the same mutability
-/// contract; the suite runs each test against each backend.
-enum class Backend { kLinearScan, kMih };
-
-std::unique_ptr<ShardIndex> MakeIndex(Backend backend, PackedCodes codes) {
-  if (backend == Backend::kMih) {
-    return std::make_unique<MultiIndexHashTable>(std::move(codes), 4);
-  }
-  return std::make_unique<LinearScanIndex>(std::move(codes));
-}
-
-class ShardIndexContract : public ::testing::TestWithParam<Backend> {};
-
-TEST_P(ShardIndexContract, AppendedRowsAreSearchable) {
+TEST(LinearScanMutableTest, AppendedRowsAreSearchable) {
   Rng rng(21);
   const int bits = 64, k = 8;
   Matrix base = RandomSignCodes(120, bits, &rng);
@@ -147,18 +135,17 @@ TEST_P(ShardIndexContract, AppendedRowsAreSearchable) {
   for (int i = 0; i < 40; ++i)
     for (int c = 0; c < bits; ++c) all(120 + i, c) = extra(i, c);
 
-  std::unique_ptr<ShardIndex> index =
-      MakeIndex(GetParam(), PackedCodes::FromSignMatrix(base));
-  index->Append(PackedCodes::FromSignMatrix(extra));
-  EXPECT_EQ(index->size(), 160);
-  EXPECT_EQ(index->total_size(), 160);
+  LinearScanIndex index(PackedCodes::FromSignMatrix(base));
+  index.Append(PackedCodes::FromSignMatrix(extra));
+  EXPECT_EQ(index.size(), 160);
+  EXPECT_EQ(index.total_size(), 160);
 
   LinearScanIndex truth(PackedCodes::FromSignMatrix(all));
   for (int q = 0; q < 10; ++q) {
     PackedCodes pq =
         PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
     const auto expect = truth.TopK(pq.code(0), k);
-    const auto got = index->TopK(pq.code(0), k);
+    const auto got = index.TopK(pq.code(0), k);
     ASSERT_EQ(expect.size(), got.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(expect[i].id, got[i].id);
@@ -167,47 +154,46 @@ TEST_P(ShardIndexContract, AppendedRowsAreSearchable) {
   }
 }
 
-TEST_P(ShardIndexContract, RemovedRowsNeverSurface) {
+TEST(LinearScanMutableTest, RemovedRowsNeverSurface) {
   Rng rng(22);
   const int n = 150, bits = 64, k = 12;
   Matrix db = RandomSignCodes(n, bits, &rng);
-  std::unique_ptr<ShardIndex> index =
-      MakeIndex(GetParam(), PackedCodes::FromSignMatrix(db));
+  LinearScanIndex index(PackedCodes::FromSignMatrix(db));
 
   std::vector<int> removed = {0, 7, 64, 65, 149};
-  for (int id : removed) EXPECT_TRUE(index->Remove(id));
-  EXPECT_FALSE(index->Remove(7)) << "double removal";
-  EXPECT_FALSE(index->Remove(-1));
-  EXPECT_FALSE(index->Remove(n));
-  EXPECT_EQ(index->size(), n - 5);
-  EXPECT_EQ(index->total_size(), n);
+  for (int id : removed) EXPECT_TRUE(index.Remove(id));
+  EXPECT_FALSE(index.Remove(7)) << "double removal";
+  EXPECT_FALSE(index.Remove(-1));
+  EXPECT_FALSE(index.Remove(n));
+  EXPECT_EQ(index.size(), n - 5);
+  EXPECT_EQ(index.total_size(), n);
 
   LinearScanIndex truth(PackedCodes::FromSignMatrix(SurvivorRows(db, removed)));
   for (int q = 0; q < 10; ++q) {
     PackedCodes pq =
         PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
     ExpectCompactedMatch(truth.TopK(pq.code(0), k),
-                         index->TopK(pq.code(0), k), removed);
+                         index.TopK(pq.code(0), k), removed);
   }
 }
 
-TEST_P(ShardIndexContract, TopKBatchMatchesTopKAfterMutations) {
+TEST(LinearScanMutableTest, TopKBatchMatchesTopKAfterMutations) {
   Rng rng(23);
   const int bits = 128, k = 9;
-  std::unique_ptr<ShardIndex> index = MakeIndex(
-      GetParam(), PackedCodes::FromSignMatrix(RandomSignCodes(200, bits, &rng)));
-  index->Append(PackedCodes::FromSignMatrix(RandomSignCodes(60, bits, &rng)));
-  for (int id : {3, 130, 201, 259}) EXPECT_TRUE(index->Remove(id));
+  LinearScanIndex index(
+      PackedCodes::FromSignMatrix(RandomSignCodes(200, bits, &rng)));
+  index.Append(PackedCodes::FromSignMatrix(RandomSignCodes(60, bits, &rng)));
+  for (int id : {3, 130, 201, 259}) EXPECT_TRUE(index.Remove(id));
 
   PackedCodes queries =
       PackedCodes::FromSignMatrix(RandomSignCodes(17, bits, &rng));
   std::vector<const uint64_t*> qptrs;
   for (int q = 0; q < queries.size(); ++q) qptrs.push_back(queries.code(q));
   const auto batched =
-      index->TopKBatch(qptrs.data(), static_cast<int>(qptrs.size()), k);
+      index.TopKBatch(qptrs.data(), static_cast<int>(qptrs.size()), k);
   ASSERT_EQ(batched.size(), qptrs.size());
   for (int q = 0; q < queries.size(); ++q) {
-    const auto expect = index->TopK(queries.code(q), k);
+    const auto expect = index.TopK(queries.code(q), k);
     const auto& got = batched[static_cast<size_t>(q)];
     ASSERT_EQ(expect.size(), got.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -217,57 +203,57 @@ TEST_P(ShardIndexContract, TopKBatchMatchesTopKAfterMutations) {
   }
 }
 
-TEST_P(ShardIndexContract, KLargerThanLiveCountReturnsAllSurvivors) {
+TEST(LinearScanMutableTest, KLargerThanLiveCountReturnsAllSurvivors) {
   Rng rng(24);
   const int n = 40, bits = 32;
-  std::unique_ptr<ShardIndex> index = MakeIndex(
-      GetParam(), PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng)));
-  for (int id = 0; id < 10; ++id) EXPECT_TRUE(index->Remove(id));
+  LinearScanIndex index(
+      PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng)));
+  for (int id = 0; id < 10; ++id) EXPECT_TRUE(index.Remove(id));
   PackedCodes pq = PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const auto got = index->TopK(pq.code(0), 1000);
+  const auto got = index.TopK(pq.code(0), 1000);
   EXPECT_EQ(got.size(), 30u);
   for (const Neighbor& nb : got) EXPECT_GE(nb.id, 10);
 }
 
-TEST_P(ShardIndexContract, CompactDropsDeadRowsOnly) {
+TEST(LinearScanMutableTest, CompactDropsDeadRowsOnly) {
   Rng rng(25);
   const int bits = 64, k = 10;
-  std::unique_ptr<ShardIndex> index = MakeIndex(
-      GetParam(), PackedCodes::FromSignMatrix(RandomSignCodes(130, bits, &rng)));
-  index->Append(PackedCodes::FromSignMatrix(RandomSignCodes(40, bits, &rng)));
+  LinearScanIndex index(
+      PackedCodes::FromSignMatrix(RandomSignCodes(130, bits, &rng)));
+  index.Append(PackedCodes::FromSignMatrix(RandomSignCodes(40, bits, &rng)));
   std::vector<int> removed = {0, 63, 64, 129, 130, 169};
-  for (int id : removed) ASSERT_TRUE(index->Remove(id));
+  for (int id : removed) ASSERT_TRUE(index.Remove(id));
 
-  std::unique_ptr<ShardIndex> compacted = index->Compact();
-  EXPECT_EQ(compacted->size(), 164);
-  EXPECT_EQ(compacted->total_size(), 164) << "no dead rows after compaction";
-  EXPECT_FALSE(compacted->tombstones().any());
+  const LinearScanIndex compacted = index.Compact();
+  EXPECT_EQ(compacted.size(), 164);
+  EXPECT_EQ(compacted.total_size(), 164) << "no dead rows after compaction";
+  EXPECT_FALSE(compacted.tombstones().any());
 
   // The compacted index's local ids are survivor ranks, so its results
   // must equal the tombstoned index's results after the rank remap —
   // and the original index must be untouched (Compact is const).
-  EXPECT_EQ(index->size(), 164);
-  EXPECT_EQ(index->total_size(), 170);
+  EXPECT_EQ(index.size(), 164);
+  EXPECT_EQ(index.total_size(), 170);
   for (int q = 0; q < 10; ++q) {
     PackedCodes pq =
         PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-    ExpectCompactedMatch(compacted->TopK(pq.code(0), k),
-                         index->TopK(pq.code(0), k), removed);
+    ExpectCompactedMatch(compacted.TopK(pq.code(0), k),
+                         index.TopK(pq.code(0), k), removed);
   }
 }
 
-TEST_P(ShardIndexContract, CompactOfCleanIndexIsIdentity) {
+TEST(LinearScanMutableTest, CompactOfCleanIndexIsIdentity) {
   Rng rng(26);
   const int bits = 64, k = 7;
-  std::unique_ptr<ShardIndex> index = MakeIndex(
-      GetParam(), PackedCodes::FromSignMatrix(RandomSignCodes(80, bits, &rng)));
-  std::unique_ptr<ShardIndex> compacted = index->Compact();
-  EXPECT_EQ(compacted->total_size(), 80);
+  LinearScanIndex index(
+      PackedCodes::FromSignMatrix(RandomSignCodes(80, bits, &rng)));
+  const LinearScanIndex compacted = index.Compact();
+  EXPECT_EQ(compacted.total_size(), 80);
   for (int q = 0; q < 5; ++q) {
     PackedCodes pq =
         PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-    const auto expect = index->TopK(pq.code(0), k);
-    const auto got = compacted->TopK(pq.code(0), k);
+    const auto expect = index.TopK(pq.code(0), k);
+    const auto got = compacted.TopK(pq.code(0), k);
     ASSERT_EQ(expect.size(), got.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(expect[i].id, got[i].id);
@@ -276,7 +262,7 @@ TEST_P(ShardIndexContract, CompactOfCleanIndexIsIdentity) {
   }
 }
 
-TEST_P(ShardIndexContract, RandomizedAppendRemoveCompactStaysExact) {
+TEST(LinearScanMutableTest, RandomizedAppendRemoveCompactStaysExact) {
   // Randomized interleaving of Append / Remove / Compact / Search: after
   // every compaction (and at every checkpoint) results must be
   // byte-identical to a fresh LinearScan rebuild of the survivors. The
@@ -293,7 +279,7 @@ TEST_P(ShardIndexContract, RandomizedAppendRemoveCompactStaysExact) {
     rows.emplace_back(base.code(i), base.code(i) + words_per_code);
     live.push_back(true);
   }
-  std::unique_ptr<ShardIndex> index = MakeIndex(GetParam(), std::move(base));
+  LinearScanIndex index(std::move(base));
 
   auto live_count = [&] {
     int count = 0;
@@ -309,7 +295,7 @@ TEST_P(ShardIndexContract, RandomizedAppendRemoveCompactStaysExact) {
       const int count = 1 + static_cast<int>(rng.UniformInt(5));
       PackedCodes batch =
           PackedCodes::FromSignMatrix(RandomSignCodes(count, bits, &rng));
-      index->Append(batch);
+      index.Append(batch);
       for (int i = 0; i < count; ++i) {
         rows.emplace_back(batch.code(i), batch.code(i) + words_per_code);
         live.push_back(true);
@@ -319,18 +305,17 @@ TEST_P(ShardIndexContract, RandomizedAppendRemoveCompactStaysExact) {
       do {
         id = static_cast<int>(rng.UniformInt(rows.size()));
       } while (!live[static_cast<size_t>(id)]);
-      ASSERT_TRUE(index->Remove(id));
+      ASSERT_TRUE(index.Remove(id));
       live[static_cast<size_t>(id)] = false;
     } else {
-      std::unique_ptr<ShardIndex> compacted = index->Compact();
-      index = std::move(compacted);
+      index = index.Compact();
       std::vector<std::vector<uint64_t>> survivor_rows;
       for (size_t i = 0; i < rows.size(); ++i) {
         if (live[i]) survivor_rows.push_back(std::move(rows[i]));
       }
       rows = std::move(survivor_rows);
       live.assign(rows.size(), true);
-      ASSERT_EQ(index->total_size(), static_cast<int>(rows.size()));
+      ASSERT_EQ(index.total_size(), static_cast<int>(rows.size()));
     }
 
     // Checkpoint: byte-identity with a fresh rebuild over survivors.
@@ -345,10 +330,10 @@ TEST_P(ShardIndexContract, RandomizedAppendRemoveCompactStaysExact) {
     }
     LinearScanIndex truth(
         PackedCodes::FromRawWords(rank, bits, std::move(survivor_words)));
-    ASSERT_EQ(index->size(), rank) << "step " << step;
+    ASSERT_EQ(index.size(), rank) << "step " << step;
     for (int q = 0; q < queries.size(); ++q) {
       const auto expect = truth.TopK(queries.code(q), k);
-      const auto got = index->TopK(queries.code(q), k);
+      const auto got = index.TopK(queries.code(q), k);
       ASSERT_EQ(expect.size(), got.size()) << "step " << step;
       for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(expect[i].id, rank_of_id[static_cast<size_t>(got[i].id)])
@@ -359,31 +344,34 @@ TEST_P(ShardIndexContract, RandomizedAppendRemoveCompactStaysExact) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ShardIndexContract,
-                         ::testing::Values(Backend::kLinearScan,
-                                           Backend::kMih));
-
 TEST(LinearScanMutableTest, WithinRadiusSkipsTombstonedRows) {
   Rng rng(31);
   const int n = 100, bits = 64;
-  Matrix db = RandomSignCodes(n, bits, &rng);
-  LinearScanIndex scan(PackedCodes::FromSignMatrix(db));
-  MultiIndexHashTable mih(PackedCodes::FromSignMatrix(db), 4);
+  const PackedCodes db =
+      PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
+  LinearScanIndex scan(
+      PackedCodes::FromRawWords(db.size(), db.bits(), db.words()));
   std::vector<int> removed = {2, 50, 99};
-  for (int id : removed) {
-    EXPECT_TRUE(scan.Remove(id));
-    EXPECT_TRUE(mih.Remove(id));
-  }
+  for (int id : removed) EXPECT_TRUE(scan.Remove(id));
   for (int q = 0; q < 8; ++q) {
     PackedCodes pq =
         PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
     for (int r : {0, 8, 24, 64}) {
-      const auto from_scan = scan.WithinRadius(pq.code(0), r);
-      const auto from_mih = mih.WithinRadius(pq.code(0), r);
-      ASSERT_EQ(from_scan.size(), from_mih.size()) << "r=" << r;
-      for (size_t i = 0; i < from_scan.size(); ++i) {
-        EXPECT_EQ(from_scan[i].id, from_mih[i].id);
-        for (int dead : removed) EXPECT_NE(from_scan[i].id, dead);
+      // Brute force: every live row within r, ascending id.
+      std::vector<Neighbor> expect;
+      for (int i = 0; i < n; ++i) {
+        if (std::find(removed.begin(), removed.end(), i) != removed.end()) {
+          continue;
+        }
+        const int d =
+            HammingDistance(pq.code(0), db.code(i), db.words_per_code());
+        if (d <= r) expect.push_back({i, d});
+      }
+      const auto got = scan.WithinRadius(pq.code(0), r);
+      ASSERT_EQ(expect.size(), got.size()) << "r=" << r;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(expect[i].id, got[i].id) << "r=" << r;
+        EXPECT_EQ(expect[i].distance, got[i].distance) << "r=" << r;
       }
     }
   }
@@ -414,35 +402,61 @@ TEST(BatchScanTombstoneTest, WideCodesKernelPruneRespectsTombstones) {
   }
 }
 
-TEST(MihMutableTest, AppendKeepsRadiusSearchExact) {
-  Rng rng(33);
-  const int bits = 64;
-  Matrix base = RandomSignCodes(150, bits, &rng);
-  Matrix extra = RandomSignCodes(50, bits, &rng);
-  MultiIndexHashTable mih(PackedCodes::FromSignMatrix(base), 4);
-  mih.Append(PackedCodes::FromSignMatrix(extra));
+/// The frozen MIH radius index must return exactly what the linear scan
+/// returns — ids, distances and order — across code widths, substring
+/// counts (0 = auto, which picks counts that do not divide the width at
+/// this corpus size) and radii from negative (nothing matches) through
+/// the enumeration regime to the whole space (the scan-everything
+/// fallback).
+class FrozenMihRadius
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-  Matrix all(200, bits);
-  for (int i = 0; i < 150; ++i)
-    for (int c = 0; c < bits; ++c) all(i, c) = base(i, c);
-  for (int i = 0; i < 50; ++i)
-    for (int c = 0; c < bits; ++c) all(150 + i, c) = extra(i, c);
-  LinearScanIndex truth(PackedCodes::FromSignMatrix(all));
+TEST_P(FrozenMihRadius, MatchesLinearScanWithinRadius) {
+  const auto [bits, substrings] = GetParam();
+  Rng rng(500 + bits + substrings);
+  const int n = 1000;
+  const PackedCodes db =
+      PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
+  const LinearScanIndex scan(
+      PackedCodes::FromRawWords(db.size(), db.bits(), db.words()));
+  const MultiIndexHashTable mih(
+      PackedCodes::FromRawWords(db.size(), db.bits(), db.words()),
+      substrings);
+  if (substrings > 0) EXPECT_EQ(mih.num_substrings(), substrings);
 
-  for (int q = 0; q < 8; ++q) {
-    PackedCodes pq =
-        PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-    for (int r : {0, 5, 10, 20}) {
-      const auto expect = truth.WithinRadius(pq.code(0), r);
-      const auto got = mih.WithinRadius(pq.code(0), r);
-      ASSERT_EQ(expect.size(), got.size()) << "r=" << r;
+  for (int q = 0; q < 10; ++q) {
+    // A database row with a few bits flipped, so small radii find hits.
+    std::vector<uint64_t> query(db.code(q * 97),
+                                db.code(q * 97) + db.words_per_code());
+    for (int f = 0; f < q; ++f) {
+      const int bit = static_cast<int>(rng.UniformInt(bits));
+      query[static_cast<size_t>(bit / 64)] ^= 1ULL << (bit % 64);
+    }
+    for (const int r : {-5, -1, 0, 1, 2, 5, bits / 4, bits}) {
+      const auto expect = scan.WithinRadius(query.data(), r);
+      const auto got = mih.WithinRadius(query.data(), r);
+      ASSERT_EQ(expect.size(), got.size())
+          << "bits=" << bits << " s=" << mih.num_substrings() << " r=" << r;
       for (size_t i = 0; i < expect.size(); ++i) {
-        EXPECT_EQ(expect[i].id, got[i].id);
-        EXPECT_EQ(expect[i].distance, got[i].distance);
+        EXPECT_EQ(expect[i].id, got[i].id) << "r=" << r << " i=" << i;
+        EXPECT_EQ(expect[i].distance, got[i].distance)
+            << "r=" << r << " i=" << i;
       }
+      if (r < 0) EXPECT_TRUE(got.empty()) << "r=" << r;
     }
   }
 }
+
+// Every width x substring count, except 128 bits over 2 substrings: a
+// 64-bit substring exceeds the table's 63-bit key limit.
+INSTANTIATE_TEST_SUITE_P(
+    WidthsAndSubstrings, FrozenMihRadius,
+    ::testing::Values(std::make_tuple(32, 0), std::make_tuple(32, 2),
+                      std::make_tuple(32, 4), std::make_tuple(64, 0),
+                      std::make_tuple(64, 2), std::make_tuple(64, 4),
+                      std::make_tuple(96, 0), std::make_tuple(96, 2),
+                      std::make_tuple(96, 4), std::make_tuple(128, 0),
+                      std::make_tuple(128, 4)));
 
 TEST(NeighborHelpersTest, RemapRewritesIdsOnly) {
   std::vector<Neighbor> list = {{0, 1}, {3, 2}, {5, 2}};

@@ -260,7 +260,6 @@ TEST(MetricsRegistryTest, ConcurrentGetOrCreateIsSafe) {
 // Trace recorder
 
 TEST(TraceRecorderTest, SamplingOneInN) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   TraceRecorder recorder;
   EXPECT_EQ(recorder.MaybeStartTrace(), 0u) << "sampling off by default";
   recorder.SetSampleEvery(4);
@@ -279,7 +278,6 @@ TEST(TraceRecorderTest, SamplingOneInN) {
 }
 
 TEST(TraceRecorderTest, RuntimeKillSwitchStopsSampling) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   TraceRecorder recorder;
   recorder.SetSampleEvery(1);
   SetRuntimeEnabled(false);
@@ -289,7 +287,6 @@ TEST(TraceRecorderTest, RuntimeKillSwitchStopsSampling) {
 }
 
 TEST(TraceRecorderTest, RingWrapsKeepingNewestOldestFirst) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   TraceRecorder recorder(/*capacity=*/4);
   for (int i = 1; i <= 6; ++i) {
     recorder.RecordSpan(/*trace_id=*/static_cast<uint64_t>(i),
@@ -316,7 +313,6 @@ TEST(TraceRecorderTest, UnsampledSpansAreDropped) {
 }
 
 TEST(TraceRecorderTest, ChromeTraceExportAndSlowQueryLog) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   TraceRecorder recorder;
   recorder.RecordSpan(1, 1, 0, "request", 0, 20000, {{"k", 10}});
   recorder.RecordSpan(1, 2, 1, "scan", 2000, 15000, {{"shards", 4}});
@@ -348,7 +344,6 @@ TEST(TraceRecorderTest, ChromeTraceExportAndSlowQueryLog) {
 }
 
 TEST(ScopedSpanTest, RecordsOnlyWhenParentSampled) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   TraceRecorder recorder;
   {
     TraceContext unsampled;
@@ -387,7 +382,6 @@ TEST(ScopedSpanTest, RecordsOnlyWhenParentSampled) {
 // Stage histograms + end-to-end pipeline spans
 
 TEST(TraceRecorderTest, SpansFeedStageHistograms) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   TraceRecorder recorder(/*capacity=*/2);
   Histogram* stage =
       MetricsRegistry::Global().GetHistogram("stage.unittest-stage_ns");
@@ -406,7 +400,6 @@ TEST(TraceRecorderTest, SpansFeedStageHistograms) {
 }
 
 TEST(PipelineTraceTest, EndToEndSpanVocabulary) {
-  if constexpr (!kObsCompiledIn) GTEST_SKIP() << "obs compiled out";
   Rng rng(77);
   const PackedCodes corpus =
       PackedCodes::FromSignMatrix(RandomSignCodes(300, 64, &rng));

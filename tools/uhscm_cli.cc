@@ -29,9 +29,9 @@
 //       --threads is a usage error. --json-out writes the full report
 //       (stats + group membership) as JSON.
 //   serve  --codes=PATH [--model=PATH --dataset=... --seed=N --scale=F]
-//          [--shards=N] [--threads=N] [--backend=scan|mih]
-//          [--replicas=N] [--batch-max=B] [--batch-timeout-us=T]
-//          [--route=rr|least] [--topk=K] [--queries=N]
+//          [--shards=N] [--threads=N] [--replicas=N] [--batch-max=B]
+//          [--batch-timeout-us=T] [--route=rr|least] [--topk=K]
+//          [--queries=N]
 //          [--append=PATH] [--delete-ids=1,5,10-20] [--compact]
 //          [--compact-threshold=F] [--save-snapshot=PATH]
 //       Hydrates N QueryEngine replicas from the packed codes (legacy v1
@@ -44,7 +44,9 @@
 //       query stream is loaded/encoded once and its packed buffer reused
 //       across all passes. Queries are encoded from the synthetic query
 //       split when --model is given, otherwise sampled from the database
-//       codes themselves.
+//       codes themselves. Each shard is a linear scan. --shards,
+//       --replicas, --batch-max and --batch-timeout-us below 1, or a
+//       negative --threads (0 = auto), are usage errors.
 //
 //       Admin ops run after the replay passes and fan out to every
 //       replica: --append=PATH appends a packed-code artifact to the
@@ -126,7 +128,6 @@ struct Flags {
   int batch_max = 32;
   int64_t batch_timeout_us = 200;
   std::string route = "least";
-  std::string backend = "scan";
   std::string append_file;
   std::string delete_ids;
   std::string save_snapshot;
@@ -158,7 +159,7 @@ int Usage() {
                "[--json-out=PATH] "
                "[--queries=N] [--shards=N] [--threads=N] [--replicas=N] "
                "[--batch-max=B] [--batch-timeout-us=T] [--route=rr|least] "
-               "[--backend=scan|mih] [--append=PATH] "
+               "[--append=PATH] "
                "[--delete-ids=1,5,10-20] [--compact] "
                "[--compact-threshold=F] [--save-snapshot=PATH] "
                "[--metrics-json=PATH] [--trace-out=PATH] "
@@ -261,15 +262,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->replicas = std::atoi(arg.c_str() + 11);
     } else if (StartsWith(arg, "--batch-max=")) {
       flags->batch_max = std::atoi(arg.c_str() + 12);
-    } else if (StartsWith(arg, "--batch=")) {
-      // Legacy alias from the caller-batched serve loop.
-      flags->batch_max = std::atoi(arg.c_str() + 8);
     } else if (StartsWith(arg, "--batch-timeout-us=")) {
       flags->batch_timeout_us = std::atoll(arg.c_str() + 19);
     } else if (StartsWith(arg, "--route=")) {
       flags->route = arg.substr(8);
-    } else if (StartsWith(arg, "--backend=")) {
-      flags->backend = arg.substr(10);
     } else if (StartsWith(arg, "--append=")) {
       flags->append_file = arg.substr(9);
     } else if (StartsWith(arg, "--delete-ids=")) {
@@ -701,9 +697,26 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "serve: --codes=PATH is required\n");
     return 2;
   }
-  if (flags.backend != "scan" && flags.backend != "mih") {
-    std::fprintf(stderr, "serve: --backend must be scan or mih\n");
-    return 2;
+  // A size below its minimum is a typo, not a request for the default:
+  // --shards=0 must not silently serve from one shard. (--threads=0
+  // means one thread per hardware thread.)
+  struct SizeFlag {
+    const char* name;
+    int64_t value;
+    int64_t min;
+  };
+  for (const SizeFlag& size :
+       {SizeFlag{"--shards", flags.shards, 1},
+        SizeFlag{"--replicas", flags.replicas, 1},
+        SizeFlag{"--batch-max", flags.batch_max, 1},
+        SizeFlag{"--batch-timeout-us", flags.batch_timeout_us, 1},
+        SizeFlag{"--threads", flags.threads, 0}}) {
+    if (size.value < size.min) {
+      std::fprintf(stderr, "serve: %s must be >= %lld, got %lld\n",
+                   size.name, static_cast<long long>(size.min),
+                   static_cast<long long>(size.value));
+      return 2;
+    }
   }
   serve::RoutePolicy route_policy;
   if (!serve::ParseRoutePolicy(flags.route, &route_policy)) {
@@ -728,12 +741,9 @@ int CmdServe(const Flags& flags) {
   }
 
   serve::ReplicaSetOptions options;
-  options.replicas = std::max(1, flags.replicas);
+  options.replicas = flags.replicas;
   options.supervise = flags.supervise;
   options.serving.index.num_shards = flags.shards;
-  options.serving.index.backend =
-      flags.backend == "mih" ? serve::ShardBackend::kMultiIndexHash
-                             : serve::ShardBackend::kLinearScan;
   options.serving.engine.num_threads = flags.threads;
   options.serving.engine.compact_dead_fraction = flags.compact_threshold;
   // One disk read handles both the legacy v1 codes artifact and the v2
@@ -872,12 +882,12 @@ int CmdServe(const Flags& flags) {
           ? (index::Avx512VpopcntAvailable() ? "+vpopcntdq" : "+harley-seal")
           : "";
   std::printf(
-      "serving %d live / %d total codes @ %d bits: %d replicas x %d shards "
-      "(%s), %d threads each, %s routing, batch B=%d T=%lldus, %s%s kernel, "
+      "serving %d live / %d total codes @ %d bits: %d replicas x %d shards, "
+      "%d threads each, %s routing, batch B=%d T=%lldus, %s%s kernel, "
       "epoch %llu\n",
       engine0.index().size(), engine0.index().total_size(),
       engine0.index().bits(), replicas.num_replicas(),
-      engine0.index().num_shards(), flags.backend.c_str(),
+      engine0.index().num_shards(),
       engine0.num_threads(), serve::RoutePolicyName(route_policy),
       batcher.options().max_batch,
       static_cast<long long>(batcher.options().timeout_us),
