@@ -63,10 +63,12 @@ void NormalizeRowsL2(Matrix* m);
 Matrix SoftmaxRows(const Matrix& m, float tau);
 
 /// S(i,j) = cosine(a.row(i), b.row(j)); shape (a.rows x b.rows).
-/// Parallel over rows of a.
+/// L2-normalizes copies of both operands, then one MatMulTransB.
 Matrix PairwiseCosine(const Matrix& a, const Matrix& b);
 
-/// Self-similarity shortcut: PairwiseCosine(a, a) exploiting symmetry.
+/// PairwiseCosine(a, a): one MatMulTransB of the normalized copy with
+/// itself. Computes the full product (no symmetry shortcut) and pins the
+/// diagonal to exactly 1.
 Matrix SelfCosine(const Matrix& a);
 
 /// Column means of m (size cols).

@@ -1,5 +1,6 @@
 #include "vlp/simulated_vlp.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/status.h"
@@ -35,106 +36,108 @@ void NormalizeInPlace(float* v, int n) {
 
 SimulatedVlpModel::SimulatedVlpModel(const data::SemanticWorld* world,
                                      const VlpOptions& options)
-    : world_(world),
-      options_(options),
-      num_concepts_(world->num_concepts()),
-      concept_embeddings_(world->num_concepts(), options.embed_dim) {
+    : options_(options),
+      num_concepts_(world->num_concepts()) {
   UHSCM_CHECK(world != nullptr, "SimulatedVlpModel: null world");
   UHSCM_CHECK(num_concepts_ > 0,
               "SimulatedVlpModel: world has no registered concepts");
-  style_embeddings_ = linalg::Matrix(world->num_styles(), options.embed_dim);
-  for (int st = 0; st < world->num_styles(); ++st) {
-    Rng rng(options_.seed * 0x2545F4914F6CDD1DULL +
-            0xABCD0000ULL + static_cast<uint64_t>(st));
-    float* row = style_embeddings_.Row(st);
-    for (int j = 0; j < options_.embed_dim; ++j) {
-      row[j] = static_cast<float>(rng.Normal());
-    }
-    NormalizeInPlace(row, options_.embed_dim);
-  }
+  const int d = world->pixel_dim();
+  const int e = options_.embed_dim;
+  const int rows = num_concepts_ + world->num_styles();
+  detectors_ = linalg::Matrix(rows, d);
+  composition_ = linalg::Matrix(rows, e);
+  const auto add_detector = [&](int u, const linalg::Vector& direction,
+                                uint64_t embed_seed) {
+    std::copy(direction.begin(), direction.end(), detectors_.Row(u));
+    NormalizeInPlace(detectors_.Row(u), d);
+    Rng rng(embed_seed);
+    float* row = composition_.Row(u);
+    for (int j = 0; j < e; ++j) row[j] = static_cast<float>(rng.Normal());
+    NormalizeInPlace(row, e);
+  };
+  // Base embeddings are deterministic per (vlp seed, concept id) and per
+  // (vlp seed, style index).
   for (int id = 0; id < num_concepts_; ++id) {
-    // Base embedding deterministic per (vlp seed, concept id).
-    Rng rng(options_.seed * 0x9E3779B97F4A7C15ULL +
-            static_cast<uint64_t>(id + 1));
-    float* row = concept_embeddings_.Row(id);
-    for (int j = 0; j < options_.embed_dim; ++j) {
-      row[j] = static_cast<float>(rng.Normal());
-    }
-    NormalizeInPlace(row, options_.embed_dim);
+    add_detector(id, world->Prototype(id),
+                 options_.seed * 0x9E3779B97F4A7C15ULL +
+                     static_cast<uint64_t>(id + 1));
+  }
+  for (int st = 0; st < world->num_styles(); ++st) {
+    add_detector(num_concepts_ + st, world->Style(st),
+                 options_.seed * 0x2545F4914F6CDD1DULL + 0xABCD0000ULL +
+                     static_cast<uint64_t>(st));
   }
 }
 
 linalg::Vector SimulatedVlpModel::BaseTextEmbedding(int concept_id) const {
   UHSCM_CHECK(concept_id >= 0 && concept_id < num_concepts_,
               "BaseTextEmbedding: concept unknown to this VLP snapshot");
-  return concept_embeddings_.RowVector(concept_id);
+  return composition_.RowVector(concept_id);
 }
 
 linalg::Matrix SimulatedVlpModel::EncodeImages(
     const linalg::Matrix& pixels) const {
-  UHSCM_CHECK(pixels.cols() == world_->pixel_dim(),
+  UHSCM_CHECK(pixels.cols() == detectors_.cols(),
               "EncodeImages: pixel dim mismatch");
   const int n = pixels.rows();
+  const int d = pixels.cols();
   const int e = options_.embed_dim;
-  linalg::Matrix out(n, e);
+  const int rows = detectors_.rows();
+  // Recognize: affinity of every image with every detector direction.
+  // Each becomes a soft-threshold detection weight, so every concept that
+  // clears the threshold contributes and a multi-label image embeds near
+  // the mean of all its labels' embeddings instead of collapsing onto the
+  // strongest one.
+  linalg::Matrix weights = linalg::MatMulTransB(pixels, detectors_);
+  const auto detect = [&](float affinity) {
+    const double logit = (affinity - options_.recognition_threshold) /
+                         options_.recognition_temperature;
+    return 1.0 / (1.0 + std::exp(-logit));
+  };
+  const float style_gain = std::max(options_.style_response, 0.0f);
   ParallelFor(n, [&](int i) {
-    const float* x = pixels.Row(i);
-    // Recognize: soft-threshold detection per concept. Every concept
-    // whose prototype affinity clears the threshold contributes, so a
-    // multi-label image embeds near the mean of all its labels'
-    // embeddings instead of collapsing onto the strongest one.
-    std::vector<float> weight(static_cast<size_t>(num_concepts_));
+    // Detectors are unit-norm, so dot / |x| is the cosine (0 for a zero
+    // image, as CosineSimilarity has it).
+    const float norm = linalg::Norm2(pixels.Row(i), d);
+    const float inv_norm = norm < 1e-12f ? 0.0f : 1.0f / norm;
+    float* w = weights.Row(i);
     int best = 0;
     float best_affinity = -2.0f;
     double total_weight = 0.0;
     for (int u = 0; u < num_concepts_; ++u) {
-      const linalg::Vector& proto = world_->Prototype(u);
-      const float a =
-          linalg::CosineSimilarity(x, proto.data(), world_->pixel_dim());
+      const float a = w[u] * inv_norm;
       if (a > best_affinity) {
         best_affinity = a;
         best = u;
       }
-      const double logit = (a - options_.recognition_threshold) /
-                           options_.recognition_temperature;
-      const double w = 1.0 / (1.0 + std::exp(-logit));
-      weight[static_cast<size_t>(u)] = static_cast<float>(w);
-      total_weight += w;
+      const double p = detect(a);
+      w[u] = static_cast<float>(p);
+      total_weight += p;
     }
     if (total_weight < 1e-3) {
       // Nothing detected (extremely noisy image): fall back to the
       // nearest prototype so the embedding stays informative.
-      weight[static_cast<size_t>(best)] = 1.0f;
+      w[best] = 1.0f;
     }
-    // Compose: weighted sum of concept embeddings.
-    float* row = out.Row(i);
     for (int u = 0; u < num_concepts_; ++u) {
-      const float w = weight[static_cast<size_t>(u)];
-      if (w < 1e-4f) continue;
-      const float* c = concept_embeddings_.Row(u);
-      for (int j = 0; j < e; ++j) row[j] += w * c[j];
+      if (w[u] < 1e-4f) w[u] = 0.0f;
     }
     // Appearance response: the tower also encodes the detected styles.
-    if (options_.style_response > 0.0f) {
-      for (int st = 0; st < world_->num_styles(); ++st) {
-        const linalg::Vector& sdir = world_->Style(st);
-        const float a =
-            linalg::CosineSimilarity(x, sdir.data(), world_->pixel_dim());
-        const double logit = (a - options_.recognition_threshold) /
-                             options_.recognition_temperature;
-        const float w = static_cast<float>(1.0 / (1.0 + std::exp(-logit)));
-        if (w < 1e-4f) continue;
-        const float* srow = style_embeddings_.Row(st);
-        for (int j = 0; j < e; ++j) {
-          row[j] += options_.style_response * w * srow[j];
-        }
-      }
+    for (int u = num_concepts_; u < rows; ++u) {
+      const float p = static_cast<float>(detect(w[u] * inv_norm));
+      w[u] = p < 1e-4f ? 0.0f : style_gain * p;
     }
+  });
+  // Compose: weighted sum of concept and style embeddings.
+  linalg::Matrix out = linalg::MatMul(weights, composition_);
+  const float noise_sigma =
+      options_.image_noise / std::sqrt(static_cast<float>(e));
+  ParallelFor(n, [&](int i) {
     // Deterministic per-image encoder noise.
-    Rng noise_rng(HashPixels(x, world_->pixel_dim(), options_.seed));
+    Rng noise_rng(HashPixels(pixels.Row(i), d, options_.seed));
+    float* row = out.Row(i);
     for (int j = 0; j < e; ++j) {
-      row[j] += options_.image_noise / std::sqrt(static_cast<float>(e)) *
-                static_cast<float>(noise_rng.Normal());
+      row[j] += noise_sigma * static_cast<float>(noise_rng.Normal());
     }
     NormalizeInPlace(row, e);
   });

@@ -59,11 +59,20 @@ struct VlpOptions {
 /// naturally, which is the failure mode UHSCM's denoising step exists to
 /// handle.
 ///
+/// The image tower is two GEMMs per batch: pixels times the unit detector
+/// directions (concept prototypes, then style directions) gives every
+/// affinity at once, a per-row pass turns affinities into detection
+/// weights, and weights times the matching embeddings composes the
+/// embedding. An image's embedding therefore depends only on its pixels
+/// up to float reassociation (~1e-6 across batch shapes and kernel
+/// tiers), and its noise stream still depends only on its content.
+///
 /// `F_VLP(x_i, t_j; Theta)` of Eq. (1) is `ScoreImagesAgainstConcepts`.
 class SimulatedVlpModel {
  public:
-  /// Snapshots the world's currently registered concepts. Register all
-  /// dataset classes and vocabularies before constructing the model.
+  /// Snapshots the world's currently registered concepts and its styles
+  /// into the detector and composition matrices. Register all dataset
+  /// classes and vocabularies before constructing the model.
   SimulatedVlpModel(const data::SemanticWorld* world,
                     const VlpOptions& options = {});
 
@@ -89,13 +98,15 @@ class SimulatedVlpModel {
  private:
   linalg::Vector BaseTextEmbedding(int concept_id) const;
 
-  const data::SemanticWorld* world_;
   VlpOptions options_;
   int num_concepts_;
-  /// num_concepts x embed_dim base (template-free) concept embeddings.
-  linalg::Matrix concept_embeddings_;
-  /// num_styles x embed_dim appearance directions of the image tower.
-  linalg::Matrix style_embeddings_;
+  /// (num_concepts + num_styles) x pixel_dim unit detector directions:
+  /// the concept prototypes, then the world's style directions.
+  linalg::Matrix detectors_;
+  /// Matching (num_concepts + num_styles) x embed_dim composition rows:
+  /// the base (template-free) concept embeddings, then the appearance
+  /// embeddings of the styles.
+  linalg::Matrix composition_;
 };
 
 }  // namespace uhscm::vlp

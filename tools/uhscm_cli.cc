@@ -6,7 +6,9 @@
 //   train  --dataset=cifar|nuswide|flickr --bits=K --seed=N --scale=F
 //          --model=PATH --codes=PATH
 //       Builds the synthetic corpus, trains UHSCM, writes the hashing
-//       network and the packed database codes.
+//       network and the packed database codes. An unknown --dataset, a
+//       --bits that is not an integer >= 1, or a --scale that is not a
+//       finite number > 0 is a usage error for every subcommand.
 //   info   --file=PATH
 //       Prints what an artifact file contains.
 //   eval   --dataset=... --bits=K --seed=N --scale=F --model=PATH
@@ -223,12 +225,34 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     const std::string arg = argv[i];
     if (StartsWith(arg, "--dataset=")) {
       flags->dataset = arg.substr(10);
+      if (flags->dataset != "cifar" && flags->dataset != "nuswide" &&
+          flags->dataset != "flickr") {
+        std::fprintf(stderr,
+                     "--dataset must be cifar, nuswide or flickr, got %s\n",
+                     flags->dataset.c_str());
+        return false;
+      }
     } else if (StartsWith(arg, "--bits=")) {
-      flags->bits = std::atoi(arg.c_str() + 7);
+      char* end = nullptr;
+      const long bits = std::strtol(arg.c_str() + 7, &end, 10);
+      if (end == arg.c_str() + 7 || *end != '\0' || bits < 1 ||
+          bits > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "--bits must be an integer >= 1, got %s\n",
+                     arg.c_str() + 7);
+        return false;
+      }
+      flags->bits = static_cast<int>(bits);
     } else if (StartsWith(arg, "--seed=")) {
       flags->seed = static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
     } else if (StartsWith(arg, "--scale=")) {
-      flags->scale = std::atof(arg.c_str() + 8);
+      char* end = nullptr;
+      flags->scale = std::strtod(arg.c_str() + 8, &end);
+      if (end == arg.c_str() + 8 || *end != '\0' ||
+          !std::isfinite(flags->scale) || flags->scale <= 0.0) {
+        std::fprintf(stderr, "--scale must be a finite number > 0, got %s\n",
+                     arg.c_str() + 8);
+        return false;
+      }
     } else if (StartsWith(arg, "--model=")) {
       flags->model = arg.substr(8);
     } else if (StartsWith(arg, "--codes=")) {
