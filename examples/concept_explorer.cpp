@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/concept_denoiser.h"
@@ -119,13 +120,18 @@ int main() {
   // --- Step 3: similarity quality, before vs. after denoising. ---
   // The second mining pass keeps tau pinned to the original vocabulary
   // size, exactly as the trainer does (ConceptMinerOptions).
-  const linalg::Matrix q_raw = core::SimilarityFromDistributions(d);
+  // Q is held as its factor; the quality probe reads every pair, so it
+  // forms the whole train x train block.
+  std::vector<int> all(dataset.split.train.size());
+  std::iota(all.begin(), all.end(), 0);
+  const linalg::Matrix q_raw = core::SimilarityFromDistributions(d).Block(all);
   core::ConceptMinerOptions pinned;
   pinned.tau_concepts_override = vocab.size();
   core::ConceptMiner pinned_miner(&vlp, pinned);
   const linalg::Matrix d_clean =
       pinned_miner.MineDistributions(train_pixels, denoised.vocab);
-  const linalg::Matrix q_clean = core::SimilarityFromDistributions(d_clean);
+  const linalg::Matrix q_clean =
+      core::SimilarityFromDistributions(d_clean).Block(all);
   const linalg::Matrix feat = vlp.EncodeImages(train_pixels);
   linalg::Matrix q_feat = linalg::SelfCosine(feat);
   for (size_t i = 0; i < q_feat.size(); ++i) {

@@ -3,7 +3,6 @@
 #include "common/status.h"
 #include "linalg/ops.h"
 #include "nn/activations.h"
-#include "nn/linear.h"
 
 namespace uhscm::core {
 
@@ -12,7 +11,9 @@ HashingNetwork::HashingNetwork(int input_dim,
     : input_dim_(input_dim), options_(options) {
   UHSCM_CHECK(input_dim > 0, "HashingNetwork: input_dim must be positive");
   UHSCM_CHECK(options.bits > 0, "HashingNetwork: bits must be positive");
-  model_.Append(std::make_unique<nn::Linear>(input_dim, options.hidden1, rng));
+  auto first = std::make_unique<nn::Linear>(input_dim, options.hidden1, rng);
+  first_ = first.get();
+  model_.Append(std::move(first));
   model_.Append(std::make_unique<nn::Relu>());
   model_.Append(
       std::make_unique<nn::Linear>(options.hidden1, options.hidden2, rng));
@@ -28,7 +29,9 @@ linalg::Matrix HashingNetwork::Forward(const linalg::Matrix& pixels) {
 }
 
 void HashingNetwork::Backward(const linalg::Matrix& grad_codes) {
-  model_.Backward(grad_codes);
+  linalg::Matrix g = grad_codes;
+  for (int i = model_.size() - 1; i > 0; --i) g = model_.layer(i)->Backward(g);
+  first_->BackwardParameters(g);
 }
 
 linalg::Matrix HashingNetwork::EncodeBinary(const linalg::Matrix& pixels) {

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "nn/linear.h"
 #include "nn/sequential.h"
 
 namespace uhscm::core {
@@ -28,7 +29,9 @@ class HashingNetwork {
   /// activations for Backward()).
   linalg::Matrix Forward(const linalg::Matrix& pixels);
 
-  /// Backpropagates dL/dZ, accumulating parameter gradients.
+  /// Backpropagates dL/dZ, accumulating parameter gradients. Accumulates
+  /// exactly what model()->Backward does, but skips the first layer's
+  /// input gradient (dL/d pixels), which nothing reads.
   void Backward(const linalg::Matrix& grad_codes);
 
   /// Binary codes B = sgn(Z) in {-1, +1}^{n x k}.
@@ -43,6 +46,7 @@ class HashingNetwork {
   int input_dim_;
   HashingNetworkOptions options_;
   nn::Sequential model_;
+  nn::Linear* first_ = nullptr;  ///< model_.layer(0), owned by model_
 };
 
 }  // namespace uhscm::core

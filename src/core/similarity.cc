@@ -1,23 +1,45 @@
 #include "core/similarity.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/status.h"
 #include "linalg/ops.h"
 
 namespace uhscm::core {
 
-linalg::Matrix SimilarityFromDistributions(const linalg::Matrix& d) {
-  return linalg::SelfCosine(d);
+linalg::Matrix SimilarityFactor::Block(const std::vector<int>& rows) const {
+  const linalg::Matrix g = f.SelectRows(rows);
+  linalg::Matrix q = linalg::MatMulTransB(g, g);
+  for (int i = 0; i < q.rows(); ++i) q(i, i) = 1.0f;
+  return q;
 }
 
-linalg::Matrix AverageSimilarity(const std::vector<linalg::Matrix>& mats) {
-  UHSCM_CHECK(!mats.empty(), "AverageSimilarity: empty input");
-  linalg::Matrix out = mats[0];
-  for (size_t i = 1; i < mats.size(); ++i) {
-    out.Add(mats[i]);
+SimilarityFactor SimilarityFromDistributions(const linalg::Matrix& d) {
+  SimilarityFactor factor{d};
+  linalg::NormalizeRowsL2(&factor.f);
+  return factor;
+}
+
+SimilarityFactor AverageSimilarity(
+    const std::vector<SimilarityFactor>& factors) {
+  UHSCM_CHECK(!factors.empty(), "AverageSimilarity: empty input");
+  const int n = factors[0].f.rows();
+  int cols = 0;
+  for (const SimilarityFactor& factor : factors) {
+    UHSCM_CHECK(factor.f.rows() == n, "AverageSimilarity: row mismatch");
+    cols += factor.f.cols();
   }
-  out.Scale(1.0f / static_cast<float>(mats.size()));
+  // [F_1 | ... | F_P] / sqrt(P) times its transpose is (1/P) sum F_p F_p^T.
+  const float scale = 1.0f / std::sqrt(static_cast<float>(factors.size()));
+  SimilarityFactor out{linalg::Matrix(n, cols)};
+  for (int i = 0; i < n; ++i) {
+    float* dst = out.f.Row(i);
+    for (const SimilarityFactor& factor : factors) {
+      const float* src = factor.f.Row(i);
+      for (int c = 0; c < factor.f.cols(); ++c) *dst++ = scale * src[c];
+    }
+  }
   return out;
 }
 

@@ -77,11 +77,16 @@ Result<UhscmTrainer::SimilarityArtifacts> UhscmTrainer::BuildSimilarity(
     }
     case SimilaritySource::kImageFeatures: {
       const linalg::Matrix features = vlp_->EncodeImages(train_pixels);
-      artifacts.q = linalg::SelfCosine(features);
-      // Feature cosines live in [-1, 1]; shift to [0, 1] so lambda keeps
-      // the same meaning across similarity sources.
-      for (size_t i = 0; i < artifacts.q.size(); ++i) {
-        artifacts.q.data()[i] = 0.5f * (1.0f + artifacts.q.data()[i]);
+      const SimilarityFactor unit = SimilarityFromDistributions(features);
+      // Feature cosines live in [-1, 1]; Q = 0.5 (1 + cos) shifts them to
+      // [0, 1] so lambda keeps the same meaning across similarity sources.
+      // As a factor: [F / sqrt(2) | 1 / sqrt(2)].
+      const float half = std::sqrt(0.5f);
+      artifacts.q.f = linalg::Matrix(unit.f.rows(), unit.f.cols() + 1, half);
+      for (int i = 0; i < unit.f.rows(); ++i) {
+        const float* src = unit.f.Row(i);
+        float* dst = artifacts.q.f.Row(i);
+        for (int c = 0; c < unit.f.cols(); ++c) dst[c] = half * src[c];
       }
       break;
     }
@@ -96,7 +101,7 @@ Result<UhscmTrainer::SimilarityArtifacts> UhscmTrainer::BuildSimilarity(
       break;
     }
     case SimilaritySource::kAveragePrompts: {
-      std::vector<linalg::Matrix> mats;
+      std::vector<SimilarityFactor> factors;
       for (vlp::PromptTemplate tmpl :
            {vlp::PromptTemplate::kAPhotoOfThe, vlp::PromptTemplate::kThe,
             vlp::PromptTemplate::kItContainsThe}) {
@@ -110,9 +115,9 @@ Result<UhscmTrainer::SimilarityArtifacts> UhscmTrainer::BuildSimilarity(
         ConceptMiner pinned_miner(vlp_, opt);
         const linalg::Matrix d_clean =
             pinned_miner.MineDistributions(train_pixels, denoised.vocab);
-        mats.push_back(SimilarityFromDistributions(d_clean));
+        factors.push_back(SimilarityFromDistributions(d_clean));
       }
-      artifacts.q = AverageSimilarity(mats);
+      artifacts.q = AverageSimilarity(factors);
       break;
     }
   }
@@ -180,13 +185,7 @@ Result<UhscmModel> UhscmTrainer::Train(const linalg::Matrix& train_pixels,
       if (t < 2) continue;
 
       const linalg::Matrix x = train_pixels.SelectRows(batch_idx);
-      linalg::Matrix q_batch(t, t);
-      for (int i = 0; i < t; ++i) {
-        for (int j = 0; j < t; ++j) {
-          q_batch(i, j) = model.similarity(batch_idx[static_cast<size_t>(i)],
-                                           batch_idx[static_cast<size_t>(j)]);
-        }
-      }
+      const linalg::Matrix q_batch = model.similarity.Block(batch_idx);
 
       optimizer.ZeroGrad();
       double step_loss = 0.0;

@@ -9,6 +9,7 @@
 #include "core/concept_miner.h"
 #include "core/hashing_network.h"
 #include "core/losses.h"
+#include "core/similarity.h"
 #include "data/concept_vocab.h"
 #include "nn/sgd.h"
 #include "vlp/simulated_vlp.h"
@@ -78,8 +79,9 @@ UhscmConfig DefaultConfigFor(const std::string& dataset_name, int bits);
 /// Artifacts of a completed run.
 struct UhscmModel {
   std::unique_ptr<HashingNetwork> network;
-  /// The n_train x n_train semantic similarity matrix actually used.
-  linalg::Matrix similarity;
+  /// The semantic similarity Q actually used, held as its n_train x r
+  /// factor; Train forms each batch's t x t block with Block().
+  SimilarityFactor similarity;
   /// Retained concept names after denoising (empty for the non-concept
   /// similarity sources).
   std::vector<std::string> retained_concepts;
@@ -92,7 +94,8 @@ struct UhscmModel {
 
 /// \brief End-to-end UHSCM (Algorithm 1): builds the semantic similarity
 /// matrix with the simulated VLP, then trains the hashing network by
-/// mini-batch SGD on Eq. (11).
+/// mini-batch SGD on Eq. (11). Q is kept as its factor (SimilarityFactor)
+/// and only the blocks the batches read are ever formed.
 class UhscmTrainer {
  public:
   UhscmTrainer(const vlp::SimulatedVlpModel* vlp, const UhscmConfig& config);
@@ -100,7 +103,7 @@ class UhscmTrainer {
   /// Steps 2-5 of Algorithm 1: similarity construction only. Exposed for
   /// tests, diagnostics, and the concept-mining example.
   struct SimilarityArtifacts {
-    linalg::Matrix q;
+    SimilarityFactor q;  ///< factor of the n_train x n_train Q
     std::vector<std::string> retained_concepts;
   };
   Result<SimilarityArtifacts> BuildSimilarity(

@@ -164,6 +164,12 @@ Dataset MakeDatasetByName(const std::string& name, SemanticWorld* world,
   return {};
 }
 
+int TrainSplitRows(const std::string& name, const SyntheticOptions& options) {
+  if (name != "cifar") return options.sizes.train;
+  const int num_classes = static_cast<int>(Cifar10Classes().size());
+  return options.sizes.train / num_classes * num_classes;
+}
+
 SyntheticOptions DefaultOptionsFor(const std::string& name, double scale) {
   SyntheticOptions options;
   if (name == "cifar") {

@@ -53,6 +53,11 @@ Dataset MakeMirFlickrLike(SemanticWorld* world,
 Dataset MakeDatasetByName(const std::string& name, SemanticWorld* world,
                           const SyntheticOptions& options, Rng* rng);
 
+/// Rows of the train split MakeDatasetByName(name, ..., options, ...)
+/// draws. A single-label dataset draws sizes.train / num_classes images
+/// per class, so its count rounds down to a multiple of the class count.
+int TrainSplitRows(const std::string& name, const SyntheticOptions& options);
+
 /// Default per-dataset options matching DESIGN.md (noise profile per
 /// dataset; sizes from `scale` in (0, +inf), 1.0 = the defaults above).
 SyntheticOptions DefaultOptionsFor(const std::string& name,

@@ -32,7 +32,11 @@ linalg::Matrix Linear::Forward(const linalg::Matrix& input) {
 }
 
 linalg::Matrix Linear::Backward(const linalg::Matrix& grad_output) {
-  // dW += x^T g ; db += colsum(g) ; dx = g W^T.
+  BackwardParameters(grad_output);
+  return linalg::MatMulTransB(grad_output, weight_);
+}
+
+void Linear::BackwardParameters(const linalg::Matrix& grad_output) {
   linalg::Matrix dw = linalg::MatMulTransA(cached_input_, grad_output);
   weight_grad_.Add(dw);
   for (int r = 0; r < grad_output.rows(); ++r) {
@@ -40,7 +44,6 @@ linalg::Matrix Linear::Backward(const linalg::Matrix& grad_output) {
     float* bg = bias_grad_.Row(0);
     for (int c = 0; c < grad_output.cols(); ++c) bg[c] += g[c];
   }
-  return linalg::MatMulTransB(grad_output, weight_);
 }
 
 std::vector<Parameter> Linear::Parameters() {

@@ -20,7 +20,15 @@ class Linear : public Layer {
   Linear(int in_features, int out_features, Rng* rng);
 
   linalg::Matrix Forward(const linalg::Matrix& input) override;
+  /// BackwardParameters(grad_output), then returns dL/d(input) = g W^T.
   linalg::Matrix Backward(const linalg::Matrix& grad_output) override;
+
+  /// The parameter half of Backward: accumulates dW += x^T g and
+  /// db += colsum(g) and skips the input gradient. For a first layer,
+  /// whose input gradient nothing reads. Must follow a Forward() on the
+  /// same batch.
+  void BackwardParameters(const linalg::Matrix& grad_output);
+
   std::vector<Parameter> Parameters() override;
   std::string name() const override;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "core/concept_denoiser.h"
@@ -153,13 +154,27 @@ TEST_F(PipelineFixture, KMeansClusteringMergesConceptColumns) {
       ClusterConceptsKMeans(scores, scores.cols() + 1, &rng).ok());
 }
 
+/// 0, 1, ..., n - 1.
+std::vector<int> Iota(int n) {
+  std::vector<int> rows(static_cast<size_t>(n));
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
+
 TEST_F(PipelineFixture, SimilarityMatrixIsWellFormed) {
   ConceptMiner miner(env_.vlp.get());
   const linalg::Matrix d =
       miner.MineDistributions(env_.dataset.pixels, env_.vocab);
-  const linalg::Matrix q = SimilarityFromDistributions(d);
-  EXPECT_EQ(q.rows(), d.rows());
-  EXPECT_EQ(q.cols(), d.rows());
+  const SimilarityFactor factor = SimilarityFromDistributions(d);
+  // The factor is d with unit rows: n x r, not n x n.
+  ASSERT_EQ(factor.f.rows(), d.rows());
+  ASSERT_EQ(factor.f.cols(), d.cols());
+  for (int i = 0; i < d.rows(); ++i) {
+    EXPECT_NEAR(linalg::Norm2(factor.f.Row(i), d.cols()), 1.0f, 1e-5f);
+  }
+  const linalg::Matrix q = factor.Block(Iota(d.rows()));
+  ASSERT_EQ(q.rows(), d.rows());
+  ASSERT_EQ(q.cols(), d.rows());
   for (int i = 0; i < q.rows(); ++i) {
     EXPECT_FLOAT_EQ(q(i, i), 1.0f);
     for (int j = 0; j < q.cols(); ++j) {
@@ -179,11 +194,11 @@ TEST_F(PipelineFixture, SimilarityReflectsGroundTruth) {
   const DenoiseResult den = DenoiseConcepts(d, env_.vocab);
   const linalg::Matrix d2 =
       miner.MineDistributions(env_.dataset.pixels, den.vocab);
-  const linalg::Matrix q = SimilarityFromDistributions(d2);
+  const int probe = std::min(120, env_.dataset.num_images());
+  const linalg::Matrix q = SimilarityFromDistributions(d2).Block(Iota(probe));
 
   double same = 0.0, cross = 0.0;
   int same_n = 0, cross_n = 0;
-  const int probe = std::min(120, env_.dataset.num_images());
   for (int i = 0; i < probe; ++i) {
     for (int j = i + 1; j < probe; ++j) {
       if (env_.dataset.Relevant(i, j)) {
@@ -201,12 +216,56 @@ TEST_F(PipelineFixture, SimilarityReflectsGroundTruth) {
 }
 
 TEST(AverageSimilarityTest, ElementwiseMean) {
-  linalg::Matrix a(2, 2, 1.0f);
-  linalg::Matrix b(2, 2, 0.0f);
-  linalg::Matrix c(2, 2, 0.5f);
-  const linalg::Matrix avg = AverageSimilarity({a, b, c});
-  for (size_t i = 0; i < avg.size(); ++i) {
-    EXPECT_FLOAT_EQ(avg.data()[i], 0.5f);
+  // Three distribution matrices of different widths (prompts retain
+  // different concept counts); every block of the averaged factor is the
+  // element-wise mean of the three dense SelfCosine matrices.
+  Rng rng(4);
+  std::vector<SimilarityFactor> factors;
+  linalg::Matrix mean(6, 6);
+  for (int cols : {3, 5, 2}) {
+    const linalg::Matrix d = linalg::Matrix::RandomUniform(6, cols, &rng);
+    factors.push_back(SimilarityFromDistributions(d));
+    mean.Add(linalg::SelfCosine(d));
+  }
+  mean.Scale(1.0f / 3.0f);
+  const SimilarityFactor avg = AverageSimilarity(factors);
+  EXPECT_EQ(avg.f.rows(), 6);
+  EXPECT_EQ(avg.f.cols(), 10);
+  const std::vector<int> rows = {4, 0, 5, 2};
+  const linalg::Matrix got = avg.Block(rows);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(got(i, i), 1.0f);
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_NEAR(got(i, j),
+                  mean(rows[static_cast<size_t>(i)],
+                       rows[static_cast<size_t>(j)]),
+                  1e-6f);
+    }
+  }
+}
+
+TEST(SimilarityFactorTest, ZeroRowMatchesSelfCosine) {
+  // A distribution row of zeros stays zero in the factor: cosine 0 with
+  // every other row, 1 with itself — what the dense SelfCosine gives.
+  Rng rng(6);
+  linalg::Matrix d = linalg::Matrix::RandomUniform(40, 7, &rng);
+  std::fill(d.Row(3), d.Row(3) + d.cols(), 0.0f);
+  const SimilarityFactor factor = SimilarityFromDistributions(d);
+  for (int c = 0; c < d.cols(); ++c) EXPECT_EQ(factor.f(3, c), 0.0f);
+  const linalg::Matrix reference = linalg::SelfCosine(d);
+  std::vector<int> rows = Iota(d.rows());
+  rng.Shuffle(&rows);
+  rows.resize(12);
+  if (std::find(rows.begin(), rows.end(), 3) == rows.end()) rows[5] = 3;
+  const linalg::Matrix q = factor.Block(rows);
+  for (int i = 0; i < q.rows(); ++i) {
+    EXPECT_EQ(q(i, i), 1.0f);
+    for (int j = 0; j < q.cols(); ++j) {
+      EXPECT_NEAR(q(i, j),
+                  reference(rows[static_cast<size_t>(i)],
+                            rows[static_cast<size_t>(j)]),
+                  1e-6f);
+    }
   }
 }
 

@@ -268,6 +268,23 @@ TEST(DatasetTest, ByNameFactoryAndDefaults) {
   }
 }
 
+TEST(DatasetTest, TrainSplitRowsMatchesBuiltSplit) {
+  // 37 and 8 are not multiples of CIFAR's 10 classes: the single-label
+  // split rounds down (to 30 and 0), the multi-label ones do not.
+  for (int train : {37, 8}) {
+    for (const char* name : {"cifar", "nuswide", "flickr"}) {
+      SemanticWorld world(21);
+      Rng rng(22);
+      SyntheticOptions options = DefaultOptionsFor(name);
+      options.sizes = {60, train, 10};
+      const Dataset d = MakeDatasetByName(name, &world, options, &rng);
+      EXPECT_EQ(static_cast<int>(d.split.train.size()),
+                TrainSplitRows(name, options))
+          << name << " train=" << train;
+    }
+  }
+}
+
 TEST(DatasetTest, SameSeedSameDataset) {
   SemanticWorld w1(23), w2(23);
   SyntheticOptions options;

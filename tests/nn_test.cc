@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "common/rng.h"
+#include "core/hashing_network.h"
 #include "linalg/ops.h"
 #include "nn/activations.h"
 #include "nn/gradient_check.h"
@@ -125,6 +127,41 @@ TEST_P(MlpGradientCheck, EndToEndGradientsMatchFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, MlpGradientCheck,
                          ::testing::Values(3, 8, 16, 32));
+
+TEST(HashingNetworkTest, BackwardMatchesSequentialBitForBit) {
+  // HashingNetwork::Backward skips only the first layer's input gradient:
+  // every parameter gradient must equal the full Sequential pass's bit for
+  // bit, including when a second batch accumulates onto the first. The
+  // shapes put the products on the packed GEMM.
+  core::HashingNetworkOptions options;
+  options.hidden1 = 128;
+  options.hidden2 = 64;
+  options.bits = 32;
+  Rng init_a(11), init_b(11);
+  core::HashingNetwork skip(96, options, &init_a);
+  core::HashingNetwork full(96, options, &init_b);
+  Rng rng(12);
+  for (int step = 0; step < 2; ++step) {
+    const Matrix x = Matrix::RandomNormal(64, 96, &rng);
+    const Matrix g = Matrix::RandomNormal(64, options.bits, &rng);
+    skip.Forward(x);
+    full.Forward(x);
+    skip.Backward(g);
+    full.model()->Backward(g);
+  }
+  const std::vector<Parameter> a = skip.model()->Parameters();
+  const std::vector<Parameter> b = full.model()->Parameters();
+  ASSERT_EQ(a.size(), 6u);  // three Linears x (W, b)
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a[p].grad->size(), b[p].grad->size());
+    EXPECT_EQ(std::memcmp(a[p].grad->data(), b[p].grad->data(),
+                          a[p].grad->size() * sizeof(float)),
+              0)
+        << "parameter " << p;
+    EXPECT_GT(a[p].grad->FrobeniusNorm(), 0.0f) << "parameter " << p;
+  }
+}
 
 TEST(SgdTest, ConvergesOnLinearRegression) {
   // Fit y = x * w_true with a single Linear layer.

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
+#include "core/concept_denoiser.h"
 #include "core/trainer.h"
 #include "eval/retrieval_eval.h"
+#include "linalg/ops.h"
 #include "test_util.h"
 
 namespace uhscm::core {
@@ -62,8 +67,10 @@ TEST(TrainerTest, TrainProducesWorkingModel) {
     EXPECT_TRUE(codes.data()[i] == 1.0f || codes.data()[i] == -1.0f);
   }
 
-  // Similarity matrix shape and retained concepts populated.
-  EXPECT_EQ(model->similarity.rows(), train_pixels.rows());
+  // Q is held as its n_train x r factor; retained concepts populated.
+  EXPECT_EQ(model->similarity.f.rows(), train_pixels.rows());
+  EXPECT_EQ(model->similarity.f.cols(),
+            static_cast<int>(model->retained_concepts.size()));
   EXPECT_FALSE(model->retained_concepts.empty());
 }
 
@@ -156,7 +163,9 @@ TEST(TrainerTest, BuildSimilarityDenoisedBeatsRawOnCifarLike) {
     auto artifacts =
         trainer.BuildSimilarity(train_pixels, env.vocab, &rng);
     EXPECT_TRUE(artifacts.ok());
-    const linalg::Matrix& q = artifacts->q;
+    std::vector<int> all(env.dataset.split.train.size());
+    std::iota(all.begin(), all.end(), 0);
+    const linalg::Matrix q = artifacts->q.Block(all);
     double sim = 0.0, dis = 0.0;
     int sim_n = 0, dis_n = 0;
     const auto& train_ids = env.dataset.split.train;
@@ -184,6 +193,118 @@ TEST(TrainerTest, BuildSimilarityDenoisedBeatsRawOnCifarLike) {
   EXPECT_GE(denoised, raw - 0.06);
   EXPECT_GT(denoised, features + 0.05);  // concepts beat feature cosine
 }
+
+/// The dense n_train x n_train Q each SimilaritySource built before Q was
+/// held as a factor: SelfCosine of the mined (or feature) rows, shifted
+/// to 0.5 (1 + cos) for image features, and the element-wise mean of the
+/// three prompts' matrices for UHSCM_avg. Mirrors BuildSimilarity's
+/// mining steps and its use of `rng`.
+linalg::Matrix ReferenceDenseQ(const vlp::SimulatedVlpModel* vlp,
+                               const UhscmConfig& config,
+                               const linalg::Matrix& train_pixels,
+                               const data::ConceptVocab& vocab, Rng* rng) {
+  ConceptMinerOptions options;
+  options.tau_multiplier = config.tau_multiplier;
+  options.prompt = config.prompt;
+  auto denoised_cosine = [&](ConceptMinerOptions opt) {
+    const linalg::Matrix d =
+        ConceptMiner(vlp, opt).MineDistributions(train_pixels, vocab);
+    const DenoiseResult denoised = DenoiseConcepts(d, vocab);
+    opt.tau_concepts_override = vocab.size();
+    return linalg::SelfCosine(ConceptMiner(vlp, opt).MineDistributions(
+        train_pixels, denoised.vocab));
+  };
+  const ConceptMiner miner(vlp, options);
+  switch (config.similarity_source) {
+    case SimilaritySource::kDenoisedConcepts:
+      return denoised_cosine(options);
+    case SimilaritySource::kRawConcepts:
+      return linalg::SelfCosine(miner.MineDistributions(train_pixels, vocab));
+    case SimilaritySource::kImageFeatures: {
+      linalg::Matrix q = linalg::SelfCosine(vlp->EncodeImages(train_pixels));
+      for (size_t i = 0; i < q.size(); ++i) {
+        q.data()[i] = 0.5f * (1.0f + q.data()[i]);
+      }
+      return q;
+    }
+    case SimilaritySource::kKMeansClusters: {
+      Result<linalg::Matrix> merged = ClusterConceptsKMeans(
+          miner.ScoreConcepts(train_pixels, vocab), config.kmeans_clusters,
+          rng);
+      EXPECT_TRUE(merged.ok());
+      return linalg::SelfCosine(
+          miner.DistributionsFromScores(merged.ValueOrDie()));
+    }
+    case SimilaritySource::kAveragePrompts: {
+      linalg::Matrix mean(train_pixels.rows(), train_pixels.rows());
+      for (vlp::PromptTemplate tmpl :
+           {vlp::PromptTemplate::kAPhotoOfThe, vlp::PromptTemplate::kThe,
+            vlp::PromptTemplate::kItContainsThe}) {
+        ConceptMinerOptions opt = options;
+        opt.prompt = tmpl;
+        mean.Add(denoised_cosine(opt));
+      }
+      mean.Scale(1.0f / 3.0f);
+      return mean;
+    }
+  }
+  return {};
+}
+
+class FactoredSimilaritySweep
+    : public ::testing::TestWithParam<SimilaritySource> {};
+
+TEST_P(FactoredSimilaritySweep, BlocksMatchDenseReference) {
+  // 310 train rows, so a 301-row batch fits; block sizes straddle the
+  // packed-GEMM threshold (kPackedMinFlops) for every factor width.
+  TinyEnv env = MakeTinyEnv("cifar", 400, 310, 20);
+  const linalg::Matrix train_pixels =
+      env.dataset.pixels.SelectRows(env.dataset.split.train);
+  UhscmConfig config = TinyConfig();
+  config.similarity_source = GetParam();
+  config.kmeans_clusters = 15;
+  Rng build_rng(9);
+  Result<UhscmTrainer::SimilarityArtifacts> artifacts =
+      UhscmTrainer(env.vlp.get(), config)
+          .BuildSimilarity(train_pixels, env.vocab, &build_rng);
+  ASSERT_TRUE(artifacts.ok()) << artifacts.status().ToString();
+  const SimilarityFactor& factor = artifacts->q;
+  ASSERT_EQ(factor.f.rows(), train_pixels.rows());
+
+  Rng reference_rng(9);
+  const linalg::Matrix reference = ReferenceDenseQ(
+      env.vlp.get(), config, train_pixels, env.vocab, &reference_rng);
+
+  Rng shuffle_rng(10);
+  std::vector<int> order(static_cast<size_t>(train_pixels.rows()));
+  std::iota(order.begin(), order.end(), 0);
+  for (int t : {2, 5, 64, 128, 301}) {
+    shuffle_rng.Shuffle(&order);
+    const std::vector<int> rows(order.begin(), order.begin() + t);
+    const linalg::Matrix q = factor.Block(rows);
+    ASSERT_EQ(q.rows(), t);
+    ASSERT_EQ(q.cols(), t);
+    float worst = 0.0f;
+    for (int i = 0; i < t; ++i) {
+      EXPECT_EQ(q(i, i), 1.0f) << "t=" << t << " i=" << i;
+      for (int j = 0; j < t; ++j) {
+        const float diff =
+            std::fabs(q(i, j) - reference(rows[static_cast<size_t>(i)],
+                                          rows[static_cast<size_t>(j)]));
+        if (!(diff <= worst)) worst = diff;  // a NaN sticks
+      }
+    }
+    EXPECT_LE(worst, 1e-6f) << "t=" << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sources, FactoredSimilaritySweep,
+    ::testing::Values(SimilaritySource::kDenoisedConcepts,
+                      SimilaritySource::kRawConcepts,
+                      SimilaritySource::kImageFeatures,
+                      SimilaritySource::kKMeansClusters,
+                      SimilaritySource::kAveragePrompts));
 
 }  // namespace
 }  // namespace uhscm::core

@@ -7,8 +7,11 @@
 //          --model=PATH --codes=PATH
 //       Builds the synthetic corpus, trains UHSCM, writes the hashing
 //       network and the packed database codes. An unknown --dataset, a
-//       --bits that is not an integer >= 1, or a --scale that is not a
-//       finite number > 0 is a usage error for every subcommand.
+//       --bits that is not an integer >= 1, a --seed that is not an
+//       integer >= 0, or a --scale that is not a finite number > 0 or
+//       that leaves any split of the corpus with fewer than 2 rows is a
+//       usage error for every subcommand. So is any numeric flag below
+//       that is not a whole decimal number inside its range.
 //   info   --file=PATH
 //       Prints what an artifact file contains.
 //   eval   --dataset=... --bits=K --seed=N --scale=F --model=PATH
@@ -70,6 +73,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -81,6 +86,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -220,7 +226,61 @@ bool ParseIdList(const std::string& spec, std::vector<int>* ids) {
   return !ids->empty();
 }
 
+/// Parses all of `text` as a number in [lo, hi]: base-10 for an integral
+/// T, a finite decimal for a floating T. Leading whitespace, trailing
+/// characters, overflow and out-of-range values print why and return
+/// false instead of reading as some other number (atoi's 0, or "-1"
+/// wrapping to 2^64 - 1).
+template <typename T>
+bool ParseNumber(const char* flag, const char* text, T lo, T hi, T* out) {
+  char* end = nullptr;
+  errno = 0;
+  bool ok = text[0] != '\0' &&
+            !std::isspace(static_cast<unsigned char>(text[0]));
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    const long long v = std::strtoll(text, &end, 10);
+    ok = ok && errno == 0 && v >= lo && v <= hi;
+    value = static_cast<T>(v);
+  } else {
+    value = std::strtod(text, &end);
+    ok = ok && std::isfinite(value) && value >= lo && value <= hi;
+  }
+  if (!ok || *end != '\0') {
+    auto show = [](T v) {
+      if constexpr (std::is_integral_v<T>) {
+        return std::to_string(v);
+      } else {
+        return StrFormat("%g", v);
+      }
+    };
+    std::fprintf(stderr, "%s must be %s in [%s, %s], got %s\n", flag,
+                 std::is_integral_v<T> ? "an integer" : "a number",
+                 show(lo).c_str(), show(hi).c_str(), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// The corpus MakeEnv builds for (dataset, scale).
+data::SyntheticOptions CorpusOptions(const Flags& flags) {
+  data::SyntheticOptions options = data::DefaultOptionsFor(flags.dataset);
+  options.sizes.database =
+      static_cast<int>(options.sizes.database * 0.25 * flags.scale);
+  options.sizes.train =
+      static_cast<int>(options.sizes.train * 0.4 * flags.scale);
+  options.sizes.query =
+      static_cast<int>(options.sizes.query * 0.3 * flags.scale);
+  return options;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  // A numeric value outside its range is a typo, not a request for the
+  // default or for "off": --k=-5 must not silently drop the top-k join,
+  // and --shards=0 must not silently serve from one shard.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (StartsWith(arg, "--dataset=")) {
@@ -243,7 +303,12 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       flags->bits = static_cast<int>(bits);
     } else if (StartsWith(arg, "--seed=")) {
-      flags->seed = static_cast<uint64_t>(std::atoll(arg.c_str() + 7));
+      int64_t seed = 0;
+      if (!ParseNumber("--seed", arg.c_str() + 7, int64_t{0}, kInt64Max,
+                       &seed)) {
+        return false;
+      }
+      flags->seed = static_cast<uint64_t>(seed);
     } else if (StartsWith(arg, "--scale=")) {
       char* end = nullptr;
       flags->scale = std::strtod(arg.c_str() + 8, &end);
@@ -260,11 +325,20 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (StartsWith(arg, "--file=")) {
       flags->file = arg.substr(7);
     } else if (StartsWith(arg, "--topk=")) {
-      flags->topk = std::atoi(arg.c_str() + 7);
+      if (!ParseNumber("--topk", arg.c_str() + 7, 1, kIntMax,
+                       &flags->topk)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--k=")) {
-      flags->join_k = std::atoi(arg.c_str() + 4);
+      if (!ParseNumber("--k", arg.c_str() + 4, 0, kIntMax,
+                       &flags->join_k)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--radius=")) {
-      flags->radius = std::atoi(arg.c_str() + 9);
+      if (!ParseNumber("--radius", arg.c_str() + 9, 0, kIntMax,
+                       &flags->radius)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--link=")) {
       flags->link = arg.substr(7);
       if (flags->link != "radius" && flags->link != "best") {
@@ -273,21 +347,42 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (StartsWith(arg, "--tile=")) {
-      flags->tile = std::atoi(arg.c_str() + 7);
+      if (!ParseNumber("--tile", arg.c_str() + 7, 0, kIntMax,
+                       &flags->tile)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--json-out=")) {
       flags->json_out = arg.substr(11);
     } else if (StartsWith(arg, "--queries=")) {
-      flags->queries = std::atoi(arg.c_str() + 10);
+      if (!ParseNumber("--queries", arg.c_str() + 10, 1, kIntMax,
+                       &flags->queries)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--shards=")) {
-      flags->shards = std::atoi(arg.c_str() + 9);
+      if (!ParseNumber("--shards", arg.c_str() + 9, 1, kIntMax,
+                       &flags->shards)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--threads=")) {
-      flags->threads = std::atoi(arg.c_str() + 10);
+      if (!ParseNumber("--threads", arg.c_str() + 10, 0, kIntMax,
+                       &flags->threads)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--replicas=")) {
-      flags->replicas = std::atoi(arg.c_str() + 11);
+      if (!ParseNumber("--replicas", arg.c_str() + 11, 1, kIntMax,
+                       &flags->replicas)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--batch-max=")) {
-      flags->batch_max = std::atoi(arg.c_str() + 12);
+      if (!ParseNumber("--batch-max", arg.c_str() + 12, 1, kIntMax,
+                       &flags->batch_max)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--batch-timeout-us=")) {
-      flags->batch_timeout_us = std::atoll(arg.c_str() + 19);
+      if (!ParseNumber("--batch-timeout-us", arg.c_str() + 19, int64_t{1},
+                       kInt64Max, &flags->batch_timeout_us)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--route=")) {
       flags->route = arg.substr(8);
     } else if (StartsWith(arg, "--append=")) {
@@ -321,15 +416,20 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       // Accepts "1/N" (the documented form) or bare "N".
       const char* value = arg.c_str() + 15;
       if (value[0] == '1' && value[1] == '/') value += 2;
-      flags->trace_sample = std::atoi(value);
-      if (flags->trace_sample < 0) {
-        std::fprintf(stderr, "--trace-sample must be 1/N with N >= 1\n");
+      if (!ParseNumber("--trace-sample", value, 0, kIntMax,
+                       &flags->trace_sample)) {
         return false;
       }
     } else if (StartsWith(arg, "--report-interval-ms=")) {
-      flags->report_interval_ms = std::atoll(arg.c_str() + 21);
+      if (!ParseNumber("--report-interval-ms", arg.c_str() + 21,
+                       int64_t{0}, kInt64Max, &flags->report_interval_ms)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--slow-query-ms=")) {
-      flags->slow_query_ms = std::atof(arg.c_str() + 16);
+      if (!ParseNumber("--slow-query-ms", arg.c_str() + 16, 0.0, HUGE_VAL,
+                       &flags->slow_query_ms)) {
+        return false;
+      }
     } else if (StartsWith(arg, "--deadline-ms=")) {
       char* end = nullptr;
       flags->deadline_ms = std::strtod(arg.c_str() + 14, &end);
@@ -342,12 +442,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (StartsWith(arg, "--retries=")) {
-      flags->retries = std::atoi(arg.c_str() + 10);
-      if (flags->retries < 1) {
-        std::fprintf(stderr,
-                     "--retries must be >= 1 (total dispatch attempts per "
-                     "batch; 1 disables retries), got %s\n",
-                     arg.c_str() + 10);
+      // Total dispatch attempts per batch; 1 disables retries.
+      if (!ParseNumber("--retries", arg.c_str() + 10, 1, kIntMax,
+                       &flags->retries)) {
         return false;
       }
     } else if (StartsWith(arg, "--hedge-budget=")) {
@@ -365,12 +462,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (StartsWith(arg, "--hedge-delay-us=")) {
-      flags->hedge_delay_us = std::atoll(arg.c_str() + 17);
-      if (flags->hedge_delay_us < 0) {
-        std::fprintf(stderr,
-                     "--hedge-delay-us must be >= 0 (0 = auto, the live "
-                     "search p99), got %s\n",
-                     arg.c_str() + 17);
+      // 0 = auto, the live search p99.
+      if (!ParseNumber("--hedge-delay-us", arg.c_str() + 17, int64_t{0},
+                       kInt64Max, &flags->hedge_delay_us)) {
         return false;
       }
     } else if (arg == "--supervise") {
@@ -379,6 +473,19 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
     }
+  }
+  // A scale that empties a split would only fail later, inside training
+  // or evaluation.
+  const data::SyntheticOptions corpus = CorpusOptions(*flags);
+  const int smallest =
+      std::min({corpus.sizes.database, corpus.sizes.query,
+                data::TrainSplitRows(flags->dataset, corpus)});
+  if (smallest < 2) {
+    std::fprintf(stderr,
+                 "--scale=%g leaves a %s split with %d rows; every split "
+                 "needs at least 2\n",
+                 flags->scale, flags->dataset.c_str(), smallest);
+    return false;
   }
   return true;
 }
@@ -394,16 +501,9 @@ struct Env {
 Env MakeEnv(const Flags& flags) {
   Env env;
   env.world = std::make_unique<data::SemanticWorld>(flags.seed);
-  data::SyntheticOptions options = data::DefaultOptionsFor(flags.dataset);
-  options.sizes.database =
-      static_cast<int>(options.sizes.database * 0.25 * flags.scale);
-  options.sizes.train =
-      static_cast<int>(options.sizes.train * 0.4 * flags.scale);
-  options.sizes.query =
-      static_cast<int>(options.sizes.query * 0.3 * flags.scale);
   Rng rng(flags.seed + 17);
   env.dataset = data::MakeDatasetByName(flags.dataset, env.world.get(),
-                                        options, &rng);
+                                        CorpusOptions(flags), &rng);
   env.vocab = data::MakeNusVocab(env.world.get());
   env.vlp = std::make_unique<vlp::SimulatedVlpModel>(env.world.get());
   return env;
@@ -571,17 +671,6 @@ int CmdDedup(const Flags& flags) {
     std::fprintf(stderr, "dedup: --codes=PATH is required\n");
     return 2;
   }
-  // A negative value is a typo, not "off": --k=-5 must not silently drop
-  // the top-k join, and the engine must never see a negative size.
-  for (const auto& [name, value] :
-       {std::pair<const char*, int>{"--k", flags.join_k},
-        {"--tile", flags.tile},
-        {"--threads", flags.threads}}) {
-    if (value < 0) {
-      std::fprintf(stderr, "dedup: %s must be >= 0, got %d\n", name, value);
-      return 2;
-    }
-  }
   if (flags.join_k <= 0 && flags.radius < 0) {
     std::fprintf(stderr,
                  "dedup: at least one of --k=K (top-k join) or --radius=R "
@@ -720,27 +809,6 @@ int CmdServe(const Flags& flags) {
   if (flags.codes.empty()) {
     std::fprintf(stderr, "serve: --codes=PATH is required\n");
     return 2;
-  }
-  // A size below its minimum is a typo, not a request for the default:
-  // --shards=0 must not silently serve from one shard. (--threads=0
-  // means one thread per hardware thread.)
-  struct SizeFlag {
-    const char* name;
-    int64_t value;
-    int64_t min;
-  };
-  for (const SizeFlag& size :
-       {SizeFlag{"--shards", flags.shards, 1},
-        SizeFlag{"--replicas", flags.replicas, 1},
-        SizeFlag{"--batch-max", flags.batch_max, 1},
-        SizeFlag{"--batch-timeout-us", flags.batch_timeout_us, 1},
-        SizeFlag{"--threads", flags.threads, 0}}) {
-    if (size.value < size.min) {
-      std::fprintf(stderr, "serve: %s must be >= %lld, got %lld\n",
-                   size.name, static_cast<long long>(size.min),
-                   static_cast<long long>(size.value));
-      return 2;
-    }
   }
   serve::RoutePolicy route_policy;
   if (!serve::ParseRoutePolicy(flags.route, &route_policy)) {
