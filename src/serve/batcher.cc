@@ -35,38 +35,26 @@ void CloseRequestSpans(const std::vector<PendingRequest>& requests,
 /// One dispatched per-k group. `queries`, `k`, `trace`, `requests`, and
 /// `queue_waits` are written once by the flush thread before the first
 /// dispatch and read-only afterwards; the resolution state below `mu` is
-/// what the primary callback, retry re-dispatches, the hedge timer, and
-/// the hedge callback race over.
+/// what the primary callback, the hedge timer, and the hedge callback
+/// race over.
 struct Batcher::GroupState {
   index::PackedCodes queries;
   int k = 0;
   obs::TraceContext trace;
   std::vector<PendingRequest> requests;
   std::vector<double> queue_waits;
-  /// Earliest member deadline — retries must finish before it.
-  std::chrono::steady_clock::time_point min_deadline =
-      std::chrono::steady_clock::time_point::max();
-  bool has_deadline = false;
 
   /// One class for every group's lock; two groups' locks are never held
-  /// together, and only the jitter lock nests beneath this one.
+  /// together.
   Mutex mu{"batcher.group", 24};
-  /// A completion won (promises set) or the final failure was recorded.
+  /// A completion won (promises set).
   bool resolved UHSCM_GUARDED_BY(mu) = false;
   /// Dispatch attempts (primary + hedge) whose callback hasn't returned.
   int outstanding UHSCM_GUARDED_BY(mu) = 0;
-  /// Primary dispatch attempts made so far.
-  int attempts UHSCM_GUARDED_BY(mu) = 0;
-  /// Hedge already issued (or the hedge slot consumed) — at most one.
+  /// Hedge already issued — at most one.
   bool hedged UHSCM_GUARDED_BY(mu) = false;
-  /// Cleared when routing found every replica dead: retrying cannot
-  /// help until a respawn lands, so the group fails immediately.
-  bool retryable UHSCM_GUARDED_BY(mu) = true;
-  /// The replica the latest primary attempt landed on — the hedge
-  /// excludes it.
-  int last_replica UHSCM_GUARDED_BY(mu) = -1;
-  /// The group's inflight slot was released (exactly once).
-  bool settled UHSCM_GUARDED_BY(mu) = false;
+  /// The replica the primary attempt landed on — the hedge excludes it.
+  int primary_replica UHSCM_GUARDED_BY(mu) = -1;
 };
 
 Batcher::Batcher(Router* router, const BatcherOptions& options)
@@ -83,12 +71,9 @@ Batcher::Batcher(Router* router, const BatcherOptions& options)
                  ? options.queue_capacity
                  : static_cast<size_t>(std::max(1, options.max_batch)) * 8 *
                        static_cast<size_t>(
-                           router->replicas()->num_replicas())),
-      jitter_rng_(options.jitter_seed) {
+                           router->replicas()->num_replicas())) {
   options_.max_batch = std::max(1, options_.max_batch);
   options_.timeout_us = std::max<int64_t>(1, options_.timeout_us);
-  options_.max_attempts = std::max(1, options_.max_attempts);
-  options_.retry_backoff_us = std::max<int64_t>(0, options_.retry_backoff_us);
   options_.hedge_budget = std::clamp(options_.hedge_budget, 0.0, 1.0);
   options_.hedge_delay_us = std::max<int64_t>(0, options_.hedge_delay_us);
   flush_thread_ = std::thread([this] { FlushLoop(); });
@@ -223,11 +208,6 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
         state->queue_waits.push_back(std::chrono::duration<double>(
                                          flush_time - live[i].admit_time)
                                          .count());
-        if (live[i].has_deadline()) {
-          state->has_deadline = true;
-          state->min_deadline = std::min(state->min_deadline,
-                                         live[i].deadline);
-        }
         state->requests.push_back(std::move(live[i]));
       }
       state->queries = index::PackedCodes::FromRawWords(
@@ -242,9 +222,9 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
       // front door, and the router always sees genuine (bounded)
       // per-replica load. The wait is part of the route span: time spent
       // here is time spent finding a replica with capacity. The slot is
-      // held until the group *settles* (wins, finally fails, and every
-      // retry/hedge callback has returned), so retries and hedges ride
-      // the original slot instead of multiplying inflight work.
+      // held until the group *settles* (every callback, the hedge's
+      // included, has returned), so a hedge rides the original slot
+      // instead of multiplying inflight work.
       UniqueLock lock(inflight_mu_);
       while (inflight_batches_.load(std::memory_order_relaxed) >=
              max_inflight_batches_) {
@@ -253,96 +233,49 @@ void Batcher::FlushBatch(std::vector<PendingRequest> batch, bool by_timeout) {
       inflight_batches_.fetch_add(1, std::memory_order_relaxed);
     }
     groups_dispatched_.fetch_add(1, std::memory_order_relaxed);
-    state->attempts = 1;
-    state->outstanding = 1;
-    DispatchGroup(state, /*is_hedge=*/false);
+    const int r = router_->Route();
+    {
+      MutexLock lock(state->mu);
+      state->outstanding = 1;
+      state->primary_replica = r;
+    }
+    DispatchGroup(state, r, /*is_hedge=*/false);
     if (hedging) ScheduleHedge(state);
   }
 }
 
-void Batcher::DispatchGroup(const std::shared_ptr<GroupState>& group,
+void Batcher::DispatchGroup(const std::shared_ptr<GroupState>& group, int r,
                             bool is_hedge) {
-  const int r = router_->Route();
-  if (r < 0) {
-    // Every replica is dead: nothing a retry could route to until a
-    // respawn lands, so the group fails immediately (the ISSUE's
-    // all-dead fast-fail) instead of burning backoff on a lost cause.
-    {
-      MutexLock lock(group->mu);
-      group->retryable = false;
-    }
-    OnGroupCompletion(
-        group, is_hedge,
-        Status::Unavailable("no live replica — every replica is dead"), {});
-    return;
-  }
-  {
-    MutexLock lock(group->mu);
-    group->last_replica = r;
-  }
-  QueryEngine* engine = router_->replicas()->replica(r);
   std::shared_ptr<GroupState> self = group;
-  engine->SubmitBatch(
+  router_->replicas()->replica(r)->SubmitBatch(
       index::PackedCodes(group->queries), group->k, group->trace,
-      [this, self, is_hedge](
-          Status status, std::vector<std::vector<index::Neighbor>> results) {
-        OnGroupCompletion(self, is_hedge, std::move(status),
-                          std::move(results));
+      [this, self,
+       is_hedge](std::vector<std::vector<index::Neighbor>> results) {
+        OnGroupCompletion(self, is_hedge, std::move(results));
       });
 }
 
 void Batcher::OnGroupCompletion(
-    const std::shared_ptr<GroupState>& group, bool is_hedge, Status status,
+    const std::shared_ptr<GroupState>& group, bool is_hedge,
     std::vector<std::vector<index::Neighbor>> results) {
-  enum class Action { kNone, kWin, kFail, kRetry };
-  Action action = Action::kNone;
+  bool win = false;
   bool settle = false;
-  std::chrono::microseconds backoff{0};
   {
     MutexLock lock(group->mu);
     group->outstanding -= 1;
-    if (status.ok()) {
-      // First successful completion wins; a later one (the hedge's
-      // loser — byte-identical results anyway) is discarded here.
-      if (!group->resolved) {
-        group->resolved = true;
-        action = Action::kWin;
-      }
-    } else if (!group->resolved && group->outstanding == 0) {
-      // The last in-flight attempt failed. Retry on a surviving replica
-      // unless attempts are exhausted, routing already proved every
-      // replica dead, or the backoff would overrun the group's earliest
-      // deadline — a retry that cannot finish in time only wastes a
-      // replica.
-      bool can_retry =
-          group->retryable && group->attempts < options_.max_attempts;
-      if (can_retry) {
-        backoff = RetryBackoff(group->attempts);
-        if (group->has_deadline &&
-            std::chrono::steady_clock::now() + backoff >=
-                group->min_deadline) {
-          can_retry = false;
-        }
-      }
-      if (can_retry) {
-        group->attempts += 1;
-        group->outstanding += 1;
-        action = Action::kRetry;
-      } else {
-        group->resolved = true;
-        action = Action::kFail;
-      }
-    }
-    // The group settles — releases its inflight slot, exactly once —
-    // when it is resolved and the last outstanding callback has
-    // returned.
-    settle = group->resolved && group->outstanding == 0 && !group->settled;
-    if (settle) group->settled = true;
+    // First completion wins; a later one (the hedge's loser —
+    // byte-identical results anyway) is discarded here.
+    win = !group->resolved;
+    group->resolved = true;
+    // The group settles — releases its inflight slot — when the last
+    // outstanding callback has returned. A resolved group never hedges,
+    // so outstanding reaches zero exactly once.
+    settle = group->outstanding == 0;
   }
 
   // Counters are recorded *before* the promises resolve: a client woken
   // by its future must already see its outcome reflected in stats().
-  if (action == Action::kWin) {
+  if (win) {
     const auto now = std::chrono::steady_clock::now();
     CloseRequestSpans(group->requests, now);
     if (is_hedge) pipeline_stats_.RecordHedgeWin();
@@ -354,23 +287,6 @@ void Batcher::OnGroupCompletion(
       request.promise.set_value(
           SearchResponse{Status::OK(), std::move(results[i])});
     }
-  } else if (action == Action::kFail) {
-    // Every member's future resolves with the failure status — never
-    // dropped — and the rejection is counted.
-    CloseRequestSpans(group->requests, std::chrono::steady_clock::now());
-    pipeline_stats_.RecordRejected(static_cast<int>(group->requests.size()));
-    for (PendingRequest& request : group->requests) {
-      request.promise.set_value(SearchResponse{status, {}});
-    }
-  } else if (action == Action::kRetry) {
-    pipeline_stats_.RecordRetry();
-    // The backoff runs on whichever thread delivered the failure (the
-    // flush thread for an inline dead-engine rejection, the dead
-    // engine's dispatch thread for a mid-stream kill) — bounded by
-    // max_attempts doublings of a sub-millisecond base, so it cannot
-    // stall shutdown.
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    DispatchGroup(group, /*is_hedge=*/false);
   }
 
   if (settle) {
@@ -381,19 +297,6 @@ void Batcher::OnGroupCompletion(
     // reacquire inflight_mu_ and return.
     inflight_cv_.notify_all();
   }
-}
-
-std::chrono::microseconds Batcher::RetryBackoff(int attempt) {
-  const double base =
-      static_cast<double>(options_.retry_backoff_us) *
-      static_cast<double>(int64_t{1} << std::min(std::max(attempt - 1, 0), 10));
-  double jitter;
-  {
-    MutexLock lock(jitter_mu_);
-    jitter = jitter_rng_.Uniform(0.5, 1.5);
-  }
-  return std::chrono::microseconds(
-      static_cast<int64_t>(std::max(0.0, base * jitter)));
 }
 
 std::chrono::nanoseconds Batcher::HedgeDelay() {
@@ -430,10 +333,10 @@ void Batcher::ScheduleHedge(const std::shared_ptr<GroupState>& group) {
 
 void Batcher::FireHedge(const std::shared_ptr<GroupState>& group) {
   ReplicaSet* replicas = router_->replicas();
-  QueryEngine* engine = nullptr;
+  int pick = -1;
   {
     MutexLock lock(group->mu);
-    if (group->resolved || group->hedged || group->outstanding == 0) return;
+    if (group->resolved || group->hedged) return;
     // The budget bounds *issued* hedges against dispatched groups, so
     // fast traffic (whose timers expire unresolved-never) consumes none
     // of it and a straggler burst cannot duplicate more than the
@@ -443,34 +346,23 @@ void Batcher::FireHedge(const std::shared_ptr<GroupState>& group) {
     const auto issued = static_cast<double>(
         hedges_issued_.load(std::memory_order_relaxed));
     if (issued + 1.0 > options_.hedge_budget * dispatched) return;
-    // The hedge must land somewhere else: a live replica other than the
-    // one the primary attempt is stuck on, least-loaded among them.
-    int pick = -1;
+    // The hedge must land somewhere else: the least-loaded replica other
+    // than the one the primary attempt is stuck on.
     int64_t best = 0;
     for (int r = 0; r < replicas->num_replicas(); ++r) {
-      if (r == group->last_replica) continue;
-      if (replicas->replica(r)->killed()) continue;
+      if (r == group->primary_replica) continue;
       const int64_t load = replicas->Inflight(r);
       if (pick < 0 || load < best) {
         best = load;
         pick = r;
       }
     }
-    if (pick < 0) return;
     group->hedged = true;
     group->outstanding += 1;
-    engine = replicas->replica(pick);
   }
   hedges_issued_.fetch_add(1, std::memory_order_relaxed);
   pipeline_stats_.RecordHedge();
-  std::shared_ptr<GroupState> self = group;
-  engine->SubmitBatch(
-      index::PackedCodes(group->queries), group->k, group->trace,
-      [this, self](Status status,
-                   std::vector<std::vector<index::Neighbor>> results) {
-        OnGroupCompletion(self, /*is_hedge=*/true, std::move(status),
-                          std::move(results));
-      });
+  DispatchGroup(group, pick, /*is_hedge=*/true);
 }
 
 void Batcher::HedgeLoop() {
@@ -511,8 +403,8 @@ void Batcher::Drain() {
   // dispatched with real results), then fail whatever never made it out
   // of the queue, drop not-yet-fired hedges (the timer thread joins so
   // no new submission can start), and finally wait for every dispatched
-  // group — retries and in-flight hedges included — to settle so no
-  // engine callback can touch this batcher after Drain.
+  // group — in-flight hedges included — to settle so no engine callback
+  // can touch this batcher after Drain.
   queue_.Close();
   if (flush_thread_.joinable()) flush_thread_.join();
   const int failed = queue_.FailPending(

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/annotated_sync.h"
-#include "common/rng.h"
 #include "serve/request_queue.h"
 #include "serve/router.h"
 #include "serve/serve_stats.h"
@@ -40,24 +39,12 @@ struct BatcherOptions {
   /// overload.
   int max_inflight_batches = 0;
 
-  /// Total dispatch attempts per batch (1 = no retries). A batch whose
-  /// replica completes it with Unavailable — a kill landed mid-stream,
-  /// or the engine was already dead when the router's view went stale —
-  /// is re-routed to a surviving replica after a jittered exponential
-  /// backoff, up to this many attempts. Replicas are byte-identical, so
-  /// a retried batch returns exactly what the first attempt would have.
-  int max_attempts = 3;
-  /// Base backoff before attempt 2; doubles per attempt, ±50% jitter
-  /// (seeded — see jitter_seed). Kept small: the failure mode is a dead
-  /// replica, not an overloaded one, so there is nothing to wait out.
-  int64_t retry_backoff_us = 100;
-
   /// Hedging: fraction of dispatched batches allowed a duplicate
   /// dispatch (0 = off, clamped to [0,1]). A batch still in flight when
-  /// the hedge delay elapses is re-submitted to a *different* live
-  /// replica; the first completion wins, the loser's results are
-  /// discarded. Caps tail latency when one replica stalls, at a bounded
-  /// duplicate-work cost.
+  /// the hedge delay elapses is re-submitted to a *different* replica;
+  /// the first completion wins, the loser's results are discarded. Caps
+  /// tail latency when one replica stalls, at a bounded duplicate-work
+  /// cost.
   double hedge_budget = 0.0;
   /// When to hedge, microseconds after dispatch. 0 = auto: the live p99
   /// of the engines' stage.search_ns histogram (falls back to the
@@ -65,10 +52,6 @@ struct BatcherOptions {
   /// empty) — "slower than the 99th percentile search" is the signal
   /// that this batch landed on a straggler.
   int64_t hedge_delay_us = 0;
-
-  /// Seed for the retry-jitter draws, so a test's retry schedule is
-  /// reproducible.
-  uint64_t jitter_seed = 2023;
 };
 
 /// \brief The adaptive-batching stage of the async pipeline: one flush
@@ -76,7 +59,7 @@ struct BatcherOptions {
 /// engine-shaped batches and routes each to a replica.
 ///
 ///   clients --Submit--> RequestQueue --CollectBatch(B,T)--> Batcher
-///       --group by k, pack--> Router::Pick() --SubmitBatch--> replica
+///       --group by k, pack--> Router::Route() --SubmitBatch--> replica
 ///
 /// Submit is the whole client API: hand over one packed query, get a
 /// future. The flush thread collects up to B requests (or T µs), packs
@@ -87,17 +70,12 @@ struct BatcherOptions {
 /// calling QueryEngine::Search yourself: same corpus, same epoch, same
 /// (distance, id) lists.
 ///
-/// **Failure semantics.** A request may carry an absolute deadline; at
-/// flush time overdue requests resolve kDeadlineExceeded without
-/// touching a replica. A dispatched batch that comes back Unavailable
-/// (its replica was killed) is retried on a surviving replica with
-/// jittered exponential backoff — bounded attempts, never past the
-/// batch's earliest deadline. When *every* replica is dead the batch
-/// fails immediately with Unavailable (no retries — there is nothing to
-/// route to until a respawn lands). With a hedge budget set, a batch
-/// still unresolved after the hedge delay is duplicated onto a second
-/// replica, first completion wins. Every path resolves every future
-/// exactly once; retries and hedges never double-complete a promise.
+/// **Deadlines and hedging.** A request may carry an absolute deadline;
+/// at flush time overdue requests resolve kDeadlineExceeded without
+/// touching a replica. With a hedge budget set, a batch still unresolved
+/// after the hedge delay is duplicated onto a second replica, first
+/// completion wins. Every path resolves every future exactly once; a
+/// hedge never double-completes a promise.
 ///
 /// Shutdown: Drain() (also run by the destructor) closes the queue so
 /// new Submits are rejected with an Unavailable status, lets the flush
@@ -121,8 +99,8 @@ class Batcher {
   /// mismatches resolve immediately with InvalidArgument). Blocks while
   /// the admission queue is full — backpressure, not queue growth.
   /// `deadline` (absolute; time_point::max() = none) is enforced at
-  /// flush and retry time: an overdue request resolves
-  /// kDeadlineExceeded instead of occupying a replica.
+  /// flush time: an overdue request resolves kDeadlineExceeded instead
+  /// of occupying a replica.
   std::future<SearchResponse> Submit(
       const uint64_t* words, int num_words, int k,
       std::chrono::steady_clock::time_point deadline =
@@ -139,7 +117,7 @@ class Batcher {
   void Drain();
 
   /// Pipeline counters + current queue depth, merged with the replica
-  /// set's aggregated engine counters (cache, updates, epoch, health).
+  /// set's aggregated engine counters (cache, updates, epoch).
   ServeStatsSnapshot stats() const;
 
   /// Zeroes the pipeline counters and every replica's engine stats.
@@ -150,37 +128,33 @@ class Batcher {
 
  private:
   /// One dispatched per-k group: the packed batch plus the resolution
-  /// state machine that retries, hedging, and completion race over.
-  /// Shared by the flush thread, engine callbacks, and the hedge timer;
-  /// defined in the .cc.
+  /// state that hedging and completion race over. Shared by the flush
+  /// thread, engine callbacks, and the hedge timer; defined in the .cc.
   struct GroupState;
 
   void FlushLoop();
   /// Packs one collected batch, expires overdue requests, and
   /// dispatches per-k groups (plus their hedges).
   void FlushBatch(std::vector<PendingRequest> batch, bool by_timeout);
-  /// Routes and submits one attempt of the group (the caller has
-  /// already counted it in group->outstanding). With every replica dead,
-  /// fails the group immediately.
-  void DispatchGroup(const std::shared_ptr<GroupState>& group, bool is_hedge);
-  /// The single resolution point: first OK completion wins, an
-  /// Unavailable completion retries or finally fails, and the group
-  /// settles (releases its inflight slot) when the last outstanding
-  /// attempt has called back.
+  /// Submits the group to replica `r` (the caller has already counted
+  /// the attempt in group->outstanding).
+  void DispatchGroup(const std::shared_ptr<GroupState>& group, int r,
+                     bool is_hedge);
+  /// The single resolution point: the first completion wins, and the
+  /// group settles (releases its inflight slot) when the last
+  /// outstanding attempt has called back.
   void OnGroupCompletion(const std::shared_ptr<GroupState>& group,
-                         bool is_hedge, Status status,
+                         bool is_hedge,
                          std::vector<std::vector<index::Neighbor>> results);
   /// Queues the group on the hedge timer (weak — a resolved group just
   /// expires).
   void ScheduleHedge(const std::shared_ptr<GroupState>& group);
-  /// Issues the hedge attempt if the group is still unresolved, a
-  /// distinct live replica exists, and the budget allows.
+  /// Issues the hedge attempt if the group is still unresolved and the
+  /// budget allows.
   void FireHedge(const std::shared_ptr<GroupState>& group);
   void HedgeLoop();
   /// Resolves the configured (or auto, p99-derived) hedge delay.
   std::chrono::nanoseconds HedgeDelay();
-  /// Jittered exponential backoff before retry attempt `attempt`+1.
-  std::chrono::microseconds RetryBackoff(int attempt);
 
   Router* router_;
   BatcherOptions options_;
@@ -224,9 +198,6 @@ class Batcher {
       hedge_queue_ UHSCM_GUARDED_BY(hedge_mu_);
   bool hedge_stop_ UHSCM_GUARDED_BY(hedge_mu_) = false;
   std::thread hedge_thread_;
-
-  Mutex jitter_mu_{"batcher.jitter", 22};
-  Rng jitter_rng_ UHSCM_GUARDED_BY(jitter_mu_);
 };
 
 }  // namespace uhscm::serve

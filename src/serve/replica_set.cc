@@ -1,13 +1,10 @@
 #include "serve/replica_set.h"
 
 #include <algorithm>
-#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "common/status.h"
-#include "common/stopwatch.h"
-#include "obs/metrics.h"
-#include "serve/fault.h"
 
 namespace uhscm::serve {
 
@@ -24,100 +21,41 @@ ServingSnapshotOptions PerReplicaOptions(const ReplicaSetOptions& options,
   return serving;
 }
 
-}  // namespace
-
-const char* ReplicaHealthName(ReplicaHealth health) {
-  switch (health) {
-    case ReplicaHealth::kHealthy:
-      return "healthy";
-    case ReplicaHealth::kDegraded:
-      return "degraded";
-    case ReplicaHealth::kDead:
-      return "dead";
-  }
-  return "unknown";
+/// A bare corpus as a snapshot: epoch 0, nothing tombstoned — hydrating
+/// from it is id- and result-identical to building an engine on the
+/// corpus directly.
+io::CodesSnapshot BareSnapshot(const index::PackedCodes& corpus) {
+  io::CodesSnapshot snapshot;
+  snapshot.codes = corpus;
+  snapshot.epoch = 0;
+  return snapshot;
 }
 
+}  // namespace
+
 ReplicaSet::ReplicaSet(const io::CodesSnapshot& snapshot,
-                       const ReplicaSetOptions& options)
-    : base_(snapshot) {
-  Init(options);
+                       const ReplicaSetOptions& options) {
+  const int replicas = std::max(1, options.replicas);
+  const ServingSnapshotOptions serving = PerReplicaOptions(options, replicas);
+  engines_.reserve(static_cast<size_t>(replicas));
+  for (int r = 0; r < replicas; ++r) {
+    engines_.push_back(
+        MakeQueryEngineFromSnapshot(io::CodesSnapshot(snapshot), serving));
+  }
 }
 
 ReplicaSet::ReplicaSet(const index::PackedCodes& corpus,
-                       const ReplicaSetOptions& options) {
-  // Synthesize the respawn base a bare corpus doesn't come with: epoch
-  // 0, nothing tombstoned — hydrating from it is id- and
-  // result-identical to building an engine on the corpus directly.
-  base_.codes = corpus;
-  base_.epoch = 0;
-  Init(options);
-}
-
-ReplicaSet::~ReplicaSet() { StopSupervisor(); }
-
-void ReplicaSet::Init(const ReplicaSetOptions& options) {
-  num_replicas_ = std::max(1, options.replicas);
-  serving_ = PerReplicaOptions(options, num_replicas_);
-  supervise_interval_ms_ = std::max<int64_t>(1, options.supervise_interval_ms);
-  slots_ = std::make_unique<std::atomic<QueryEngine*>[]>(
-      static_cast<size_t>(num_replicas_));
-  health_ =
-      std::make_unique<std::atomic<int>[]>(static_cast<size_t>(num_replicas_));
-  owned_.reserve(static_cast<size_t>(num_replicas_));
-  for (int r = 0; r < num_replicas_; ++r) {
-    auto engine =
-        MakeQueryEngineFromSnapshot(io::CodesSnapshot(base_), serving_);
-    engine->set_fault_tag(r);
-    slots_[static_cast<size_t>(r)].store(engine.get(),
-                                         std::memory_order_release);
-    health_[static_cast<size_t>(r)].store(
-        static_cast<int>(ReplicaHealth::kHealthy), std::memory_order_release);
-    owned_.push_back(std::move(engine));
-  }
-  if (options.supervise) StartSupervisor();
-}
-
-ReplicaHealth ReplicaSet::health(int r) const {
-  const auto stored = static_cast<ReplicaHealth>(
-      health_[static_cast<size_t>(r)].load(std::memory_order_acquire));
-  if (stored != ReplicaHealth::kHealthy) return stored;
-  // A kill nobody has reacted to yet: derived, so health() never lags
-  // the engine's own killed flag.
-  return replica(r).killed() ? ReplicaHealth::kDead : ReplicaHealth::kHealthy;
-}
-
-std::vector<QueryEngine*> ReplicaSet::LiveEnginesLocked() {
-  std::vector<QueryEngine*> live;
-  live.reserve(static_cast<size_t>(num_replicas_));
-  for (int r = 0; r < num_replicas_; ++r) {
-    QueryEngine* engine = replica(r);
-    if (!engine->killed()) live.push_back(engine);
-  }
-  return live;
-}
+                       const ReplicaSetOptions& options)
+    : ReplicaSet(BareSnapshot(corpus), options) {}
 
 std::vector<int> ReplicaSet::Append(const index::PackedCodes& codes) {
-  ExclusiveLock lock(update_mu_);
-  // Dead replicas are skipped — the journal carries the update to
-  // whatever engine eventually replaces them.
-  std::vector<QueryEngine*> live = LiveEnginesLocked();
-  std::vector<int> ids;
-  for (size_t i = 0; i < live.size(); ++i) {
-    std::vector<int> replica_ids = live[i]->Append(codes);
-    if (i == 0) {
-      ids = std::move(replica_ids);
-    } else {
-      UHSCM_CHECK(replica_ids == ids,
-                  "ReplicaSet::Append: replicas assigned divergent ids");
-    }
+  MutexLock lock(update_mu_);
+  std::vector<int> ids = engines_[0]->Append(codes);
+  for (size_t i = 1; i < engines_.size(); ++i) {
+    const std::vector<int> replica_ids = engines_[i]->Append(codes);
+    UHSCM_CHECK(replica_ids == ids,
+                "ReplicaSet::Append: replicas assigned divergent ids");
   }
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kAppend;
-  entry.codes = codes;
-  entry.ids = ids;
-  entry.has_expected = !live.empty();
-  journal_.push_back(std::move(entry));
   return ids;
 }
 
@@ -126,250 +64,69 @@ bool ReplicaSet::Remove(int global_id) {
 }
 
 int ReplicaSet::RemoveIds(const std::vector<int>& global_ids) {
-  ExclusiveLock lock(update_mu_);
-  std::vector<QueryEngine*> live = LiveEnginesLocked();
+  MutexLock lock(update_mu_);
   // Removes fan out concurrently: each replica mutates only its own
   // state with the same argument, and a delete can trigger that
   // replica's auto-compaction (a full shard rebuild) — run in parallel
   // the stall is one rebuild, not replicas-many.
-  std::vector<int> removed(live.size(), 0);
+  std::vector<int> removed(engines_.size(), 0);
   std::vector<std::thread> workers;
-  if (!live.empty()) {
-    workers.reserve(live.size() - 1);
-    for (size_t i = 1; i < live.size(); ++i) {
-      workers.emplace_back([&live, i, &global_ids, &removed] {
-        removed[i] = live[i]->RemoveIds(global_ids);
-      });
-    }
-    removed[0] = live[0]->RemoveIds(global_ids);
-    for (std::thread& worker : workers) worker.join();
-    for (size_t i = 1; i < live.size(); ++i) {
-      UHSCM_CHECK(removed[i] == removed[0],
-                  "ReplicaSet::RemoveIds: replicas diverged on tombstones");
-    }
+  workers.reserve(engines_.size() - 1);
+  for (size_t i = 1; i < engines_.size(); ++i) {
+    workers.emplace_back([this, i, &global_ids, &removed] {
+      removed[i] = engines_[i]->RemoveIds(global_ids);
+    });
   }
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kRemoveIds;
-  entry.remove_ids = global_ids;
-  entry.removed = live.empty() ? 0 : removed[0];
-  entry.has_expected = !live.empty();
-  journal_.push_back(std::move(entry));
-  return live.empty() ? 0 : removed[0];
+  removed[0] = engines_[0]->RemoveIds(global_ids);
+  for (std::thread& worker : workers) worker.join();
+  for (size_t i = 1; i < engines_.size(); ++i) {
+    UHSCM_CHECK(removed[i] == removed[0],
+                "ReplicaSet::RemoveIds: replicas diverged on tombstones");
+  }
+  return removed[0];
 }
 
 CompactionStats ReplicaSet::Compact() {
-  ExclusiveLock lock(update_mu_);
-  std::vector<QueryEngine*> live = LiveEnginesLocked();
+  MutexLock lock(update_mu_);
   // Unlike the per-row update fan-outs, a compaction is a full shard
   // rebuild per replica — run the independent rebuilds concurrently so
   // the write path stalls for one rebuild, not replicas-many, then
   // check coherence once everything has landed.
-  std::vector<CompactionStats> stats(live.size());
+  std::vector<CompactionStats> stats(engines_.size());
   std::vector<std::thread> workers;
-  if (!live.empty()) {
-    workers.reserve(live.size() - 1);
-    for (size_t i = 1; i < live.size(); ++i) {
-      workers.emplace_back([&live, i, &stats] { stats[i] = live[i]->Compact(); });
-    }
-    stats[0] = live[0]->Compact();
-    for (std::thread& worker : workers) worker.join();
-    for (size_t i = 1; i < live.size(); ++i) {
-      UHSCM_CHECK(stats[i] == stats[0],
-                  "ReplicaSet::Compact: replicas reclaimed divergent rows");
-      UHSCM_CHECK(live[i]->epoch() == live[0]->epoch(),
-                  "ReplicaSet::Compact: replicas diverged on the epoch");
-    }
+  workers.reserve(engines_.size() - 1);
+  for (size_t i = 1; i < engines_.size(); ++i) {
+    workers.emplace_back(
+        [this, i, &stats] { stats[i] = engines_[i]->Compact(); });
   }
-  JournalEntry entry;
-  entry.kind = JournalEntry::Kind::kCompact;
-  entry.compact = live.empty() ? CompactionStats{} : stats[0];
-  entry.has_expected = !live.empty();
-  journal_.push_back(std::move(entry));
-  return live.empty() ? CompactionStats{} : stats[0];
-}
-
-void ReplicaSet::ReplayJournalLocked(QueryEngine* engine) const {
-  for (const JournalEntry& entry : journal_) {
-    switch (entry.kind) {
-      case JournalEntry::Kind::kAppend: {
-        const std::vector<int> ids = engine->Append(entry.codes);
-        if (entry.has_expected) {
-          UHSCM_CHECK(ids == entry.ids,
-                      "ReplicaSet: journal replay assigned divergent ids");
-        }
-        break;
-      }
-      case JournalEntry::Kind::kRemoveIds: {
-        const int removed = engine->RemoveIds(entry.remove_ids);
-        if (entry.has_expected) {
-          UHSCM_CHECK(removed == entry.removed,
-                      "ReplicaSet: journal replay diverged on tombstones");
-        }
-        break;
-      }
-      case JournalEntry::Kind::kCompact: {
-        const CompactionStats stats = engine->Compact();
-        if (entry.has_expected) {
-          UHSCM_CHECK(stats == entry.compact,
-                      "ReplicaSet: journal replay diverged on compaction");
-        }
-        break;
-      }
-    }
+  stats[0] = engines_[0]->Compact();
+  for (std::thread& worker : workers) worker.join();
+  for (size_t i = 1; i < engines_.size(); ++i) {
+    UHSCM_CHECK(stats[i] == stats[0],
+                "ReplicaSet::Compact: replicas reclaimed divergent rows");
+    UHSCM_CHECK(engines_[i]->epoch() == engines_[0]->epoch(),
+                "ReplicaSet::Compact: replicas diverged on the epoch");
   }
-}
-
-bool ReplicaSet::RespawnReplica(int r) {
-  Stopwatch watch;
-  ExclusiveLock lock(update_mu_);
-  QueryEngine* dead = replica(r);
-  if (!dead->killed()) return false;  // someone else already respawned it
-  health_[static_cast<size_t>(r)].store(
-      static_cast<int>(ReplicaHealth::kDegraded), std::memory_order_release);
-  // Injected hydration failure: count it, leave the replica dead, and
-  // let the supervisor's next tick (or the next manual call) retry.
-  if (FaultInjector::Global().ShouldFail(kFaultHydrate, r)) {
-    respawn_failures_.fetch_add(1, std::memory_order_relaxed);
-    health_[static_cast<size_t>(r)].store(
-        static_cast<int>(ReplicaHealth::kDead), std::memory_order_release);
-    return false;
-  }
-  // Rebuild exactly the way the original replicas were built — same
-  // base snapshot, same hydration compaction, same options — then
-  // replay the same update sequence. Determinism is the coherence
-  // argument: the fresh engine is the same function of the same inputs,
-  // and the per-step journal checks plus the live-replica comparison
-  // below turn that argument into an enforced invariant.
-  std::unique_ptr<QueryEngine> fresh =
-      MakeQueryEngineFromSnapshot(io::CodesSnapshot(base_), serving_);
-  fresh->set_fault_tag(r);
-  ReplayJournalLocked(fresh.get());
-  for (int o = 0; o < num_replicas_; ++o) {
-    if (o == r) continue;
-    QueryEngine* live = replica(o);
-    if (live->killed()) continue;
-    UHSCM_CHECK(fresh->epoch() == live->epoch(),
-                "ReplicaSet: respawned replica disagrees with a live "
-                "replica's epoch");
-    UHSCM_CHECK(fresh->index().size() == live->index().size(),
-                "ReplicaSet: respawned replica disagrees with a live "
-                "replica's corpus size");
-    break;
-  }
-  QueryEngine* raw = fresh.get();
-  {
-    MutexLock owned_lock(owned_mu_);
-    owned_.push_back(std::move(fresh));
-  }
-  // The swap: from here on the router hands out the fresh engine. The
-  // corpse stays owned (see class comment) for any batch submission
-  // already holding its pointer.
-  slots_[static_cast<size_t>(r)].store(raw, std::memory_order_release);
-  health_[static_cast<size_t>(r)].store(
-      static_cast<int>(ReplicaHealth::kHealthy), std::memory_order_release);
-  respawns_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("pipeline.respawns")->Increment();
-  registry.GetHistogram("pipeline.time_to_recovery_ns")
-      ->Record(static_cast<int64_t>(watch.ElapsedSeconds() * 1e9));
-  return true;
-}
-
-int ReplicaSet::RespawnDeadReplicas() {
-  int respawned = 0;
-  for (int r = 0; r < num_replicas_; ++r) {
-    if (!replica(r)->killed()) continue;
-    if (RespawnReplica(r)) ++respawned;
-  }
-  return respawned;
-}
-
-size_t ReplicaSet::journal_size() const {
-  // Shared: a pure read of the journal length — it must not queue
-  // behind (or block) a fan-out the way an exclusive acquisition would.
-  SharedLock lock(update_mu_);
-  return journal_.size();
-}
-
-void ReplicaSet::StartSupervisor() {
-  MutexLock lock(supervisor_mu_);
-  if (supervisor_.joinable()) return;
-  supervisor_stop_ = false;
-  supervisor_ = std::thread([this] { SupervisorLoop(); });
-}
-
-void ReplicaSet::StopSupervisor() {
-  std::thread supervisor;
-  {
-    MutexLock lock(supervisor_mu_);
-    supervisor_stop_ = true;
-    supervisor.swap(supervisor_);
-  }
-  supervisor_cv_.notify_all();
-  if (supervisor.joinable()) supervisor.join();
-}
-
-void ReplicaSet::SupervisorLoop() {
-  const auto interval = std::chrono::milliseconds(supervise_interval_ms_);
-  UniqueLock lock(supervisor_mu_);
-  while (!supervisor_stop_) {
-    // Sleep one interval, interruptible by a stop. The lock is dropped
-    // across the respawn scan so StopSupervisor (and the lock ranking —
-    // update_mu_ outranks this lock) never waits on a rebuild.
-    const auto deadline = std::chrono::steady_clock::now() + interval;
-    bool timed_out = false;
-    while (!supervisor_stop_ && !timed_out) {
-      timed_out =
-          supervisor_cv_.wait_until(lock, deadline) == std::cv_status::timeout;
-    }
-    if (supervisor_stop_) return;
-    lock.unlock();
-    RespawnDeadReplicas();
-    lock.lock();
-  }
-}
-
-uint64_t ReplicaSet::epoch() const {
-  for (int r = 0; r < num_replicas_; ++r) {
-    const QueryEngine& engine = replica(r);
-    if (!engine.killed()) return engine.epoch();
-  }
-  return replica(0).epoch();
+  return stats[0];
 }
 
 std::vector<ServeStatsSnapshot> ReplicaSet::PerReplicaStats() const {
   std::vector<ServeStatsSnapshot> stats;
-  stats.reserve(static_cast<size_t>(num_replicas_));
-  for (int r = 0; r < num_replicas_; ++r) stats.push_back(replica(r).stats());
+  stats.reserve(engines_.size());
+  for (const std::unique_ptr<QueryEngine>& engine : engines_) {
+    stats.push_back(engine->stats());
+  }
   return stats;
 }
 
-ServeStatsSnapshot ReplicaSet::AggregatedStats() const {
-  ServeStatsSnapshot snap = AggregateServeStats(PerReplicaStats());
-  for (int r = 0; r < num_replicas_; ++r) {
-    switch (health(r)) {
-      case ReplicaHealth::kHealthy:
-        ++snap.replicas_healthy;
-        break;
-      case ReplicaHealth::kDegraded:
-        ++snap.replicas_degraded;
-        break;
-      case ReplicaHealth::kDead:
-        ++snap.replicas_dead;
-        break;
-    }
-  }
-  snap.respawns = respawns();
-  snap.respawn_failures = respawn_failures();
-  return snap;
-}
-
 void ReplicaSet::ResetStats() {
-  for (int r = 0; r < num_replicas_; ++r) replica(r)->ResetStats();
+  for (const std::unique_ptr<QueryEngine>& engine : engines_) {
+    engine->ResetStats();
+  }
 }
 
 void ReplicaSet::DrainAll() {
-  for (int r = 0; r < num_replicas_; ++r) replica(r)->Drain();
+  for (const std::unique_ptr<QueryEngine>& engine : engines_) engine->Drain();
 }
 
 }  // namespace uhscm::serve

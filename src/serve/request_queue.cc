@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "serve/fault.h"
-
 namespace uhscm::serve {
 
 namespace {
@@ -13,13 +11,6 @@ std::future<SearchResponse> RejectedFuture() {
   std::promise<SearchResponse> promise;
   promise.set_value(SearchResponse{
       Status::Unavailable("request queue closed — pipeline draining"), {}});
-  return promise.get_future();
-}
-
-std::future<SearchResponse> InjectedRejection() {
-  std::promise<SearchResponse> promise;
-  promise.set_value(SearchResponse{
-      Status::Unavailable("fault injection: admission rejected"), {}});
   return promise.get_future();
 }
 
@@ -46,14 +37,6 @@ RequestQueue::RequestQueue(size_t capacity)
 std::future<SearchResponse> RequestQueue::Submit(
     const uint64_t* words, int num_words, int k,
     std::chrono::steady_clock::time_point deadline) {
-  // Injected load-shedding at the front door: the queue.admit point
-  // rejects the submission before it can occupy queue capacity,
-  // counted like any other rejection.
-  if (FaultInjector::Global().ShouldFail(kFaultQueueAdmit)) {
-    MutexLock lock(mu_);
-    ++rejected_;
-    return InjectedRejection();
-  }
   PendingRequest request = MakeRequest(words, num_words, k);
   request.deadline = deadline;
   std::future<SearchResponse> future = request.promise.get_future();
@@ -72,12 +55,6 @@ std::future<SearchResponse> RequestQueue::Submit(
 
 bool RequestQueue::TrySubmit(const uint64_t* words, int num_words, int k,
                              std::future<SearchResponse>* out) {
-  if (FaultInjector::Global().ShouldFail(kFaultQueueAdmit)) {
-    MutexLock lock(mu_);
-    ++rejected_;
-    *out = InjectedRejection();
-    return true;
-  }
   {
     MutexLock lock(mu_);
     if (closed_) {

@@ -127,11 +127,6 @@ void PipelineStats::RecordRejected(int count) {
   rejected_ += count;
 }
 
-void PipelineStats::RecordRetry() {
-  MutexLock lock(mu_);
-  retries_ += 1;
-}
-
 void PipelineStats::RecordHedge() {
   MutexLock lock(mu_);
   hedges_ += 1;
@@ -156,7 +151,6 @@ void PipelineStats::FillSnapshot(ServeStatsSnapshot* snap) const {
     snap->batches_flushed_by_size = flushes_by_size_;
     snap->batches_flushed_by_timeout = flushes_by_timeout_;
     snap->rejected_requests = rejected_;
-    snap->retries = retries_;
     snap->hedges = hedges_;
     snap->hedge_wins = hedge_wins_;
     snap->deadline_exceeded = deadline_exceeded_;
@@ -188,7 +182,6 @@ void PipelineStats::Reset() {
   rejected_ = 0;
   flushes_by_size_ = 0;
   flushes_by_timeout_ = 0;
-  retries_ = 0;
   hedges_ = 0;
   hedge_wins_ = 0;
   deadline_exceeded_ = 0;
@@ -217,15 +210,9 @@ ServeStatsSnapshot AggregateServeStats(
     agg.batches_flushed_by_size += snap.batches_flushed_by_size;
     agg.batches_flushed_by_timeout += snap.batches_flushed_by_timeout;
     agg.rejected_requests += snap.rejected_requests;
-    agg.retries += snap.retries;
     agg.hedges += snap.hedges;
     agg.hedge_wins += snap.hedge_wins;
     agg.deadline_exceeded += snap.deadline_exceeded;
-    agg.replicas_healthy += snap.replicas_healthy;
-    agg.replicas_degraded += snap.replicas_degraded;
-    agg.replicas_dead += snap.replicas_dead;
-    agg.respawns += snap.respawns;
-    agg.respawn_failures += snap.respawn_failures;
     for (int b = 0; b < kBatchSizeBuckets; ++b) {
       agg.batch_size_hist[static_cast<size_t>(b)] +=
           snap.batch_size_hist[static_cast<size_t>(b)];
@@ -283,15 +270,9 @@ void FillRegistry(const ServeStatsSnapshot& snap, obs::MetricsRegistry* reg) {
   reg->GetGauge("pipeline.flushes_by_timeout")
       ->Set(snap.batches_flushed_by_timeout);
   reg->GetGauge("pipeline.rejected_requests")->Set(snap.rejected_requests);
-  reg->GetGauge("pipeline.retries")->Set(snap.retries);
   reg->GetGauge("pipeline.hedges")->Set(snap.hedges);
   reg->GetGauge("pipeline.hedge_wins")->Set(snap.hedge_wins);
   reg->GetGauge("pipeline.deadline_exceeded")->Set(snap.deadline_exceeded);
-  reg->GetGauge("replica.healthy")->Set(snap.replicas_healthy);
-  reg->GetGauge("replica.degraded")->Set(snap.replicas_degraded);
-  reg->GetGauge("replica.dead")->Set(snap.replicas_dead);
-  reg->GetGauge("replica.respawns")->Set(snap.respawns);
-  reg->GetGauge("replica.respawn_failures")->Set(snap.respawn_failures);
 }
 
 }  // namespace uhscm::serve

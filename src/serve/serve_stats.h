@@ -79,24 +79,13 @@ struct ServeStatsSnapshot {
   /// Replica count this snapshot aggregates over (0 = single engine).
   int replicas = 0;
 
-  // --- fault-tolerance counters (filled in by Batcher::stats() /
-  // ReplicaSet::AggregatedStats(); all zero on the happy path) ---
-  /// Batch re-dispatches after an Unavailable completion (a killed or
-  /// draining replica). One batch can retry more than once.
-  int64_t retries = 0;
+  // --- deadline and hedging counters (filled in by Batcher::stats()) ---
   /// Hedge batches issued (duplicate dispatch of a still-inflight
   /// batch), and how many of those hedges resolved their batch first.
   int64_t hedges = 0;
   int64_t hedge_wins = 0;
   /// Requests resolved kDeadlineExceeded before reaching a replica.
   int64_t deadline_exceeded = 0;
-  /// Replica lifecycle: current health census plus respawn outcomes
-  /// since the set was built.
-  int replicas_healthy = 0;
-  int replicas_degraded = 0;
-  int replicas_dead = 0;
-  int64_t respawns = 0;
-  int64_t respawn_failures = 0;
 
   double hit_rate() const {
     const int64_t total = cache_hits + cache_misses;
@@ -190,9 +179,6 @@ class PipelineStats {
   /// Records submissions rejected with a shutdown Status.
   void RecordRejected(int count);
 
-  /// Records one batch re-dispatch after an Unavailable completion.
-  void RecordRetry();
-
   /// Records one hedge batch issued / one batch whose hedge won.
   void RecordHedge();
   void RecordHedgeWin();
@@ -216,7 +202,6 @@ class PipelineStats {
   int64_t rejected_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t flushes_by_size_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t flushes_by_timeout_ UHSCM_GUARDED_BY(mu_) = 0;
-  int64_t retries_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t hedges_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t hedge_wins_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t deadline_exceeded_ UHSCM_GUARDED_BY(mu_) = 0;

@@ -1,13 +1,15 @@
 // Async request pipeline: admission queue, adaptive batcher, router,
-// replica set, and the drain/shutdown protocol. The load-bearing
-// invariants:
-//   * every future handed out resolves — with results or a shutdown
-//     Status, never silently dropped;
+// replica set, deadlines, hedging, and the drain/shutdown protocol. The
+// load-bearing invariants:
+//   * every future handed out resolves — with results, a deadline or a
+//     shutdown Status, never silently dropped;
 //   * pipeline results are byte-identical to synchronous
 //     QueryEngine::Search on the same corpus at the same epoch, under
 //     any replica count, routing policy, and update interleaving;
 //   * flush reasons follow the B-or-T contract (B-exact flushes count
-//     as by-size, stragglers flush by timeout).
+//     as by-size, stragglers flush by timeout);
+//   * an expired request never reaches a replica, and a hedge's first
+//     completion wins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +17,6 @@
 #include <chrono>
 #include <future>
 #include <limits>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -285,6 +286,158 @@ TEST(BatcherTest, ConcurrentSubmitDuringFlushAllResolveCorrectly) {
 }
 
 // ---------------------------------------------------------------------
+// Deadlines and hedging
+
+TEST(BatcherTest, ExpiredDeadlineResolvesWithoutTouchingAReplica) {
+  const PackedCodes corpus = RandomCorpus(100, 64, 161);
+  BatcherOptions batcher_options;
+  batcher_options.max_batch = 4;
+  batcher_options.timeout_us = 200;
+  Pipeline pipeline(corpus, 1, batcher_options);
+
+  // Already-expired deadlines: the flush must expire them all.
+  const auto past = std::chrono::steady_clock::now() -
+                    std::chrono::milliseconds(1);
+  std::vector<std::future<SearchResponse>> futures;
+  for (int q = 0; q < 6; ++q) {
+    futures.push_back(pipeline.batcher->Submit(corpus, q, 5, past));
+  }
+  for (std::future<SearchResponse>& future : futures) {
+    const SearchResponse response = future.get();
+    EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(response.neighbors.empty());
+  }
+  const ServeStatsSnapshot stats = pipeline.batcher->stats();
+  EXPECT_EQ(stats.deadline_exceeded, 6);
+  EXPECT_EQ(stats.queries, 0) << "expired requests never reach an engine";
+
+  // A comfortable deadline serves normally.
+  const auto future_deadline = std::chrono::steady_clock::now() +
+                               std::chrono::seconds(30);
+  std::future<SearchResponse> ok =
+      pipeline.batcher->Submit(corpus, 0, 5, future_deadline);
+  EXPECT_TRUE(ok.get().status.ok());
+}
+
+TEST(BatcherTest, MixedDeadlineFlushExpiresOnlyTheOverdue) {
+  // Expired and live requests in one flushed batch: the expired ones
+  // resolve kDeadlineExceeded without reaching the engine, and the live
+  // ones are served exactly as a synchronous search would answer them.
+  const int k = 6;
+  const PackedCodes corpus = RandomCorpus(200, 64, 165);
+  auto reference = MakeQueryEngine(
+      PackedCodes::FromRawWords(corpus.size(), corpus.bits(),
+                                corpus.words()),
+      {});
+  BatcherOptions batcher_options;
+  batcher_options.max_batch = 8;
+  batcher_options.timeout_us = 60L * 1000 * 1000;  // only B can flush
+  Pipeline pipeline(corpus, 1, batcher_options);
+
+  const auto now = std::chrono::steady_clock::now();
+  const auto past = now - std::chrono::milliseconds(1);
+  const auto later = now + std::chrono::seconds(30);
+  const auto none = std::chrono::steady_clock::time_point::max();
+  std::vector<std::future<SearchResponse>> futures;
+  for (int q = 0; q < 8; ++q) {
+    // Every other request is overdue; the live half mixes a distant
+    // deadline with none at all.
+    const auto deadline = q % 2 == 0 ? past : (q % 4 == 1 ? later : none);
+    futures.push_back(pipeline.batcher->Submit(corpus, q, k, deadline));
+  }
+  for (int q = 0; q < 8; ++q) {
+    SearchResponse response = futures[static_cast<size_t>(q)].get();
+    if (q % 2 == 0) {
+      EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded)
+          << "query " << q;
+      EXPECT_TRUE(response.neighbors.empty());
+    } else {
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ExpectSameNeighbors(reference->SearchOne(corpus.code(q), k),
+                          response.neighbors);
+    }
+  }
+  const ServeStatsSnapshot stats = pipeline.batcher->stats();
+  EXPECT_EQ(stats.batches_flushed_by_size, 1) << "one batch held all eight";
+  EXPECT_EQ(stats.deadline_exceeded, 4);
+  EXPECT_EQ(stats.queries, 4) << "expired requests are not counted served";
+}
+
+TEST(BatcherTest, HedgeBeatsHeldReplicaFirstCompletionWins) {
+  const PackedCodes corpus = RandomCorpus(300, 64, 181);
+  auto reference = MakeQueryEngine(
+      PackedCodes::FromRawWords(corpus.size(), corpus.bits(), corpus.words()),
+      {});
+
+  BatcherOptions batcher_options;
+  batcher_options.max_batch = 4;
+  batcher_options.timeout_us = 200;
+  batcher_options.hedge_budget = 1.0;
+  batcher_options.hedge_delay_us = 1000;
+  Pipeline pipeline(corpus, 2, batcher_options, RoutePolicy::kRoundRobin);
+
+  // Replica 0 is a straggler: its dispatch thread is parked in the
+  // callback of a batch submitted directly, so anything queued behind it
+  // waits until the release below.
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+  std::promise<void> entered;
+  pipeline.replica_set->replica(0)->SubmitBatch(
+      PackedCodes::FromRawWords(
+          1, corpus.bits(),
+          std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1)),
+      5, [&entered, release_future](std::vector<std::vector<Neighbor>>) {
+        entered.set_value();
+        release_future.wait();
+      });
+  entered.get_future().wait();
+
+  // Round-robin sends the first group to replica 0, behind the held
+  // batch; only the hedge on replica 1 can answer it.
+  std::vector<std::future<SearchResponse>> futures;
+  for (int q = 0; q < 4; ++q) {
+    futures.push_back(pipeline.batcher->Submit(corpus, q, 5));
+  }
+  bool answered = true;
+  for (std::future<SearchResponse>& future : futures) {
+    answered = answered && future.wait_for(std::chrono::seconds(30)) ==
+                               std::future_status::ready;
+  }
+  const ServeStatsSnapshot stats = pipeline.batcher->stats();
+  // Release before any assertion can return: the primary attempt then
+  // completes, loses, and settles the group, so the drain can finish.
+  release.set_value();
+  ASSERT_TRUE(answered) << "the hedge never answered the held batch";
+  for (int q = 0; q < 4; ++q) {
+    SearchResponse response = futures[static_cast<size_t>(q)].get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    ExpectSameNeighbors(reference->SearchOne(corpus.code(q), 5),
+                        response.neighbors);
+  }
+  EXPECT_GE(stats.hedges, 1) << "the held batch must have hedged";
+  EXPECT_GE(stats.hedge_wins, 1) << "a held replica cannot win";
+}
+
+TEST(BatcherTest, HedgeBudgetZeroNeverHedges) {
+  const PackedCodes corpus = RandomCorpus(100, 64, 191);
+  BatcherOptions batcher_options;
+  batcher_options.max_batch = 4;
+  batcher_options.timeout_us = 200;
+  batcher_options.hedge_budget = 0.0;  // default: off
+  Pipeline pipeline(corpus, 2, batcher_options);
+  std::vector<std::future<SearchResponse>> futures;
+  for (int q = 0; q < 16; ++q) {
+    futures.push_back(pipeline.batcher->Submit(corpus, q, 5));
+  }
+  for (std::future<SearchResponse>& future : futures) {
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  const ServeStatsSnapshot stats = pipeline.batcher->stats();
+  EXPECT_EQ(stats.hedges, 0);
+  EXPECT_EQ(stats.hedge_wins, 0);
+}
+
+// ---------------------------------------------------------------------
 // Drain / shutdown
 
 TEST(BatcherTest, DrainResolvesEveryFutureAndRejectsNewWork) {
@@ -406,8 +559,7 @@ TEST(RouterTest, LeastLoadedAvoidsBusyReplica) {
       PackedCodes::FromRawWords(
           1, corpus.bits(),
           std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1)),
-      3, [&entered, release_future](Status,
-                                    std::vector<std::vector<Neighbor>>) {
+      3, [&entered, release_future](std::vector<std::vector<Neighbor>>) {
         entered.set_value();
         release_future.wait();
       });
@@ -417,31 +569,6 @@ TEST(RouterTest, LeastLoadedAvoidsBusyReplica) {
   release.set_value();
   replicas.replica(0)->Drain();
   EXPECT_EQ(replicas.Inflight(0), 0);
-}
-
-TEST(RouterTest, KilledReplicaIsSkippedByBothPolicies) {
-  // A killed engine rejects instantly, so its in-flight count is
-  // permanently zero — the most attractive least-loaded target unless
-  // the router checks liveness.
-  const PackedCodes corpus = RandomCorpus(100, 64, 63);
-  ReplicaSetOptions options;
-  options.replicas = 3;
-  ReplicaSet replicas(corpus, options);
-  replicas.replica(1)->Kill();
-
-  Router rr(&replicas, RoutePolicy::kRoundRobin);
-  for (int i = 0; i < 12; ++i) EXPECT_NE(rr.Route(), 1);
-  Router least(&replicas, RoutePolicy::kLeastLoaded);
-  for (int i = 0; i < 12; ++i) EXPECT_NE(least.Route(), 1);
-
-  // Every replica dead: Route() reports it (-1 / nullptr) so the caller
-  // fails the batch immediately instead of submitting to a corpse.
-  replicas.replica(0)->Kill();
-  replicas.replica(2)->Kill();
-  EXPECT_EQ(least.Route(), -1);
-  EXPECT_EQ(least.Pick(), nullptr);
-  EXPECT_EQ(rr.Route(), -1);
-  EXPECT_EQ(rr.Pick(), nullptr);
 }
 
 TEST(RouterTest, ParsePolicyNames) {
@@ -649,146 +776,6 @@ TEST(CompactionConcurrencyTest, SearchesDuringCompactionStayExact) {
     ExpectSameNeighbors(reference->SearchOne(queries.code(q), k),
                         engine->SearchOne(queries.code(q), k));
   }
-}
-
-// ---------------------------------------------------------------------
-// Kill path: a replica dying mid-stream must not leak in-flight counts
-
-TEST(QueryEngineTest, KillFailsQueuedBatchesAndZeroesInflight) {
-  const PackedCodes corpus = RandomCorpus(200, 64, 55);
-  auto engine = MakeQueryEngine(
-      PackedCodes::FromRawWords(corpus.size(), corpus.bits(),
-                                corpus.words()),
-      {});
-
-  // Hold the dispatch thread inside the first batch's callback so the
-  // rest stay queued, then kill: the queued batches must resolve with
-  // Unavailable — and every completion path must return the in-flight
-  // counter to zero, or least-loaded routing would shun this replica
-  // forever.
-  std::promise<void> release;
-  std::shared_future<void> release_future = release.get_future().share();
-  std::promise<void> entered;
-  auto one_query = [&] {
-    return PackedCodes::FromRawWords(
-        1, corpus.bits(),
-        std::vector<uint64_t>(corpus.code(0), corpus.code(0) + 1));
-  };
-  engine->SubmitBatch(one_query(), 3,
-                      [&entered, release_future](
-                          Status, std::vector<std::vector<Neighbor>>) {
-                        entered.set_value();
-                        release_future.wait();
-                      });
-  entered.get_future().wait();
-
-  std::vector<Status> statuses(4);
-  std::vector<std::promise<void>> resolved(4);
-  for (int i = 0; i < 4; ++i) {
-    engine->SubmitBatch(one_query(), 3,
-                        [&statuses, &resolved, i](
-                            Status status,
-                            std::vector<std::vector<Neighbor>> results) {
-                          statuses[static_cast<size_t>(i)] = status;
-                          EXPECT_TRUE(results.empty() || status.ok());
-                          resolved[static_cast<size_t>(i)].set_value();
-                        });
-  }
-  EXPECT_EQ(engine->inflight(), 5);
-
-  std::thread killer([&] { engine->Kill(); });
-  // Kill sets the kill flag before it waits for in-flight work, and the
-  // dispatch thread is parked in the first batch's callback until the
-  // release below — so once killed() reads true, every queued batch is
-  // guaranteed to take the failure path. Deterministic, no sleeps.
-  while (!engine->killed()) std::this_thread::yield();
-  release.set_value();  // let the in-hand batch finish; Kill reaps the rest
-  killer.join();
-  for (auto& promise : resolved) promise.get_future().wait();
-  for (const Status& status : statuses) {
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
-  }
-  EXPECT_EQ(engine->inflight(), 0)
-      << "a batch that resolved Unavailable leaked its in-flight count";
-
-  // Post-kill submissions also resolve Unavailable, still accounted.
-  std::promise<void> late_done;
-  engine->SubmitBatch(one_query(), 3,
-                      [&late_done](Status status,
-                                   std::vector<std::vector<Neighbor>>) {
-                        EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-                        late_done.set_value();
-                      });
-  late_done.get_future().wait();
-  EXPECT_EQ(engine->inflight(), 0);
-
-  // The future form has no Status channel, so a failed batch must
-  // surface as an exception from get() — never as an empty "success"
-  // whose shape (0 lists) would betray callers indexing per query.
-  auto failed = engine->SubmitBatch(one_query(), 3);
-  EXPECT_THROW(failed.get(), std::runtime_error);
-  EXPECT_EQ(engine->inflight(), 0);
-}
-
-TEST(BatcherTest, KilledReplicaMidStreamResolvesEverythingAndRebalances) {
-  // Kill one of two replicas while a submission stream is in flight:
-  // every future resolves (served or Unavailable, never hung), both
-  // replicas' in-flight counters return to zero, and the router keeps
-  // routing afterwards.
-  const PackedCodes corpus = RandomCorpus(400, 64, 56);
-  BatcherOptions options;
-  options.max_batch = 4;
-  options.timeout_us = 100;
-  Pipeline pipeline(corpus, 2, options);
-
-  std::vector<std::future<SearchResponse>> futures;
-  std::thread killer;
-  for (int round = 0; round < 12; ++round) {
-    for (int q = 0; q < 16; ++q) {
-      futures.push_back(pipeline.batcher->Submit(corpus, q, 5));
-    }
-    if (round == 5) {
-      killer = std::thread(
-          [&pipeline] { pipeline.replica_set->replica(1)->Kill(); });
-    }
-  }
-  if (killer.joinable()) killer.join();
-
-  int served = 0, rejected = 0;
-  for (std::future<SearchResponse>& future : futures) {
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready)
-        << "a killed replica left a future unresolved";
-    const SearchResponse response = future.get();
-    if (response.status.ok()) {
-      ++served;
-      EXPECT_FALSE(response.neighbors.empty());
-    } else {
-      EXPECT_EQ(response.status.code(), StatusCode::kUnavailable);
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(served + rejected, 12 * 16);
-  EXPECT_GT(served, 0) << "the surviving replica must keep serving";
-
-  // Fresh traffic after the kill routes around the dead replica
-  // entirely — every request is served by the survivor.
-  std::vector<std::future<SearchResponse>> after;
-  for (int q = 0; q < 8; ++q) {
-    after.push_back(pipeline.batcher->Submit(corpus, q, 5));
-  }
-  for (std::future<SearchResponse>& future : after) {
-    const SearchResponse response = future.get();
-    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-  }
-
-  // The accounting invariant the router depends on: both replicas read
-  // as idle once the stream settles — including the killed one, whose
-  // batches resolved Unavailable.
-  pipeline.replica_set->replica(0)->Drain();
-  EXPECT_EQ(pipeline.replica_set->Inflight(0), 0);
-  EXPECT_EQ(pipeline.replica_set->Inflight(1), 0);
-  EXPECT_GE(pipeline.batcher->stats().rejected_requests, rejected);
 }
 
 // ---------------------------------------------------------------------

@@ -51,7 +51,9 @@
 //       split when --model is given, otherwise sampled from the database
 //       codes themselves. Each shard is a linear scan. --shards,
 //       --replicas, --batch-max and --batch-timeout-us below 1, or a
-//       negative --threads (0 = auto), are usage errors.
+//       negative --threads (0 = auto), are usage errors. So is a
+//       --batch-timeout-us, --report-interval-ms, --deadline-ms or
+//       --hedge-delay-us longer than one day.
 //
 //       Admin ops run after the replay passes and fan out to every
 //       replica: --append=PATH appends a packed-code artifact to the
@@ -149,13 +151,10 @@ struct Flags {
   int trace_sample = 0;  // 0 = tracing off; N traces 1 in N requests
   int64_t report_interval_ms = 0;  // 0 = no periodic report
   double slow_query_ms = 0.0;      // 0 = no slow-query log
-  // Fault tolerance (serve): per-request deadline, retry budget, hedged
-  // requests, and the replica supervisor.
+  // Tail control (serve): per-request deadline and hedged requests.
   double deadline_ms = 0.0;    // 0 = no deadline
-  int retries = 3;             // total dispatch attempts per batch
   double hedge_budget = 0.0;   // 0 = hedging off
   int64_t hedge_delay_us = 0;  // 0 = auto (live search p99)
-  bool supervise = false;      // respawn killed replicas automatically
 };
 
 int Usage() {
@@ -172,8 +171,8 @@ int Usage() {
                "[--compact-threshold=F] [--save-snapshot=PATH] "
                "[--metrics-json=PATH] [--trace-out=PATH] "
                "[--trace-sample=1/N] [--report-interval-ms=N] "
-               "[--slow-query-ms=F] [--deadline-ms=F] [--retries=N] "
-               "[--hedge-budget=F] [--hedge-delay-us=N] [--supervise]\n");
+               "[--slow-query-ms=F] [--deadline-ms=F] "
+               "[--hedge-budget=F] [--hedge-delay-us=N]\n");
   return 2;
 }
 
@@ -275,12 +274,19 @@ data::SyntheticOptions CorpusOptions(const Flags& flags) {
   return options;
 }
 
+/// Upper bound of the serve time flags (--batch-timeout-us,
+/// --report-interval-ms, --deadline-ms, --hedge-delay-us): one day.
+/// steady_clock::now() plus any of them stays far inside the clock's
+/// int64 nanosecond range, where an unbounded value would overflow it.
+constexpr int64_t kMaxWaitMs = int64_t{24} * 60 * 60 * 1000;
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   // A numeric value outside its range is a typo, not a request for the
   // default or for "off": --k=-5 must not silently drop the top-k join,
   // and --shards=0 must not silently serve from one shard.
   constexpr int kIntMax = std::numeric_limits<int>::max();
   constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMaxWaitUs = kMaxWaitMs * 1000;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (StartsWith(arg, "--dataset=")) {
@@ -380,7 +386,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
     } else if (StartsWith(arg, "--batch-timeout-us=")) {
       if (!ParseNumber("--batch-timeout-us", arg.c_str() + 19, int64_t{1},
-                       kInt64Max, &flags->batch_timeout_us)) {
+                       kMaxWaitUs, &flags->batch_timeout_us)) {
         return false;
       }
     } else if (StartsWith(arg, "--route=")) {
@@ -422,7 +428,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
     } else if (StartsWith(arg, "--report-interval-ms=")) {
       if (!ParseNumber("--report-interval-ms", arg.c_str() + 21,
-                       int64_t{0}, kInt64Max, &flags->report_interval_ms)) {
+                       int64_t{0}, kMaxWaitMs, &flags->report_interval_ms)) {
         return false;
       }
     } else if (StartsWith(arg, "--slow-query-ms=")) {
@@ -431,20 +437,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (StartsWith(arg, "--deadline-ms=")) {
-      char* end = nullptr;
-      flags->deadline_ms = std::strtod(arg.c_str() + 14, &end);
-      if (end == arg.c_str() + 14 || *end != '\0' ||
-          !std::isfinite(flags->deadline_ms) || flags->deadline_ms < 0.0) {
-        std::fprintf(stderr,
-                     "--deadline-ms must be a non-negative number of "
-                     "milliseconds, got %s\n",
-                     arg.c_str() + 14);
-        return false;
-      }
-    } else if (StartsWith(arg, "--retries=")) {
-      // Total dispatch attempts per batch; 1 disables retries.
-      if (!ParseNumber("--retries", arg.c_str() + 10, 1, kIntMax,
-                       &flags->retries)) {
+      if (!ParseNumber("--deadline-ms", arg.c_str() + 14, 0.0,
+                       static_cast<double>(kMaxWaitMs), &flags->deadline_ms)) {
         return false;
       }
     } else if (StartsWith(arg, "--hedge-budget=")) {
@@ -464,11 +458,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (StartsWith(arg, "--hedge-delay-us=")) {
       // 0 = auto, the live search p99.
       if (!ParseNumber("--hedge-delay-us", arg.c_str() + 17, int64_t{0},
-                       kInt64Max, &flags->hedge_delay_us)) {
+                       kMaxWaitUs, &flags->hedge_delay_us)) {
         return false;
       }
-    } else if (arg == "--supervise") {
-      flags->supervise = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -834,7 +826,6 @@ int CmdServe(const Flags& flags) {
 
   serve::ReplicaSetOptions options;
   options.replicas = flags.replicas;
-  options.supervise = flags.supervise;
   options.serving.index.num_shards = flags.shards;
   options.serving.engine.num_threads = flags.threads;
   options.serving.engine.compact_dead_fraction = flags.compact_threshold;
@@ -899,15 +890,13 @@ int CmdServe(const Flags& flags) {
   // load-aware router, fed by the adaptive batcher. All query traffic
   // goes through Batcher::Submit — nothing calls Search directly.
   serve::ReplicaSet replicas(snapshot, options);
-  // Each replica holds its own corpus copy now (plus the set's retained
-  // respawn base); drop the loaded snapshot's buffers so peak memory
-  // stays at N+1 copies, not N+2.
+  // Each replica holds its own corpus copy now; drop the loaded
+  // snapshot's buffers so the run holds N copies, not N+1.
   snapshot = io::CodesSnapshot();
   serve::Router router(&replicas, route_policy);
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch = flags.batch_max;
   batcher_options.timeout_us = flags.batch_timeout_us;
-  batcher_options.max_attempts = flags.retries;
   batcher_options.hedge_budget = flags.hedge_budget;
   batcher_options.hedge_delay_us = flags.hedge_delay_us;
   serve::Batcher batcher(&router, batcher_options);
