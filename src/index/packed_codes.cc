@@ -68,7 +68,7 @@ PackedCodes PackedCodes::FromRawWords(int num_codes, int bits,
   PackedCodes packed;
   packed.num_codes_ = num_codes;
   packed.bits_ = bits;
-  packed.words_per_code_ = (bits + 63) / 64;
+  packed.words_per_code_ = static_cast<int>((int64_t{bits} + 63) / 64);
   UHSCM_CHECK(words.size() == static_cast<size_t>(num_codes) *
                                   static_cast<size_t>(packed.words_per_code_),
               "FromRawWords: word buffer size mismatch");

@@ -99,6 +99,29 @@ Status CheckHeader(std::FILE* fp, const char magic[4],
   return Status::OK();
 }
 
+/// Fails unless `count` elements of `elem_bytes` bytes each fit in what
+/// is left of the file. Loaders call it before allocating what a header
+/// field implies, so a garbage size field fails with a Status instead of
+/// a multi-GB bad_alloc. Dividing the remainder keeps the comparison
+/// free of overflow for any count.
+Status CheckPayloadFits(std::FILE* fp, uint64_t count, size_t elem_bytes,
+                        const std::string& path, const char* what) {
+  const long here = std::ftell(fp);
+  if (here < 0 || std::fseek(fp, 0, SEEK_END) != 0) {
+    return Status::Internal(path + ": seek failed");
+  }
+  const long file_end = std::ftell(fp);
+  if (file_end < here || std::fseek(fp, here, SEEK_SET) != 0) {
+    return Status::Internal(path + ": seek failed");
+  }
+  if (count > static_cast<uint64_t>(file_end - here) / elem_bytes) {
+    return Status::InvalidArgument(
+        StrFormat("%s: corrupt %s (payload exceeds file size)", path.c_str(),
+                  what));
+  }
+  return Status::OK();
+}
+
 Status WriteMatrixBody(std::FILE* fp, const linalg::Matrix& m) {
   const int32_t rows = m.rows();
   const int32_t cols = m.cols();
@@ -118,7 +141,10 @@ Result<linalg::Matrix> ReadMatrixBody(std::FILE* fp,
   if (rows < 0 || cols < 0) {
     return Status::InvalidArgument(path + ": negative matrix dimensions");
   }
-  std::vector<float> data(static_cast<size_t>(rows) * cols);
+  const uint64_t count = static_cast<uint64_t>(rows) * cols;
+  UHSCM_RETURN_NOT_OK(
+      CheckPayloadFits(fp, count, sizeof(float), path, "matrix header"));
+  std::vector<float> data(count);
   const size_t bytes = data.size() * sizeof(float);
   UHSCM_RETURN_NOT_OK(ReadBytes(fp, data.data(), bytes));
   uint64_t checksum = 0;
@@ -218,6 +244,18 @@ Result<std::unique_ptr<core::HashingNetwork>> LoadHashingNetwork(
   if (input_dim <= 0 || hidden1 <= 0 || hidden2 <= 0 || bits <= 0) {
     return Status::InvalidArgument(path + ": corrupt architecture header");
   }
+  // The weights and biases of the three Linear layers must all be in the
+  // file; bounding them first keeps a garbage dimension from sizing the
+  // network's allocation.
+  const auto linear_floats = [](int32_t in, int32_t out) {
+    return static_cast<uint64_t>(in) * static_cast<uint64_t>(out) +
+           static_cast<uint64_t>(out);
+  };
+  const uint64_t param_floats = linear_floats(input_dim, hidden1) +
+                                linear_floats(hidden1, hidden2) +
+                                linear_floats(hidden2, bits);
+  UHSCM_RETURN_NOT_OK(CheckPayloadFits(file.fp, param_floats, sizeof(float),
+                                       path, "architecture header"));
   core::HashingNetworkOptions options;
   options.hidden1 = hidden1;
   options.hidden2 = hidden2;
@@ -257,27 +295,12 @@ Result<index::PackedCodes> ReadCodesBody(std::FILE* fp,
   if (size < 0 || bits <= 0) {
     return Status::InvalidArgument(path + ": corrupt code header");
   }
-  const size_t words_per_code = static_cast<size_t>((bits + 63) / 64);
-  // Guard the allocation against corrupt headers: the payload cannot be
-  // larger than what is actually left in the file, so a garbage size
-  // field fails with a Status instead of a multi-GB bad_alloc.
-  {
-    const long here = std::ftell(fp);
-    if (here >= 0 && std::fseek(fp, 0, SEEK_END) == 0) {
-      const long file_end = std::ftell(fp);
-      if (std::fseek(fp, here, SEEK_SET) != 0) {
-        return Status::Internal(path + ": seek failed");
-      }
-      const uint64_t needed =
-          static_cast<uint64_t>(size) * words_per_code * sizeof(uint64_t);
-      if (file_end >= 0 &&
-          needed > static_cast<uint64_t>(file_end - here)) {
-        return Status::InvalidArgument(
-            path + ": corrupt code header (payload exceeds file size)");
-      }
-    }
-  }
-  std::vector<uint64_t> words(static_cast<size_t>(size) * words_per_code);
+  // 64-bit: bits + 63 overflows int32 for bits near INT32_MAX.
+  const uint64_t words_per_code = (static_cast<uint64_t>(bits) + 63) / 64;
+  const uint64_t count = static_cast<uint64_t>(size) * words_per_code;
+  UHSCM_RETURN_NOT_OK(
+      CheckPayloadFits(fp, count, sizeof(uint64_t), path, "code header"));
+  std::vector<uint64_t> words(count);
   const size_t bytes = words.size() * sizeof(uint64_t);
   UHSCM_RETURN_NOT_OK(ReadBytes(fp, words.data(), bytes));
   uint64_t checksum = 0;

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -38,20 +36,6 @@ struct BatcherOptions {
   /// Submit pushes back on clients — memory stays bounded at any
   /// overload.
   int max_inflight_batches = 0;
-
-  /// Hedging: fraction of dispatched batches allowed a duplicate
-  /// dispatch (0 = off, clamped to [0,1]). A batch still in flight when
-  /// the hedge delay elapses is re-submitted to a *different* replica;
-  /// the first completion wins, the loser's results are discarded. Caps
-  /// tail latency when one replica stalls, at a bounded duplicate-work
-  /// cost.
-  double hedge_budget = 0.0;
-  /// When to hedge, microseconds after dispatch. 0 = auto: the live p99
-  /// of the engines' stage.search_ns histogram (falls back to the
-  /// replicas' completion-latency p99, then 1ms, while those are still
-  /// empty) — "slower than the 99th percentile search" is the signal
-  /// that this batch landed on a straggler.
-  int64_t hedge_delay_us = 0;
 };
 
 /// \brief The adaptive-batching stage of the async pipeline: one flush
@@ -70,19 +54,17 @@ struct BatcherOptions {
 /// calling QueryEngine::Search yourself: same corpus, same epoch, same
 /// (distance, id) lists.
 ///
-/// **Deadlines and hedging.** A request may carry an absolute deadline;
-/// at flush time overdue requests resolve kDeadlineExceeded without
-/// touching a replica. With a hedge budget set, a batch still unresolved
-/// after the hedge delay is duplicated onto a second replica, first
-/// completion wins. Every path resolves every future exactly once; a
-/// hedge never double-completes a promise.
+/// **Deadlines.** A request may carry an absolute deadline; at flush
+/// time overdue requests resolve kDeadlineExceeded without touching a
+/// replica. Every other request rides exactly one dispatched batch, and
+/// that batch's one completion callback resolves it.
 ///
 /// Shutdown: Drain() (also run by the destructor) closes the queue so
 /// new Submits are rejected with an Unavailable status, lets the flush
 /// thread finish its in-hand batch, completes every request still queued
-/// with a shutdown Status, drops not-yet-fired hedges, and waits for all
-/// dispatched batches (including in-flight hedges) to call back — every
-/// future ever handed out resolves; nothing is dropped. Drain returns
+/// with a shutdown Status, and waits for all dispatched batches to call
+/// back — every future ever handed out resolves; nothing is dropped.
+/// Drain returns
 /// before the engines themselves are torn down (their own Drain joins
 /// dispatch threads and pools), which is the destruction ordering that
 /// makes pipeline exit race-free.
@@ -127,34 +109,19 @@ class Batcher {
   const BatcherOptions& options() const { return options_; }
 
  private:
-  /// One dispatched per-k group: the packed batch plus the resolution
-  /// state that hedging and completion race over. Shared by the flush
-  /// thread, engine callbacks, and the hedge timer; defined in the .cc.
+  /// The requests one dispatched per-k group answers. Written by the
+  /// flush thread, then read by the one engine callback that resolves
+  /// them; defined in the .cc.
   struct GroupState;
 
   void FlushLoop();
   /// Packs one collected batch, expires overdue requests, and
-  /// dispatches per-k groups (plus their hedges).
+  /// dispatches per-k groups.
   void FlushBatch(std::vector<PendingRequest> batch, bool by_timeout);
-  /// Submits the group to replica `r` (the caller has already counted
-  /// the attempt in group->outstanding).
-  void DispatchGroup(const std::shared_ptr<GroupState>& group, int r,
-                     bool is_hedge);
-  /// The single resolution point: the first completion wins, and the
-  /// group settles (releases its inflight slot) when the last
-  /// outstanding attempt has called back.
-  void OnGroupCompletion(const std::shared_ptr<GroupState>& group,
-                         bool is_hedge,
+  /// The single resolution point: resolves every request of the group
+  /// and releases its inflight slot.
+  void OnGroupCompletion(GroupState& group,
                          std::vector<std::vector<index::Neighbor>> results);
-  /// Queues the group on the hedge timer (weak — a resolved group just
-  /// expires).
-  void ScheduleHedge(const std::shared_ptr<GroupState>& group);
-  /// Issues the hedge attempt if the group is still unresolved and the
-  /// budget allows.
-  void FireHedge(const std::shared_ptr<GroupState>& group);
-  void HedgeLoop();
-  /// Resolves the configured (or auto, p99-derived) hedge delay.
-  std::chrono::nanoseconds HedgeDelay();
 
   Router* router_;
   BatcherOptions options_;
@@ -169,35 +136,13 @@ class Batcher {
   /// first (joined threads, failed futures, settled groups).
   std::atomic<bool> drained_{false};
   /// Serializes Drain callers; the highest-ranked batcher lock because
-  /// Drain acquires the queue, hedge, and inflight locks beneath it.
+  /// Drain acquires the queue and inflight locks beneath it.
   Mutex drain_mu_{"batcher.drain", 96};
-  /// Per-k groups dispatched to engines that haven't settled (final
-  /// callback not yet returned, hedges included). Drain waits on this so
-  /// no callback can outlive the batcher. Relaxed: both wait loops load
-  /// it under inflight_mu_, and every transition that matters to a
-  /// waiter (add in FlushBatch, sub at settle) also happens under
-  /// inflight_mu_ — the mutex orders the handoff, the atomic only lets
-  /// stats() read the depth lock-free.
-  std::atomic<int64_t> inflight_batches_{0};
   Mutex inflight_mu_{"batcher.inflight", 28};
   CondVar inflight_cv_;
-
-  /// Hedge budget accounting: groups dispatched vs hedges issued, the
-  /// ratio the budget bounds. Relaxed: monotonic counters; the budget
-  /// check tolerates a momentarily stale ratio (it can only under-issue
-  /// by one hedge, never overrun the budget unboundedly).
-  std::atomic<int64_t> groups_dispatched_{0};
-  std::atomic<int64_t> hedges_issued_{0};
-
-  /// The hedge timer: a deadline-ordered queue of still-inflight groups,
-  /// served by one thread (started only when hedge_budget > 0).
-  Mutex hedge_mu_{"batcher.hedge", 26};
-  CondVar hedge_cv_;
-  std::multimap<std::chrono::steady_clock::time_point,
-                std::weak_ptr<GroupState>>
-      hedge_queue_ UHSCM_GUARDED_BY(hedge_mu_);
-  bool hedge_stop_ UHSCM_GUARDED_BY(hedge_mu_) = false;
-  std::thread hedge_thread_;
+  /// Per-k groups dispatched to engines whose callback hasn't returned.
+  /// Drain waits on this so no callback can outlive the batcher.
+  int64_t inflight_batches_ UHSCM_GUARDED_BY(inflight_mu_) = 0;
 };
 
 }  // namespace uhscm::serve

@@ -108,7 +108,7 @@ std::vector<std::vector<Neighbor>> QueryEngine::Search(
               "QueryEngine::Search: query bit width != corpus bit width");
   k = std::min(k, index_->size());
   if (k <= 0) {
-    stats_.RecordBatch(n, 0, 0.0);
+    stats_.RecordBatch(n, 0.0);
     return std::vector<std::vector<Neighbor>>(static_cast<size_t>(n));
   }
 
@@ -141,7 +141,6 @@ std::vector<std::vector<Neighbor>> QueryEngine::Search(
     }
     lookup_span.AddAttr("hits", n - static_cast<int64_t>(misses.size()));
   }
-  const int hits = n - static_cast<int>(misses.size());
 
   // Phase 2: fan (miss-block, shard) units out on the pool in one flat
   // loop. Grouping misses into blocks lets each unit run the shard's
@@ -199,7 +198,7 @@ std::vector<std::vector<Neighbor>> QueryEngine::Search(
     });
   }
 
-  stats_.RecordBatch(n, hits, watch.ElapsedSeconds());
+  stats_.RecordBatch(n, watch.ElapsedSeconds());
   return results;
 }
 
@@ -308,9 +307,8 @@ CorpusExport QueryEngine::ExportCorpus(uint64_t* epoch_out) const {
 
 ServeStatsSnapshot QueryEngine::stats() const {
   ServeStatsSnapshot snap = stats_.Snapshot();
-  // The cache's own counters are authoritative for cache behavior (a
-  // disabled cache reports zeros); ServeStats aggregates the same
-  // hit/miss totals per batch for standalone use.
+  // The cache keeps the only hit/miss counts (a disabled cache reports
+  // zeros).
   const ResultCacheStats cache_stats = cache_.stats();
   snap.cache_hits = cache_stats.hits;
   snap.cache_misses = cache_stats.misses;

@@ -26,12 +26,22 @@ void FillLatencyFields(const obs::HistogramSnapshot& hist,
       static_cast<double>(hist.ValueAtPercentile(99.0)) / kNsPerMs;
 }
 
+/// Derives the time_in_queue_*_ms summary fields from a nanosecond
+/// histogram.
+void FillQueueWaitFields(const obs::HistogramSnapshot& hist,
+                         ServeStatsSnapshot* snap) {
+  if (hist.empty()) return;
+  snap->time_in_queue_p50_ms =
+      static_cast<double>(hist.ValueAtPercentile(50.0)) / kNsPerMs;
+  snap->time_in_queue_p99_ms =
+      static_cast<double>(hist.ValueAtPercentile(99.0)) / kNsPerMs;
+}
+
 }  // namespace
 
 ServeStats::ServeStats() = default;
 
-void ServeStats::RecordBatch(int num_queries, int hits,
-                             double elapsed_seconds) {
+void ServeStats::RecordBatch(int num_queries, double elapsed_seconds) {
   if (num_queries <= 0) return;
   // Every query in the batch observes the batch's completion latency;
   // RecordN folds all of them into the histogram in O(1).
@@ -39,8 +49,6 @@ void ServeStats::RecordBatch(int num_queries, int hits,
   MutexLock lock(mu_);
   queries_ += num_queries;
   batches_ += 1;
-  cache_hits_ += hits;
-  cache_misses_ += num_queries - hits;
   busy_seconds_ += elapsed_seconds;
 }
 
@@ -50,8 +58,6 @@ ServeStatsSnapshot ServeStats::Snapshot() const {
     MutexLock lock(mu_);
     snap.queries = queries_;
     snap.batches = batches_;
-    snap.cache_hits = cache_hits_;
-    snap.cache_misses = cache_misses_;
     snap.busy_seconds = busy_seconds_;
     snap.wall_seconds = wall_.ElapsedSeconds();
   }
@@ -66,8 +72,6 @@ void ServeStats::Reset() {
   wall_.Restart();
   queries_ = 0;
   batches_ = 0;
-  cache_hits_ = 0;
-  cache_misses_ = 0;
   busy_seconds_ = 0.0;
 }
 
@@ -127,16 +131,6 @@ void PipelineStats::RecordRejected(int count) {
   rejected_ += count;
 }
 
-void PipelineStats::RecordHedge() {
-  MutexLock lock(mu_);
-  hedges_ += 1;
-}
-
-void PipelineStats::RecordHedgeWin() {
-  MutexLock lock(mu_);
-  hedge_wins_ += 1;
-}
-
 void PipelineStats::RecordDeadlineExceeded(int count) {
   if (count <= 0) return;
   MutexLock lock(mu_);
@@ -151,8 +145,6 @@ void PipelineStats::FillSnapshot(ServeStatsSnapshot* snap) const {
     snap->batches_flushed_by_size = flushes_by_size_;
     snap->batches_flushed_by_timeout = flushes_by_timeout_;
     snap->rejected_requests = rejected_;
-    snap->hedges = hedges_;
-    snap->hedge_wins = hedge_wins_;
     snap->deadline_exceeded = deadline_exceeded_;
     snap->batch_size_hist = batch_size_hist_;
     snap->wall_seconds = wall_.ElapsedSeconds();
@@ -163,14 +155,7 @@ void PipelineStats::FillSnapshot(ServeStatsSnapshot* snap) const {
   snap->latency_hist = total_latency_ns_.Snapshot();
   FillLatencyFields(snap->latency_hist, snap);
   snap->queue_wait_hist = queue_wait_ns_.Snapshot();
-  if (!snap->queue_wait_hist.empty()) {
-    snap->time_in_queue_p50_ms =
-        static_cast<double>(snap->queue_wait_hist.ValueAtPercentile(50.0)) /
-        kNsPerMs;
-    snap->time_in_queue_p99_ms =
-        static_cast<double>(snap->queue_wait_hist.ValueAtPercentile(99.0)) /
-        kNsPerMs;
-  }
+  FillQueueWaitFields(snap->queue_wait_hist, snap);
 }
 
 void PipelineStats::Reset() {
@@ -182,8 +167,6 @@ void PipelineStats::Reset() {
   rejected_ = 0;
   flushes_by_size_ = 0;
   flushes_by_timeout_ = 0;
-  hedges_ = 0;
-  hedge_wins_ = 0;
   deadline_exceeded_ = 0;
   batch_size_hist_.fill(0);
 }
@@ -210,8 +193,6 @@ ServeStatsSnapshot AggregateServeStats(
     agg.batches_flushed_by_size += snap.batches_flushed_by_size;
     agg.batches_flushed_by_timeout += snap.batches_flushed_by_timeout;
     agg.rejected_requests += snap.rejected_requests;
-    agg.hedges += snap.hedges;
-    agg.hedge_wins += snap.hedge_wins;
     agg.deadline_exceeded += snap.deadline_exceeded;
     for (int b = 0; b < kBatchSizeBuckets; ++b) {
       agg.batch_size_hist[static_cast<size_t>(b)] +=
@@ -220,34 +201,8 @@ ServeStatsSnapshot AggregateServeStats(
     agg.latency_hist.Merge(snap.latency_hist);
     agg.queue_wait_hist.Merge(snap.queue_wait_hist);
   }
-  if (!agg.latency_hist.empty()) {
-    FillLatencyFields(agg.latency_hist, &agg);
-  } else {
-    // No bucket data (hand-built snapshots): fall back to the
-    // conservative worst-replica bound — exact pooled percentiles
-    // cannot be recovered from per-replica summaries.
-    for (const ServeStatsSnapshot& snap : per_replica) {
-      agg.latency_p50_ms = std::max(agg.latency_p50_ms, snap.latency_p50_ms);
-      agg.latency_p99_ms = std::max(agg.latency_p99_ms, snap.latency_p99_ms);
-      agg.latency_mean_ms =
-          std::max(agg.latency_mean_ms, snap.latency_mean_ms);
-    }
-  }
-  if (!agg.queue_wait_hist.empty()) {
-    agg.time_in_queue_p50_ms =
-        static_cast<double>(agg.queue_wait_hist.ValueAtPercentile(50.0)) /
-        1e6;
-    agg.time_in_queue_p99_ms =
-        static_cast<double>(agg.queue_wait_hist.ValueAtPercentile(99.0)) /
-        1e6;
-  } else {
-    for (const ServeStatsSnapshot& snap : per_replica) {
-      agg.time_in_queue_p50_ms =
-          std::max(agg.time_in_queue_p50_ms, snap.time_in_queue_p50_ms);
-      agg.time_in_queue_p99_ms =
-          std::max(agg.time_in_queue_p99_ms, snap.time_in_queue_p99_ms);
-    }
-  }
+  FillLatencyFields(agg.latency_hist, &agg);
+  FillQueueWaitFields(agg.queue_wait_hist, &agg);
   return agg;
 }
 
@@ -270,8 +225,6 @@ void FillRegistry(const ServeStatsSnapshot& snap, obs::MetricsRegistry* reg) {
   reg->GetGauge("pipeline.flushes_by_timeout")
       ->Set(snap.batches_flushed_by_timeout);
   reg->GetGauge("pipeline.rejected_requests")->Set(snap.rejected_requests);
-  reg->GetGauge("pipeline.hedges")->Set(snap.hedges);
-  reg->GetGauge("pipeline.hedge_wins")->Set(snap.hedge_wins);
   reg->GetGauge("pipeline.deadline_exceeded")->Set(snap.deadline_exceeded);
 }
 

@@ -79,11 +79,7 @@ struct ServeStatsSnapshot {
   /// Replica count this snapshot aggregates over (0 = single engine).
   int replicas = 0;
 
-  // --- deadline and hedging counters (filled in by Batcher::stats()) ---
-  /// Hedge batches issued (duplicate dispatch of a still-inflight
-  /// batch), and how many of those hedges resolved their batch first.
-  int64_t hedges = 0;
-  int64_t hedge_wins = 0;
+  // --- deadline counter (filled in by Batcher::stats()) ---
   /// Requests resolved kDeadlineExceeded before reaching a replica.
   int64_t deadline_exceeded = 0;
 
@@ -122,9 +118,9 @@ class ServeStats {
  public:
   ServeStats();
 
-  /// Records one completed batch: n queries answered in elapsed_seconds,
-  /// of which `hits` came from the result cache.
-  void RecordBatch(int num_queries, int hits, double elapsed_seconds);
+  /// Records one completed batch: n queries answered in elapsed_seconds.
+  /// Cache hits and misses are the result cache's to count.
+  void RecordBatch(int num_queries, double elapsed_seconds);
 
   /// Computes a snapshot. Percentiles come from histogram buckets
   /// (no sort, no retained samples).
@@ -140,8 +136,6 @@ class ServeStats {
   obs::Histogram latency_ns_;
   int64_t queries_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t batches_ UHSCM_GUARDED_BY(mu_) = 0;
-  int64_t cache_hits_ UHSCM_GUARDED_BY(mu_) = 0;
-  int64_t cache_misses_ UHSCM_GUARDED_BY(mu_) = 0;
   double busy_seconds_ UHSCM_GUARDED_BY(mu_) = 0.0;
 };
 
@@ -179,10 +173,6 @@ class PipelineStats {
   /// Records submissions rejected with a shutdown Status.
   void RecordRejected(int count);
 
-  /// Records one hedge batch issued / one batch whose hedge won.
-  void RecordHedge();
-  void RecordHedgeWin();
-
   /// Records `count` requests expired with kDeadlineExceeded.
   void RecordDeadlineExceeded(int count);
 
@@ -202,8 +192,6 @@ class PipelineStats {
   int64_t rejected_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t flushes_by_size_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t flushes_by_timeout_ UHSCM_GUARDED_BY(mu_) = 0;
-  int64_t hedges_ UHSCM_GUARDED_BY(mu_) = 0;
-  int64_t hedge_wins_ UHSCM_GUARDED_BY(mu_) = 0;
   int64_t deadline_exceeded_ UHSCM_GUARDED_BY(mu_) = 0;
   std::array<int64_t, kBatchSizeBuckets> batch_size_hist_ UHSCM_GUARDED_BY(
       mu_){};
@@ -215,10 +203,9 @@ class PipelineStats {
 /// epoch takes the max (replicas are update-coherent, so they agree
 /// outside an in-flight fan-out). Latency percentiles are computed from
 /// the *merged* latency histograms — bucket counts add exactly, so the
-/// result matches pooled-sample percentiles within bucket resolution.
-/// Snapshots without histogram data (hand-built, or from older captures)
-/// fall back to the conservative worst-replica percentile bound.
-/// `replicas` is set to the input count.
+/// result matches pooled-sample percentiles within bucket resolution
+/// (empty histograms leave the percentiles at 0). `replicas` is set to
+/// the input count.
 ServeStatsSnapshot AggregateServeStats(
     const std::vector<ServeStatsSnapshot>& per_replica);
 

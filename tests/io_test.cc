@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "io/serialize.h"
@@ -333,6 +335,129 @@ TEST_F(IoTest, SnapshotRejectsWrongSizeTombstoneBitmap) {
   Status st = SaveCodesSnapshot(snapshot, path);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// Corruption sweep: every single-byte corruption and every truncation of
+// a model file and of a v2 snapshot loads to OK or to a non-OK Status,
+// never a throw or an abort. Under ASan+UBSan the sweep also checks that
+// no corrupt header field reaches an oversized allocation or undefined
+// behaviour.
+
+std::vector<unsigned char> ReadFileBytes(const std::string& path) {
+  std::vector<unsigned char> bytes;
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  if (fp == nullptr) return bytes;
+  int c;
+  while ((c = std::fgetc(fp)) != EOF) {
+    bytes.push_back(static_cast<unsigned char>(c));
+  }
+  std::fclose(fp);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<unsigned char>& bytes, size_t len) {
+  std::FILE* fp = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(fp, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, len, fp), len);
+  std::fclose(fp);
+}
+
+/// A checksummed section of a file: its payload bytes plus the 8-byte
+/// checksum that follows them, as [begin, end).
+struct Section {
+  size_t begin;
+  size_t end;
+};
+
+/// Rewrites `path` with each corruption of `original` in turn and calls
+/// `load` on it. Every load must return without throwing; a corruption
+/// inside a checksummed section, and every truncation, must be non-OK.
+template <typename LoadFn>
+void SweepCorruptions(const std::string& path,
+                      const std::vector<unsigned char>& original,
+                      const std::vector<Section>& checksummed, LoadFn load) {
+  ASSERT_TRUE(load().ok()) << "the uncorrupted file must load";
+  for (size_t i = 0; i < original.size(); ++i) {
+    bool in_checksum = false;
+    for (const Section& section : checksummed) {
+      in_checksum = in_checksum || (i >= section.begin && i < section.end);
+    }
+    const unsigned char flipped = original[i] ^ 0xFF;
+    for (const unsigned char value : {flipped, uint8_t{0x7F}}) {
+      if (value == original[i]) continue;
+      std::vector<unsigned char> bytes = original;
+      bytes[i] = value;
+      WriteFileBytes(path, bytes, bytes.size());
+      Status status;
+      EXPECT_NO_THROW(status = load()) << "byte " << i;
+      if (in_checksum) {
+        EXPECT_FALSE(status.ok())
+            << "byte " << i << " set to " << int{value} << " loaded OK";
+      }
+    }
+  }
+  for (size_t len = 0; len < original.size(); ++len) {
+    WriteFileBytes(path, original, len);
+    Status status;
+    EXPECT_NO_THROW(status = load()) << "truncated to " << len;
+    EXPECT_FALSE(status.ok()) << "truncated to " << len << " loaded OK";
+  }
+}
+
+TEST_F(IoTest, CorruptionSweepHashingNetwork) {
+  Rng rng(14);
+  core::HashingNetworkOptions options;
+  options.hidden1 = 8;
+  options.hidden2 = 6;
+  options.bits = 16;
+  core::HashingNetwork network(12, options, &rng);
+  const std::string path = Path("sweep_net.bin");
+  ASSERT_TRUE(SaveHashingNetwork(network, path).ok());
+  const std::vector<unsigned char> original = ReadFileBytes(path);
+
+  // Layout: magic + version (8), input_dim/hidden1/hidden2/bits (16),
+  // then per parameter: rows + cols (8), floats, checksum (8). Byte 11 is
+  // the high byte of input_dim and byte 27 the high byte of the first
+  // matrix's row count.
+  std::vector<Section> checksummed;
+  size_t offset = 24;
+  for (const nn::Parameter& p : network.model()->Parameters()) {
+    const size_t payload = p.value->size() * sizeof(float);
+    checksummed.push_back({offset + 8, offset + 8 + payload + 8});
+    offset += 8 + payload + 8;
+  }
+  ASSERT_EQ(offset, original.size());
+
+  SweepCorruptions(path, original, checksummed,
+                   [&] { return LoadHashingNetwork(path).status(); });
+}
+
+TEST_F(IoTest, CorruptionSweepSnapshotWithTombstones) {
+  Rng rng(15);
+  CodesSnapshot snapshot;
+  snapshot.codes = RandomPacked(70, 64, &rng);
+  snapshot.epoch = 5;
+  snapshot.tombstone_words.assign(2, 0);
+  snapshot.tombstone_words[0] |= 1ULL << 7;
+  snapshot.tombstone_words[1] |= 1ULL << 2;
+  const std::string path = Path("sweep_snapshot.bin");
+  ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
+  const std::vector<unsigned char> original = ReadFileBytes(path);
+
+  // Layout: magic + version (8), epoch (8), size + bits (8), code words,
+  // checksum (8), tombstone word count (4), bitmap words, checksum (8).
+  const size_t code_bytes = snapshot.codes.words().size() * sizeof(uint64_t);
+  const size_t codes_begin = 24;
+  const size_t tomb_begin = codes_begin + code_bytes + 8 + 4;
+  const std::vector<Section> checksummed = {
+      {codes_begin, codes_begin + code_bytes + 8},
+      {tomb_begin, tomb_begin + 2 * sizeof(uint64_t) + 8}};
+  ASSERT_EQ(checksummed.back().end, original.size());
+
+  SweepCorruptions(path, original, checksummed,
+                   [&] { return LoadCodesSnapshot(path).status(); });
 }
 
 }  // namespace

@@ -460,7 +460,7 @@ TEST(AggregateStatsTest, MergedPercentilesMatchPooledGroundTruth) {
       // Each replica sees a different latency scale — the exact setup
       // where max-over-replica-p99s is wrong and pooling is right.
       const double ms = std::pow(10.0, rng.Uniform(-1.0 + r, 1.0 + r));
-      stats[static_cast<size_t>(r)].RecordBatch(1, 0, ms / 1e3);
+      stats[static_cast<size_t>(r)].RecordBatch(1, ms / 1e3);
       pooled_ms.push_back(ms);
     }
   }

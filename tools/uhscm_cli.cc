@@ -52,8 +52,8 @@
 //       codes themselves. Each shard is a linear scan. --shards,
 //       --replicas, --batch-max and --batch-timeout-us below 1, or a
 //       negative --threads (0 = auto), are usage errors. So is a
-//       --batch-timeout-us, --report-interval-ms, --deadline-ms or
-//       --hedge-delay-us longer than one day.
+//       --batch-timeout-us, --report-interval-ms or --deadline-ms longer
+//       than one day.
 //
 //       Admin ops run after the replay passes and fan out to every
 //       replica: --append=PATH appends a packed-code artifact to the
@@ -151,10 +151,8 @@ struct Flags {
   int trace_sample = 0;  // 0 = tracing off; N traces 1 in N requests
   int64_t report_interval_ms = 0;  // 0 = no periodic report
   double slow_query_ms = 0.0;      // 0 = no slow-query log
-  // Tail control (serve): per-request deadline and hedged requests.
-  double deadline_ms = 0.0;    // 0 = no deadline
-  double hedge_budget = 0.0;   // 0 = hedging off
-  int64_t hedge_delay_us = 0;  // 0 = auto (live search p99)
+  // Tail control (serve): per-request deadline.
+  double deadline_ms = 0.0;  // 0 = no deadline
 };
 
 int Usage() {
@@ -171,8 +169,7 @@ int Usage() {
                "[--compact-threshold=F] [--save-snapshot=PATH] "
                "[--metrics-json=PATH] [--trace-out=PATH] "
                "[--trace-sample=1/N] [--report-interval-ms=N] "
-               "[--slow-query-ms=F] [--deadline-ms=F] "
-               "[--hedge-budget=F] [--hedge-delay-us=N]\n");
+               "[--slow-query-ms=F] [--deadline-ms=F]\n");
   return 2;
 }
 
@@ -275,7 +272,7 @@ data::SyntheticOptions CorpusOptions(const Flags& flags) {
 }
 
 /// Upper bound of the serve time flags (--batch-timeout-us,
-/// --report-interval-ms, --deadline-ms, --hedge-delay-us): one day.
+/// --report-interval-ms, --deadline-ms): one day.
 /// steady_clock::now() plus any of them stays far inside the clock's
 /// int64 nanosecond range, where an unbounded value would overflow it.
 constexpr int64_t kMaxWaitMs = int64_t{24} * 60 * 60 * 1000;
@@ -439,26 +436,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (StartsWith(arg, "--deadline-ms=")) {
       if (!ParseNumber("--deadline-ms", arg.c_str() + 14, 0.0,
                        static_cast<double>(kMaxWaitMs), &flags->deadline_ms)) {
-        return false;
-      }
-    } else if (StartsWith(arg, "--hedge-budget=")) {
-      char* end = nullptr;
-      flags->hedge_budget = std::strtod(arg.c_str() + 15, &end);
-      // A *fraction* of batches allowed a duplicate dispatch — "30"
-      // meaning 30% would silently clamp to hedging everything, so
-      // anything malformed or out of range is an error.
-      if (end == arg.c_str() + 15 || *end != '\0' ||
-          !std::isfinite(flags->hedge_budget) || flags->hedge_budget < 0.0 ||
-          flags->hedge_budget > 1.0) {
-        std::fprintf(stderr,
-                     "--hedge-budget must be a fraction in [0, 1], got %s\n",
-                     arg.c_str() + 15);
-        return false;
-      }
-    } else if (StartsWith(arg, "--hedge-delay-us=")) {
-      // 0 = auto, the live search p99.
-      if (!ParseNumber("--hedge-delay-us", arg.c_str() + 17, int64_t{0},
-                       kMaxWaitUs, &flags->hedge_delay_us)) {
         return false;
       }
     } else {
@@ -807,22 +784,6 @@ int CmdServe(const Flags& flags) {
     std::fprintf(stderr, "serve: --route must be rr or least\n");
     return 2;
   }
-  // A hedge duplicates a batch onto a *different* replica — with one
-  // replica there is nowhere to hedge to, so the combination is a
-  // misconfiguration, not a silent no-op.
-  if (flags.hedge_budget > 0.0 && flags.replicas <= 1) {
-    std::fprintf(stderr,
-                 "serve: --hedge-budget=%g needs --replicas > 1 (a hedge "
-                 "re-submits to a second replica)\n",
-                 flags.hedge_budget);
-    return 2;
-  }
-  if (flags.hedge_delay_us > 0 && flags.hedge_budget <= 0.0) {
-    std::fprintf(stderr,
-                 "serve: --hedge-delay-us has no effect without "
-                 "--hedge-budget > 0\n");
-    return 2;
-  }
 
   serve::ReplicaSetOptions options;
   options.replicas = flags.replicas;
@@ -897,8 +858,6 @@ int CmdServe(const Flags& flags) {
   serve::BatcherOptions batcher_options;
   batcher_options.max_batch = flags.batch_max;
   batcher_options.timeout_us = flags.batch_timeout_us;
-  batcher_options.hedge_budget = flags.hedge_budget;
-  batcher_options.hedge_delay_us = flags.hedge_delay_us;
   serve::Batcher batcher(&router, batcher_options);
 
   // Tracing: arm the sampler before any request is admitted. Asking for
