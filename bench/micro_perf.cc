@@ -1,16 +1,21 @@
 // Micro-performance benchmarks (google-benchmark) for the hot kernels
 // behind the paper-table benches: packed Hamming scans, multi-index
-// hashing lookups, GEMM, VLP scoring, and the UHSCM batch loss. These
-// are the "is the substrate fast enough" counterpart to the paper-shape
-// benches; run any binary with --benchmark_filter=... as usual.
+// hashing lookups, GEMM, VLP scoring, the UHSCM batch loss and one whole
+// training step. These are the "is the substrate fast enough" counterpart
+// to the paper-shape benches; run any binary with --benchmark_filter=...
+// as usual.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <ctime>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/hashing_network.h"
 #include "core/losses.h"
+#include "core/similarity.h"
 #include "data/concept_vocab.h"
 #include "data/synthetic.h"
 #include "data/world.h"
@@ -20,6 +25,7 @@
 #include "index/multi_index_hash.h"
 #include "index/packed_codes.h"
 #include "linalg/ops.h"
+#include "nn/sgd.h"
 #include "perf_util.h"
 #include "vlp/simulated_vlp.h"
 
@@ -152,32 +158,118 @@ void BM_MatMul(benchmark::State& state) {
 BENCHMARK(BM_MatMul)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_PackedGemm(benchmark::State& state) {
-  // Packed-panel GEMM micro-kernel vs the pre-packing cache-blocked loop
-  // at trainer shapes (m = batch, k = feature dim, n = code width — the
-  // projection products that dominate a training step).
+  // Args are (m, k, n, variant): C is m x n with inner dimension k, and
+  // the variant picks the entry point — 0 the pre-packing cache-blocked
+  // loop, 1 MatMul, 2 MatMulTransA (A stored k x m), 3 MatMulTransB (B
+  // stored n x k). The transposed rows read their transpose in the pack.
   const int m = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
   const int n = static_cast<int>(state.range(2));
-  const bool packed = state.range(3) != 0;
+  const int variant = static_cast<int>(state.range(3));
   Rng rng(7);
-  linalg::Matrix a = linalg::Matrix::RandomNormal(m, k, &rng);
-  linalg::Matrix b = linalg::Matrix::RandomNormal(k, n, &rng);
+  const linalg::Matrix a = variant == 2
+                               ? linalg::Matrix::RandomNormal(k, m, &rng)
+                               : linalg::Matrix::RandomNormal(m, k, &rng);
+  const linalg::Matrix b = variant == 3
+                               ? linalg::Matrix::RandomNormal(n, k, &rng)
+                               : linalg::Matrix::RandomNormal(k, n, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(packed ? linalg::MatMul(a, b)
-                                    : linalg::MatMulBlocked(a, b));
+    switch (variant) {
+      case 0: benchmark::DoNotOptimize(linalg::MatMulBlocked(a, b)); break;
+      case 1: benchmark::DoNotOptimize(linalg::MatMul(a, b)); break;
+      case 2: benchmark::DoNotOptimize(linalg::MatMulTransA(a, b)); break;
+      default: benchmark::DoNotOptimize(linalg::MatMulTransB(a, b)); break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * int64_t{m} * k * n);
-  state.SetLabel(packed ? (linalg::PackedGemmAvailable() ? "packed/avx2"
-                                                         : "packed/portable")
-                        : "blocked");
+  state.counters["GFLOPs"] = benchmark::Counter(
+      2e-9 * m * k * n, benchmark::Counter::kIsIterationInvariantRate);
+  static const char* const kNames[] = {"blocked", "NN", "TN", "NT"};
+  state.SetLabel(std::string(kNames[variant]) +
+                 (variant == 0 ? ""
+                  : linalg::PackedGemmAvailable() ? " packed/avx2"
+                                                  : " packed/portable"));
 }
+// Wall time: a product above the pool threshold runs on several threads,
+// and the main thread's CPU time would count only its own share.
 BENCHMARK(BM_PackedGemm)
+    ->UseRealTime()
     ->Args({128, 3072, 512, 0})
     ->Args({128, 3072, 512, 1})
     ->Args({256, 256, 256, 0})
     ->Args({256, 256, 256, 1})
     ->Args({512, 512, 512, 0})
-    ->Args({512, 512, 512, 1});
+    ->Args({512, 512, 512, 1})
+    // The ten products of one training step at the ledger's shape
+    // (BM_TrainStep): forward, the loss's two, then backward in order.
+    ->Args({128, 256, 512, 1})   // layer 1 forward
+    ->Args({128, 512, 256, 1})   // layer 2 forward
+    ->Args({128, 256, 64, 1})    // layer 3 forward
+    ->Args({128, 64, 128, 3})    // loss: cosines of the batch codes
+    ->Args({128, 128, 64, 1})    // loss: cosine backward
+    ->Args({256, 128, 64, 2})    // layer 3 dW
+    ->Args({128, 64, 256, 3})    // layer 3 dx
+    ->Args({512, 128, 256, 2})   // layer 2 dW
+    ->Args({128, 256, 512, 3})   // layer 2 dx
+    ->Args({256, 128, 512, 2});  // layer 1 dW
+
+/// CPU seconds of the whole process, pool threads included: a phase that
+/// fans out pays for every core it wakes.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+void BM_TrainStep(benchmark::State& state) {
+  // One SGD step of the trainer at the ledger's `build` shape: 128 rows x
+  // 256 inputs through the default 512-256-64 network, with a Q block
+  // from a 22-column factor (ten class columns plus noise). Counters give
+  // the process CPU ms of each phase per step; `step_ms` is ZeroGrad plus
+  // the SGD update.
+  constexpr int kRows = 128;
+  constexpr int kInput = 256;
+  constexpr int kFactorCols = 22;
+  Rng rng(9);
+  core::HashingNetwork net(kInput, core::HashingNetworkOptions{}, &rng);
+  nn::SgdOptimizer optimizer(net.model(), nn::SgdOptions{});
+  const linalg::Matrix x = linalg::Matrix::RandomNormal(kRows, kInput, &rng);
+  core::SimilarityFactor q;
+  q.f = linalg::Matrix::RandomUniform(kRows, kFactorCols, &rng, 0.0f, 0.1f);
+  for (int i = 0; i < kRows; ++i) q.f(i, i % 10) += 1.0f;
+  linalg::NormalizeRowsL2(&q.f);
+  std::vector<int> rows(kRows);
+  for (int i = 0; i < kRows; ++i) rows[static_cast<size_t>(i)] = i;
+  const linalg::Matrix q_batch = q.Block(rows);
+  const core::UhscmLossOptions loss_options;
+
+  double forward = 0, loss = 0, backward = 0, step = 0;
+  for (auto _ : state) {
+    double t0 = ProcessCpuSeconds();
+    const linalg::Matrix z = net.Forward(x);
+    double t1 = ProcessCpuSeconds();
+    forward += t1 - t0;
+    core::LossAndGrad lg = core::UhscmBatchLoss(z, q_batch, loss_options);
+    t0 = ProcessCpuSeconds();
+    loss += t0 - t1;
+    optimizer.ZeroGrad();
+    t1 = ProcessCpuSeconds();
+    step += t1 - t0;
+    net.Backward(std::move(lg.dz));
+    t0 = ProcessCpuSeconds();
+    backward += t0 - t1;
+    optimizer.Step();
+    step += ProcessCpuSeconds() - t0;
+  }
+  const auto per_step_ms = [](double s) {
+    return benchmark::Counter(1e3 * s, benchmark::Counter::kAvgIterations);
+  };
+  state.counters["forward_ms"] = per_step_ms(forward);
+  state.counters["loss_ms"] = per_step_ms(loss);
+  state.counters["backward_ms"] = per_step_ms(backward);
+  state.counters["step_ms"] = per_step_ms(step);
+}
+BENCHMARK(BM_TrainStep);
 
 void BM_VlpScoring(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

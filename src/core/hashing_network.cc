@@ -1,5 +1,7 @@
 #include "core/hashing_network.h"
 
+#include <utility>
+
 #include "common/status.h"
 #include "linalg/ops.h"
 #include "nn/activations.h"
@@ -22,16 +24,17 @@ HashingNetwork::HashingNetwork(int input_dim,
   model_.Append(std::make_unique<nn::Tanh>());
 }
 
-linalg::Matrix HashingNetwork::Forward(const linalg::Matrix& pixels) {
+linalg::Matrix HashingNetwork::Forward(linalg::Matrix pixels) {
   UHSCM_CHECK(pixels.cols() == input_dim_,
               "HashingNetwork::Forward: input dim mismatch");
-  return model_.Forward(pixels);
+  return model_.Forward(std::move(pixels));
 }
 
-void HashingNetwork::Backward(const linalg::Matrix& grad_codes) {
-  linalg::Matrix g = grad_codes;
-  for (int i = model_.size() - 1; i > 0; --i) g = model_.layer(i)->Backward(g);
-  first_->BackwardParameters(g);
+void HashingNetwork::Backward(linalg::Matrix grad_codes) {
+  for (int i = model_.size() - 1; i > 0; --i) {
+    grad_codes = model_.layer(i)->Backward(std::move(grad_codes));
+  }
+  first_->BackwardParameters(grad_codes);
 }
 
 linalg::Matrix HashingNetwork::EncodeBinary(const linalg::Matrix& pixels) {

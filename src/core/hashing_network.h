@@ -27,12 +27,12 @@ class HashingNetwork {
 
   /// Real-valued codes Z in [-1,1]^{n x k} (training path — caches
   /// activations for Backward()).
-  linalg::Matrix Forward(const linalg::Matrix& pixels);
+  linalg::Matrix Forward(linalg::Matrix pixels);
 
   /// Backpropagates dL/dZ, accumulating parameter gradients. Accumulates
   /// exactly what model()->Backward does, but skips the first layer's
   /// input gradient (dL/d pixels), which nothing reads.
-  void Backward(const linalg::Matrix& grad_codes);
+  void Backward(linalg::Matrix grad_codes);
 
   /// Binary codes B = sgn(Z) in {-1, +1}^{n x k}.
   linalg::Matrix EncodeBinary(const linalg::Matrix& pixels);

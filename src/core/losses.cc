@@ -94,56 +94,49 @@ LossAndGrad UhscmBatchLoss(const linalg::Matrix& z,
   out.loss += ls;
 
   // --- Lc: modified contrastive (Eq. 8 with -log; see header note) ---
+  // With e_l = exp((h_il - max) / gamma) and denom_j = e_j + (sum of e over
+  // the negatives), positive j adds -w log(e_j / denom_j); a negative l
+  // gets w e_l / (gamma denom_j) from each positive j, so its gradient is
+  // w e_l / gamma times the sum of 1/denom_j: O(t) per anchor.
   if (!options.disable_contrastive && options.alpha != 0.0f) {
     const double gamma = options.gamma;
+    std::vector<double> e(static_cast<size_t>(t));
+    std::vector<char> positive(static_cast<size_t>(t));
     double lc = 0.0;
-    int anchors = 0;
     for (int i = 0; i < t; ++i) {
-      std::vector<int> psi;
-      std::vector<int> phi;
-      for (int j = 0; j < t; ++j) {
-        if (j == i) continue;
-        if (q_batch(i, j) >= options.lambda) {
-          psi.push_back(j);
-        } else {
-          phi.push_back(j);
-        }
-      }
-      if (psi.empty() || phi.empty()) continue;
-      ++anchors;
-
-      // exp(h_il / gamma) for negatives, with a shared max-shift for
-      // numerical stability across the anchor's row.
+      int positives = 0;
       double row_max = -2.0;
-      for (int j : psi) row_max = std::max(row_max, static_cast<double>(h(i, j)));
-      for (int l : phi) row_max = std::max(row_max, static_cast<double>(h(i, l)));
+      for (int j = 0; j < t; ++j) {
+        positive[j] = j != i && q_batch(i, j) >= options.lambda;
+        if (positive[j]) ++positives;
+        if (j != i) row_max = std::max(row_max, static_cast<double>(h(i, j)));
+      }
+      if (positives == 0 || positives == t - 1) continue;
 
       double s_neg = 0.0;
-      std::vector<double> e_neg(phi.size());
-      for (size_t u = 0; u < phi.size(); ++u) {
-        e_neg[u] = std::exp((static_cast<double>(h(i, phi[u])) - row_max) / gamma);
-        s_neg += e_neg[u];
+      for (int j = 0; j < t; ++j) {
+        if (j == i) continue;
+        e[j] = std::exp((static_cast<double>(h(i, j)) - row_max) / gamma);
+        if (!positive[j]) s_neg += e[j];
       }
-
       // Weight alpha / (t * |Psi_i|): alpha from Eq. (11), 1/t from the
       // batch mean, 1/|Psi_i| from Eq. (8).
-      const double w =
-          options.alpha / (static_cast<double>(psi.size()) * t);
-      for (int j : psi) {
-        const double e_pos =
-            std::exp((static_cast<double>(h(i, j)) - row_max) / gamma);
-        const double denom = e_pos + s_neg;
-        const double p = e_pos / denom;
+      const double w = options.alpha / (static_cast<double>(positives) * t);
+      double inv_denoms = 0.0;
+      for (int j = 0; j < t; ++j) {
+        if (!positive[j]) continue;
+        const double denom = e[j] + s_neg;
+        const double p = e[j] / denom;
         lc += -w * std::log(std::max(p, 1e-300));
         // d(-log p)/dh_ij = -(1 - p)/gamma.
         g(i, j) += static_cast<float>(-w * (1.0 - p) / gamma);
-        // d(-log p)/dh_il = e_l / denom / gamma for negatives.
-        for (size_t u = 0; u < phi.size(); ++u) {
-          g(i, phi[u]) += static_cast<float>(w * e_neg[u] / denom / gamma);
-        }
+        inv_denoms += 1.0 / denom;
+      }
+      for (int l = 0; l < t; ++l) {
+        if (l == i || positive[l]) continue;
+        g(i, l) += static_cast<float>(w * e[l] * inv_denoms / gamma);
       }
     }
-    (void)anchors;
     out.loss += lc;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/augment.h"
@@ -184,7 +185,7 @@ Result<UhscmModel> UhscmTrainer::Train(const linalg::Matrix& train_pixels,
       const int t = static_cast<int>(batch_idx.size());
       if (t < 2) continue;
 
-      const linalg::Matrix x = train_pixels.SelectRows(batch_idx);
+      linalg::Matrix x = train_pixels.SelectRows(batch_idx);
       const linalg::Matrix q_batch = model.similarity.Block(batch_idx);
 
       optimizer.ZeroGrad();
@@ -197,7 +198,7 @@ Result<UhscmModel> UhscmTrainer::Train(const linalg::Matrix& train_pixels,
           std::copy(x.Row(i), x.Row(i) + x.cols(), stacked.Row(i));
           std::copy(x2.Row(i), x2.Row(i) + x.cols(), stacked.Row(t + i));
         }
-        linalg::Matrix z_all = model.network->Forward(stacked);
+        linalg::Matrix z_all = model.network->Forward(std::move(stacked));
 
         linalg::Matrix z1(t, z_all.cols());
         for (int i = 0; i < t; ++i) {
@@ -217,12 +218,12 @@ Result<UhscmModel> UhscmTrainer::Train(const linalg::Matrix& train_pixels,
           for (int c = 0; c < dz_all.cols(); ++c) dst[c] += src[c];
         }
         step_loss = l2.loss + loss_options.alpha * jc.loss;
-        model.network->Backward(dz_all);
+        model.network->Backward(std::move(dz_all));
       } else {
-        linalg::Matrix z = model.network->Forward(x);
+        linalg::Matrix z = model.network->Forward(std::move(x));
         LossAndGrad lg = UhscmBatchLoss(z, q_batch, loss_options);
         step_loss = lg.loss;
-        model.network->Backward(lg.dz);
+        model.network->Backward(std::move(lg.dz));
       }
       optimizer.Step();
       epoch_loss += step_loss;

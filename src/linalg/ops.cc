@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -18,21 +17,26 @@ namespace uhscm::linalg {
 
 namespace {
 
-// Cache-blocking parameters shared by the matmul variants. An i-block of
-// C rows is one parallel work unit; within it the inner dimension is
-// walked in kKC-sized panels so the B panel streamed by the micro-kernel
-// stays L2-resident across the block's rows instead of thrashing per row.
-constexpr int kMC = 32;   // C rows per parallel block (upper bound)
+// Cache-blocking parameters of the blocked loops. An i-block of C rows is
+// one work unit; within it the inner dimension is walked in kKC-sized
+// panels so the B panel streamed by the micro-kernel stays L2-resident
+// across the block's rows instead of thrashing per row.
+constexpr int kMC = 32;   // C rows per work unit (upper bound)
 constexpr int kKC = 128;  // inner-dimension panel
 
-// Row-block size for one parallel unit: kMC for cache reuse, shrunk when
-// the matrix is too short to hand the pool ~4 units per thread —
-// otherwise a 64-row product on a 16-core host would degenerate to two
-// work units.
-inline int PickRowBlock(int m) {
-  static const int threads =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  return std::max(1, std::min(kMC, m / (4 * threads)));
+/// Products below this many multiply-adds run their blocks on the calling
+/// thread: at a training step's shapes (2^20 to 2^24) waking the pool for
+/// one or two i-blocks costs more CPU than it saves wall time. Which
+/// thread runs a block never changes the bytes of the result.
+constexpr int64_t kPoolMinFlops = int64_t{1} << 25;
+
+template <typename Fn>
+void ForEachBlock(int64_t flops, int count, const Fn& fn) {
+  if (flops < kPoolMinFlops) {
+    for (int i = 0; i < count; ++i) fn(i);
+  } else {
+    ParallelFor(count, fn);
+  }
 }
 
 // Micro-kernel: crow += sum_t avs[t] * brows[t][0..n), four inner-dim
@@ -81,7 +85,7 @@ inline void Axpy1(float* crow, float av, const float* brow, int n) {
 constexpr int kMR = 6;        // micro-tile rows (A panel height)
 constexpr int kNR = 16;       // micro-tile cols (B panel width, 2 x ymm)
 constexpr int kGemmKC = 256;  // inner-dimension slab depth
-constexpr int kGemmMC = 96;   // A block rows per parallel unit (kMR * 16)
+constexpr int kGemmMC = 96;   // A block rows per work unit (kMR * 16)
 
 /// Below this many multiply-adds the packing overhead beats the
 /// micro-kernel win; such products stay on the cache-blocked loop.
@@ -239,12 +243,16 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
                     const float* b, int ldb, bool b_trans, float* c, int ldc) {
   static const MicroKernelFn micro = PickMicroKernel();
   const int jpanels = (n + kNR - 1) / kNR;
-  std::vector<float> bpack(static_cast<size_t>(jpanels) * kGemmKC * kNR);
+  // As deep as the deepest slab, not kGemmKC: for a layer's dW (k = 128,
+  // n = 512) the larger pack plus the 512 KB result crossed glibc's
+  // heap-trim threshold, so every call page-faulted its buffers back in.
+  std::vector<float> bpack(static_cast<size_t>(jpanels) * std::min(k, kGemmKC) *
+                           kNR);
   for (int p0 = 0; p0 < k; p0 += kGemmKC) {
     const int kc = std::min(kGemmKC, k - p0);
     PackBPanels(b, ldb, b_trans, p0, kc, n, bpack.data());
     const int iblocks = (m + kGemmMC - 1) / kGemmMC;
-    ParallelFor(iblocks, [&](int ib) {
+    ForEachBlock(int64_t{m} * n * k, iblocks, [&](int ib) {
       const int i0 = ib * kGemmMC;
       const int mc = std::min(kGemmMC, m - i0);
       const int ipanels = (mc + kMR - 1) / kMR;
@@ -301,11 +309,10 @@ Matrix MatMulBlocked(const Matrix& a, const Matrix& b) {
   const int m = a.rows();
   const int k = a.cols();
   const int n = b.cols();
-  const int mc = PickRowBlock(m);
-  const int iblocks = (m + mc - 1) / mc;
-  ParallelFor(iblocks, [&](int ib) {
-    const int i0 = ib * mc;
-    const int i1 = std::min(i0 + mc, m);
+  const int iblocks = (m + kMC - 1) / kMC;
+  ForEachBlock(int64_t{m} * k * n, iblocks, [&](int ib) {
+    const int i0 = ib * kMC;
+    const int i1 = std::min(i0 + kMC, m);
     for (int p0 = 0; p0 < k; p0 += kKC) {
       const int p1 = std::min(p0 + kKC, k);
       for (int i = i0; i < i1; ++i) {
@@ -338,45 +345,39 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
+void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* c) {
   UHSCM_CHECK(a.rows() == b.rows(), "MatMulTransA: dims mismatch");
-  const int pm = a.cols();
-  const int pk = a.rows();
-  const int pn = b.cols();
-  if (int64_t{pm} * pk * pn >= kPackedMinFlops) {
-    Matrix c(pm, pn);
-    PackedGemmInto(pm, pn, pk, a.data(), pm, /*a_trans=*/true, b.data(), pn,
-                   /*b_trans=*/false, c.Row(0), pn);
-    return c;
-  }
-  Matrix c(a.cols(), b.cols());
+  UHSCM_CHECK(c->rows() == a.cols() && c->cols() == b.cols(),
+              "AddMatMulTransA: C shape mismatch");
   const int m = a.cols();
   const int k = a.rows();
   const int n = b.cols();
-  // Same blocked structure with the roles transposed:
-  // c(i,j) = sum_p a(p,i) * b(p,j), so the A reads are column-strided but
-  // the B panel reuse and C-row register tiling are identical to MatMul.
-  const int mc = PickRowBlock(m);
-  const int iblocks = (m + mc - 1) / mc;
-  ParallelFor(iblocks, [&](int ib) {
-    const int i0 = ib * mc;
-    const int i1 = std::min(i0 + mc, m);
-    for (int p0 = 0; p0 < k; p0 += kKC) {
-      const int p1 = std::min(p0 + kKC, k);
-      for (int i = i0; i < i1; ++i) {
-        float* crow = c.Row(i);
-        int p = p0;
-        for (; p + 4 <= p1; p += 4) {
-          const float avs[4] = {a(p, i), a(p + 1, i), a(p + 2, i),
-                                a(p + 3, i)};
-          const float* brows[4] = {b.Row(p), b.Row(p + 1), b.Row(p + 2),
-                                   b.Row(p + 3)};
-          Axpy4(crow, avs, brows, n);
-        }
-        for (; p < p1; ++p) Axpy1(crow, a(p, i), b.Row(p), n);
+  if (int64_t{m} * k * n >= kPackedMinFlops) {
+    PackedGemmInto(m, n, k, a.data(), m, /*a_trans=*/true, b.data(), n,
+                   /*b_trans=*/false, c->data(), n);
+    return;
+  }
+  // MatMulBlocked's loop with the roles transposed, c(i,j) += sum_p
+  // a(p,i) * b(p,j): the A reads are column-strided, the rest is the same.
+  for (int p0 = 0; p0 < k; p0 += kKC) {
+    const int p1 = std::min(p0 + kKC, k);
+    for (int i = 0; i < m; ++i) {
+      float* crow = c->Row(i);
+      int p = p0;
+      for (; p + 4 <= p1; p += 4) {
+        const float avs[4] = {a(p, i), a(p + 1, i), a(p + 2, i), a(p + 3, i)};
+        const float* brows[4] = {b.Row(p), b.Row(p + 1), b.Row(p + 2),
+                                 b.Row(p + 3)};
+        Axpy4(crow, avs, brows, n);
       }
+      for (; p < p1; ++p) Axpy1(crow, a(p, i), b.Row(p), n);
     }
-  });
+  }
+}
+
+Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  AddMatMulTransA(a, b, &c);
   return c;
 }
 
@@ -392,7 +393,7 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.rows());
   const int k = a.cols();
   const int nb = b.rows();
-  ParallelFor(a.rows(), [&](int i) {
+  for (int i = 0; i < a.rows(); ++i) {
     const float* arow = a.Row(i);
     float* crow = c.Row(i);
     // Four dot products share one streaming pass over arow (register
@@ -417,7 +418,7 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
       crow[j + 3] = s3;
     }
     for (; j < nb; ++j) crow[j] = Dot(arow, b.Row(j), k);
-  });
+  }
   return c;
 }
 

@@ -7,19 +7,24 @@
 
 namespace uhscm::linalg {
 
-/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Parallel over row
-/// blocks. Products big enough to amortize packing go through the
-/// packed-panel GEMM micro-kernel (j-panel packing + a 6x16 register
-/// tile, explicitly vectorized with AVX2+FMA where the CPU has it);
-/// small products stay on the cache-blocked loop (MatMulBlocked).
+/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Products of 2^18
+/// multiply-adds or more go through the packed-panel GEMM micro-kernel
+/// (j-panel packing + a 6x16 register tile, explicitly vectorized with
+/// AVX2+FMA where the CPU has it), smaller ones through the cache-blocked
+/// loop (MatMulBlocked). Row blocks of products of 2^25 or more run on
+/// the thread pool, which never changes the bytes of the result.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n). Same packed-panel
-/// dispatch as MatMul (the packing step absorbs the transpose).
+/// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n). Same dispatch as
+/// MatMul (the packing step absorbs the transpose).
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n). Same packed-panel
-/// dispatch as MatMul (the packing step absorbs the transpose).
+/// C += A^T * B into an existing (m x n) C. With C zero on entry the
+/// bytes equal MatMulTransA(a, b).
+void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* c);
+
+/// C = A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n). Same dispatch as
+/// MatMul (the packing step absorbs the transpose).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// The pre-packing cache-blocked implementation of MatMul, kept as the

@@ -4,41 +4,36 @@
 
 namespace uhscm::nn {
 
-linalg::Matrix Tanh::Forward(const linalg::Matrix& input) {
-  linalg::Matrix out(input.rows(), input.cols());
-  for (size_t i = 0; i < input.size(); ++i) {
-    out.data()[i] = std::tanh(input.data()[i]);
-  }
-  cached_output_ = out;
-  return out;
+linalg::Matrix Tanh::Forward(linalg::Matrix input) {
+  float* x = input.data();
+  for (size_t i = 0; i < input.size(); ++i) x[i] = std::tanh(x[i]);
+  cached_output_ = input;
+  return input;
 }
 
-linalg::Matrix Tanh::Backward(const linalg::Matrix& grad_output) {
-  linalg::Matrix grad(grad_output.rows(), grad_output.cols());
+linalg::Matrix Tanh::Backward(linalg::Matrix grad_output) {
+  const float* y = cached_output_.data();
+  float* g = grad_output.data();
   for (size_t i = 0; i < grad_output.size(); ++i) {
-    const float y = cached_output_.data()[i];
-    grad.data()[i] = grad_output.data()[i] * (1.0f - y * y);
+    g[i] = g[i] * (1.0f - y[i] * y[i]);
   }
-  return grad;
+  return grad_output;
 }
 
-linalg::Matrix Relu::Forward(const linalg::Matrix& input) {
-  cached_input_ = input;
-  linalg::Matrix out(input.rows(), input.cols());
-  for (size_t i = 0; i < input.size(); ++i) {
-    const float v = input.data()[i];
-    out.data()[i] = v > 0.0f ? v : 0.0f;
-  }
-  return out;
+linalg::Matrix Relu::Forward(linalg::Matrix input) {
+  float* x = input.data();
+  for (size_t i = 0; i < input.size(); ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  cached_output_ = input;
+  return input;
 }
 
-linalg::Matrix Relu::Backward(const linalg::Matrix& grad_output) {
-  linalg::Matrix grad(grad_output.rows(), grad_output.cols());
+linalg::Matrix Relu::Backward(linalg::Matrix grad_output) {
+  const float* y = cached_output_.data();
+  float* g = grad_output.data();
   for (size_t i = 0; i < grad_output.size(); ++i) {
-    grad.data()[i] =
-        cached_input_.data()[i] > 0.0f ? grad_output.data()[i] : 0.0f;
+    g[i] = y[i] > 0.0f ? g[i] : 0.0f;
   }
-  return grad;
+  return grad_output;
 }
 
 }  // namespace uhscm::nn

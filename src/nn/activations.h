@@ -11,8 +11,8 @@ namespace uhscm::nn {
 /// final k-dimensional layer to approximate sign() differentiably (§3.4).
 class Tanh : public Layer {
  public:
-  linalg::Matrix Forward(const linalg::Matrix& input) override;
-  linalg::Matrix Backward(const linalg::Matrix& grad_output) override;
+  linalg::Matrix Forward(linalg::Matrix input) override;
+  linalg::Matrix Backward(linalg::Matrix grad_output) override;
   std::string name() const override { return "Tanh"; }
 
  private:
@@ -22,12 +22,13 @@ class Tanh : public Layer {
 /// \brief Element-wise ReLU for hidden layers of the backbone MLP.
 class Relu : public Layer {
  public:
-  linalg::Matrix Forward(const linalg::Matrix& input) override;
-  linalg::Matrix Backward(const linalg::Matrix& grad_output) override;
+  /// Backward masks by the cached output: positive where the input was.
+  linalg::Matrix Forward(linalg::Matrix input) override;
+  linalg::Matrix Backward(linalg::Matrix grad_output) override;
   std::string name() const override { return "Relu"; }
 
  private:
-  linalg::Matrix cached_input_;
+  linalg::Matrix cached_output_;
 };
 
 }  // namespace uhscm::nn

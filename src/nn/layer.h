@@ -19,20 +19,21 @@ struct Parameter {
 /// \brief Base class for differentiable layers operating on mini-batches.
 ///
 /// A batch is an n x d Matrix (rows are samples). Forward() must be called
-/// before Backward(); layers cache whatever activations they need. This is
-/// a deliberately small reverse-mode engine — exactly what the paper's
-/// hashing network (stacked fully-connected layers with tanh output,
-/// trained by SGD with momentum) requires.
+/// before Backward(); layers cache whatever activations they need, and
+/// take their argument by value so a moved-in batch is cached or updated
+/// in place, not copied. This is a deliberately small reverse-mode engine —
+/// exactly what the paper's hashing network (stacked fully-connected
+/// layers with tanh output, trained by SGD with momentum) requires.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   /// Computes the layer output for a batch.
-  virtual linalg::Matrix Forward(const linalg::Matrix& input) = 0;
+  virtual linalg::Matrix Forward(linalg::Matrix input) = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
   /// dL/d(input). Must follow a Forward() on the same batch.
-  virtual linalg::Matrix Backward(const linalg::Matrix& grad_output) = 0;
+  virtual linalg::Matrix Backward(linalg::Matrix grad_output) = 0;
 
   /// Exposes trainable parameters (empty for activations).
   virtual std::vector<Parameter> Parameters() { return {}; }

@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/string_util.h"
 #include "linalg/ops.h"
@@ -20,25 +21,24 @@ Linear::Linear(int in_features, int out_features, Rng* rng)
   }
 }
 
-linalg::Matrix Linear::Forward(const linalg::Matrix& input) {
-  cached_input_ = input;
+linalg::Matrix Linear::Forward(linalg::Matrix input) {
   linalg::Matrix out = linalg::MatMul(input, weight_);
   for (int r = 0; r < out.rows(); ++r) {
     float* row = out.Row(r);
     const float* b = bias_.Row(0);
     for (int c = 0; c < out.cols(); ++c) row[c] += b[c];
   }
+  cached_input_ = std::move(input);
   return out;
 }
 
-linalg::Matrix Linear::Backward(const linalg::Matrix& grad_output) {
+linalg::Matrix Linear::Backward(linalg::Matrix grad_output) {
   BackwardParameters(grad_output);
   return linalg::MatMulTransB(grad_output, weight_);
 }
 
 void Linear::BackwardParameters(const linalg::Matrix& grad_output) {
-  linalg::Matrix dw = linalg::MatMulTransA(cached_input_, grad_output);
-  weight_grad_.Add(dw);
+  linalg::AddMatMulTransA(cached_input_, grad_output, &weight_grad_);
   for (int r = 0; r < grad_output.rows(); ++r) {
     const float* g = grad_output.Row(r);
     float* bg = bias_grad_.Row(0);

@@ -19,11 +19,11 @@ class Linear : public Layer {
   /// Xavier-uniform initialization: U(-a, a), a = sqrt(6/(in+out)).
   Linear(int in_features, int out_features, Rng* rng);
 
-  linalg::Matrix Forward(const linalg::Matrix& input) override;
+  linalg::Matrix Forward(linalg::Matrix input) override;
   /// BackwardParameters(grad_output), then returns dL/d(input) = g W^T.
-  linalg::Matrix Backward(const linalg::Matrix& grad_output) override;
+  linalg::Matrix Backward(linalg::Matrix grad_output) override;
 
-  /// The parameter half of Backward: accumulates dW += x^T g and
+  /// The parameter half of Backward: accumulates dW += x^T g in place and
   /// db += colsum(g) and skips the input gradient. For a first layer,
   /// whose input gradient nothing reads. Must follow a Forward() on the
   /// same batch.

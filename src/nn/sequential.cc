@@ -1,23 +1,23 @@
 #include "nn/sequential.h"
 
+#include <utility>
+
 namespace uhscm::nn {
 
 void Sequential::Append(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-linalg::Matrix Sequential::Forward(const linalg::Matrix& input) {
-  linalg::Matrix x = input;
-  for (auto& layer : layers_) x = layer->Forward(x);
-  return x;
+linalg::Matrix Sequential::Forward(linalg::Matrix input) {
+  for (auto& layer : layers_) input = layer->Forward(std::move(input));
+  return input;
 }
 
-linalg::Matrix Sequential::Backward(const linalg::Matrix& grad_output) {
-  linalg::Matrix g = grad_output;
+linalg::Matrix Sequential::Backward(linalg::Matrix grad_output) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
+    grad_output = (*it)->Backward(std::move(grad_output));
   }
-  return g;
+  return grad_output;
 }
 
 std::vector<Parameter> Sequential::Parameters() {

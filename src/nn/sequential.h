@@ -23,8 +23,8 @@ class Sequential : public Layer {
 
   Layer* layer(int i) { return layers_[static_cast<size_t>(i)].get(); }
 
-  linalg::Matrix Forward(const linalg::Matrix& input) override;
-  linalg::Matrix Backward(const linalg::Matrix& grad_output) override;
+  linalg::Matrix Forward(linalg::Matrix input) override;
+  linalg::Matrix Backward(linalg::Matrix grad_output) override;
   std::vector<Parameter> Parameters() override;
   std::string name() const override;
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/losses.h"
@@ -51,6 +55,97 @@ Matrix RandomQ(int t, Rng* rng) {
   return q;
 }
 
+/// UhscmBatchLoss as first written: the contrastive term adds every
+/// negative's gradient once per positive, O(t |Psi_i| |Phi_i|) per anchor,
+/// with the positive and negative sets gathered into vectors. Kept as the
+/// reference the O(t^2) library version must agree with.
+LossAndGrad ReferenceUhscmBatchLoss(const Matrix& z, const Matrix& q_batch,
+                                    const UhscmLossOptions& options) {
+  const int t = z.rows();
+  Matrix zhat = z;
+  for (int i = 0; i < t; ++i) {
+    float* row = zhat.Row(i);
+    const float inv = 1.0f / std::max(linalg::Norm2(row, z.cols()), 1e-12f);
+    for (int c = 0; c < z.cols(); ++c) row[c] *= inv;
+  }
+  const Matrix h = linalg::MatMulTransB(zhat, zhat);
+
+  LossAndGrad out;
+  Matrix g(t, t);  // dL/dH
+
+  const double inv_t2 = 1.0 / (static_cast<double>(t) * t);
+  double ls = 0.0;
+  for (int i = 0; i < t; ++i) {
+    for (int j = 0; j < t; ++j) {
+      const double diff = static_cast<double>(h(i, j)) - q_batch(i, j);
+      ls += diff * diff;
+      g(i, j) += static_cast<float>(2.0 * inv_t2 * diff);
+    }
+  }
+  out.loss += ls * inv_t2;
+
+  if (!options.disable_contrastive && options.alpha != 0.0f) {
+    const double gamma = options.gamma;
+    double lc = 0.0;
+    for (int i = 0; i < t; ++i) {
+      std::vector<int> psi;
+      std::vector<int> phi;
+      for (int j = 0; j < t; ++j) {
+        if (j == i) continue;
+        if (q_batch(i, j) >= options.lambda) {
+          psi.push_back(j);
+        } else {
+          phi.push_back(j);
+        }
+      }
+      if (psi.empty() || phi.empty()) continue;
+
+      double row_max = -2.0;
+      for (int j : psi) row_max = std::max(row_max, static_cast<double>(h(i, j)));
+      for (int l : phi) row_max = std::max(row_max, static_cast<double>(h(i, l)));
+
+      double s_neg = 0.0;
+      std::vector<double> e_neg(phi.size());
+      for (size_t u = 0; u < phi.size(); ++u) {
+        e_neg[u] = std::exp((static_cast<double>(h(i, phi[u])) - row_max) / gamma);
+        s_neg += e_neg[u];
+      }
+
+      const double w = options.alpha / (static_cast<double>(psi.size()) * t);
+      for (int j : psi) {
+        const double e_pos =
+            std::exp((static_cast<double>(h(i, j)) - row_max) / gamma);
+        const double denom = e_pos + s_neg;
+        const double p = e_pos / denom;
+        lc += -w * std::log(std::max(p, 1e-300));
+        g(i, j) += static_cast<float>(-w * (1.0 - p) / gamma);
+        for (size_t u = 0; u < phi.size(); ++u) {
+          g(i, phi[u]) += static_cast<float>(w * e_neg[u] / denom / gamma);
+        }
+      }
+    }
+    out.loss += lc;
+  }
+
+  out.dz = CosineSimilarityBackward(z, g);
+  if (options.beta != 0.0f) {
+    const double inv_t = 1.0 / static_cast<double>(t);
+    double lq = 0.0;
+    for (int i = 0; i < t; ++i) {
+      const float* zi = z.Row(i);
+      float* dzi = out.dz.Row(i);
+      for (int c = 0; c < z.cols(); ++c) {
+        const float b = zi[c] < 0.0f ? -1.0f : 1.0f;
+        const float diff = zi[c] - b;
+        lq += static_cast<double>(diff) * diff;
+        dzi[c] += static_cast<float>(2.0 * options.beta * inv_t * diff);
+      }
+    }
+    out.loss += options.beta * lq * inv_t;
+  }
+  return out;
+}
+
 TEST(CosineSimilarityBackwardTest, DiagonalGradientsVanish) {
   Rng rng(1);
   Matrix z = Matrix::RandomNormal(4, 6, &rng);
@@ -92,6 +187,88 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, UhscmLossGradient,
     ::testing::Values(std::make_tuple(4, 8), std::make_tuple(8, 16),
                       std::make_tuple(12, 32), std::make_tuple(6, 4)));
+
+/// One case of the library loss against the reference: t codes of width
+/// 32, Q from RandomQ (values in [0, 1]) or from ten noisy classes, and
+/// the options under test.
+struct ReferenceCase {
+  const char* name;
+  int t;
+  bool class_q;
+  float lambda;
+  float alpha;
+  bool disable_contrastive;
+  bool duplicate_rows;
+};
+
+void PrintTo(const ReferenceCase& c, std::ostream* os) { *os << c.name; }
+
+class UhscmLossReference : public ::testing::TestWithParam<ReferenceCase> {};
+
+TEST_P(UhscmLossReference, MatchesReference) {
+  // The library sums each negative's gradient once over the positives
+  // instead of once per positive, which rounds differently: loss and dz
+  // must agree to 1e-6 relative. The absolute floor, 1e-6 of the largest
+  // |dz|, covers entries where the terms of dz cancel to near zero.
+  const ReferenceCase c = GetParam();
+  Rng rng(500 + c.t);
+  Matrix z = Matrix::RandomNormal(c.t, 32, &rng);
+  if (c.duplicate_rows) {
+    // Rows 1 and 2 repeat row 0: equal cosines, hence equal exponentials.
+    for (int r = 1; r < std::min(3, c.t); ++r) {
+      std::copy(z.Row(0), z.Row(0) + z.cols(), z.Row(r));
+    }
+  }
+  Matrix q = RandomQ(c.t, &rng);
+  if (c.class_q) {
+    for (int i = 0; i < c.t; ++i) {
+      for (int j = 0; j < c.t; ++j) {
+        q(i, j) = i == j ? 1.0f
+                  : i % 10 == j % 10
+                      ? 0.9f + 0.1f * static_cast<float>(rng.Uniform())
+                      : 0.3f * static_cast<float>(rng.Uniform());
+      }
+    }
+  }
+  UhscmLossOptions options;
+  options.lambda = c.lambda;
+  options.alpha = c.alpha;
+  options.disable_contrastive = c.disable_contrastive;
+
+  const LossAndGrad got = UhscmBatchLoss(z, q, options);
+  const LossAndGrad want = ReferenceUhscmBatchLoss(z, q, options);
+  EXPECT_NEAR(got.loss, want.loss, 1e-6 * std::fabs(want.loss));
+  ASSERT_EQ(got.dz.size(), want.dz.size());
+  float max_abs = 0.0f;
+  for (size_t i = 0; i < want.dz.size(); ++i) {
+    max_abs = std::max(max_abs, std::fabs(want.dz.data()[i]));
+  }
+  for (size_t i = 0; i < want.dz.size(); ++i) {
+    const double w = want.dz.data()[i];
+    EXPECT_NEAR(got.dz.data()[i], w, 1e-6 * (std::fabs(w) + max_abs))
+        << "entry " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, UhscmLossReference,
+    ::testing::Values(
+        // lambda 0.5 splits RandomQ's values; 1.5 leaves no positives and
+        // 0 makes every pair one, so Lc has no anchor at all.
+        ReferenceCase{"t2_mix", 2, false, 0.5f, 0.2f, false, false},
+        ReferenceCase{"t3_mix", 3, false, 0.5f, 0.2f, false, false},
+        ReferenceCase{"t17_mix", 17, false, 0.5f, 0.2f, false, false},
+        ReferenceCase{"t128_mix", 128, false, 0.5f, 0.2f, false, false},
+        ReferenceCase{"t128_classes", 128, true, 0.8f, 0.2f, false, false},
+        ReferenceCase{"t17_no_positives", 17, false, 1.5f, 0.2f, false, false},
+        ReferenceCase{"t17_all_positives", 17, false, 0.0f, 0.2f, false, false},
+        ReferenceCase{"t17_duplicates", 17, false, 0.5f, 0.2f, false, true},
+        ReferenceCase{"t128_duplicates", 128, true, 0.8f, 0.2f, false, true},
+        ReferenceCase{"t17_alpha0", 17, false, 0.5f, 0.0f, false, false},
+        ReferenceCase{"t17_disabled", 17, false, 0.5f, 0.2f, true, false}),
+    [](const ::testing::TestParamInfo<ReferenceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(UhscmLossTest, PerfectCodesHaveNearZeroSimilarityLoss) {
   // Two groups of identical codes; Q matches exactly.

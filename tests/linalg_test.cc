@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
@@ -239,6 +242,83 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(96, 256, 96),   // exact kGemmKC slab
                       std::make_tuple(97, 300, 31),   // kGemmMC + slab tails
                       std::make_tuple(6, 3000, 16))); // single tile, deep k
+
+/// Rows [r0, r0 + rows) of m.
+Matrix RowSlice(const Matrix& m, int r0, int rows) {
+  std::vector<int> idx(static_cast<size_t>(rows));
+  for (int i = 0; i < rows; ++i) idx[static_cast<size_t>(i)] = r0 + i;
+  return m.SelectRows(idx);
+}
+
+TEST(OpsTest, PoolSplitDoesNotChangeBytes) {
+  // 1152 x 256 x 128 is above the 2^25 multiply-add threshold, so each
+  // product below spreads its 96-row i-blocks over the thread pool. Every
+  // 96-row slice of the output on its own is below the threshold and runs
+  // on the calling thread. The slices sit on the kGemmMC grid, so the tile
+  // decomposition, and with it every element's arithmetic order, is the
+  // same: the assembled slices must equal the pooled product byte for byte.
+  constexpr int kM = 1152;
+  constexpr int kK = 256;
+  constexpr int kN = 128;
+  constexpr int kSlice = 96;
+  Rng rng(404);
+  const Matrix a = Matrix::RandomNormal(kM, kK, &rng);
+  const Matrix at = a.Transposed();  // kK x kM, for MatMulTransA
+  const Matrix b = Matrix::RandomNormal(kK, kN, &rng);
+  const Matrix bt = b.Transposed();  // kN x kK, for MatMulTransB
+  const Matrix full_nn = MatMul(a, b);
+  const Matrix full_tn = MatMulTransA(at, b);
+  const Matrix full_nt = MatMulTransB(a, bt);
+  const size_t slice_bytes = static_cast<size_t>(kSlice) * kN * sizeof(float);
+  for (int r0 = 0; r0 < kM; r0 += kSlice) {
+    const Matrix a_slice = RowSlice(a, r0, kSlice);
+    const Matrix at_slice = a_slice.Transposed();
+    EXPECT_EQ(std::memcmp(MatMul(a_slice, b).data(), full_nn.Row(r0),
+                          slice_bytes), 0)
+        << "MatMul rows " << r0;
+    EXPECT_EQ(std::memcmp(MatMulTransA(at_slice, b).data(), full_tn.Row(r0),
+                          slice_bytes), 0)
+        << "MatMulTransA rows " << r0;
+    EXPECT_EQ(std::memcmp(MatMulTransB(a_slice, bt).data(), full_nt.Row(r0),
+                          slice_bytes), 0)
+        << "MatMulTransB rows " << r0;
+  }
+}
+
+class AddMatMulTransAShapes
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(AddMatMulTransAShapes, AccumulatesOntoC) {
+  // Into a zero C the accumulating form is MatMulTransA byte for byte; onto
+  // a non-zero C it adds the product (its sums start from C's values, so
+  // it rounds differently from adding a separate product).
+  const auto [m, k, n] = GetParam();
+  Rng rng(405);
+  const Matrix a = Matrix::RandomNormal(k, m, &rng);
+  const Matrix b = Matrix::RandomNormal(k, n, &rng);
+  const Matrix product = MatMulTransA(a, b);
+  Matrix c(m, n);
+  AddMatMulTransA(a, b, &c);
+  EXPECT_EQ(std::memcmp(c.data(), product.data(), c.size() * sizeof(float)), 0);
+
+  const Matrix c0 = Matrix::RandomNormal(m, n, &rng);
+  c = c0;
+  AddMatMulTransA(a, b, &c);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const float expected = c0(i, j) + product(i, j);
+      EXPECT_NEAR(c(i, j), expected, 1e-5f * std::max(1.0f, std::fabs(expected)))
+          << i << "," << j;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, AddMatMulTransAShapes,
+    ::testing::Values(std::make_tuple(6, 5, 4),        // blocked loop
+                      std::make_tuple(33, 130, 37),    // blocked, kKC tail
+                      std::make_tuple(70, 129, 67),    // packed, tile edges
+                      std::make_tuple(256, 128, 512)));  // a layer's dW
 
 TEST(OpsTest, MatMulZeroHeavyInputsStayExact) {
   // The dense kernels dropped the av == 0 skip; sparse inputs must still

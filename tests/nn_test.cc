@@ -63,6 +63,55 @@ TEST(LinearTest, GradientCheck) {
   EXPECT_LT(err, 1e-2);
 }
 
+class LinearWeightGradient
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(LinearWeightGradient, AccumulatesInPlace) {
+  // Backward adds x^T g straight into the weight gradient. After ZeroGrad
+  // and one backward that is MatMulTransA(x, g) byte for byte. A second
+  // backward without ZeroGrad starts its sums from the first gradient, so
+  // it matches the sum of the two products to rounding only: within 1e-6
+  // of the entry's scale, sum_p |x_pi g_pj| over both batches, which
+  // bounds float rounding in a sum whose terms may cancel.
+  const auto [rows, in, out] = GetParam();
+  Rng rng(21);
+  Linear layer(in, out, &rng);
+  const Matrix x1 = Matrix::RandomNormal(rows, in, &rng);
+  const Matrix g1 = Matrix::RandomNormal(rows, out, &rng);
+  const Matrix x2 = Matrix::RandomNormal(rows, in, &rng);
+  const Matrix g2 = Matrix::RandomNormal(rows, out, &rng);
+  const Matrix& dw = *layer.Parameters()[0].grad;
+
+  layer.ZeroGrad();
+  layer.Forward(x1);
+  layer.Backward(g1);
+  const Matrix first = linalg::MatMulTransA(x1, g1);
+  ASSERT_EQ(dw.size(), first.size());
+  EXPECT_EQ(std::memcmp(dw.data(), first.data(), dw.size() * sizeof(float)),
+            0);
+
+  layer.Forward(x2);
+  layer.Backward(g2);
+  const Matrix second = linalg::MatMulTransA(x2, g2);
+  const auto abs = [](Matrix m) {
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] = std::fabs(m.data()[i]);
+    return m;
+  };
+  Matrix scale = linalg::MatMulTransA(abs(x1), abs(g1));
+  scale.Add(linalg::MatMulTransA(abs(x2), abs(g2)));
+  for (size_t i = 0; i < dw.size(); ++i) {
+    const double expected =
+        static_cast<double>(first.data()[i]) + second.data()[i];
+    EXPECT_NEAR(dw.data()[i], expected, 1e-6 * scale.data()[i])
+        << "entry " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LinearWeightGradient,
+    ::testing::Values(std::make_tuple(5, 4, 3),          // blocked loop
+                      std::make_tuple(128, 256, 512)));  // trainer layer 1
+
 TEST(ActivationsTest, TanhForwardBackward) {
   Tanh layer;
   Matrix x = Matrix::FromRowMajor(1, 3, {-100, 0, 100});
