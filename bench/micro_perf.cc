@@ -185,10 +185,9 @@ void BM_PackedGemm(benchmark::State& state) {
   state.counters["GFLOPs"] = benchmark::Counter(
       2e-9 * m * k * n, benchmark::Counter::kIsIterationInvariantRate);
   static const char* const kNames[] = {"blocked", "NN", "TN", "NT"};
-  state.SetLabel(std::string(kNames[variant]) +
-                 (variant == 0 ? ""
-                  : linalg::PackedGemmAvailable() ? " packed/avx2"
-                                                  : " packed/portable"));
+  state.SetLabel(variant == 0 ? std::string(kNames[variant])
+                             : std::string(kNames[variant]) + " packed/" +
+                                   linalg::PackedGemmKernelName());
 }
 // Wall time: a product above the pool threshold runs on several threads,
 // and the main thread's CPU time would count only its own share.

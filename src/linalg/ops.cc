@@ -75,17 +75,22 @@ inline void Axpy1(float* crow, float av, const float* brow, int n) {
 //
 // GotoBLAS-style structure: the inner dimension is cut into kGemmKC-deep
 // slabs; per slab, B is packed once into contiguous kNR-wide j-panels
-// (so the micro-kernel streams it linearly), and each parallel unit
-// packs its kGemmMC x kGemmKC block of A into kMR-tall i-panels. The
-// micro-kernel then computes a kMR x kNR tile of C held entirely in
-// registers — 12 ymm accumulators on the AVX2+FMA path — with one
-// broadcast per A element and two loads per B step. Edge tiles route
-// through a zero-padded scratch tile so the hot kernel never branches.
+// (so the micro-kernel streams it linearly), and each work unit packs
+// its kGemmMC x kGemmKC block of A into kMR-tall i-panels. The
+// micro-kernel then computes one kMR x kNR tile of C. Every tier uses the
+// same tile and the same panels; only the micro-kernel differs. Edge
+// tiles run the kernel on a scratch copy of C's live region, so the hot
+// kernel never branches and every element sees the same arithmetic.
+//
+// On the FMA tiers each element of C is exactly the chain
+// c <- fma(a(i,p), b(p,j), c) for p = 0..k-1, starting from C's value on
+// entry, whatever the tile shape, slab boundary or thread: the avx2 and
+// avx512 kernels give the same bytes.
 
-constexpr int kMR = 6;        // micro-tile rows (A panel height)
-constexpr int kNR = 16;       // micro-tile cols (B panel width, 2 x ymm)
+constexpr int kMR = 12;       // micro-tile rows (A panel height)
+constexpr int kNR = 32;       // micro-tile cols (B panel width, 2 x zmm)
 constexpr int kGemmKC = 256;  // inner-dimension slab depth
-constexpr int kGemmMC = 96;   // A block rows per work unit (kMR * 16)
+constexpr int kGemmMC = 96;   // A block rows per work unit (8 panels)
 
 /// Below this many multiply-adds the packing overhead beats the
 /// micro-kernel win; such products stay on the cache-blocked loop.
@@ -97,35 +102,45 @@ constexpr int64_t kPackedMinFlops = int64_t{1} << 18;
 using MicroKernelFn = void (*)(int kc, const float* ap, const float* bp,
                                float* c, int ldc);
 
-/// Portable micro-kernel: fixed-extent inner loops over a stack tile the
-/// compiler can keep vectorized with baseline SSE.
-void Micro6x16Scalar(int kc, const float* ap, const float* bp, float* c,
-                     int ldc) {
-  float acc[kMR][kNR];
-  for (int r = 0; r < kMR; ++r) {
-    for (int j = 0; j < kNR; ++j) acc[r][j] = c[r * ldc + j];
-  }
-  for (int p = 0; p < kc; ++p) {
-    const float* b = bp + p * kNR;
+/// Portable micro-kernel: per four inner steps, each C row of the tile
+/// (L1-resident) gains the sum of four products, as in MatMulBlocked's
+/// Axpy4. It multiplies, then adds, so it is not an FMA chain. A tile
+/// held as one accumulator array does not fit the 16 SSE registers: the
+/// compiler kept it on the stack, and that kernel ran 8.6x slower than the
+/// blocked loop.
+void Micro12x32Portable(int kc, const float* ap, const float* bp,
+                        float* __restrict c, int ldc) {
+  int p = 0;
+  for (; p + 4 <= kc; p += 4) {
     const float* a = ap + p * kMR;
+    const float* b = bp + p * kNR;
     for (int r = 0; r < kMR; ++r) {
-      const float av = a[r];
-      for (int j = 0; j < kNR; ++j) acc[r][j] += av * b[j];
+      const float a0 = a[r], a1 = a[kMR + r], a2 = a[2 * kMR + r],
+                  a3 = a[3 * kMR + r];
+      float* crow = c + r * ldc;
+      for (int j = 0; j < kNR; ++j) {
+        crow[j] += (a0 * b[j] + a1 * b[kNR + j]) +
+                   (a2 * b[2 * kNR + j] + a3 * b[3 * kNR + j]);
+      }
     }
   }
-  for (int r = 0; r < kMR; ++r) {
-    for (int j = 0; j < kNR; ++j) c[r * ldc + j] = acc[r][j];
+  for (; p < kc; ++p) {
+    for (int r = 0; r < kMR; ++r) {
+      const float av = ap[p * kMR + r];
+      float* crow = c + r * ldc;
+      for (int j = 0; j < kNR; ++j) crow[j] += av * bp[p * kNR + j];
+    }
   }
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define UHSCM_HAVE_GEMM_AVX2 1
-#define UHSCM_GEMM_FN __attribute__((target("avx2,fma")))
+#if defined(UHSCM_HAVE_AVX2_KERNELS)
+#define UHSCM_GEMM_AVX2_FN __attribute__((target("avx2,fma")))
 
-/// AVX2+FMA micro-kernel: 6 x 16 C tile in 12 ymm accumulators, two B
-/// vectors reused across six broadcast-FMA rows per inner step.
-UHSCM_GEMM_FN void Micro6x16Avx2(int kc, const float* ap, const float* bp,
-                                 float* c, int ldc) {
+/// One 6x16 block of the tile in 12 ymm accumulators: two B vectors
+/// reused across six broadcast-FMA rows per inner step.
+UHSCM_GEMM_AVX2_FN inline void Block6x16Avx2(int kc, const float* ap,
+                                             const float* bp, float* c,
+                                             int ldc) {
   __m256 c00 = _mm256_loadu_ps(c + 0 * ldc), c01 = _mm256_loadu_ps(c + 0 * ldc + 8);
   __m256 c10 = _mm256_loadu_ps(c + 1 * ldc), c11 = _mm256_loadu_ps(c + 1 * ldc + 8);
   __m256 c20 = _mm256_loadu_ps(c + 2 * ldc), c21 = _mm256_loadu_ps(c + 2 * ldc + 8);
@@ -169,13 +184,77 @@ UHSCM_GEMM_FN void Micro6x16Avx2(int kc, const float* ap, const float* bp,
   _mm256_storeu_ps(c + 5 * ldc, c50);
   _mm256_storeu_ps(c + 5 * ldc + 8, c51);
 }
-#endif  // x86_64
 
-MicroKernelFn PickMicroKernel() {
-#if defined(UHSCM_HAVE_GEMM_AVX2)
-  if (PackedGemmAvailable()) return &Micro6x16Avx2;
+/// AVX2+FMA micro-kernel: the 12x32 tile as four 6x16 register blocks.
+UHSCM_GEMM_AVX2_FN void Micro12x32Avx2(int kc, const float* ap,
+                                       const float* bp, float* c, int ldc) {
+  Block6x16Avx2(kc, ap, bp, c, ldc);
+  Block6x16Avx2(kc, ap, bp + 16, c + 16, ldc);
+  Block6x16Avx2(kc, ap + 6, bp, c + 6 * ldc, ldc);
+  Block6x16Avx2(kc, ap + 6, bp + 16, c + 6 * ldc + 16, ldc);
+}
+#endif  // UHSCM_HAVE_AVX2_KERNELS
+
+#if defined(UHSCM_HAVE_AVX512_KERNELS)
+#define UHSCM_GEMM_AVX512_FN __attribute__((target("avx512f")))
+
+/// AVX-512 micro-kernel: the whole 12x32 tile in 24 zmm accumulators,
+/// two B loads and twelve broadcast-FMA rows per inner step.
+UHSCM_GEMM_AVX512_FN void Micro12x32Avx512(int kc, const float* ap,
+                                           const float* bp, float* c,
+                                           int ldc) {
+  __m512 c0[kMR], c1[kMR];
+#pragma GCC unroll 12
+  for (int r = 0; r < kMR; ++r) {
+    c0[r] = _mm512_loadu_ps(c + r * ldc);
+    c1[r] = _mm512_loadu_ps(c + r * ldc + 16);
+  }
+  for (int p = 0; p < kc; ++p) {
+    const __m512 b0 = _mm512_loadu_ps(bp + p * kNR);
+    const __m512 b1 = _mm512_loadu_ps(bp + p * kNR + 16);
+    const float* a = ap + p * kMR;
+#pragma GCC unroll 12
+    for (int r = 0; r < kMR; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r]);
+      c0[r] = _mm512_fmadd_ps(av, b0, c0[r]);
+      c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
+    }
+  }
+#pragma GCC unroll 12
+  for (int r = 0; r < kMR; ++r) {
+    _mm512_storeu_ps(c + r * ldc, c0[r]);
+    _mm512_storeu_ps(c + r * ldc + 16, c1[r]);
+  }
+}
+#endif  // UHSCM_HAVE_AVX512_KERNELS
+
+struct GemmKernel {
+  MicroKernelFn fn;
+  const char* name;
+};
+
+/// The micro-kernel of the dispatched kernel tier, picked once: the same
+/// choice, and the same UHSCM_FORCE_TIER override, as the Hamming kernels.
+const GemmKernel& ActiveGemmKernel() {
+  static const GemmKernel kernel = []() -> GemmKernel {
+    switch (index::ActiveKernelTier()) {
+#if defined(UHSCM_HAVE_AVX512_KERNELS)
+      case index::KernelTier::kAvx512:
+        return {&Micro12x32Avx512, "avx512 12x32"};
 #endif
-  return &Micro6x16Scalar;
+#if defined(UHSCM_HAVE_AVX2_KERNELS)
+      case index::KernelTier::kAvx2:
+        if (__builtin_cpu_supports("fma")) {
+          return {&Micro12x32Avx2, "avx2 12x32"};
+        }
+        break;
+#endif
+      default:
+        break;
+    }
+    return {&Micro12x32Portable, "portable 12x32"};
+  }();
+  return kernel;
 }
 
 /// Packs the kc-deep slice of logical A rows [i0, i0+mc) into kMR-tall
@@ -241,7 +320,7 @@ void PackBPanels(const float* b, int ldb, bool trans, int p0, int kc, int n,
 /// three MatMul entry points.
 void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
                     const float* b, int ldb, bool b_trans, float* c, int ldc) {
-  static const MicroKernelFn micro = PickMicroKernel();
+  const MicroKernelFn micro = ActiveGemmKernel().fn;
   const int jpanels = (n + kNR - 1) / kNR;
   // As deep as the deepest slab, not kGemmKC: for a layer's dW (k = 128,
   // n = 512) the larger pack plus the 512 KB result crossed glibc's
@@ -258,7 +337,7 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
       const int ipanels = (mc + kMR - 1) / kMR;
       std::vector<float> apack(static_cast<size_t>(ipanels) * kc * kMR);
       PackAPanels(a, lda, a_trans, i0, mc, p0, kc, apack.data());
-      alignas(32) float scratch[kMR * kNR];
+      alignas(64) float scratch[kMR * kNR];
       for (int jp = 0; jp < jpanels; ++jp) {
         const float* bp = bpack.data() + static_cast<size_t>(jp) * kc * kNR;
         const int j0 = jp * kNR;
@@ -270,13 +349,19 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
           if (rows == kMR && cols == kNR) {
             micro(kc, ap, bp, c + static_cast<size_t>(i) * ldc + j0, ldc);
           } else {
-            // Edge tile: accumulate into a zeroed scratch tile, then add
-            // the valid region back — the micro-kernel stays branch-free.
+            // Edge tile: run the kernel on a scratch copy of C's live
+            // region and copy it back, so every element continues the
+            // same FMA chain a full tile would.
             std::memset(scratch, 0, sizeof(scratch));
+            float* ctile = c + static_cast<size_t>(i) * ldc + j0;
+            for (int r = 0; r < rows; ++r) {
+              std::memcpy(scratch + r * kNR, ctile + static_cast<size_t>(r) * ldc,
+                          cols * sizeof(float));
+            }
             micro(kc, ap, bp, scratch, kNR);
             for (int r = 0; r < rows; ++r) {
-              float* crow = c + static_cast<size_t>(i + r) * ldc + j0;
-              for (int j = 0; j < cols; ++j) crow[j] += scratch[r * kNR + j];
+              std::memcpy(ctile + static_cast<size_t>(r) * ldc, scratch + r * kNR,
+                          cols * sizeof(float));
             }
           }
         }
@@ -287,21 +372,7 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
 
 }  // namespace
 
-bool PackedGemmAvailable() {
-#if defined(UHSCM_HAVE_GEMM_AVX2)
-  static const bool available = [] {
-    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
-      return false;
-    }
-    // Honor the kernel-tier override so the forced-scalar CI legs cover
-    // the portable micro-kernel alongside the scalar Hamming tier.
-    return index::ActiveKernelTier() != index::KernelTier::kScalar;
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
+const char* PackedGemmKernelName() { return ActiveGemmKernel().name; }
 
 Matrix MatMulBlocked(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.rows(), "MatMul: inner dims mismatch");
@@ -426,18 +497,8 @@ Vector MatVec(const Matrix& a, const Vector& x) {
   UHSCM_CHECK(static_cast<int>(x.size()) == a.cols(),
               "MatVec: size mismatch");
   Vector y(static_cast<size_t>(a.rows()), 0.0f);
-  // Rows fan out on the pool like the other matmul variants, but only
-  // once the product is large enough to amortize pool dispatch — small
-  // systems stay on the serial path.
-  constexpr int64_t kParallelMinFlops = int64_t{1} << 16;
-  if (int64_t{a.rows()} * a.cols() < kParallelMinFlops) {
-    for (int i = 0; i < a.rows(); ++i) {
-      y[static_cast<size_t>(i)] = Dot(a.Row(i), x.data(), a.cols());
-    }
-  } else {
-    ParallelFor(a.rows(), [&](int i) {
-      y[static_cast<size_t>(i)] = Dot(a.Row(i), x.data(), a.cols());
-    });
+  for (int i = 0; i < a.rows(); ++i) {
+    y[static_cast<size_t>(i)] = Dot(a.Row(i), x.data(), a.cols());
   }
   return y;
 }
@@ -568,21 +629,6 @@ Matrix Sign(const Matrix& m) {
     dst[i] = src[i] < 0.0f ? -1.0f : 1.0f;
   }
   return out;
-}
-
-Matrix Tanh(const Matrix& m) {
-  Matrix out(m.rows(), m.cols());
-  const float* src = m.data();
-  float* dst = out.data();
-  for (size_t i = 0; i < m.size(); ++i) dst[i] = std::tanh(src[i]);
-  return out;
-}
-
-float Mean(const Matrix& m) {
-  if (m.size() == 0) return 0.0f;
-  double sum = 0.0;
-  for (size_t i = 0; i < m.size(); ++i) sum += m.data()[i];
-  return static_cast<float>(sum / static_cast<double>(m.size()));
 }
 
 }  // namespace uhscm::linalg

@@ -8,11 +8,14 @@
 namespace uhscm::linalg {
 
 /// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Products of 2^18
-/// multiply-adds or more go through the packed-panel GEMM micro-kernel
-/// (j-panel packing + a 6x16 register tile, explicitly vectorized with
-/// AVX2+FMA where the CPU has it), smaller ones through the cache-blocked
-/// loop (MatMulBlocked). Row blocks of products of 2^25 or more run on
-/// the thread pool, which never changes the bytes of the result.
+/// multiply-adds or more go through the packed-panel GEMM (12x32 register
+/// tile; AVX-512, AVX2+FMA or portable micro-kernel by the dispatched
+/// kernel tier, see PackedGemmKernelName), smaller ones through the
+/// cache-blocked loop (MatMulBlocked). On the FMA tiers every element of a
+/// packed product is the in-order chain c = fma(a(i,p), b(p,j), c) over
+/// p, so avx2 and avx512 give the same bytes. Row blocks of products of
+/// 2^25 or more run on the thread pool, which never changes the bytes of
+/// the result.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n). Same dispatch as
@@ -33,13 +36,10 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 /// BM_PackedGemm).
 Matrix MatMulBlocked(const Matrix& a, const Matrix& b);
 
-/// True when the packed-panel GEMM will use the AVX2+FMA micro-kernel on
-/// this host (compiled in, CPU supports it, and kernel dispatch is not
-/// forced to scalar via UHSCM_FORCE_TIER=scalar — the forced-scalar CI
-/// leg covers the portable micro-kernel the same way it covers the
-/// scalar Hamming tier). When false, packed products run the portable
-/// 6x16 micro-kernel.
-bool PackedGemmAvailable();
+/// The packed GEMM's micro-kernel and tile on this host, e.g.
+/// "avx512 12x32": picked once from index::ActiveKernelTier(), so
+/// UHSCM_FORCE_TIER selects it too.
+const char* PackedGemmKernelName();
 
 /// y = A * x. Precondition: x.size() == A.cols().
 Vector MatVec(const Matrix& a, const Vector& x);
@@ -90,12 +90,6 @@ Matrix Covariance(const Matrix& m);
 /// map 0 to +1 which changes measure-zero events only and keeps codes in
 /// {-1,+1}).
 Matrix Sign(const Matrix& m);
-
-/// Element-wise tanh.
-Matrix Tanh(const Matrix& m);
-
-/// Mean of all entries.
-float Mean(const Matrix& m);
 
 }  // namespace uhscm::linalg
 

@@ -200,10 +200,10 @@ class PackedGemmShapes
 
 TEST_P(PackedGemmShapes, PackedMatchesBlockedAndNaive) {
   // Shapes above the packed-panel dispatch threshold, chosen to cross the
-  // kMR=6 / kNR=16 micro-tile edges, the kGemmKC=256 inner slab, and the
+  // kMR=12 / kNR=32 micro-tile edges, the kGemmKC=256 inner slab, and the
   // kGemmMC i-block — each with remainders. All three variants must agree
-  // with the naive reference (float reassociation tolerance) regardless
-  // of which micro-kernel (AVX2 or portable) PickMicroKernel chose.
+  // with the naive reference (float reassociation tolerance) whichever
+  // micro-kernel the kernel tier picked.
   const auto [m, k, n] = GetParam();
   Rng rng(301);
   Matrix a = Matrix::RandomNormal(m, k, &rng);
@@ -242,6 +242,74 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(96, 256, 96),   // exact kGemmKC slab
                       std::make_tuple(97, 300, 31),   // kGemmMC + slab tails
                       std::make_tuple(6, 3000, 16))); // single tile, deep k
+
+/// C(i,j) folded with std::fma over p in order, starting from C's value:
+/// the arithmetic every element of a packed product does on the FMA tiers.
+/// Logical shapes: a is m x k, b is k x n, *c is m x n.
+void FmaChainInto(const Matrix& a, const Matrix& b, Matrix* c) {
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      float acc = (*c)(i, j);
+      for (int p = 0; p < a.cols(); ++p) acc = std::fma(a(i, p), b(p, j), acc);
+      (*c)(i, j) = acc;
+    }
+  }
+}
+
+/// On the avx2 and avx512 tiers `got` must equal `want` byte for byte; the
+/// portable kernel multiplies then adds, so it keeps the reassociation
+/// tolerance of PackedGemmShapes.
+void ExpectFmaChain(const Matrix& got, const Matrix& want, int k,
+                    const char* what) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  if (std::strncmp(PackedGemmKernelName(), "portable", 8) != 0) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << what << " on " << PackedGemmKernelName();
+    return;
+  }
+  const float tol = 5e-6f * static_cast<float>(k) + 1e-4f;
+  for (int i = 0; i < got.rows(); ++i) {
+    for (int j = 0; j < got.cols(); ++j) {
+      EXPECT_NEAR(got(i, j), want(i, j), tol) << what << " " << i << "," << j;
+    }
+  }
+}
+
+class FmaChainShapes
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(FmaChainShapes, PackedEqualsNaiveFmaChain) {
+  // Every shape takes the packed path and has ragged tiles in both
+  // directions for both the 12x32 and the 6x16 tile (m mod 12, m mod 6,
+  // n mod 32, n mod 16 all non-zero), so edge tiles, slab boundaries and
+  // accumulation onto a non-zero C are all compared with the chain.
+  const auto [m, k, n] = GetParam();
+  Rng rng(505);
+  const Matrix a = Matrix::RandomNormal(m, k, &rng);
+  const Matrix b = Matrix::RandomNormal(k, n, &rng);
+  const Matrix at = a.Transposed();  // k x m, for the TransA forms
+  const Matrix bt = b.Transposed();  // n x k, for MatMulTransB
+  Matrix want(m, n);
+  FmaChainInto(a, b, &want);
+  ExpectFmaChain(MatMul(a, b), want, k, "MatMul");
+  ExpectFmaChain(MatMulTransA(at, b), want, k, "MatMulTransA");
+  ExpectFmaChain(MatMulTransB(a, bt), want, k, "MatMulTransB");
+
+  const Matrix c0 = Matrix::RandomNormal(m, n, &rng);
+  Matrix got = c0;
+  AddMatMulTransA(at, b, &got);
+  want = c0;
+  FmaChainInto(a, b, &want);
+  ExpectFmaChain(got, want, k, "AddMatMulTransA");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FmaChainShapes,
+    ::testing::Values(std::make_tuple(67, 513, 41),    // three slabs
+                      std::make_tuple(101, 129, 71),   // crosses kGemmMC
+                      std::make_tuple(389, 300, 301)));  // >= 2^25: pool
 
 /// Rows [r0, r0 + rows) of m.
 Matrix RowSlice(const Matrix& m, int r0, int rows) {
@@ -338,10 +406,9 @@ TEST(OpsTest, MatMulZeroHeavyInputsStayExact) {
   }
 }
 
-TEST(OpsTest, MatVecParallelMatchesNaive) {
-  // 701x130 = ~91k flops, above MatVec's kParallelMinFlops cutoff, so
-  // this covers the pool-dispatched branch (the tiny MatVec test below
-  // covers the serial one).
+TEST(OpsTest, MatVecMatchesDoubleReference) {
+  // A 701x130 system against a double-precision reference: many rows, and
+  // rows long enough to cross Dot's 4-wide unroll with a remainder.
   Rng rng(213);
   Matrix a = Matrix::RandomNormal(701, 130, &rng);
   Vector x(130);
@@ -465,14 +532,6 @@ TEST(OpsTest, SignMapsToPlusMinusOne) {
   EXPECT_EQ(s(0, 1), 1.0f);  // documented convention: sign(0) = +1
   EXPECT_EQ(s(0, 2), 1.0f);
   EXPECT_EQ(s(0, 3), -1.0f);
-}
-
-TEST(OpsTest, TanhAndMean) {
-  Matrix m = Matrix::FromRowMajor(1, 2, {0.0f, 100.0f});
-  Matrix t = Tanh(m);
-  EXPECT_FLOAT_EQ(t(0, 0), 0.0f);
-  EXPECT_NEAR(t(0, 1), 1.0f, 1e-6f);
-  EXPECT_NEAR(Mean(t), 0.5f, 1e-6f);
 }
 
 }  // namespace
