@@ -5,8 +5,8 @@
 //
 //   per-query/topk    : LinearScanIndex::TopK in a loop (the pre-batching
 //                       serving path — one corpus pass per query)
-//   batched/<tier>    : cache-blocked BatchTopK (distance + block-min
-//                       kernel), forced to <tier>
+//   batched/<tier>    : cache-blocked BatchTopK (emitting kernel),
+//                       forced to <tier>
 //   serving/<tier>    : LinearScanIndex::TopKBatch at the dispatched tier
 //                       — the serving hot path, checked for identity
 //   kernel/<tier>     : the raw batch kernel, no top-k bookkeeping — the

@@ -107,26 +107,55 @@ BENCHMARK(BM_BatchDistances)
     ->Args({100000, 1024, 1})
     ->Args({100000, 1024, 0});
 
+/// Codes drawn around `centres` random centres, each bit flipped with
+/// probability `flip`: the ledger's clustered serving corpus (1000
+/// centres, 10%) or a trained model's few tight clusters.
+linalg::Matrix ClusteredSignCodes(int n, int bits, int centres, double flip,
+                                  Rng* rng) {
+  const linalg::Matrix centre = RandomSignCodes(centres, bits, rng);
+  linalg::Matrix m(n, bits);
+  for (int i = 0; i < n; ++i) {
+    const int c = static_cast<int>(rng->UniformInt(centres));
+    for (int b = 0; b < bits; ++b) {
+      m(i, b) = rng->Bernoulli(flip) ? -centre(c, b) : centre(c, b);
+    }
+  }
+  return m;
+}
+
 void BM_BatchTopK(benchmark::State& state) {
-  // The full batched serving scan: query-blocked x code-blocked with
-  // early abandon, dispatched kernel.
+  // The full batched serving scan: query-blocked x code-blocked, emitting
+  // only codes below each query's worst kept distance, dispatched kernel.
+  // Args: rows, bits, queries, k, centres (0 = uniform random codes),
+  // per-mille bit-flip probability around the centres.
   const int n = static_cast<int>(state.range(0));
   const int bits = static_cast<int>(state.range(1));
   const int queries = static_cast<int>(state.range(2));
+  const int k = static_cast<int>(state.range(3));
+  const int centres = static_cast<int>(state.range(4));
+  const double flip = static_cast<double>(state.range(5)) / 1000.0;
   Rng rng(22);
-  index::LinearScanIndex scan(
-      index::PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng)));
-  index::PackedCodes batch =
-      index::PackedCodes::FromSignMatrix(RandomSignCodes(queries, bits, &rng));
+  auto draw = [&](int rows) {
+    return index::PackedCodes::FromSignMatrix(
+        centres == 0 ? RandomSignCodes(rows, bits, &rng)
+                     : ClusteredSignCodes(rows, bits, centres, flip, &rng));
+  };
+  index::LinearScanIndex scan(draw(n));
+  index::PackedCodes batch = draw(queries);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scan.TopKBatch(batch, 100));
+    benchmark::DoNotOptimize(scan.TopKBatch(batch, k));
   }
   state.SetItemsProcessed(state.iterations() * int64_t{n} * queries);
 }
 BENCHMARK(BM_BatchTopK)
-    ->Args({100000, 64, 32})
-    ->Args({100000, 128, 32})
-    ->Args({10000, 128, 256});
+    ->Args({100000, 64, 32, 100, 0, 0})
+    ->Args({100000, 128, 32, 100, 0, 0})
+    ->Args({10000, 128, 256, 100, 0, 0})
+    // The ledger's shard units at k = 10: one 250k-row shard of
+    // serve-scan's clustered codes under a full batch, and one 2500-row
+    // shard of build's ten-class codes under a batch of two.
+    ->Args({250000, 64, 16, 10, 1000, 100})
+    ->Args({2500, 64, 2, 10, 10, 20});
 
 void BM_MihRadiusQuery(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -23,7 +23,8 @@ struct BatchScanOptions {
   KernelTier tier = KernelTier::kScalar;
   /// Deletion bitmap over `db` rows (null = all rows live). Tombstoned
   /// rows are still scored by the kernel (the block stays contiguous) but
-  /// can never enter a heap, so results match a scan over the survivors.
+  /// their hits are dropped before the heap, so results match a scan over
+  /// the survivors.
   const TombstoneSet* tombstones = nullptr;
 };
 
@@ -42,9 +43,10 @@ int PickCodeBlockSize(int words_per_code, int requested);
 /// are visited in ascending id order per query and top-k selection uses
 /// the same bounded max-heap displacement rule as LinearScanIndex::TopK
 /// (strict distance improvement only), so results — ids, distances, and
-/// tie-break order — are byte-identical to the per-query scan. Once a
-/// query's heap is full, its current worst distance is handed to the
-/// kernel as an early-abandon threshold (see hamming_kernels.h).
+/// tie-break order — are byte-identical to the per-query scan. Each
+/// block is walked in short runs through the emitting kernel
+/// (BatchEmitFn): once a query's heap holds k live entries, a run emits
+/// only the codes strictly below its current worst distance.
 std::vector<std::vector<Neighbor>> BatchTopK(
     const PackedCodes& db, const uint64_t* const* queries, int num_queries,
     int k, const BatchScanOptions& options = {});

@@ -42,14 +42,15 @@ inline constexpr int kNumKernelTiers = 3;
 /// distance (exactly equal below `threshold`), it is an exact lower bound
 /// of the true block minimum, and whenever the true block minimum is
 /// < `threshold` it equals it exactly (a code that beats the threshold is
-/// never abandoned). The batched scan uses it to decide block skips
-/// without re-reading the distance buffer it just wrote. Returns
-/// INT32_MAX when n == 0.
+/// never abandoned). The emitting kernels' wide-code path uses it to
+/// skip a block without re-reading the distance buffer it just wrote.
+/// Returns INT32_MAX when n == 0.
 using BatchDistanceMinFn = int32_t (*)(const uint64_t* query,
                                        const uint64_t* codes, int n, int words,
                                        int32_t threshold, int32_t* out);
 
-/// Emitting variant for joins that keep only a few candidates per row.
+/// Emitting variant for scans and joins that keep only a few candidates
+/// per row (BatchTopK, the self-join).
 ///
 /// Scores one query against `n` contiguous packed codes and writes out
 /// only the codes whose distance is strictly below their bound

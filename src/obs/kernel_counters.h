@@ -21,6 +21,9 @@ namespace uhscm::obs {
 /// mih.candidates_verified, join.tiles, join.pairs_pruned,
 /// join.pairs_scored.
 struct KernelCounters {
+  /// Batched serving scan (src/index/batch_scan.h): rows x queries
+  /// scored, armed emit calls (a full heap's bound) that returned no hit,
+  /// and all armed emit calls.
   int64_t rows_scanned = 0;
   int64_t blocks_skipped = 0;
   int64_t early_abandon_calls = 0;

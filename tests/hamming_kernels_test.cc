@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "index/linear_scan.h"
 #include "index/packed_codes.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace uhscm::index {
@@ -505,13 +507,13 @@ TEST(BatchTopKTest, EveryTierIsByteIdenticalToPerQueryScan) {
 }
 
 TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
-  // Tombstones and the block-min skip compose: dead rows are still
-  // scored by the kernel (the block stays contiguous) and can therefore
-  // dominate a block's minimum, but must never enter a heap or corrupt
-  // the early-abandon threshold. Wide codes (1024 bits = 16 words) take
-  // the kernels' wide accumulation path, and each query's exact
-  // duplicate is planted in the corpus *dead* — the strongest possible
-  // block minimum that must still be skipped over.
+  // Tombstones and the armed bound compose: dead rows are still scored
+  // by the kernel (the run stays contiguous) and are emitted when they
+  // beat the bound, but must never enter a heap or set the bound. Wide
+  // codes (1024 bits = 16 words) take the kernels' wide accumulation
+  // and early-abandon path, and each query's exact duplicate is planted
+  // in the corpus *dead*: the best hit of its run, which must still be
+  // dropped.
   Rng rng(93);
   const int bits = 1024;
   PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(500, bits, &rng));
@@ -561,7 +563,7 @@ TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
     options.force_tier = true;
     options.tier = tier;
     options.tombstones = &dead;
-    options.code_block = 96;  // several blocks, so min-skips can fire
+    options.code_block = 96;  // several blocks and runs
     const auto got = BatchTopK(db, queries, k, options);
     for (int q = 0; q < queries.size(); ++q) {
       const auto& g = got[static_cast<size_t>(q)];
@@ -575,6 +577,204 @@ TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
         EXPECT_FALSE(dead.Test(g[i].id)) << KernelTierName(tier) << " q=" << q;
       }
     }
+  }
+}
+
+// ------------------------------------- emitting scan against the oracle
+
+/// Codes drawn around `centres` random centres with each bit flipped with
+/// probability `flip`: few centres and small flips give the heavy
+/// distance ties of trained codes.
+PackedCodes ClusteredCodes(int n, int bits, int centres, double flip,
+                           Rng* rng) {
+  const Matrix centre = RandomSignCodes(centres, bits, rng);
+  Matrix m(n, bits);
+  for (int i = 0; i < n; ++i) {
+    const int c = static_cast<int>(rng->UniformInt(centres));
+    for (int b = 0; b < bits; ++b) {
+      m(i, b) = rng->Bernoulli(flip) ? -centre(c, b) : centre(c, b);
+    }
+  }
+  return PackedCodes::FromSignMatrix(m);
+}
+
+/// BatchTopK on every available tier must be memcmp-equal (ids,
+/// distances, tie order) to the per-query scan over the live rows.
+void ExpectBatchEqualsPerQueryScan(const PackedCodes& db,
+                                   const PackedCodes& queries, int k,
+                                   int code_block,
+                                   const TombstoneSet* dead = nullptr) {
+  LinearScanIndex scan(
+      PackedCodes::FromRawWords(db.size(), db.bits(), db.words()));
+  for (int i = 0; dead != nullptr && i < db.size(); ++i) {
+    if (dead->Test(i)) scan.Remove(i);
+  }
+  for (const KernelTier tier : AvailableTiers()) {
+    BatchScanOptions options;
+    options.force_tier = true;
+    options.tier = tier;
+    options.code_block = code_block;
+    options.tombstones = dead;
+    const auto got = BatchTopK(db, queries, k, options);
+    ASSERT_EQ(got.size(), static_cast<size_t>(queries.size()));
+    for (int q = 0; q < queries.size(); ++q) {
+      const auto want = scan.TopK(queries.code(q), k);
+      const auto& g = got[static_cast<size_t>(q)];
+      ASSERT_EQ(g.size(), want.size())
+          << KernelTierName(tier) << " bits=" << db.bits() << " k=" << k
+          << " block=" << code_block << " q=" << q;
+      EXPECT_EQ(std::memcmp(g.data(), want.data(), g.size() * sizeof(Neighbor)),
+                0)
+          << KernelTierName(tier) << " bits=" << db.bits() << " k=" << k
+          << " block=" << code_block << " q=" << q;
+    }
+  }
+}
+
+/// 1-, 2- and 3-word codes: the emitting kernels' two narrow layouts and
+/// their blocked path for wider codes.
+class BatchTopKEmit : public ::testing::TestWithParam<int> {};
+
+TEST_P(BatchTopKEmit, TombstonesAmongFirstKAndAWholeDeadFirstRun) {
+  const int bits = GetParam();
+  Rng rng(5100 + bits);
+  const PackedCodes db = ClusteredCodes(1200, bits, 20, 0.1, &rng);
+  const PackedCodes queries = ClusteredCodes(5, bits, 20, 0.1, &rng);
+  TombstoneSet first_k;
+  first_k.Resize(db.size());
+  for (const int i : {0, 1, 3, 4, 6, 9}) first_k.Set(i);
+  // Rows 0..299 cover the first 256-code run, and the first block too
+  // when blocks are smaller: the heap fills only after it.
+  TombstoneSet first_run;
+  first_run.Resize(db.size());
+  for (int i = 0; i < 300; ++i) first_run.Set(i);
+  for (const int block : {0, 100, 7}) {
+    ExpectBatchEqualsPerQueryScan(db, queries, 10, block, &first_k);
+    ExpectBatchEqualsPerQueryScan(db, queries, 10, block, &first_run);
+  }
+}
+
+TEST_P(BatchTopKEmit, KAtOrAboveTheLiveCount) {
+  const int bits = GetParam();
+  Rng rng(5200 + bits);
+  const PackedCodes db = ClusteredCodes(300, bits, 5, 0.05, &rng);
+  const PackedCodes queries = ClusteredCodes(4, bits, 5, 0.05, &rng);
+  TombstoneSet dead;
+  dead.Resize(db.size());
+  for (int i = 0; i < db.size(); i += 3) dead.Set(i);  // 200 live rows
+  for (const int block : {0, 7}) {
+    for (const int k : {199, 200, 201, 1000}) {
+      ExpectBatchEqualsPerQueryScan(db, queries, k, block, &dead);
+      ExpectBatchEqualsPerQueryScan(db, queries, k, block);
+    }
+  }
+}
+
+TEST_P(BatchTopKEmit, TiesAtTheKthDistanceStraddleRunAndBlockBoundaries) {
+  // The query is the zero code. Three rows sit at distance 1 and runs of
+  // rows at distance 2 straddle ids 256 and 1024 (run boundaries), 512
+  // (a run and a 512-code block boundary) and 600 (a 300-code block
+  // boundary); every other row is far. Sweeping k moves the k-th
+  // distance's cut through each tie run.
+  const int bits = GetParam();
+  const int words = (bits + 63) / 64;
+  const int n = 1100;
+  Rng rng(5300 + bits);
+  std::vector<uint64_t> raw(static_cast<size_t>(n) * words);
+  const uint64_t tail =
+      bits % 64 == 0 ? ~0ULL : (1ULL << (bits % 64)) - 1;
+  for (int i = 0; i < n; ++i) {
+    uint64_t* code = raw.data() + static_cast<size_t>(i) * words;
+    for (int w = 0; w < words; ++w) code[w] = rng.NextU64() | 0xFFFFULL;
+    code[words - 1] &= tail;  // still >= 16 bits set
+  }
+  auto plant = [&](int id, int distance) {
+    uint64_t* code = raw.data() + static_cast<size_t>(id) * words;
+    std::fill(code, code + words, 0);
+    // One bit among the first 32, one among the last 7.
+    if (distance >= 1) code[0] |= 1ULL << (id % 32);
+    if (distance >= 2) {
+      const int b = bits - 1 - id % 7;
+      code[b / 64] |= 1ULL << (b % 64);
+    }
+  };
+  for (const int id : {3, 17, 40}) plant(id, 1);
+  for (const auto& [lo, hi] : std::vector<std::pair<int, int>>{
+           {250, 262}, {505, 519}, {590, 610}, {1020, 1030}}) {
+    for (int id = lo; id < hi; ++id) plant(id, 2);
+  }
+  const PackedCodes db = PackedCodes::FromRawWords(n, bits, std::move(raw));
+  const PackedCodes queries = PackedCodes::FromRawWords(
+      2, bits, std::vector<uint64_t>(2 * static_cast<size_t>(words), 0));
+  for (const int block : {0, 512, 300, 100}) {
+    for (const int k : {3, 4, 10, 16, 20, 25, 30, 40, 50, 60}) {
+      ExpectBatchEqualsPerQueryScan(db, queries, k, block);
+    }
+  }
+}
+
+TEST_P(BatchTopKEmit, HeavilyTiedFewClusterCodes) {
+  // Ten tight clusters, like a trained model's codes: queries that are
+  // exact corpus rows meet long runs of distance-0 ties.
+  const int bits = GetParam();
+  Rng rng(5400 + bits);
+  const PackedCodes db = ClusteredCodes(2500, bits, 10, 0.02, &rng);
+  std::vector<uint64_t> raw;
+  for (int q = 0; q < 16; ++q) {
+    const uint64_t* code = db.code(static_cast<int>(rng.UniformInt(2500)));
+    raw.insert(raw.end(), code, code + db.words_per_code());
+  }
+  const PackedCodes queries =
+      PackedCodes::FromRawWords(16, bits, std::move(raw));
+  TombstoneSet dead;
+  dead.Resize(db.size());
+  for (int i = 0; i < db.size(); i += 5) dead.Set(i);
+  for (const int block : {0, 64, 300}) {
+    for (const int k : {1, 10, 100}) {
+      ExpectBatchEqualsPerQueryScan(db, queries, k, block);
+      ExpectBatchEqualsPerQueryScan(db, queries, k, block, &dead);
+    }
+  }
+}
+
+TEST_P(BatchTopKEmit, CodeBlocksSmallerThanTheRun) {
+  const int bits = GetParam();
+  Rng rng(5500 + bits);
+  const PackedCodes db =
+      PackedCodes::FromSignMatrix(RandomSignCodes(1000, bits, &rng));
+  const PackedCodes queries =
+      PackedCodes::FromSignMatrix(RandomSignCodes(3, bits, &rng));
+  for (const int block : {1, 7, 100, 255, 257}) {
+    ExpectBatchEqualsPerQueryScan(db, queries, 10, block);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BatchTopKEmit,
+                         ::testing::Values(64, 128, 192, 100));
+
+TEST(BatchTopKCounters, RegistryInvariantsAfterABatch) {
+  // scan.rows_scanned counts every (row, query) pair; an armed emit call
+  // is counted in scan.early_abandon_calls and, when it returns no hit,
+  // also in scan.blocks_skipped.
+  Rng rng(5600);
+  const PackedCodes db = ClusteredCodes(5000, 64, 10, 0.05, &rng);
+  const PackedCodes queries = ClusteredCodes(7, 64, 10, 0.05, &rng);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter* rows = reg.GetCounter("scan.rows_scanned");
+  obs::Counter* armed = reg.GetCounter("scan.early_abandon_calls");
+  obs::Counter* skipped = reg.GetCounter("scan.blocks_skipped");
+  for (const KernelTier tier : AvailableTiers()) {
+    rows->Reset();
+    armed->Reset();
+    skipped->Reset();
+    BatchScanOptions options;
+    options.force_tier = true;
+    options.tier = tier;
+    BatchTopK(db, queries, 10, options);
+    EXPECT_EQ(rows->value(), int64_t{5000} * 7) << KernelTierName(tier);
+    EXPECT_GT(armed->value(), 0) << KernelTierName(tier);
+    EXPECT_GT(skipped->value(), 0) << KernelTierName(tier);
+    EXPECT_LE(skipped->value(), armed->value()) << KernelTierName(tier);
   }
 }
 
