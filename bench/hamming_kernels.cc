@@ -9,8 +9,10 @@
 //                       forced to <tier>
 //   serving/<tier>    : LinearScanIndex::TopKBatch at the dispatched tier
 //                       — the serving hot path, checked for identity
-//   kernel/<tier>     : the raw batch kernel, no top-k bookkeeping — the
-//                       upper-bound GB/s the scan is chasing
+//   kernel/<tier>     : the raw emitting kernel with every code admitted
+//                       (row bound kNoThreshold), no top-k bookkeeping —
+//                       the cost of scoring and writing out every code,
+//                       which the batched scan's armed bound avoids
 //
 // Results land on stdout and in a machine-readable
 // BENCH_hamming_kernels.json (one row per tier) so the perf trajectory is
@@ -50,6 +52,14 @@ struct Flags {
   bool list_tiers = false;
 };
 
+[[noreturn]] void Usage() {
+  std::fprintf(stderr,
+               "usage: hamming_kernels [--n=N] [--bits=K] [--queries=N] "
+               "[--k=K] [--seed=N] [--json=PATH] [--list-tiers]\n"
+               "  --n, --bits, --queries and --k must be at least 1\n");
+  std::exit(2);
+}
+
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
@@ -69,11 +79,12 @@ Flags ParseFlags(int argc, char** argv) {
     } else if (arg == "--list-tiers") {
       flags.list_tiers = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: hamming_kernels [--n=N] [--bits=K] [--queries=N] "
-                   "[--k=K] [--seed=N] [--json=PATH] [--list-tiers]\n");
-      std::exit(2);
+      Usage();
     }
+  }
+  // atoi reads a malformed count as 0; every size must be at least 1.
+  if (flags.n < 1 || flags.bits < 1 || flags.queries < 1 || flags.k < 1) {
+    Usage();
   }
   return flags;
 }
@@ -189,18 +200,20 @@ int Main(int argc, char** argv) {
       kTimingReps, [&] { simd_results = scan.TopKBatch(queries, flags.k); });
   add_row(std::string("serving/") + simd_name, simd_name, serving_secs);
 
-  // Raw kernel sweeps per tier (no top-k bookkeeping): upper bound GB/s
-  // the batched scan is chasing.
-  std::vector<int32_t> dist(static_cast<size_t>(corpus.size()));
+  // Raw kernel sweeps per tier (no top-k bookkeeping). With no bound
+  // every code's index and distance is written out.
+  std::vector<int32_t> hit_index(static_cast<size_t>(corpus.size()));
+  std::vector<int32_t> hit_distance(static_cast<size_t>(corpus.size()));
   for (const index::KernelTier tier : tiers) {
-    const index::BatchDistanceMinFn fn = index::GetBatchDistanceMinFn(tier);
+    const index::BatchEmitFn fn = index::GetBatchEmitFn(tier);
     int64_t sink = 0;
     const double secs = TimeBest(kTimingReps, [&] {
       sink = 0;
       for (int q = 0; q < queries.size(); ++q) {
-        fn(queries.code(q), corpus.code(0), corpus.size(),
-           corpus.words_per_code(), index::kNoThreshold, dist.data());
-        sink += dist[static_cast<size_t>(corpus.size()) - 1];
+        sink += fn(queries.code(q), corpus.code(0), corpus.size(),
+                   corpus.words_per_code(), index::kNoThreshold, nullptr,
+                   hit_index.data(), hit_distance.data());
+        sink += hit_distance[static_cast<size_t>(corpus.size()) - 1];
       }
     });
     if (sink < 0) std::abort();

@@ -71,10 +71,11 @@ BENCHMARK(BM_LinearScanTopK)
     ->Args({10000, 128})
     ->Args({100000, 64});
 
-void BM_BatchDistances(benchmark::State& state) {
-  // The dispatched batch kernel (distances plus their minimum) against a
-  // contiguous corpus run — the inner loop of the blocked scan, without
-  // top-k bookkeeping.
+void BM_BatchEmit(benchmark::State& state) {
+  // The dispatched emitting kernel against a contiguous corpus run with
+  // every code admitted (row bound kNoThreshold, so every distance is
+  // written) — the inner loop of the blocked scan, without top-k
+  // bookkeeping.
   const int n = static_cast<int>(state.range(0));
   const int bits = static_cast<int>(state.range(1));
   const bool scalar = state.range(2) != 0;
@@ -83,15 +84,19 @@ void BM_BatchDistances(benchmark::State& state) {
       index::PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
   index::PackedCodes query =
       index::PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const index::BatchDistanceMinFn fn =
-      scalar ? index::GetBatchDistanceMinFn(index::KernelTier::kScalar)
-             : index::GetBatchDistanceMinFn();
-  std::vector<int32_t> dist(static_cast<size_t>(n));
+  const index::BatchEmitFn fn =
+      scalar ? index::GetBatchEmitFn(index::KernelTier::kScalar)
+             : index::GetBatchEmitFn();
+  std::vector<int32_t> hit_index(static_cast<size_t>(n));
+  std::vector<int32_t> hit_distance(static_cast<size_t>(n));
   for (auto _ : state) {
     benchmark::DoNotOptimize(fn(query.code(0), corpus.code(0), n,
                                 corpus.words_per_code(), index::kNoThreshold,
-                                dist.data()));
-    benchmark::DoNotOptimize(dist.data());
+                                nullptr, hit_index.data(),
+                                hit_distance.data()));
+    benchmark::DoNotOptimize(hit_index.data());
+    benchmark::DoNotOptimize(hit_distance.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * int64_t{n} *
@@ -99,7 +104,7 @@ void BM_BatchDistances(benchmark::State& state) {
   state.SetLabel(scalar ? "scalar"
                         : index::KernelTierName(index::ActiveKernelTier()));
 }
-BENCHMARK(BM_BatchDistances)
+BENCHMARK(BM_BatchEmit)
     ->Args({100000, 64, 1})
     ->Args({100000, 64, 0})
     ->Args({100000, 128, 1})

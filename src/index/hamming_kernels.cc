@@ -20,8 +20,7 @@ inline int Popcount64(uint64_t x) {
 #endif
 }
 
-[[maybe_unused]] inline int ScalarPair(const uint64_t* a, const uint64_t* b,
-                                       int words) {
+inline int ScalarPair(const uint64_t* a, const uint64_t* b, int words) {
   int d = 0;
   for (int w = 0; w < words; ++w) d += Popcount64(a[w] ^ b[w]);
   return d;
@@ -70,17 +69,39 @@ inline int EmitEach(const uint64_t* query, const uint64_t* codes, int lo,
   return count;
 }
 
-/// Codes per block of an emitting kernel built on a plain kernel.
+/// Distances from one query to `n` contiguous codes of three or more
+/// words, plus their minimum: the body each tier's emitting kernel runs
+/// for wide codes (EmitThroughBatch below).
+///
+/// `out` receives `n` distances. `threshold` enables early abandon:
+/// every output strictly below `threshold` is the exact Hamming distance;
+/// an output at or above it is only a lower bound of a true distance that
+/// is itself >= threshold (the kernel may stop counting a code once its
+/// partial popcount proves it cannot beat the threshold). `kNoThreshold`
+/// makes every output exact.
+///
+/// The return value is the minimum of the `n` outputs, computed in
+/// registers while the distances are still hot instead of by a second
+/// pass over `out`. Every output lower-bounds its true distance (exactly
+/// equal below `threshold`), so the return lower-bounds the true block
+/// minimum, and whenever the true minimum is < `threshold` it equals it
+/// exactly (a code that beats the threshold is never abandoned). Returns
+/// INT32_MAX when n == 0.
+using DistanceMinFn = int32_t (*)(const uint64_t* query, const uint64_t* codes,
+                                  int n, int words, int32_t threshold,
+                                  int32_t* out);
+
+/// Codes per block of EmitThroughBatch.
 constexpr int kEmitBlock = 128;
 
-/// Emitting kernel built on the fused plain kernel `kBatchMin`: scores
-/// the run in blocks of kEmitBlock codes into an L1-resident buffer and
-/// keeps the distances that beat their own bound. Each block's threshold
-/// is its loosest bound. A code abandoned at or above it can never beat
-/// its own bound, which is no looser; and a block whose fused minimum
-/// reaches it has no hit, so its buffer is never read. Every tier's path
-/// for codes of three or more words.
-template <BatchDistanceMinFn kBatchMin>
+/// Emitting kernel built on the tier's distance-min body `kBatchMin`:
+/// scores the run in blocks of kEmitBlock codes into an L1-resident
+/// buffer and keeps the distances that beat their own bound. Each block's
+/// threshold is its loosest bound. A code abandoned at or above it can
+/// never beat its own bound, which is no looser; and a block whose fused
+/// minimum reaches it has no hit, so its buffer is never read. Every
+/// tier's path for codes of three or more words.
+template <DistanceMinFn kBatchMin>
 int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
                      int words, int32_t row_bound, const int32_t* code_bounds,
                      int32_t* out_index, int32_t* out_distance) {
@@ -104,9 +125,9 @@ int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
   return count;
 }
 
-/// Scalar reference.
-int32_t BatchScalarImpl(const uint64_t* query, const uint64_t* codes, int n,
-                        int words, int32_t threshold, int32_t* out) {
+/// Scalar distance-min body: the reference the vector bodies match.
+int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
+                       int words, int32_t threshold, int32_t* out) {
   const bool prune = threshold != kNoThreshold && words >= kPruneMinWords;
   int32_t best = INT32_MAX;
   for (int i = 0; i < n; ++i) {
@@ -139,12 +160,6 @@ int32_t BatchScalarImpl(const uint64_t* query, const uint64_t* codes, int n,
 
 }  // namespace
 
-int32_t BatchDistancesMinScalar(const uint64_t* query, const uint64_t* codes,
-                                int n, int words, int32_t threshold,
-                                int32_t* out) {
-  return BatchScalarImpl(query, codes, n, words, threshold, out);
-}
-
 int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance) {
@@ -152,7 +167,7 @@ int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
     return EmitEach(query, codes, 0, n, words, row_bound, code_bounds,
                     out_index, out_distance, 0);
   }
-  return EmitThroughBatch<&BatchDistancesMinScalar>(
+  return EmitThroughBatch<&BatchMinScalar>(
       query, codes, n, words, row_bound, code_bounds, out_index, out_distance);
 }
 
@@ -202,73 +217,13 @@ UHSCM_AVX2_FN inline __m256i LoadXor(const uint64_t* code,
   return _mm256_xor_si256(c, q);
 }
 
-/// 64-bit codes: four codes per 256-bit load, one lane each.
-UHSCM_AVX2_FN int32_t BatchWords1(uint64_t q0, const uint64_t* codes, int n,
-                                  int32_t* out) {
-  const __m256i q = _mm256_set1_epi64x(static_cast<long long>(q0));
-  alignas(32) uint64_t tmp[4];
-  int32_t best = INT32_MAX;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp),
-                       PopcountLanes64(_mm256_xor_si256(v, q)));
-    out[i] = static_cast<int32_t>(tmp[0]);
-    out[i + 1] = static_cast<int32_t>(tmp[1]);
-    out[i + 2] = static_cast<int32_t>(tmp[2]);
-    out[i + 3] = static_cast<int32_t>(tmp[3]);
-    best = MinInt32(best, MinInt32(MinInt32(out[i], out[i + 1]),
-                                   MinInt32(out[i + 2], out[i + 3])));
-  }
-  for (; i < n; ++i) {
-    out[i] = Popcount64(q0 ^ codes[i]);
-    best = MinInt32(best, out[i]);
-  }
-  return best;
-}
-
-/// 128-bit codes: two codes per 256-bit load, two lanes each; two loads
-/// per iteration for instruction-level parallelism.
-UHSCM_AVX2_FN int32_t BatchWords2(const uint64_t* query, const uint64_t* codes,
-                                  int n, int32_t* out) {
-  const __m256i q = _mm256_setr_epi64x(
-      static_cast<long long>(query[0]), static_cast<long long>(query[1]),
-      static_cast<long long>(query[0]), static_cast<long long>(query[1]));
-  alignas(32) uint64_t t0[4], t1[4];
-  int32_t best = INT32_MAX;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t* p = codes + 2 * static_cast<size_t>(i);
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(t0),
-                       PopcountLanes64(_mm256_xor_si256(v0, q)));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(t1),
-                       PopcountLanes64(_mm256_xor_si256(v1, q)));
-    out[i] = static_cast<int32_t>(t0[0] + t0[1]);
-    out[i + 1] = static_cast<int32_t>(t0[2] + t0[3]);
-    out[i + 2] = static_cast<int32_t>(t1[0] + t1[1]);
-    out[i + 3] = static_cast<int32_t>(t1[2] + t1[3]);
-    best = MinInt32(best, MinInt32(MinInt32(out[i], out[i + 1]),
-                                   MinInt32(out[i + 2], out[i + 3])));
-  }
-  for (; i < n; ++i) {
-    out[i] = ScalarPair(query, codes + 2 * static_cast<size_t>(i), 2);
-    best = MinInt32(best, out[i]);
-  }
-  return best;
-}
-
-/// Any width >= 3 words: per-code vector accumulation. Codes of >= 32
+/// AVX2 distance-min body: per-code vector accumulation. Codes of >= 32
 /// words go through a Harley–Seal carry-save tree (one full popcount per
 /// eight vectors); the rest accumulate lane popcounts directly. The tail
 /// (words % 4) is scalar. With a finite `threshold`, the running lane
 /// accumulator provides a monotone lower bound used to abandon codes
 /// that can no longer beat the threshold.
-UHSCM_AVX2_FN int32_t BatchGeneric(const uint64_t* query,
+UHSCM_AVX2_FN int32_t BatchMinAvx2(const uint64_t* query,
                                    const uint64_t* codes, int n, int words,
                                    int32_t threshold, int32_t* out) {
   const int vecs = words / 4;
@@ -336,16 +291,6 @@ UHSCM_AVX2_FN int32_t BatchGeneric(const uint64_t* query,
     best = MinInt32(best, out[i]);
   }
   return best;
-}
-
-int32_t BatchAvx2Impl(const uint64_t* query, const uint64_t* codes, int n,
-                      int words, int32_t threshold, int32_t* out) {
-  // Narrow codes are exact regardless of threshold — computing them fully
-  // is cheaper than any pruning bookkeeping (the contract allows exact
-  // values at or above the threshold).
-  if (words == 1) return BatchWords1(query[0], codes, n, out);
-  if (words == 2) return BatchWords2(query, codes, n, out);
-  return BatchGeneric(query, codes, n, words, threshold, out);
 }
 
 /// Distances of the eight 64-bit codes at `p`, as int32 lanes in code
@@ -434,12 +379,6 @@ UHSCM_AVX2_FN int EmitNarrowAvx2(const uint64_t* query, const uint64_t* codes,
 
 }  // namespace
 
-int32_t BatchDistancesMinAvx2(const uint64_t* query, const uint64_t* codes,
-                              int n, int words, int32_t threshold,
-                              int32_t* out) {
-  return BatchAvx2Impl(query, codes, n, words, threshold, out);
-}
-
 int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
                   int words, int32_t row_bound, const int32_t* code_bounds,
                   int32_t* out_index, int32_t* out_distance) {
@@ -451,7 +390,7 @@ int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
     return EmitNarrowAvx2<2>(query, codes, n, row_bound, code_bounds,
                              out_index, out_distance);
   }
-  return EmitThroughBatch<&BatchDistancesMinAvx2>(
+  return EmitThroughBatch<&BatchMinAvx2>(
       query, codes, n, words, row_bound, code_bounds, out_index, out_distance);
 }
 
@@ -473,59 +412,6 @@ UHSCM_AVX512_FN inline __m512i LoadXor512(const uint64_t* code,
   const __m512i c = _mm512_loadu_si512(code + 8 * static_cast<size_t>(v));
   const __m512i q = _mm512_loadu_si512(query + 8 * static_cast<size_t>(v));
   return _mm512_xor_si512(c, q);
-}
-
-/// 64-bit codes: eight codes per 512-bit load, one native popcount each;
-/// the 64->32 narrowing store writes all eight outputs at once.
-UHSCM_AVX512VP_FN int32_t BatchWords1Vp(uint64_t q0, const uint64_t* codes,
-                                        int n, int32_t* out) {
-  const __m512i q = _mm512_set1_epi64(static_cast<long long>(q0));
-  __m512i minacc = _mm512_set1_epi64(INT32_MAX);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v = _mm512_loadu_si512(codes + i);
-    const __m512i p = _mm512_popcnt_epi64(_mm512_xor_si512(v, q));
-    minacc = _mm512_min_epi64(minacc, p);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm512_cvtepi64_epi32(p));
-  }
-  int32_t best = static_cast<int32_t>(_mm512_reduce_min_epi64(minacc));
-  for (; i < n; ++i) {
-    out[i] = Popcount64(q0 ^ codes[i]);
-    best = MinInt32(best, out[i]);
-  }
-  return best;
-}
-
-/// 128-bit codes: four codes per 512-bit load; adjacent 64-bit lane
-/// pairs sum into the even lanes, which a lane gather extracts.
-UHSCM_AVX512VP_FN int32_t BatchWords2Vp(const uint64_t* query,
-                                        const uint64_t* codes, int n,
-                                        int32_t* out) {
-  const __m512i q = _mm512_broadcast_i32x4(_mm_loadu_si128(
-      reinterpret_cast<const __m128i*>(query)));
-  // Selects lanes {0,2,4,6} (the per-code pair sums) of one vector.
-  const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 0, 2, 4, 6);
-  __m512i minacc = _mm512_set1_epi64(INT32_MAX);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t* p = codes + 2 * static_cast<size_t>(i);
-    const __m512i v = _mm512_loadu_si512(p);
-    const __m512i cnt = _mm512_popcnt_epi64(_mm512_xor_si512(v, q));
-    // lane j += lane j+1: after the shift, even lanes hold code sums.
-    const __m512i shifted = _mm512_alignr_epi64(_mm512_setzero_si512(), cnt, 1);
-    const __m512i sums = _mm512_add_epi64(cnt, shifted);
-    const __m512i packed = _mm512_permutexvar_epi64(even, sums);
-    minacc = _mm512_min_epi64(minacc, packed);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_castsi256_si128(_mm512_cvtepi64_epi32(packed)));
-  }
-  int32_t best = static_cast<int32_t>(_mm512_reduce_min_epi64(minacc));
-  for (; i < n; ++i) {
-    out[i] = ScalarPair(query, codes + 2 * static_cast<size_t>(i), 2);
-    best = MinInt32(best, out[i]);
-  }
-  return best;
 }
 
 /// Any width >= 3 words, native popcount: two 512-bit accumulators (16
@@ -686,21 +572,17 @@ bool Avx512VpopcntSupported() {
   return __builtin_cpu_supports("avx512vpopcntdq");
 }
 
-int32_t BatchAvx512Impl(const uint64_t* query, const uint64_t* codes, int n,
-                        int words, int32_t threshold, int32_t* out) {
+/// AVX-512 distance-min body: VPOPCNTDQ hosts take the native-popcount
+/// body; BW-only hosts take the 512-bit LUT body once a code spans whole
+/// 512-bit chunks and the AVX2 body below that (any AVX-512 CPU runs it).
+int32_t BatchMinAvx512(const uint64_t* query, const uint64_t* codes, int n,
+                       int words, int32_t threshold, int32_t* out) {
   static const bool vpopcnt = Avx512VpopcntSupported();
-  if (vpopcnt) {
-    if (words == 1) return BatchWords1Vp(query[0], codes, n, out);
-    if (words == 2) return BatchWords2Vp(query, codes, n, out);
-    return BatchGenericVp(query, codes, n, words, threshold, out);
-  }
-  // BW-only hosts: the 512-bit LUT path only beats AVX2 once a code
-  // spans whole 512-bit chunks; narrower codes stay on the AVX2 layouts
-  // (any AVX-512 CPU runs them).
+  if (vpopcnt) return BatchGenericVp(query, codes, n, words, threshold, out);
   if (words >= 8) {
     return BatchGenericBw(query, codes, n, words, threshold, out);
   }
-  return BatchAvx2Impl(query, codes, n, words, threshold, out);
+  return BatchMinAvx2(query, codes, n, words, threshold, out);
 }
 
 /// Distances of the sixteen 64-bit codes at `p`, as int32 lanes in code
@@ -787,24 +669,17 @@ UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
 
 }  // namespace
 
-int32_t BatchDistancesMinAvx512(const uint64_t* query, const uint64_t* codes,
-                                int n, int words, int32_t threshold,
-                                int32_t* out) {
-  return BatchAvx512Impl(query, codes, n, words, threshold, out);
-}
-
 int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance) {
-  // Wider codes take the plain kernel's routing: VPOPCNTDQ, Harley–Seal
+  // Wider codes take BatchMinAvx512's routing: VPOPCNTDQ, Harley–Seal
   // BW or AVX2 bodies by width and host.
   if (words > 2) {
-    return EmitThroughBatch<&BatchDistancesMinAvx512>(query, codes, n, words,
-                                                   row_bound, code_bounds,
-                                                   out_index, out_distance);
+    return EmitThroughBatch<&BatchMinAvx512>(query, codes, n, words,
+                                             row_bound, code_bounds,
+                                             out_index, out_distance);
   }
-  // BW-only hosts emit narrow codes through the AVX2 layouts, as the
-  // plain kernels do.
+  // BW-only hosts emit narrow codes through the AVX2 layouts.
   static const bool vpopcnt = Avx512VpopcntSupported();
   if (!vpopcnt) {
     return BatchEmitAvx2(query, codes, n, words, row_bound, code_bounds,
@@ -927,21 +802,6 @@ const char* KernelTierName(KernelTier tier) {
   return "unknown";
 }
 
-BatchDistanceMinFn GetBatchDistanceMinFn(KernelTier tier) {
-#if defined(UHSCM_HAVE_AVX512_KERNELS)
-  if (tier == KernelTier::kAvx512 && Avx512Available()) {
-    return &BatchDistancesMinAvx512;
-  }
-#endif
-#if defined(UHSCM_HAVE_AVX2_KERNELS)
-  if (tier != KernelTier::kScalar && Avx2Available()) {
-    return &BatchDistancesMinAvx2;
-  }
-#endif
-  (void)tier;
-  return &BatchDistancesMinScalar;
-}
-
 BatchEmitFn GetBatchEmitFn(KernelTier tier) {
 #if defined(UHSCM_HAVE_AVX512_KERNELS)
   if (tier == KernelTier::kAvx512 && Avx512Available()) {
@@ -955,10 +815,6 @@ BatchEmitFn GetBatchEmitFn(KernelTier tier) {
 #endif
   (void)tier;
   return &BatchEmitScalar;
-}
-
-BatchDistanceMinFn GetBatchDistanceMinFn() {
-  return GetBatchDistanceMinFn(ActiveKernelTier());
 }
 
 BatchEmitFn GetBatchEmitFn() { return GetBatchEmitFn(ActiveKernelTier()); }

@@ -5,16 +5,17 @@
 
 namespace uhscm::index {
 
-/// \brief Batched Hamming-distance kernels with runtime CPU dispatch.
+/// \brief The emitting Hamming scan kernel, with runtime CPU dispatch.
 ///
-/// The serving and eval hot loops score one packed query against a long
-/// contiguous run of packed codes. These kernels amortize that pattern:
-/// one call computes `n` distances, letting the implementation vectorize
-/// across codes (AVX2 nibble-LUT popcount, AVX-512 VPOPCNTDQ or 512-bit
-/// Harley–Seal carry-save accumulation for wide codes) instead of paying
-/// per-pair call and loop overhead. The scalar tier is the semantic
-/// reference; every other tier must be bit-for-bit identical to it
-/// (tests/hamming_kernels_test.cc).
+/// Every scan the library runs (BatchTopK, the self-join) scores one
+/// packed row against a long contiguous run of packed codes and keeps
+/// only the few codes that beat a bound. One BatchEmitFn call does that
+/// for a whole run, letting the implementation vectorize across codes
+/// (AVX2 nibble-LUT popcount, AVX-512 VPOPCNTDQ, or Harley–Seal
+/// carry-save accumulation for wide codes) and compare in registers
+/// instead of paying per-pair call and loop overhead. The scalar tier is
+/// the semantic reference; every other tier must be bit-for-bit
+/// identical to it (tests/hamming_kernels_test.cc).
 enum class KernelTier {
   kScalar,  ///< portable unrolled __builtin_popcountll loop
   kAvx2,    ///< 256-bit pshufb nibble-LUT popcount, Harley–Seal for wide codes
@@ -22,36 +23,6 @@ enum class KernelTier {
             ///< on AVX-512BW-only hosts
 };
 
-/// Number of dispatchable tiers (bench sweeps iterate 0..kNumKernelTiers).
-inline constexpr int kNumKernelTiers = 3;
-
-/// Distances from one query to `n` contiguous packed codes, plus their
-/// minimum.
-///
-/// `codes` is a row-major run of `n * words` uint64s, `out` receives `n`
-/// distances. `threshold` enables early-abandon pruning: every output
-/// strictly below `threshold` is the exact Hamming distance; an output at
-/// or above `threshold` is only guaranteed to be a lower bound of the true
-/// distance that is itself >= threshold (the kernel may stop counting a
-/// code once its partial popcount proves it cannot beat the threshold).
-/// Pass `kNoThreshold` for fully exact output.
-///
-/// The return value is the minimum of the `n` reported outputs, computed
-/// in registers while the distances are still hot instead of by a second
-/// pass over `out`. Because every reported output lower-bounds its true
-/// distance (exactly equal below `threshold`), it is an exact lower bound
-/// of the true block minimum, and whenever the true block minimum is
-/// < `threshold` it equals it exactly (a code that beats the threshold is
-/// never abandoned). The emitting kernels' wide-code path uses it to
-/// skip a block without re-reading the distance buffer it just wrote.
-/// Returns INT32_MAX when n == 0.
-using BatchDistanceMinFn = int32_t (*)(const uint64_t* query,
-                                       const uint64_t* codes, int n, int words,
-                                       int32_t threshold, int32_t* out);
-
-/// Emitting variant for scans and joins that keep only a few candidates
-/// per row (BatchTopK, the self-join).
-///
 /// Scores one query against `n` contiguous packed codes and writes out
 /// only the codes whose distance is strictly below their bound
 /// `max(row_bound, code_bounds[i])` (`code_bounds` holds `n` entries, or
@@ -60,19 +31,18 @@ using BatchDistanceMinFn = int32_t (*)(const uint64_t* query,
 /// exact distance (`out_distance`), in ascending index order; both
 /// buffers must hold `n` entries. Returns the number of hits; a run
 /// where nothing qualifies writes nothing. A bound of INT32_MAX admits
-/// every code; bounds of 0 admit none.
+/// every code; bounds of 0 admit none. Codes of three or more words are
+/// scored in blocks with early abandon and a fused block minimum
+/// (EmitThroughBatch in hamming_kernels.cc states that contract).
 using BatchEmitFn = int (*)(const uint64_t* query, const uint64_t* codes,
                             int n, int words, int32_t row_bound,
                             const int32_t* code_bounds, int32_t* out_index,
                             int32_t* out_distance);
 
-/// Threshold value that disables pruning (every distance exact).
+/// Bound that admits every code (BatchTopK's bound until a heap fills).
 inline constexpr int32_t kNoThreshold = INT32_MAX;
 
-/// Reference scalar kernels (always available, always exact semantics).
-int32_t BatchDistancesMinScalar(const uint64_t* query, const uint64_t* codes,
-                                int n, int words, int32_t threshold,
-                                int32_t* out);
+/// Reference scalar kernel (always available).
 int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance);
@@ -95,16 +65,10 @@ bool Avx512VpopcntAvailable();
 #define UHSCM_HAVE_AVX2_KERNELS 1
 #define UHSCM_HAVE_AVX512_KERNELS 1
 /// AVX2 tier. Precondition: Avx2Available().
-int32_t BatchDistancesMinAvx2(const uint64_t* query, const uint64_t* codes,
-                              int n, int words, int32_t threshold,
-                              int32_t* out);
 int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
                   int words, int32_t row_bound, const int32_t* code_bounds,
                   int32_t* out_index, int32_t* out_distance);
 /// AVX-512 tier. Precondition: Avx512Available().
-int32_t BatchDistancesMinAvx512(const uint64_t* query, const uint64_t* codes,
-                                int n, int words, int32_t threshold,
-                                int32_t* out);
 int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance);
@@ -131,14 +95,12 @@ const char* KernelTierName(KernelTier tier);
 /// True when `tier` is compiled in and runnable on this CPU.
 bool KernelTierAvailable(KernelTier tier);
 
-/// The dispatched batch kernels for `ActiveKernelTier()`.
-BatchDistanceMinFn GetBatchDistanceMinFn();
+/// The dispatched kernel for `ActiveKernelTier()`.
 BatchEmitFn GetBatchEmitFn();
 
-/// Kernels for an explicit tier (benches compare tiers side by side).
+/// The kernel for an explicit tier (benches compare tiers side by side).
 /// An unavailable tier falls back to the best available tier below it
 /// (avx512 -> avx2 -> scalar).
-BatchDistanceMinFn GetBatchDistanceMinFn(KernelTier tier);
 BatchEmitFn GetBatchEmitFn(KernelTier tier);
 
 }  // namespace uhscm::index

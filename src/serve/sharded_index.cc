@@ -46,20 +46,6 @@ ShardedIndex::ShardedIndex(index::PackedCodes corpus,
   }
 }
 
-std::vector<Neighbor> ShardedIndex::ShardTopK(int s, const uint64_t* query,
-                                              int k) const {
-  UHSCM_CHECK(s >= 0 && s < num_shards(),
-              "ShardedIndex::ShardTopK: shard out of range");
-  const Shard& shard = *shards_[static_cast<size_t>(s)];
-  SharedLock lock(shard.mu);
-  std::vector<Neighbor> local = shard.impl.TopK(query, k);
-  // The local -> global map is strictly increasing, so the (distance, id)
-  // sort order survives the remap.
-  index::RemapNeighborIds(&local,
-                          [&shard](int id) { return shard.GlobalId(id); });
-  return local;
-}
-
 std::vector<std::vector<Neighbor>> ShardedIndex::ShardTopKBatch(
     int s, const uint64_t* const* queries, int num_queries, int k) const {
   UHSCM_CHECK(s >= 0 && s < num_shards(),
@@ -304,22 +290,6 @@ std::vector<Neighbor> ShardedIndex::MergeTopK(
     if (++top.pos < top.list->size()) heap.push(top);
   }
   return merged;
-}
-
-std::vector<Neighbor> ShardedIndex::TopK(const uint64_t* query, int k,
-                                         ThreadPool* pool) const {
-  k = std::min(k, size());
-  if (k <= 0) return {};
-  std::vector<std::vector<Neighbor>> per_shard(shards_.size());
-  auto search_shard = [&](int s) {
-    per_shard[static_cast<size_t>(s)] = ShardTopK(s, query, k);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_shards(), search_shard);
-  } else {
-    ParallelFor(num_shards(), search_shard);
-  }
-  return MergeTopK(per_shard, k);
 }
 
 }  // namespace uhscm::serve

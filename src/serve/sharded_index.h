@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/annotated_sync.h"
-#include "common/thread_pool.h"
 #include "index/neighbor.h"
 #include "index/packed_codes.h"
 #include "index/linear_scan.h"
@@ -65,10 +64,10 @@ struct CompactionStats {
 /// mutex for id assignment and routing), so searches run concurrently
 /// with updates and never observe a torn shard.
 ///
-/// Search is two-level: per-shard top-k (fanned out on a ThreadPool) and
-/// a k-way heap merge of the per-shard sorted lists. The per-shard method
-/// `ShardTopK` is public so a batch engine can flatten (query x shard)
-/// pairs into one parallel loop instead of nesting pools.
+/// Search is two-level: ShardTopKBatch answers a block of queries within
+/// one shard, and MergeTopK k-way merges the per-shard sorted lists.
+/// QueryEngine flattens (query block x shard) units into one parallel
+/// loop and merges per query; the index itself owns no thread pool.
 class ShardedIndex {
  public:
   /// Takes ownership of the corpus and builds all shard structures.
@@ -85,20 +84,12 @@ class ShardedIndex {
   int bits() const { return bits_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Exact top-k over the live corpus (ascending distance, then ascending
-  /// global id). Shard searches run on `pool`, or on the process-wide
-  /// pool when null. k is clamped to the live corpus size.
-  std::vector<index::Neighbor> TopK(const uint64_t* query, int k,
-                                    ThreadPool* pool = nullptr) const;
-
-  /// Exact top-k within shard `s` only, with *global* ids.
-  std::vector<index::Neighbor> ShardTopK(int s, const uint64_t* query,
-                                         int k) const;
-
-  /// Batched form of ShardTopK: one result list per query, each
-  /// byte-identical to the per-query call. Routes through the
-  /// cache-blocked SIMD batch scan, amortizing the shard's memory traffic
-  /// across the whole query block.
+  /// Exact top-k within shard `s` only, with *global* ids, for each of
+  /// `num_queries` queries: ascending distance, then ascending global id.
+  /// Runs the cache-blocked SIMD batch scan, so the shard's codes stream
+  /// once per query block rather than once per query. Merging every
+  /// shard's list with MergeTopK gives the corpus-wide top-k,
+  /// byte-identical to one LinearScanIndex::TopK over the live rows.
   std::vector<std::vector<index::Neighbor>> ShardTopKBatch(
       int s, const uint64_t* const* queries, int num_queries, int k) const;
 

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,176 +34,6 @@ std::vector<KernelTier> AvailableTiers() {
     if (KernelTierAvailable(tier)) tiers.push_back(tier);
   }
   return tiers;
-}
-
-// ------------------------------------------------------- kernel equality
-
-/// Every dispatched tier must agree bit-for-bit with the scalar reference
-/// and the per-pair HammingDistance across word counts 1..9 (widths both
-/// at and off 64-bit boundaries) plus the wide Harley–Seal path.
-class KernelWidths : public ::testing::TestWithParam<int> {};
-
-TEST_P(KernelWidths, AllTiersMatchScalarReferenceExactly) {
-  const int bits = GetParam();
-  const int n = 257;  // odd count exercises every kernel's tail handling
-  Rng rng(900 + bits);
-  PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
-  PackedCodes queries =
-      PackedCodes::FromSignMatrix(RandomSignCodes(3, bits, &rng));
-  const int words = db.words_per_code();
-
-  std::vector<int32_t> ref(static_cast<size_t>(n));
-  std::vector<int32_t> scalar(static_cast<size_t>(n));
-  std::vector<int32_t> dispatched(static_cast<size_t>(n));
-  for (int q = 0; q < queries.size(); ++q) {
-    for (int i = 0; i < n; ++i) {
-      ref[static_cast<size_t>(i)] =
-          HammingDistance(queries.code(q), db.code(i), words);
-    }
-    const int32_t ref_min = *std::min_element(ref.begin(), ref.end());
-    EXPECT_EQ(BatchDistancesMinScalar(queries.code(q), db.code(0), n, words,
-                                      kNoThreshold, scalar.data()),
-              ref_min)
-        << "scalar bits=" << bits << " q=" << q;
-    EXPECT_EQ(GetBatchDistanceMinFn()(queries.code(q), db.code(0), n, words,
-                                      kNoThreshold, dispatched.data()),
-              ref_min)
-        << KernelTierName(ActiveKernelTier()) << " bits=" << bits
-        << " q=" << q;
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(scalar[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
-          << "scalar bits=" << bits << " q=" << q << " i=" << i;
-      EXPECT_EQ(dispatched[static_cast<size_t>(i)],
-                ref[static_cast<size_t>(i)])
-          << KernelTierName(ActiveKernelTier()) << " bits=" << bits
-          << " q=" << q << " i=" << i;
-    }
-  }
-}
-
-TEST_P(KernelWidths, EveryAvailableTierMatchesReference) {
-  // The full tier-cross matrix: every tier this host can run must
-  // reproduce the per-pair reference exactly, and the kernel's return
-  // value must equal the minimum of the distances it wrote. Ragged
-  // counts (257, then tails of 1 and 3) exercise every kernel's
-  // partial-vector handling.
-  const int bits = GetParam();
-  Rng rng(4100 + bits);
-  PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(257, bits, &rng));
-  PackedCodes query = PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const int words = db.words_per_code();
-
-  for (const int n : {257, 3, 1}) {
-    std::vector<int32_t> ref(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      ref[static_cast<size_t>(i)] =
-          HammingDistance(query.code(0), db.code(i), words);
-    }
-    const int32_t ref_min = *std::min_element(ref.begin(), ref.end());
-
-    for (const KernelTier tier : AvailableTiers()) {
-      std::vector<int32_t> out(static_cast<size_t>(n), -1);
-      const int32_t got_min = GetBatchDistanceMinFn(tier)(
-          query.code(0), db.code(0), n, words, kNoThreshold, out.data());
-      EXPECT_EQ(got_min, ref_min)
-          << KernelTierName(tier) << " bits=" << bits << " n=" << n;
-      for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(out[static_cast<size_t>(i)], ref[static_cast<size_t>(i)])
-            << KernelTierName(tier) << " bits=" << bits << " n=" << n
-            << " i=" << i;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Widths, KernelWidths,
-    ::testing::Values(1, 7, 63, 64, 65, 127, 128, 129, 190, 192, 255, 256,
-                      300, 320, 384, 448, 511, 512, 576,
-                      // >= 32 words: the AVX2 Harley–Seal path
-                      2048, 2113, 2560));
-
-TEST(KernelThreshold, PrunedOutputsAreSafeLowerBounds) {
-  // Early-abandon contract: below-threshold outputs are exact; outputs at
-  // or above threshold are lower bounds of a true distance that is itself
-  // >= threshold. Exercised on a wide code where pruning is active.
-  const int bits = 2048;
-  const int n = 300;
-  Rng rng(31);
-  PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
-  PackedCodes query = PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const int words = db.words_per_code();
-
-  std::vector<int32_t> exact(static_cast<size_t>(n));
-  BatchDistancesMinScalar(query.code(0), db.code(0), n, words, kNoThreshold,
-                          exact.data());
-  // Median-ish threshold so both branches fire.
-  const int32_t threshold = bits / 2;
-  for (BatchDistanceMinFn fn : {GetBatchDistanceMinFn(KernelTier::kScalar),
-                                GetBatchDistanceMinFn()}) {
-    std::vector<int32_t> pruned(static_cast<size_t>(n));
-    fn(query.code(0), db.code(0), n, words, threshold, pruned.data());
-    for (int i = 0; i < n; ++i) {
-      const int32_t p = pruned[static_cast<size_t>(i)];
-      const int32_t e = exact[static_cast<size_t>(i)];
-      if (p < threshold) {
-        EXPECT_EQ(p, e) << "below-threshold output must be exact, i=" << i;
-      } else {
-        EXPECT_LE(p, e) << "pruned output must lower-bound the distance";
-        EXPECT_GE(e, threshold) << "pruned code must truly miss threshold";
-      }
-    }
-  }
-}
-
-TEST(KernelThreshold, FusedMinIsExactLowerBoundUnderPruning) {
-  // Fused-path contract that the batch scan's block skip rests on: the
-  // returned minimum is min(outputs), pruned outputs lower-bound their
-  // true distances, so the return is a lower bound of the true block
-  // minimum — and when the true minimum beats the threshold, that code
-  // is never abandoned, making the return exactly the true minimum.
-  const int bits = 2048;  // wide code: pruning fires inside every kernel
-  const int n = 300;
-  Rng rng(33);
-  PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
-  PackedCodes query =
-      PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
-  const int words = db.words_per_code();
-
-  std::vector<int32_t> exact(static_cast<size_t>(n));
-  BatchDistancesMinScalar(query.code(0), db.code(0), n, words, kNoThreshold,
-                          exact.data());
-  int32_t true_min = exact[0];
-  for (int i = 1; i < n; ++i) true_min = std::min(true_min, exact[i]);
-
-  // Sweep thresholds on both sides of the true minimum so both "exact"
-  // and "lower bound only" regimes fire.
-  for (const int32_t threshold :
-       {true_min - 8, true_min + 1, true_min + 64, bits / 2}) {
-    for (const KernelTier tier : AvailableTiers()) {
-      std::vector<int32_t> out(static_cast<size_t>(n));
-      const int32_t got = GetBatchDistanceMinFn(tier)(
-          query.code(0), db.code(0), n, words, threshold, out.data());
-      int32_t out_min = out[0];
-      for (int i = 1; i < n; ++i) out_min = std::min(out_min, out[i]);
-      EXPECT_EQ(got, out_min) << KernelTierName(tier) << " t=" << threshold;
-      EXPECT_LE(got, true_min) << KernelTierName(tier) << " t=" << threshold;
-      if (true_min < threshold) {
-        EXPECT_EQ(got, true_min)
-            << "qualifying minimum must be exact, "
-            << KernelTierName(tier) << " t=" << threshold;
-      }
-    }
-  }
-
-  // Empty block: identity of min, so skips behave (INT32_MAX >= any
-  // threshold).
-  for (const KernelTier tier : AvailableTiers()) {
-    int32_t unused = 0;
-    EXPECT_EQ(GetBatchDistanceMinFn(tier)(query.code(0), db.code(0), 0, words,
-                                          bits / 2, &unused),
-              std::numeric_limits<int32_t>::max());
-  }
 }
 
 // ------------------------------------------------------ emitting kernel
@@ -257,23 +88,50 @@ Emitted BruteForceEmit(const PackedCodes& query, const PackedCodes& db, int n,
   return want;
 }
 
-/// Every emitting tier must reproduce the scalar reference exactly —
-/// indices, distances and order — and the scalar reference must follow
-/// the contract, across widths (the width-specialized 1- and 2-word
-/// layouts, the generic path, the pruning widths), run lengths on and off
-/// the vector width, and bound patterns from "emit all" to "emit none",
-/// with and without per-code bounds.
+/// Checks one emitting call on codes [0, n) of `db`: the scalar reference
+/// must follow the contract (brute force), and every available tier must
+/// reproduce it exactly — indices, distances and order. Returns the
+/// reference's hits.
+Emitted ExpectEveryTierEmits(const PackedCodes& query, const PackedCodes& db,
+                             int n, int32_t row_bound,
+                             const int32_t* code_bounds,
+                             const std::string& label) {
+  const Emitted want = BruteForceEmit(query, db, n, row_bound, code_bounds);
+  const Emitted ref = RunEmit(&BatchEmitScalar, query, db, n, row_bound,
+                              code_bounds, "scalar " + label);
+  EXPECT_EQ(ref.index, want.index) << "scalar " << label;
+  EXPECT_EQ(ref.distance, want.distance) << "scalar " << label;
+  for (const KernelTier tier : AvailableTiers()) {
+    const Emitted got =
+        RunEmit(GetBatchEmitFn(tier), query, db, n, row_bound, code_bounds,
+                std::string(KernelTierName(tier)) + " " + label);
+    EXPECT_EQ(got.index, ref.index) << KernelTierName(tier) << " " << label;
+    EXPECT_EQ(got.distance, ref.distance)
+        << KernelTierName(tier) << " " << label;
+  }
+  return ref;
+}
+
+/// Every emitting tier must reproduce the scalar reference exactly, and
+/// the scalar reference must follow the contract, across code widths:
+/// widths at and off 64-bit boundaries, the width-specialized 1- and
+/// 2-word layouts, the blocked path for three or more words with its
+/// early-abandon widths (>= 16 words), the AVX2 Harley–Seal path
+/// (>= 32 words) and the AVX-512BW one (>= 64 words), and odd 512-bit
+/// vector counts. Run lengths go on and off the vector width, and bound
+/// patterns from "emit all" to "emit none", with and without per-code
+/// bounds.
 class EmitWidths : public ::testing::TestWithParam<int> {};
 
 TEST_P(EmitWidths, EveryTierMatchesScalarReference) {
-  const int words = GetParam();
-  const int bits = 64 * words;
+  const int bits = GetParam();
   const int max_n = 300;
-  Rng rng(5200 + words);
+  Rng rng(5200 + bits);
   const PackedCodes db =
       PackedCodes::FromSignMatrix(RandomSignCodes(max_n, bits, &rng));
   const PackedCodes query =
       PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
+  const int words = db.words_per_code();
 
   std::vector<int32_t> exact(static_cast<size_t>(max_n));
   for (int i = 0; i < max_n; ++i) {
@@ -312,31 +170,19 @@ TEST_P(EmitWidths, EveryTierMatchesScalarReference) {
       {"row=0 codes=mixed", 0, &mixed},
       {"row=median-4 codes=mixed", median - 4, &mixed},
       {"row=median codes=null", median, nullptr},
+      {"row=max codes=null", kNoThreshold, nullptr},
       {"row=0 codes=null", 0, nullptr},
   };
-  for (const int n : {0, 1, 7, 8, 15, 16, 17, 31, 33, 257, 300}) {
+  for (const int n : {0, 1, 3, 7, 8, 15, 16, 17, 31, 33, 257, 300}) {
     for (const Case& c : cases) {
-      const std::string label = "words=" + std::to_string(words) +
+      const std::string label = "bits=" + std::to_string(bits) +
                                 " n=" + std::to_string(n) + " " + c.name;
-      const int32_t* bounds =
-          c.code_bounds == nullptr ? nullptr : c.code_bounds->data();
-      const Emitted want = BruteForceEmit(query, db, n, c.row_bound, bounds);
-      const Emitted ref = RunEmit(&BatchEmitScalar, query, db, n, c.row_bound,
-                                  bounds, "scalar " + label);
-      ASSERT_EQ(ref.index, want.index) << "scalar " << label;
-      ASSERT_EQ(ref.distance, want.distance) << "scalar " << label;
-      for (const KernelTier tier : AvailableTiers()) {
-        const Emitted got = RunEmit(GetBatchEmitFn(tier), query, db, n,
-                                    c.row_bound, bounds,
-                                    std::string(KernelTierName(tier)) + " " +
-                                        label);
-        ASSERT_EQ(got.index, ref.index) << KernelTierName(tier) << " " << label;
-        ASSERT_EQ(got.distance, ref.distance)
-            << KernelTierName(tier) << " " << label;
-      }
+      const Emitted ref = ExpectEveryTierEmits(
+          query, db, n, c.row_bound,
+          c.code_bounds == nullptr ? nullptr : c.code_bounds->data(), label);
       // Bound patterns whose outcome is known outright.
       if (c.name == "row=max codes=0" || c.name == "row=0 codes=max" ||
-          c.name == "row=0 codes=tie+1") {
+          c.name == "row=0 codes=tie+1" || c.name == "row=max codes=null") {
         EXPECT_EQ(static_cast<int>(ref.index.size()), n) << label;
       }
       if (c.name == "row=0 codes=0" || c.name == "row=0 codes=tie" ||
@@ -347,28 +193,70 @@ TEST_P(EmitWidths, EveryTierMatchesScalarReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, EmitWidths,
-                         ::testing::Values(1, 2, 3, 4, 8, 16, 33));
+TEST_P(EmitWidths, NearCodesUnderEveryBound) {
+  // Codes a few flipped bits from the query, spread over every word,
+  // under every row bound from 0 to one past the largest distance. At
+  // some bound b a code's partial count at an early-abandon check is
+  // b - 1 while more differing bits follow; a kernel that abandoned
+  // there would emit the partial count as a distance. Wide codes also
+  // meet the fused block minimum at every bound around their distances.
+  const int bits = GetParam();
+  const int n = 300;
+  Rng rng(5300 + bits);
+  const PackedCodes query =
+      PackedCodes::FromSignMatrix(RandomSignCodes(1, bits, &rng));
+  const int words = query.words_per_code();
+  std::vector<uint64_t> raw;
+  for (int i = 0; i < n; ++i) {
+    std::vector<uint64_t> code(query.code(0), query.code(0) + words);
+    const int flips = static_cast<int>(rng.UniformInt(std::min(bits, 24) + 1));
+    for (int f = 0; f < flips; ++f) {
+      const int b = static_cast<int>(rng.UniformInt(bits));
+      code[static_cast<size_t>(b / 64)] ^= 1ULL << (b % 64);
+    }
+    raw.insert(raw.end(), code.begin(), code.end());
+  }
+  const PackedCodes db = PackedCodes::FromRawWords(n, bits, std::move(raw));
+  int32_t max_distance = 0;
+  for (int i = 0; i < n; ++i) {
+    max_distance =
+        std::max(max_distance, HammingDistance(query.code(0), db.code(i), words));
+  }
+  for (int32_t row_bound = 0; row_bound <= max_distance + 1; ++row_bound) {
+    for (const int n_run : {17, n}) {
+      ExpectEveryTierEmits(query, db, n_run, row_bound, nullptr,
+                           "bits=" + std::to_string(bits) +
+                               " n=" + std::to_string(n_run) +
+                               " row=" + std::to_string(row_bound));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, EmitWidths,
+    ::testing::Values(1, 7, 63, 64, 65, 127, 128, 129, 190, 192, 255, 256,
+                      300, 320, 384, 448, 511, 512, 576, 1024,
+                      // 24 words: an early-abandon check with words left
+                      // after it on every tier
+                      1536, 2048, 2112, 2113, 2560,
+                      // 73 words: >= 64 words, an odd count of 512-bit
+                      // vectors and a 1-word tail
+                      4672));
 
 TEST(KernelDispatch, TierNamesAndExplicitLookup) {
   EXPECT_STREQ(KernelTierName(KernelTier::kScalar), "scalar");
   EXPECT_STREQ(KernelTierName(KernelTier::kAvx2), "avx2");
   EXPECT_STREQ(KernelTierName(KernelTier::kAvx512), "avx512");
-  EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kScalar),
-            &BatchDistancesMinScalar);
   EXPECT_EQ(GetBatchEmitFn(KernelTier::kScalar), &BatchEmitScalar);
   EXPECT_TRUE(KernelTierAvailable(KernelTier::kScalar));
   // Graded fallback: asking for a tier the host lacks returns the next
   // tier down, never a crash and never a scalar jump past an available
   // middle tier.
   if (!Avx2Available()) {
-    EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kAvx2),
-              &BatchDistancesMinScalar);
+    EXPECT_EQ(GetBatchEmitFn(KernelTier::kAvx2), &BatchEmitScalar);
     EXPECT_EQ(ActiveKernelTier(), KernelTier::kScalar);
   }
   if (!Avx512Available()) {
-    EXPECT_EQ(GetBatchDistanceMinFn(KernelTier::kAvx512),
-              GetBatchDistanceMinFn(KernelTier::kAvx2));
     EXPECT_EQ(GetBatchEmitFn(KernelTier::kAvx512),
               GetBatchEmitFn(KernelTier::kAvx2));
   }

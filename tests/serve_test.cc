@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +36,17 @@ void ExpectSameNeighbors(const std::vector<Neighbor>& expect,
   }
 }
 
+/// The serving path's search for one query: every shard's batched top-k
+/// (ShardTopKBatch), merged by MergeTopK, as QueryEngine runs it.
+std::vector<Neighbor> ServedTopK(const ShardedIndex& index,
+                                 const uint64_t* query, int k) {
+  std::vector<std::vector<Neighbor>> per_shard;
+  for (int s = 0; s < index.num_shards(); ++s) {
+    per_shard.push_back(std::move(index.ShardTopKBatch(s, &query, 1, k)[0]));
+  }
+  return ShardedIndex::MergeTopK(per_shard, k);
+}
+
 /// Shard-count sweep: sharded top-k must be byte-identical to a single
 /// LinearScan over the unsharded corpus.
 class ShardedIndexSweep : public ::testing::TestWithParam<int> {};
@@ -56,7 +68,7 @@ TEST_P(ShardedIndexSweep, MatchesLinearScanGroundTruth) {
     Matrix query = RandomSignCodes(1, bits, &rng);
     PackedCodes pq = PackedCodes::FromSignMatrix(query);
     ExpectSameNeighbors(truth.TopK(pq.code(0), k),
-                        sharded.TopK(pq.code(0), k));
+                        ServedTopK(sharded, pq.code(0), k));
   }
 }
 
@@ -73,7 +85,8 @@ TEST(ShardedIndexTest, ShardCountClampedToCorpusSize) {
   LinearScanIndex truth(PackedCodes::FromSignMatrix(db));
   Matrix query = RandomSignCodes(1, 32, &rng);
   PackedCodes pq = PackedCodes::FromSignMatrix(query);
-  ExpectSameNeighbors(truth.TopK(pq.code(0), 3), sharded.TopK(pq.code(0), 3));
+  ExpectSameNeighbors(truth.TopK(pq.code(0), 3),
+                      ServedTopK(sharded, pq.code(0), 3));
 }
 
 TEST(ShardedIndexTest, KLargerThanCorpusReturnsWholeCorpus) {
@@ -85,17 +98,20 @@ TEST(ShardedIndexTest, KLargerThanCorpusReturnsWholeCorpus) {
   ShardedIndex sharded(PackedCodes::FromSignMatrix(db), options);
   Matrix query = RandomSignCodes(1, 64, &rng);
   PackedCodes pq = PackedCodes::FromSignMatrix(query);
-  const auto got = sharded.TopK(pq.code(0), 1000);
+  const auto got = ServedTopK(sharded, pq.code(0), 1000);
   ASSERT_EQ(got.size(), 50u);
   ExpectSameNeighbors(truth.TopK(pq.code(0), 1000), got);
 }
 
-TEST(ShardedIndexTest, ShardTopKBatchMatchesPerQueryShardTopK) {
-  // The batched per-shard entry point (the SIMD cache-blocked scan) must
-  // be byte-identical to the per-query path, global ids included.
+TEST(ShardedIndexTest, ShardTopKBatchMatchesLinearScanPerShardAndMerged) {
+  // Each shard's batched top-k must equal a per-query LinearScan over
+  // that shard's contiguous row range, lifted to global ids; the merged
+  // lists must equal a LinearScan over the whole corpus.
   Rng rng(456);
   const int n = 350, bits = 128, k = 12;
   Matrix db = RandomSignCodes(n, bits, &rng);
+  const PackedCodes packed = PackedCodes::FromSignMatrix(db);
+  LinearScanIndex truth(PackedCodes::FromSignMatrix(db));
   PackedCodes queries = PackedCodes::FromSignMatrix(RandomSignCodes(7, bits, &rng));
 
   ShardedIndexOptions options;
@@ -104,14 +120,34 @@ TEST(ShardedIndexTest, ShardTopKBatchMatchesPerQueryShardTopK) {
 
   std::vector<const uint64_t*> qptrs;
   for (int q = 0; q < queries.size(); ++q) qptrs.push_back(queries.code(q));
+  const int words = packed.words_per_code();
+  std::vector<std::vector<std::vector<Neighbor>>> per_query(
+      qptrs.size(), std::vector<std::vector<Neighbor>>(
+                        static_cast<size_t>(sharded.num_shards())));
   for (int s = 0; s < sharded.num_shards(); ++s) {
+    // The constructor's split: shard s holds rows [begin, end).
+    const int begin = s * n / sharded.num_shards();
+    const int end = (s + 1) * n / sharded.num_shards();
+    LinearScanIndex shard_truth(PackedCodes::FromRawWords(
+        end - begin, bits,
+        std::vector<uint64_t>(
+            packed.words().begin() + static_cast<size_t>(begin) * words,
+            packed.words().begin() + static_cast<size_t>(end) * words)));
     const auto batched = sharded.ShardTopKBatch(
         s, qptrs.data(), static_cast<int>(qptrs.size()), k);
     ASSERT_EQ(batched.size(), qptrs.size());
     for (int q = 0; q < queries.size(); ++q) {
-      ExpectSameNeighbors(sharded.ShardTopK(s, queries.code(q), k),
-                          batched[static_cast<size_t>(q)]);
+      std::vector<Neighbor> want = shard_truth.TopK(queries.code(q), k);
+      index::RemapNeighborIds(&want, [begin](int id) { return begin + id; });
+      ExpectSameNeighbors(want, batched[static_cast<size_t>(q)]);
+      per_query[static_cast<size_t>(q)][static_cast<size_t>(s)] =
+          batched[static_cast<size_t>(q)];
     }
+  }
+  for (int q = 0; q < queries.size(); ++q) {
+    ExpectSameNeighbors(
+        truth.TopK(queries.code(q), k),
+        ShardedIndex::MergeTopK(per_query[static_cast<size_t>(q)], k));
   }
 }
 
@@ -523,7 +559,7 @@ TEST(MutableEngineTest, AppendRoutesToLeastFullShardAndRemapsIds) {
 
   // The appended codes are retrievable under their new global ids.
   for (int i = 0; i < batch.size(); ++i) {
-    const auto top = index.TopK(batch.code(i), 1);
+    const auto top = ServedTopK(index, batch.code(i), 1);
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top[0].distance, 0);
   }
@@ -632,7 +668,7 @@ TEST(CompactionTest, CompactionIsInvisibleToQueries) {
       PackedCodes::FromSignMatrix(RandomSignCodes(15, bits, &rng));
   std::vector<std::vector<Neighbor>> before;
   for (int q = 0; q < queries.size(); ++q) {
-    before.push_back(index.TopK(queries.code(q), k));
+    before.push_back(ServedTopK(index, queries.code(q), k));
   }
 
   const CompactionStats stats = index.CompactAll();
@@ -646,7 +682,7 @@ TEST(CompactionTest, CompactionIsInvisibleToQueries) {
   // be invisible to every reader.
   for (int q = 0; q < queries.size(); ++q) {
     ExpectSameNeighbors(before[static_cast<size_t>(q)],
-                        index.TopK(queries.code(q), k));
+                        ServedTopK(index, queries.code(q), k));
   }
   // A second pass finds nothing to reclaim.
   const CompactionStats again = index.CompactAll();
@@ -686,7 +722,7 @@ TEST(CompactionTest, LocatorStaysCorrectAcrossCompactions) {
   ASSERT_EQ(ids.size(), 4u);
   EXPECT_EQ(ids.front(), 40);
   for (int i = 0; i < batch.size(); ++i) {
-    const auto top = index.TopK(batch.code(i), 1);
+    const auto top = ServedTopK(index, batch.code(i), 1);
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top[0].distance, 0);
     EXPECT_GE(top[0].id, 0);
