@@ -1,6 +1,6 @@
 // Micro-performance benchmarks (google-benchmark) for the hot kernels
 // behind the paper-table benches: packed Hamming scans, multi-index
-// hashing lookups, GEMM, VLP scoring, the UHSCM batch loss and one whole
+// hashing lookups, the radius self-join, GEMM, VLP scoring, the UHSCM batch loss and one whole
 // training step. These are the "is the substrate fast enough" counterpart
 // to the paper-shape benches; run any binary with --benchmark_filter=...
 // as usual.
@@ -24,7 +24,9 @@
 #include "index/linear_scan.h"
 #include "index/multi_index_hash.h"
 #include "index/packed_codes.h"
+#include "index/self_join.h"
 #include "linalg/ops.h"
+#include "obs/metrics.h"
 #include "nn/sgd.h"
 #include "perf_util.h"
 #include "vlp/simulated_vlp.h"
@@ -178,6 +180,53 @@ BENCHMARK(BM_MihRadiusQuery)
     ->Args({10000, 2})
     ->Args({10000, 6})
     ->Args({100000, 2});
+
+void BM_RadiusJoin(benchmark::State& state) {
+  // RadiusJoin on one thread over the dedup workload's corpus shape:
+  // planted clusters of five codes within radius 8 of each other (4% of
+  // the rows), random background, every 100th row tombstoned. Args are
+  // (n, bits, radius); the label names the path the cost rule picked.
+  const int n = static_cast<int>(state.range(0));
+  const int bits = static_cast<int>(state.range(1));
+  const int radius = static_cast<int>(state.range(2));
+  Rng rng(31);
+  index::PackedCodes codes =
+      index::PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
+  std::vector<uint64_t> words = codes.words();
+  const int per_code = codes.words_per_code();
+  for (int c = 0; c < n / 25; c += 5) {
+    for (int copy = 1; copy < 5; ++copy) {
+      uint64_t* code = words.data() + static_cast<size_t>(c + copy) * per_code;
+      std::memcpy(code, codes.code(c), sizeof(uint64_t) * per_code);
+      const int flips = 1 + static_cast<int>(rng.UniformInt(4));
+      for (int f = 0; f < flips; ++f) {
+        const int bit = static_cast<int>(rng.UniformInt(bits));
+        code[bit / 64] ^= 1ULL << (bit % 64);
+      }
+    }
+  }
+  codes = index::PackedCodes::FromRawWords(n, bits, std::move(words));
+  index::TombstoneSet dead;
+  dead.Resize(n);
+  for (int i = 0; i < n; i += 100) dead.Set(i);
+  index::SelfJoinOptions options;
+  options.threads = 1;
+  options.tombstones = &dead;
+  obs::Counter* verified =
+      obs::MetricsRegistry::Global().GetCounter("mih.candidates_verified");
+  const int64_t verified0 = verified->value();
+  size_t pairs = 0;
+  for (auto _ : state) {
+    pairs = index::RadiusJoin(codes, radius, options).size();
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.SetLabel(verified->value() != verified0 ? "multi-index hash"
+                                                : "blocked");
+}
+BENCHMARK(BM_RadiusJoin)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({60000, 128, 8})    // the dedup workload's radius join
+    ->Args({60000, 128, 16});  // r >= bits/8: the blocked join on any tier
 
 void BM_MatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

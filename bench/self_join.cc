@@ -9,8 +9,15 @@
 //                       bounded-heap reduction; also the identity oracle
 //   naive/radius      : ReferenceRadiusJoin — same loop, threshold filter
 //   join/topk/<tier>  : tiled TopKJoin forced to <tier> (emitting kernel)
-//   join/radius/<tier>: tiled RadiusJoin forced to <tier> — a sparse
-//                       radius emits almost no pair from the kernel
+//   join/radius       : RadiusJoin at --radius, dispatched tier —
+//                       whichever path its cost rule picks (at a sparse
+//                       radius the multi-index hash probe, which runs
+//                       the same code at every tier); the row's tier
+//                       column names the path
+//   join/radius-wide/<tier>: RadiusJoin forced to <tier> at radius
+//                       max(--radius, bits/8), where the rule never
+//                       builds the hash: the tiled join on the emitting
+//                       kernel
 //   tile/topk/<rows>  : tile-size sweep at the dispatched tier
 //
 // Every engine result is checked byte-identical to its naive reference —
@@ -28,6 +35,7 @@
 //   $ ./build/self_join [--n=50000] [--bits=128] [--k=10] [--radius=8]
 //                       [--threads=0] [--reps=2] [--json=BENCH_self_join.json]
 //   $ ./build/self_join --list-tiers   # one available tier per line
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -41,6 +49,7 @@
 #include "index/packed_codes.h"
 #include "index/self_join.h"
 #include "index/shard_index.h"
+#include "obs/metrics.h"
 #include "perf_util.h"
 
 namespace uhscm::bench {
@@ -167,6 +176,16 @@ bool SameTopK(const std::vector<std::vector<index::Neighbor>>& a,
   return true;
 }
 
+/// The pairs of a reference radius join within a smaller radius.
+std::vector<index::JoinPair> WithinRadius(
+    const std::vector<index::JoinPair>& pairs, int radius) {
+  std::vector<index::JoinPair> out;
+  for (const index::JoinPair& pair : pairs) {
+    if (pair.distance <= radius) out.push_back(pair);
+  }
+  return out;
+}
+
 bool SamePairs(const std::vector<index::JoinPair>& a,
                const std::vector<index::JoinPair>& b) {
   if (a.size() != b.size()) return false;
@@ -238,10 +257,13 @@ int Main(int argc, char** argv) {
     add_row("naive/topk", "scalar", naive_topk_secs, naive_topk_secs,
             nullptr);
   }
+  // One naive radius pass at the wider radius serves both radius rows:
+  // the pairs within --radius are a filter of it.
+  const int wide_radius = std::max(flags.radius, flags.bits / 8);
   std::vector<index::JoinPair> want_radius;
   {
     Stopwatch watch;
-    want_radius = index::ReferenceRadiusJoin(corpus, flags.radius, &dead);
+    want_radius = index::ReferenceRadiusJoin(corpus, wide_radius, &dead);
     naive_radius_secs = watch.ElapsedSeconds();
     add_row("naive/radius", "scalar", naive_radius_secs, naive_radius_secs,
             nullptr);
@@ -271,9 +293,32 @@ int Main(int argc, char** argv) {
     if (tier == active_tier) engine_topk_secs = secs;
   }
 
-  // Tiled RadiusJoin per tier: at a sparse radius the kernel emits
-  // almost nothing.
+  // RadiusJoin once at --radius on the dispatched tier, then per tier at
+  // a radius past bits/8, where the tiled join is the only path: each
+  // side of the cost rule's fork gets its own rows. The naive loop's cost
+  // does not depend on the radius, so both share its time.
+  obs::Counter* mih_verified =
+      obs::MetricsRegistry::Global().GetCounter("mih.candidates_verified");
   double engine_radius_secs = 0.0;
+  std::string radius_path;
+  {
+    index::SelfJoinOptions options;
+    options.threads = flags.threads;
+    options.tombstones = &dead;
+    index::SelfJoinStats stats;
+    std::vector<index::JoinPair> got;
+    const int64_t verified0 = mih_verified->value();
+    engine_radius_secs = TimeBest(flags.reps, [&] {
+      got = index::RadiusJoin(corpus, flags.radius, options, &stats);
+    });
+    if (!SamePairs(got, WithinRadius(want_radius, flags.radius))) {
+      std::fprintf(stderr, "FATAL: RadiusJoin differs from naive reference\n");
+      return 1;
+    }
+    radius_path = mih_verified->value() != verified0 ? "hash" : "tiled";
+    add_row("join/radius", radius_path, engine_radius_secs,
+            naive_radius_secs, &stats);
+  }
   for (const index::KernelTier tier : tiers) {
     index::SelfJoinOptions options;
     options.force_tier = true;
@@ -283,17 +328,16 @@ int Main(int argc, char** argv) {
     index::SelfJoinStats stats;
     std::vector<index::JoinPair> got;
     const double secs = TimeBest(flags.reps, [&] {
-      got = index::RadiusJoin(corpus, flags.radius, options, &stats);
+      got = index::RadiusJoin(corpus, wide_radius, options, &stats);
     });
     if (!SamePairs(got, want_radius)) {
       std::fprintf(stderr,
-                   "FATAL: RadiusJoin/%s differs from naive reference\n",
-                   index::KernelTierName(tier));
+                   "FATAL: RadiusJoin/%s r=%d differs from naive reference\n",
+                   index::KernelTierName(tier), wide_radius);
       return 1;
     }
-    add_row(std::string("join/radius/") + index::KernelTierName(tier),
+    add_row(std::string("join/radius-wide/") + index::KernelTierName(tier),
             index::KernelTierName(tier), secs, naive_radius_secs, &stats);
-    if (tier == active_tier) engine_radius_secs = secs;
   }
 
   // Tile-size sweep at the dispatched tier: too small pays per-tile
@@ -331,8 +375,8 @@ int Main(int argc, char** argv) {
   dedup_options.tombstones = &dead;
   const index::DedupGroupsResult groups =
       index::DedupGroups(corpus, dedup, dedup_options);
-  const index::DedupGroupsResult want_groups =
-      index::ReducePairsToGroups(want_radius, dedup.link);
+  const index::DedupGroupsResult want_groups = index::ReducePairsToGroups(
+      WithinRadius(want_radius, flags.radius), dedup.link);
   if (groups.groups != want_groups.groups) {
     std::fprintf(stderr, "FATAL: DedupGroups differs from naive reduction\n");
     return 1;
@@ -355,8 +399,8 @@ int Main(int argc, char** argv) {
       "\nall join results byte-identical to the naive per-pair reference\n");
   std::printf("headline: tiled %s TopKJoin = %.2fx naive per-pair loop\n",
               simd_name, headline);
-  std::printf("radius:   tiled %s RadiusJoin = %.2fx naive per-pair loop\n",
-              simd_name, radius_speedup);
+  std::printf("radius:   RadiusJoin r=%d (%s) = %.2fx naive per-pair loop\n",
+              flags.radius, radius_path.c_str(), radius_speedup);
   std::printf("dedup:    %zu groups, %lld rows clustered\n",
               groups.groups.size(),
               static_cast<long long>(groups.rows_clustered));

@@ -406,6 +406,28 @@ namespace {
 
 // ------------------------- VPOPCNTDQ sub-tier (Ice Lake+, Zen 4+) -------
 
+// GCC 12's bodies of _mm512_reduce_add_epi64, _mm512_extracti64x4_epi64,
+// _mm512_broadcast_i32x4, _mm512_shuffle_i64x2 and _mm512_max_epi32 start
+// from an undefined vector and trip -Wmaybe-uninitialized once inlined.
+// The zero-masked forms below take an all-ones mask, so they compute the
+// same values and compile to the same unmasked instructions.
+
+/// Sum of the eight 64-bit lanes of v.
+UHSCM_AVX512_FN inline uint64_t ReduceAdd512(__m512i v) {
+  const __m256i quad =
+      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xF, v, 1),
+                       _mm512_maskz_extracti64x4_epi64(0xF, v, 0));
+  const __m128i pair = _mm_add_epi64(_mm256_extracti128_si256(quad, 1),
+                                     _mm256_castsi256_si128(quad));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(pair)) +
+         static_cast<uint64_t>(_mm_extract_epi64(pair, 1));
+}
+
+/// The 128-bit value x in all four 128-bit lanes.
+UHSCM_AVX512_FN inline __m512i Broadcast128(__m128i x) {
+  return _mm512_maskz_broadcast_i32x4(0xFFFF, x);
+}
+
 /// XOR of the v-th 512-bit chunk (8 words) of a code and query row.
 UHSCM_AVX512_FN inline __m512i LoadXor512(const uint64_t* code,
                                           const uint64_t* query, int v) {
@@ -439,12 +461,9 @@ UHSCM_AVX512VP_FN int32_t BatchGenericVp(const uint64_t* query,
                               _mm512_popcnt_epi64(LoadXor512(code, query, v)));
       acc1 = _mm512_add_epi64(
           acc1, _mm512_popcnt_epi64(LoadXor512(code, query, v + 1)));
-      if (prune &&
-          static_cast<uint64_t>(_mm512_reduce_add_epi64(acc0)) +
-                  static_cast<uint64_t>(_mm512_reduce_add_epi64(acc1)) >=
-              static_cast<uint64_t>(threshold)) {
-        sum = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc0)) +
-              static_cast<uint64_t>(_mm512_reduce_add_epi64(acc1));
+      if (prune && ReduceAdd512(acc0) + ReduceAdd512(acc1) >=
+                       static_cast<uint64_t>(threshold)) {
+        sum = ReduceAdd512(acc0) + ReduceAdd512(acc1);
         abandoned = true;
         break;
       }
@@ -454,8 +473,7 @@ UHSCM_AVX512VP_FN int32_t BatchGenericVp(const uint64_t* query,
         acc0 = _mm512_add_epi64(
             acc0, _mm512_popcnt_epi64(LoadXor512(code, query, v)));
       }
-      sum = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc0)) +
-            static_cast<uint64_t>(_mm512_reduce_add_epi64(acc1));
+      sum = ReduceAdd512(acc0) + ReduceAdd512(acc1);
       for (int w = tail_start; w < words; ++w) {
         sum += Popcount64(query[w] ^ code[w]);
       }
@@ -471,7 +489,7 @@ UHSCM_AVX512VP_FN int32_t BatchGenericVp(const uint64_t* query,
 /// Per-64-bit-lane popcount of a 512-bit vector via the same pshufb
 /// nibble LUT as the AVX2 tier, twice as wide.
 UHSCM_AVX512_FN inline __m512i PopcountLanes64Bw(__m512i v) {
-  const __m512i lut = _mm512_broadcast_i32x4(_mm_setr_epi8(
+  const __m512i lut = Broadcast128(_mm_setr_epi8(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4));
   const __m512i low = _mm512_set1_epi8(0x0f);
   const __m512i lo = _mm512_and_si512(v, low);
@@ -526,22 +544,17 @@ UHSCM_AVX512_FN int32_t BatchGenericBw(const uint64_t* query,
         // 8 * acc ignores the ones/twos/fours residue, so it is a valid
         // lower bound of the distance counted so far.
         if (prune &&
-            8 * static_cast<uint64_t>(_mm512_reduce_add_epi64(acc)) >=
-                static_cast<uint64_t>(threshold)) {
-          sum = 8 * static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+            8 * ReduceAdd512(acc) >= static_cast<uint64_t>(threshold)) {
+          sum = 8 * ReduceAdd512(acc);
           abandoned = true;
           break;
         }
       }
       if (!abandoned) {
-        sum =
-            8 * static_cast<uint64_t>(_mm512_reduce_add_epi64(acc)) +
-            4 * static_cast<uint64_t>(
-                    _mm512_reduce_add_epi64(PopcountLanes64Bw(fours))) +
-            2 * static_cast<uint64_t>(
-                    _mm512_reduce_add_epi64(PopcountLanes64Bw(twos))) +
-            static_cast<uint64_t>(
-                _mm512_reduce_add_epi64(PopcountLanes64Bw(ones)));
+        sum = 8 * ReduceAdd512(acc) +
+              4 * ReduceAdd512(PopcountLanes64Bw(fours)) +
+              2 * ReduceAdd512(PopcountLanes64Bw(twos)) +
+              ReduceAdd512(PopcountLanes64Bw(ones));
         acc = _mm512_setzero_si512();
       }
     }
@@ -549,13 +562,12 @@ UHSCM_AVX512_FN int32_t BatchGenericBw(const uint64_t* query,
       for (; v < vecs; ++v) {
         acc = _mm512_add_epi64(acc, PopcountLanes64Bw(LoadXor512(code, query, v)));
         if (prune && (v & 1) == 1 &&
-            sum + static_cast<uint64_t>(_mm512_reduce_add_epi64(acc)) >=
-                static_cast<uint64_t>(threshold)) {
+            sum + ReduceAdd512(acc) >= static_cast<uint64_t>(threshold)) {
           abandoned = true;
           break;
         }
       }
-      sum += static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
+      sum += ReduceAdd512(acc);
       if (!abandoned) {
         for (int w = tail_start; w < words; ++w) {
           sum += Popcount64(query[w] ^ code[w]);
@@ -617,8 +629,10 @@ UHSCM_AVX512VP_FN inline __m512i Distances16Words2Vp(__m512i q,
                                            10, 14, 18, 22, 26, 30);
   const __m512i h07 = _mm512_permutex2var_epi32(s[0], halves, s[1]);
   const __m512i h8f = _mm512_permutex2var_epi32(s[2], halves, s[3]);
-  const __m512i lo = _mm512_shuffle_i64x2(h07, h8f, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m512i hi = _mm512_shuffle_i64x2(h07, h8f, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m512i lo =
+      _mm512_maskz_shuffle_i64x2(0xFF, h07, h8f, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m512i hi =
+      _mm512_maskz_shuffle_i64x2(0xFF, h07, h8f, _MM_SHUFFLE(3, 2, 3, 2));
   return _mm512_add_epi32(lo, hi);
 }
 
@@ -635,8 +649,7 @@ UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
   if constexpr (kWords == 1) {
     q = _mm512_set1_epi64(static_cast<long long>(query[0]));
   } else {
-    q = _mm512_broadcast_i32x4(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(query)));
+    q = Broadcast128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(query)));
   }
   const __m512i row = _mm512_set1_epi32(row_bound);
   const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
@@ -654,7 +667,8 @@ UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
     const __m512i bound =
         code_bounds == nullptr
             ? row
-            : _mm512_max_epi32(row, _mm512_loadu_si512(code_bounds + i));
+            : _mm512_maskz_max_epi32(0xFFFF, row,
+                                     _mm512_loadu_si512(code_bounds + i));
     const __mmask16 hits = _mm512_cmplt_epi32_mask(d, bound);
     if (hits == 0) continue;
     _mm512_mask_compressstoreu_epi32(

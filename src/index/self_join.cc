@@ -5,11 +5,13 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "index/batch_scan.h"
+#include "index/multi_index_hash.h"
 #include "obs/kernel_counters.h"
 #include "obs/metrics.h"
 
@@ -135,8 +137,17 @@ std::vector<std::pair<int, int>> TilePairsDiagonalFirst(int num_tiles) {
   return pairs;
 }
 
-BatchEmitFn ResolveEmitFn(const SelfJoinOptions& options) {
-  return options.force_tier ? GetBatchEmitFn(options.tier) : GetBatchEmitFn();
+/// The tier the join's kernel runs at: the forced tier, or the
+/// process-wide dispatch, falling back as GetBatchEmitFn does.
+KernelTier ResolveTier(const SelfJoinOptions& options) {
+  KernelTier tier = options.force_tier ? options.tier : ActiveKernelTier();
+  if (tier == KernelTier::kAvx512 && !KernelTierAvailable(tier)) {
+    tier = KernelTier::kAvx2;
+  }
+  if (tier == KernelTier::kAvx2 && !KernelTierAvailable(tier)) {
+    tier = KernelTier::kScalar;
+  }
+  return tier;
 }
 
 /// Output of one emitting kernel call, sized for the longest run a task
@@ -366,6 +377,134 @@ void RadiusTileTask(const PackedCodes& codes, const TileMap& tiles,
   }
 }
 
+/// The per-task pair lists of a radius join, in task order.
+std::vector<JoinPair> Concatenate(
+    const std::vector<std::vector<JoinPair>>& chunks) {
+  size_t total = 0;
+  for (const auto& chunk : chunks) total += chunk.size();
+  std::vector<JoinPair> result;
+  result.reserve(total);
+  for (const auto& chunk : chunks) {
+    result.insert(result.end(), chunk.begin(), chunk.end());
+  }
+  return result;
+}
+
+/// RadiusJoin over every tile pair with the emitting kernel.
+std::vector<JoinPair> BlockedRadiusJoin(const PackedCodes& codes,
+                                        const TileMap& tiles, int radius,
+                                        BatchEmitFn emit, ThreadPool* pool,
+                                        JoinTotals* totals) {
+  const std::vector<std::pair<int, int>> pairs =
+      TilePairsDiagonalFirst(tiles.num_tiles);
+  std::vector<std::vector<JoinPair>> per_task(pairs.size());
+  {
+    StageTimer timer("stage.join_scan_ns");
+    pool->ParallelFor(static_cast<int>(pairs.size()), [&](int task) {
+      const auto [ti, tj] = pairs[static_cast<size_t>(task)];
+      TaskCounters counters;
+      RadiusTileTask(codes, tiles, emit, radius, ti, tj,
+                     &per_task[static_cast<size_t>(task)], &counters);
+      totals->Absorb(counters);
+    });
+  }
+  StageTimer timer("stage.join_merge_ns");
+  std::vector<JoinPair> result = Concatenate(per_task);
+  // Tasks emit (a, b)-sorted chunks; one global sort makes the output
+  // canonical regardless of tile size or scheduling.
+  std::sort(result.begin(), result.end(), JoinPairLess);
+  return result;
+}
+
+// ------------------------------------------------------- MIH RadiusJoin
+
+/// Blocked-join pairs that one unit of hash-probe work (one bucket
+/// opened, or one bucket entry read, with its share of the candidate
+/// sort and the random-access popcount verification) costs, by the tier
+/// the blocked join would run and the code width. Measured on planted
+/// 60k-row corpora (20k rows for the blocked join; 1% tombstones, one
+/// pinned thread) on an AVX-512BW host without VPOPCNTDQ: a unit costs
+/// 28 ns at one word, 28-37 ns at two and 42-68 ns at three to five;
+/// the kernel scores a pair in 0.16 / 0.37 / 6.5-9.9 ns at avx512,
+/// 0.45 / 1.05 / 4.8-5.7 ns at avx2 and 7.8 / 11.2 / 18-29 ns at scalar.
+/// Hosts with VPOPCNTDQ score pairs faster at avx512, so there the rule
+/// switches to the blocked join later than the measured crossover; both
+/// paths stay exact.
+double MihUnitCostInPairs(KernelTier tier, int words) {
+  //                                       1 word  2 words  3+ words
+  static constexpr double kPairs[3][3] = {{3.5, 3.0, 3.5},      // scalar
+                                          {53.0, 31.0, 13.0},   // avx2
+                                          {158.0, 89.0, 10.0}};  // avx512
+  return kPairs[static_cast<int>(tier)][std::min(words, 3) - 1];
+}
+
+/// Rows per MIH probe task: enough for the pool to balance the triangle
+/// (early rows see more candidates j > i than late ones).
+constexpr int kMihTaskRows = 2048;
+
+/// The cost rule, decided from the table's own counts. With S = r + 1
+/// substrings the pigeonhole sub-radius is 0, so a row opens one bucket
+/// per substring and reads the rows sharing its key there:
+/// S + MeanSameKeyRows() units. The table is kept when that, in blocked
+/// pairs (MihUnitCostInPairs), is below the live / 2 pairs per row the
+/// blocked join scores, so crowded buckets (clustered codes) price
+/// themselves out. Past S = bits / 8 the substrings would drop below
+/// 8 bits and the sub-radius above 0, opening several buckets of about
+/// live / 256 rows each per substring: the blocked join wins there, so
+/// no table is built.
+std::optional<MultiIndexHashTable> MihIfCheaper(const PackedCodes& codes,
+                                                const TileMap& tiles,
+                                                int radius, KernelTier tier) {
+  const int substrings = radius + 1;
+  if (substrings > std::max(1, codes.bits() / 8)) return std::nullopt;
+  StageTimer timer("stage.mih_build_ns");
+  MultiIndexHashTable mih(codes, substrings, tiles.dead);
+  const double probe_cost = substrings + mih.MeanSameKeyRows();
+  if (MihUnitCostInPairs(tier, codes.words_per_code()) * probe_cost >=
+      0.5 * tiles.live()) {
+    return std::nullopt;
+  }
+  return mih;
+}
+
+/// RadiusJoin through a multi-index hash over the live rows: row i
+/// probes for ids j > i, so each unordered pair is found once, and
+/// contiguous row ranges concatenated in order are (a, b)-sorted.
+std::vector<JoinPair> MihRadiusJoin(const MultiIndexHashTable& mih,
+                                    const PackedCodes& codes,
+                                    const TileMap& tiles, int radius,
+                                    ThreadPool* pool, JoinTotals* totals) {
+  const int tasks = (tiles.n + kMihTaskRows - 1) / kMihTaskRows;
+  std::vector<std::vector<JoinPair>> per_task(static_cast<size_t>(tasks));
+  {
+    StageTimer timer("stage.mih_probe_ns");
+    pool->ParallelFor(tasks, [&](int task) {
+      const int begin = task * kMihTaskRows;
+      const int end = std::min(tiles.n, begin + kMihTaskRows);
+      std::vector<int> candidates;
+      std::vector<Neighbor> hits;
+      obs::KernelCounters mih_counters;
+      TaskCounters counters;
+      std::vector<JoinPair>& out = per_task[static_cast<size_t>(task)];
+      for (int i = begin; i < end; ++i) {
+        if (!tiles.IsLive(i)) continue;
+        hits.clear();
+        mih.Probe(codes.code(i), radius, i + 1, &candidates, &mih_counters,
+                  &hits);
+        for (const Neighbor& hit : hits) {
+          out.push_back({i, hit.id, hit.distance});
+        }
+        counters.Add(tiles.LiveIn(i + 1, tiles.n),
+                     static_cast<int>(hits.size()));
+      }
+      mih_counters.Flush();
+      totals->Absorb(counters);
+    });
+  }
+  StageTimer timer("stage.join_merge_ns");
+  return Concatenate(per_task);
+}
+
 }  // namespace
 
 std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
@@ -391,7 +530,7 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
     return results;
   }
 
-  const BatchEmitFn emit = ResolveEmitFn(options);
+  const BatchEmitFn emit = GetBatchEmitFn(ResolveTier(options));
   TopKState state(tiles, k);
   JoinTotals totals;
   ThreadPool pool(options.threads);
@@ -452,33 +591,15 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
     return result;
   }
 
-  const BatchEmitFn emit = ResolveEmitFn(options);
-  const std::vector<std::pair<int, int>> pairs =
-      TilePairsDiagonalFirst(tiles.num_tiles);
-  std::vector<std::vector<JoinPair>> per_task(pairs.size());
   JoinTotals totals;
   ThreadPool pool(options.threads);
-  {
-    StageTimer timer("stage.join_scan_ns");
-    pool.ParallelFor(static_cast<int>(pairs.size()), [&](int task) {
-      const auto [ti, tj] = pairs[static_cast<size_t>(task)];
-      TaskCounters counters;
-      RadiusTileTask(codes, tiles, emit, radius, ti, tj,
-                     &per_task[static_cast<size_t>(task)], &counters);
-      totals.Absorb(counters);
-    });
-  }
-  {
-    StageTimer timer("stage.join_merge_ns");
-    size_t total = 0;
-    for (const auto& chunk : per_task) total += chunk.size();
-    result.reserve(total);
-    for (auto& chunk : per_task) {
-      result.insert(result.end(), chunk.begin(), chunk.end());
-    }
-    // Tasks emit (a, b)-sorted chunks; one global sort makes the output
-    // canonical regardless of tile size or scheduling.
-    std::sort(result.begin(), result.end(), JoinPairLess);
+  const KernelTier tier = ResolveTier(options);
+  if (const std::optional<MultiIndexHashTable> mih =
+          MihIfCheaper(codes, tiles, radius, tier)) {
+    result = MihRadiusJoin(*mih, codes, tiles, radius, &pool, &totals);
+  } else {
+    result = BlockedRadiusJoin(codes, tiles, radius, GetBatchEmitFn(tier),
+                               &pool, &totals);
   }
 
   FlushJoinCounters(totals);

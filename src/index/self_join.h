@@ -21,7 +21,8 @@ namespace uhscm::index {
 /// (BatchEmitFn in hamming_kernels.h), and credits both rows' reducers.
 /// The kernel emits only the pairs that could enter a heap (or fall
 /// within the radius), so the few survivors are all that leave the
-/// kernel. Tile pairs run on a ThreadPool; results are nevertheless
+/// kernel (a sparse RadiusJoin probes a multi-index hash instead; see
+/// there). Tile pairs run on a ThreadPool; results are nevertheless
 /// byte-identical to the naive per-pair reference (ReferenceTopKJoin /
 /// ReferenceRadiusJoin below), including tie handling and tombstoned
 /// rows, because every reducer keeps the exact k-smallest (distance, id)
@@ -49,13 +50,17 @@ struct SelfJoinOptions {
 /// registry as join.tiles / join.pairs_pruned / join.pairs_scored when
 /// the observability layer is runtime-enabled).
 struct SelfJoinStats {
-  int64_t tiles = 0;         ///< tile-pair tasks executed
+  /// tile-pair tasks executed, or row-range probe tasks when RadiusJoin
+  /// runs on the multi-index hash
+  int64_t tiles = 0;
   int64_t pairs_total = 0;   ///< unordered live pairs the join covers
-  /// live pairs the kernel did not emit: their distance reached the
-  /// bound of every endpoint (front + 1, or radius + 1)
+  /// live pairs left out: their distance reached the bound of every
+  /// endpoint (front + 1, or radius + 1), or the multi-index hash never
+  /// offered them or its verification rejected them
   int64_t pairs_pruned = 0;
-  /// live pairs the kernel emitted, i.e. offered to a heap or the radius
-  /// output; pairs_pruned + pairs_scored == pairs_total
+  /// live pairs offered to a heap or the radius output: the kernel
+  /// emitted them, or the hash verified them within the radius;
+  /// pairs_pruned + pairs_scored == pairs_total
   int64_t pairs_scored = 0;
   double seconds = 0.0;      ///< wall time of the join
 };
@@ -90,10 +95,23 @@ inline bool JoinPairLess(const JoinPair& x, const JoinPair& y) {
 /// \brief All unordered live pairs within Hamming radius (inclusive).
 ///
 /// WithinRadius semantics lifted to the whole corpus: every {i, j} with
-/// i < j, both live, and d(i, j) <= radius, sorted by (a, b). The
-/// emitting kernel compares every distance against radius + 1 and
-/// writes out only the qualifying pairs, so a sparse join (small
-/// radius) runs at raw-kernel speed.
+/// i < j, both live, and d(i, j) <= radius, sorted by (a, b). It does
+/// not always score every pair. A cost rule picks one of two paths,
+/// which return the same pairs:
+/// - a multi-index hash (multi_index_hash.h) over the live rows, with
+///   S = radius + 1 balanced substrings (possible while S <= bits / 8),
+///   when the table's own bucket counts say a row's probe work is
+///   cheaper than the live / 2 pairs the blocked join scores per row at
+///   the resolved kernel tier. Each row probes for candidates j > i,
+///   which are deduplicated and verified with the popcount distance;
+///   row ranges run on the ThreadPool and concatenate in (a, b) order.
+///   This serves sparse joins such as dedup at small radii.
+/// - the tiled join otherwise (crowded buckets, large radii): the
+///   emitting kernel compares every distance against radius + 1 and
+///   writes out only the qualifying pairs.
+/// The tier options pick the tiled join's kernel and, through its
+/// measured speed, where the rule switches; the hash verifies with the
+/// same popcount distance at every tier.
 std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
                                  const SelfJoinOptions& options = {},
                                  SelfJoinStats* stats = nullptr);

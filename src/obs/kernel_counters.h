@@ -27,12 +27,14 @@ struct KernelCounters {
   int64_t rows_scanned = 0;
   int64_t blocks_skipped = 0;
   int64_t early_abandon_calls = 0;
+  /// Multi-index hash probes (src/index/multi_index_hash.h): bucket
+  /// entries read, and distinct candidates verified by full distance.
   int64_t mih_candidates_probed = 0;
   int64_t mih_candidates_verified = 0;
-  /// Self-join engine (src/index/self_join.h): tile-pair tasks executed,
-  /// unordered pairs disposed by tile/chunk min-skips, and pairs that
-  /// reached the per-pair branch. pruned + scored covers every live pair
-  /// of a join call exactly once.
+  /// Self-join engine (src/index/self_join.h): tasks executed (tile
+  /// pairs, or probe row ranges), live pairs left out, and live pairs
+  /// offered to a heap or the radius output. pruned + scored covers every
+  /// live pair of a join call exactly once.
   int64_t join_tiles = 0;
   int64_t join_pairs_pruned = 0;
   int64_t join_pairs_scored = 0;

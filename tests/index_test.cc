@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/rng.h"
 #include "index/linear_scan.h"
@@ -175,13 +176,16 @@ TEST(MihTest, LargeRadiusFallbackStillExact) {
 }
 
 TEST(MihTest, BitsNotDivisibleByChunkCount) {
-  // 70 bits over 3 substrings: widths 24/24/22 — the ragged last chunk
-  // must still produce exact results.
+  // 70 bits over 3 substrings: balanced widths 23/23/24 (boundaries at
+  // s·70/3) — the uneven split must still produce exact results.
   Rng rng(55);
   Matrix db = RandomCodes(150, 70, &rng);
   LinearScanIndex scan(PackedCodes::FromSignMatrix(db));
   MultiIndexHashTable mih(PackedCodes::FromSignMatrix(db), 3);
   EXPECT_EQ(mih.num_substrings(), 3);
+  EXPECT_EQ(mih.substring_width(0), 23);
+  EXPECT_EQ(mih.substring_width(1), 23);
+  EXPECT_EQ(mih.substring_width(2), 24);
   for (int q = 0; q < 8; ++q) {
     Matrix query = RandomCodes(1, 70, &rng);
     PackedCodes pq = PackedCodes::FromSignMatrix(query);
@@ -189,6 +193,98 @@ TEST(MihTest, BitsNotDivisibleByChunkCount) {
       const auto expect = scan.WithinRadius(pq.code(0), r);
       const auto got = mih.WithinRadius(pq.code(0), r);
       ASSERT_EQ(expect.size(), got.size()) << "r=" << r;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(expect[i].id, got[i].id);
+        EXPECT_EQ(expect[i].distance, got[i].distance);
+      }
+    }
+  }
+}
+
+TEST(MihTest, WideSubstringTableStaysLinearInRows) {
+  // One 24-bit substring over 150 rows: a directory indexed by the whole
+  // substring would hold 2^24 + 1 offsets. Keyed by its top
+  // ceil(log2 150) + 1 = 9 bits it holds 2^9 + 1 <= 4·150 + 1, and radius
+  // queries stay exact.
+  Rng rng(59);
+  Matrix db = RandomCodes(150, 24, &rng);
+  LinearScanIndex scan(PackedCodes::FromSignMatrix(db));
+  MultiIndexHashTable mih(PackedCodes::FromSignMatrix(db), 1);
+  ASSERT_EQ(mih.num_substrings(), 1);
+  EXPECT_EQ(mih.substring_width(0), 24);
+  EXPECT_EQ(mih.directory_size(0), (size_t{1} << 9) + 1);
+  EXPECT_LE(mih.directory_size(0), 4u * 150u + 1u);
+  for (int q = 0; q < 8; ++q) {
+    Matrix query = RandomCodes(1, 24, &rng);
+    PackedCodes pq = PackedCodes::FromSignMatrix(query);
+    for (int r : {0, 3, 6}) {
+      const auto expect = scan.WithinRadius(pq.code(0), r);
+      const auto got = mih.WithinRadius(pq.code(0), r);
+      ASSERT_EQ(expect.size(), got.size()) << "r=" << r;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(expect[i].id, got[i].id);
+        EXPECT_EQ(expect[i].distance, got[i].distance);
+      }
+    }
+  }
+}
+
+TEST(MihTest, NeighborsAtThePigeonholeBoundaryAreFound) {
+  // Each query is a database row with floor(r/S) bits flipped in every
+  // substring and r mod S more spread over the first substrings: at
+  // distance exactly r, no substring matches better than the sub-radius,
+  // so only probing every bucket within floor(r/S) finds the row. The
+  // flips sit in each substring's top bits, which form the directory key
+  // when the substring is wider than the key.
+  for (const auto& [bits, substrings, radius] :
+       {std::tuple{64, 4, 8}, std::tuple{70, 3, 10}, std::tuple{128, 8, 19}}) {
+    Rng rng(61 + bits);
+    Matrix db = RandomCodes(200, bits, &rng);
+    LinearScanIndex scan(PackedCodes::FromSignMatrix(db));
+    MultiIndexHashTable mih(PackedCodes::FromSignMatrix(db), substrings);
+    const PackedCodes packed = PackedCodes::FromSignMatrix(db);
+    for (int row = 0; row < 200; row += 23) {
+      std::vector<uint64_t> query(packed.code(row),
+                                  packed.code(row) + packed.words_per_code());
+      for (int s = 0; s < substrings; ++s) {
+        const int end = (s + 1) * bits / substrings;
+        const int flips = radius / substrings + (s < radius % substrings);
+        for (int f = 0; f < flips; ++f) {
+          const int bit = end - 1 - f;
+          query[static_cast<size_t>(bit / 64)] ^= 1ULL << (bit % 64);
+        }
+      }
+      const auto expect = scan.WithinRadius(query.data(), radius);
+      const auto got = mih.WithinRadius(query.data(), radius);
+      ASSERT_EQ(expect.size(), got.size()) << "bits=" << bits << " row=" << row;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(expect[i].id, got[i].id);
+        EXPECT_EQ(expect[i].distance, got[i].distance);
+      }
+      EXPECT_TRUE(std::any_of(got.begin(), got.end(), [&](const Neighbor& nb) {
+        return nb.id == row && nb.distance == radius;
+      })) << "bits=" << bits << " row=" << row;
+    }
+  }
+}
+
+TEST(MihTest, TombstonedRowsAreNeverReturned) {
+  Rng rng(60);
+  Matrix db = RandomCodes(300, 64, &rng);
+  TombstoneSet dead;
+  dead.Resize(300);
+  for (int i = 0; i < 300; i += 7) dead.Set(i);
+  LinearScanIndex scan(PackedCodes::FromSignMatrix(db));
+  MultiIndexHashTable mih(PackedCodes::FromSignMatrix(db), 4, &dead);
+  for (int q = 0; q < 300; q += 37) {
+    PackedCodes pq = PackedCodes::FromSignMatrix(db.SelectRows({q}));
+    for (int r : {0, 6, 20}) {
+      std::vector<Neighbor> expect;
+      for (const Neighbor& nb : scan.WithinRadius(pq.code(0), r)) {
+        if (!dead.Test(nb.id)) expect.push_back(nb);
+      }
+      const auto got = mih.WithinRadius(pq.code(0), r);
+      ASSERT_EQ(expect.size(), got.size()) << "q=" << q << " r=" << r;
       for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_EQ(expect[i].id, got[i].id);
         EXPECT_EQ(expect[i].distance, got[i].distance);

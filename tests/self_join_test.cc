@@ -12,6 +12,7 @@
 #include "index/packed_codes.h"
 #include "index/shard_index.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace uhscm::index {
@@ -280,7 +281,7 @@ TEST(SelfJoinTest, RadiusJoinNegativeRadiusIsEmpty) {
   EXPECT_TRUE(RadiusJoin(codes, -1).empty());
 }
 
-// ------------------------------------------------- loose fronts, big k
+// ------------------------------------- RadiusJoin: MIH and blocked paths
 
 /// `rows` copies of one random code: every pair ties at distance 0, so
 /// every bound stays at 1 and the kernel emits every pair.
@@ -291,6 +292,242 @@ PackedCodes ExactDuplicates(int rows, int bits, Rng* rng) {
   for (int r = 0; r < rows; ++r) result.Append(base);
   return result;
 }
+
+/// Runs RadiusJoin over `codes` and checks it against `want` (the
+/// ReferenceRadiusJoin output at this radius) with ==, together with the
+/// pruned + scored == total partition on both SelfJoinStats and the
+/// registry's join.* counters. Returns true when the multi-index hash
+/// served the join (mih.candidates_verified moved).
+bool ExpectRadiusJoinExact(const PackedCodes& codes, int radius,
+                           const TombstoneSet* dead,
+                           const SelfJoinOptions& base,
+                           const std::vector<JoinPair>& want,
+                           const std::string& label) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* pruned = registry.GetCounter("join.pairs_pruned");
+  obs::Counter* scored = registry.GetCounter("join.pairs_scored");
+  obs::Counter* verified = registry.GetCounter("mih.candidates_verified");
+  const int64_t pruned0 = pruned->value();
+  const int64_t scored0 = scored->value();
+  const int64_t verified0 = verified->value();
+  SelfJoinOptions options = base;
+  options.tombstones = dead;
+  SelfJoinStats stats;
+  const auto got = RadiusJoin(codes, radius, options, &stats);
+  EXPECT_TRUE(got == want) << label;
+  ExpectPairsIdentical(got, want, label);
+  EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored, stats.pairs_total)
+      << label;
+  EXPECT_EQ(stats.pairs_scored, static_cast<int64_t>(want.size())) << label;
+  EXPECT_EQ(pruned->value() - pruned0 + scored->value() - scored0,
+            stats.pairs_total)
+      << label;
+  EXPECT_EQ(scored->value() - scored0, stats.pairs_scored) << label;
+  return verified->value() != verified0;
+}
+
+bool ExpectRadiusJoinExact(const PackedCodes& codes, int radius,
+                           const TombstoneSet* dead,
+                           const SelfJoinOptions& base,
+                           const std::string& label) {
+  return ExpectRadiusJoinExact(codes, radius, dead, base,
+                               ReferenceRadiusJoin(codes, radius, dead),
+                               label);
+}
+
+/// The pairs of a reference join within a smaller radius: exactly
+/// ReferenceRadiusJoin at that radius, without rescoring every pair.
+std::vector<JoinPair> WithinRadius(const std::vector<JoinPair>& pairs,
+                                   int radius) {
+  std::vector<JoinPair> out;
+  for (const JoinPair& pair : pairs) {
+    if (pair.distance <= radius) out.push_back(pair);
+  }
+  return out;
+}
+
+/// 4000 rows in two halves of 25 planted clusters (rows 0–124 and
+/// 2000–2124) before random background, so pairs fall on both sides of
+/// the hash path's 2048-row task boundary and across it.
+PackedCodes TwoBlockDuplicates(int bits, int flips, Rng* rng) {
+  PackedCodes codes = PlantedDuplicates(25, 5, 1875, bits, flips, rng);
+  codes.Append(PlantedDuplicates(25, 5, 1875, bits, flips, rng));
+  return codes;
+}
+
+TombstoneSet FirstAndLastDead(int n) {
+  TombstoneSet dead;
+  dead.Resize(n);
+  dead.Set(0);
+  dead.Set(n - 1);
+  return dead;
+}
+
+TEST(SelfJoinTest, RadiusJoinExactOnBothPathsAcrossWidthsAndRadii) {
+  // 4000 rows, so the cost rule picks the multi-index hash for small
+  // radii. Radii 0 .. bits/8 + 1 cross every substring count the hash
+  // can use (S = r + 1 up to bits/8), the switch to the blocked join
+  // (where it falls depends on the kernel tier) and the radii past
+  // bits/8, where no table is built; bits/2 is far past it.
+  // Each join must equal the reference, with and without the first and
+  // last rows tombstoned.
+  for (const int bits : {64, 70, 128, 192}) {
+    Rng rng(500 + bits);
+    const PackedCodes codes = TwoBlockDuplicates(bits, bits / 16, &rng);
+    const TombstoneSet first_last = FirstAndLastDead(codes.size());
+    int last_mih = -1;
+    int first_blocked = -1;
+    for (const TombstoneSet* dead :
+         {static_cast<const TombstoneSet*>(nullptr), &first_last}) {
+      const int small = bits / 8 + 1;
+      const std::vector<JoinPair> reference =
+          ReferenceRadiusJoin(codes, small, dead);
+      for (int radius = 0; radius <= small; ++radius) {
+        const std::string label =
+            "bits=" + std::to_string(bits) + " radius=" +
+            std::to_string(radius) +
+            (dead != nullptr ? " first+last dead" : "");
+        if (ExpectRadiusJoinExact(codes, radius, dead, {},
+                                  WithinRadius(reference, radius), label)) {
+          last_mih = radius;
+        } else if (first_blocked < 0) {
+          first_blocked = radius;
+        }
+      }
+    }
+    // Radius bits/2 admits about half of all pairs: a 600-row corpus
+    // keeps that output small.
+    const PackedCodes few = PlantedDuplicates(10, 5, 550, bits, 4, &rng);
+    const TombstoneSet few_dead = FirstAndLastDead(few.size());
+    for (const TombstoneSet* dead :
+         {static_cast<const TombstoneSet*>(nullptr), &few_dead}) {
+      EXPECT_FALSE(ExpectRadiusJoinExact(
+          few, bits / 2, dead, {},
+          "bits=" + std::to_string(bits) + " radius=bits/2"));
+    }
+    // The hash serves the small radii (at least 0..2 on every tier),
+    // the blocked join the rest.
+    EXPECT_EQ(last_mih + 1, first_blocked) << "bits=" << bits;
+    EXPECT_GE(first_blocked, 3) << "bits=" << bits;
+  }
+}
+
+TEST(SelfJoinTest, RadiusJoinExactAcrossTiersAndThreads) {
+  Rng rng(503);
+  const PackedCodes codes = TwoBlockDuplicates(128, 6, &rng);
+  for (const int radius : {0, 1, 8, 20, 40}) {
+    const std::vector<JoinPair> want = ReferenceRadiusJoin(codes, radius);
+    for (const KernelTier tier : AvailableTiers()) {
+      for (const int threads : {1, 4}) {
+        SelfJoinOptions options;
+        options.force_tier = true;
+        options.tier = tier;
+        options.threads = threads;
+        ExpectRadiusJoinExact(codes, radius, nullptr, options, want,
+                              std::string(KernelTierName(tier)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " radius=" + std::to_string(radius));
+      }
+    }
+  }
+}
+
+TEST(SelfJoinTest, RadiusJoinBucketOfHundredsOfIdenticalCodes) {
+  // 400 copies of one code share a bucket in every substring's table;
+  // every pair among them is within any radius. Each of those rows reads
+  // 400 entries per substring, more than the vectorized blocked join
+  // spends on its ~1250 pairs, so the rule prices the hash out on the
+  // SIMD tiers; against the scalar kernel the hash still pays and serves
+  // the crowded bucket.
+  Rng rng(509);
+  PackedCodes codes = ExactDuplicates(400, 128, &rng);
+  codes.Append(PlantedDuplicates(20, 5, 2000, 128, 3, &rng));
+  for (const int radius : {0, 1, 4}) {
+    const std::vector<JoinPair> want = ReferenceRadiusJoin(codes, radius);
+    for (const KernelTier tier : AvailableTiers()) {
+      SelfJoinOptions options;
+      options.force_tier = true;
+      options.tier = tier;
+      EXPECT_EQ(ExpectRadiusJoinExact(codes, radius, nullptr, options, want,
+                                      std::string(KernelTierName(tier)) +
+                                          " radius=" +
+                                          std::to_string(radius)),
+                tier == KernelTier::kScalar)
+          << KernelTierName(tier) << " radius=" << radius;
+    }
+  }
+}
+
+TEST(SelfJoinTest, RadiusJoinFallsBackToTilesOnClusteredCodes) {
+  // Ten tight clusters of 400 rows (every copy within one flip of its
+  // centre), the way learned codes group by class: most rows share their
+  // key with hundreds of others in every table, so the hash loses to
+  // the blocked join on every tier. The same number of spread-out rows
+  // at the same radius takes the hash.
+  Rng rng(541);
+  const PackedCodes clustered = PlantedDuplicates(10, 400, 0, 128, 1, &rng);
+  const PackedCodes spread = PlantedDuplicates(40, 5, 3800, 128, 1, &rng);
+  const std::vector<JoinPair> want_clustered =
+      ReferenceRadiusJoin(clustered, 2);
+  const std::vector<JoinPair> want_spread = ReferenceRadiusJoin(spread, 2);
+  for (const KernelTier tier : AvailableTiers()) {
+    SelfJoinOptions options;
+    options.force_tier = true;
+    options.tier = tier;
+    const std::string label = KernelTierName(tier);
+    EXPECT_FALSE(ExpectRadiusJoinExact(clustered, 2, nullptr, options,
+                                       want_clustered, label + " clustered"));
+    EXPECT_TRUE(ExpectRadiusJoinExact(spread, 2, nullptr, options,
+                                      want_spread, label + " spread"));
+  }
+}
+
+TEST(SelfJoinTest, RadiusJoinWithEveryMemberOfOneBucketDead) {
+  // Rows 0..29 are one code, all tombstoned: their bucket is empty in
+  // every table, and no pair may touch them.
+  Rng rng(521);
+  PackedCodes codes = ExactDuplicates(30, 128, &rng);
+  codes.Append(TwoBlockDuplicates(128, 4, &rng));
+  TombstoneSet dead;
+  dead.Resize(codes.size());
+  for (int i = 0; i < 30; ++i) dead.Set(i);
+  dead.Set(codes.size() - 1);
+  for (const int radius : {0, 4, 8, 40}) {
+    ExpectRadiusJoinExact(codes, radius, &dead, {},
+                          "radius=" + std::to_string(radius));
+  }
+}
+
+TEST(SelfJoinTest, RadiusJoinTinyAndSingleLiveCorpora) {
+  Rng rng(523);
+  for (const int n : {0, 1, 2}) {
+    const PackedCodes codes =
+        PackedCodes::FromSignMatrix(RandomSignCodes(n, 128, &rng));
+    for (const int radius : {0, 8, 128}) {
+      ExpectRadiusJoinExact(codes, radius, nullptr, {},
+                            "n=" + std::to_string(n) +
+                                " radius=" + std::to_string(radius));
+    }
+  }
+  // One live row among 4000: no pair, whatever the radius.
+  const PackedCodes codes = PlantedDuplicates(50, 5, 3750, 128, 4, &rng);
+  TombstoneSet dead;
+  dead.Resize(codes.size());
+  for (int i = 0; i < codes.size(); ++i) {
+    if (i != 17) dead.Set(i);
+  }
+  for (const int radius : {0, 8, 128}) {
+    SelfJoinStats stats;
+    SelfJoinOptions options;
+    options.tombstones = &dead;
+    EXPECT_TRUE(RadiusJoin(codes, radius, options, &stats).empty());
+    EXPECT_EQ(stats.pairs_total, 0);
+    ExpectRadiusJoinExact(codes, radius, &dead, {},
+                          "one live row radius=" + std::to_string(radius));
+  }
+}
+
+// ------------------------------------------------- loose fronts, big k
 
 TEST(SelfJoinTest, LooseFrontCorporaMatchReference) {
   // Corpora where heap fronts stay loose and nearly every pair leaves the
@@ -436,6 +673,29 @@ TEST(SelfJoinTest, DedupGroupsMatchesReferenceReduction) {
           << "pair " << p;
     }
     EXPECT_EQ(engine.rows_clustered, reference.rows_clustered);
+  }
+}
+
+TEST(SelfJoinTest, DedupGroupsMatchesReferenceOnBothJoinPaths) {
+  // 4000 rows: radii 0 and 6 take the multi-index hash, 40 the blocked
+  // join; the groups must not tell them apart.
+  Rng rng(74);
+  const PackedCodes codes = TwoBlockDuplicates(128, 5, &rng);
+  for (const int radius : {0, 6, 40}) {
+    for (const DedupLink link :
+         {DedupLink::kRadius, DedupLink::kReciprocalBest}) {
+      DedupOptions dedup;
+      dedup.radius = radius;
+      dedup.link = link;
+      const auto engine = DedupGroups(codes, dedup);
+      const auto reference =
+          ReducePairsToGroups(ReferenceRadiusJoin(codes, radius), link);
+      const std::string label = "radius=" + std::to_string(radius);
+      EXPECT_EQ(engine.groups, reference.groups) << label;
+      EXPECT_TRUE(engine.reciprocal_pairs == reference.reciprocal_pairs)
+          << label;
+      EXPECT_EQ(engine.rows_clustered, reference.rows_clustered) << label;
+    }
   }
 }
 
