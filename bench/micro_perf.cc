@@ -1,9 +1,9 @@
 // Micro-performance benchmarks (google-benchmark) for the hot kernels
 // behind the paper-table benches: packed Hamming scans, multi-index
-// hashing lookups, the radius self-join, GEMM, VLP scoring, the UHSCM batch loss and one whole
-// training step. These are the "is the substrate fast enough" counterpart
-// to the paper-shape benches; run any binary with --benchmark_filter=...
-// as usual.
+// hashing lookups, the radius and top-k self-joins, GEMM, VLP scoring,
+// the UHSCM batch loss and one whole training step. These are the "is
+// the substrate fast enough" counterpart to the paper-shape benches; run
+// any binary with --benchmark_filter=... as usual.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -181,14 +181,11 @@ BENCHMARK(BM_MihRadiusQuery)
     ->Args({10000, 6})
     ->Args({100000, 2});
 
-void BM_RadiusJoin(benchmark::State& state) {
-  // RadiusJoin on one thread over the dedup workload's corpus shape:
-  // planted clusters of five codes within radius 8 of each other (4% of
-  // the rows), random background, every 100th row tombstoned. Args are
-  // (n, bits, radius); the label names the path the cost rule picked.
-  const int n = static_cast<int>(state.range(0));
-  const int bits = static_cast<int>(state.range(1));
-  const int radius = static_cast<int>(state.range(2));
+/// The dedup workload's corpus shape: planted clusters of five codes
+/// within radius 8 of each other (4% of the rows), random background,
+/// every 100th row tombstoned in `dead`.
+index::PackedCodes PlantedDedupCorpus(int n, int bits,
+                                      index::TombstoneSet* dead) {
   Rng rng(31);
   index::PackedCodes codes =
       index::PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
@@ -205,10 +202,19 @@ void BM_RadiusJoin(benchmark::State& state) {
       }
     }
   }
-  codes = index::PackedCodes::FromRawWords(n, bits, std::move(words));
+  dead->Resize(n);
+  for (int i = 0; i < n; i += 100) dead->Set(i);
+  return index::PackedCodes::FromRawWords(n, bits, std::move(words));
+}
+
+void BM_RadiusJoin(benchmark::State& state) {
+  // RadiusJoin on one thread over PlantedDedupCorpus. Args are
+  // (n, bits, radius); the label names the path the cost rule picked.
+  const int n = static_cast<int>(state.range(0));
+  const int bits = static_cast<int>(state.range(1));
+  const int radius = static_cast<int>(state.range(2));
   index::TombstoneSet dead;
-  dead.Resize(n);
-  for (int i = 0; i < n; i += 100) dead.Set(i);
+  const index::PackedCodes codes = PlantedDedupCorpus(n, bits, &dead);
   index::SelfJoinOptions options;
   options.threads = 1;
   options.tombstones = &dead;
@@ -227,6 +233,30 @@ BENCHMARK(BM_RadiusJoin)
     ->Unit(benchmark::kMillisecond)
     ->Args({60000, 128, 8})    // the dedup workload's radius join
     ->Args({60000, 128, 16});  // r >= bits/8: the blocked join on any tier
+
+void BM_TopKJoin(benchmark::State& state) {
+  // TopKJoin on one thread over PlantedDedupCorpus. Args are (n, bits, k);
+  // 60000/128/10 is the dedup workload's top-k join. `scored` counts the
+  // pairs the kernel emitted to the reducer.
+  const int n = static_cast<int>(state.range(0));
+  const int bits = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  index::TombstoneSet dead;
+  const index::PackedCodes codes = PlantedDedupCorpus(n, bits, &dead);
+  index::SelfJoinOptions options;
+  options.threads = 1;
+  options.tombstones = &dead;
+  index::SelfJoinStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index::TopKJoin(codes, k, options, &stats));
+  }
+  state.counters["scored"] = static_cast<double>(stats.pairs_scored);
+  state.SetLabel(index::KernelTierName(index::ActiveKernelTier()));
+}
+BENCHMARK(BM_TopKJoin)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({60000, 128, 10})    // the dedup workload's top-k join
+    ->Args({60000, 128, 100});
 
 void BM_MatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

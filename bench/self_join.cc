@@ -45,7 +45,6 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
-#include "index/batch_scan.h"
 #include "index/packed_codes.h"
 #include "index/self_join.h"
 #include "index/shard_index.h"
@@ -343,7 +342,7 @@ int Main(int argc, char** argv) {
   // Tile-size sweep at the dispatched tier: too small pays per-tile
   // overhead, too large spills the inner block out of cache.
   const int auto_tile =
-      index::PickCodeBlockSize(corpus.words_per_code(), 0);
+      index::TopKJoinTileRows(corpus.words_per_code(), 0);
   for (const int tile : {auto_tile / 2, auto_tile, auto_tile * 2,
                          auto_tile * 4}) {
     index::SelfJoinOptions options;

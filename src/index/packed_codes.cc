@@ -16,11 +16,14 @@ inline int Popcount64(uint64_t x) {
 #endif
 }
 
-}  // namespace
-
-int HammingDistance(const uint64_t* a, const uint64_t* b, int words) {
-  // Four independent accumulators break the popcount dependency chain so
-  // the loop saturates the popcnt ports instead of serializing on one sum.
+/// The distance loop, inlined into each ISA-specific body below so its
+/// popcounts compile to that body's instructions. Four independent
+/// accumulators break the popcount dependency chain so the loop
+/// saturates the popcnt ports instead of serializing on one sum.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
+inline int DistanceLoop(const uint64_t* a, const uint64_t* b, int words) {
   int d0 = 0, d1 = 0, d2 = 0, d3 = 0;
   int w = 0;
   for (; w + 4 <= words; w += 4) {
@@ -33,6 +36,37 @@ int HammingDistance(const uint64_t* a, const uint64_t* b, int words) {
     d0 += Popcount64(a[w] ^ b[w]);
   }
   return d0 + d1 + d2 + d3;
+}
+
+int DistancePortable(const uint64_t* a, const uint64_t* b, int words) {
+  return DistanceLoop(a, b, words);
+}
+
+using DistanceFn = int (*)(const uint64_t*, const uint64_t*, int);
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/// The same loop on the popcnt instruction. The library's baseline ISA
+/// (x86-64) has no popcnt, so the portable body calls libgcc's
+/// bit-twiddling __popcountdi2 for every word.
+__attribute__((target("popcnt"))) int DistancePopcnt(const uint64_t* a,
+                                                     const uint64_t* b,
+                                                     int words) {
+  return DistanceLoop(a, b, words);
+}
+
+DistanceFn PickDistanceFn() {
+  return __builtin_cpu_supports("popcnt") ? &DistancePopcnt
+                                          : &DistancePortable;
+}
+#else
+DistanceFn PickDistanceFn() { return &DistancePortable; }
+#endif
+
+}  // namespace
+
+int HammingDistance(const uint64_t* a, const uint64_t* b, int words) {
+  static const DistanceFn distance = PickDistanceFn();
+  return distance(a, b, words);
 }
 
 PackedCodes PackedCodes::FromSignMatrix(const linalg::Matrix& codes) {

@@ -18,18 +18,18 @@
 namespace uhscm::index {
 namespace {
 
-/// Flush bound for the buffered heap updates of an off-diagonal tile
+/// Flush bound for the buffered list updates of an off-diagonal tile
 /// task: candidates are staged lock-free and applied under the owning
-/// tile's mutex in batches of at most this many, so a cold join (heaps
+/// tile's mutex in batches of at most this many, so a cold join (lists
 /// not yet full, every pair emitted) cannot stage O(tile^2) entries.
 constexpr size_t kFlushCandidates = 8192;
 
-/// Safe saturating "threshold + 1": a pair at exactly the heap-front
-/// distance can still displace the front on the id tie-break (tile
+/// Safe saturating "threshold + 1": a pair at exactly the worst kept
+/// distance can still displace that entry on the id tie-break (tile
 /// mirroring delivers candidates out of id order, unlike the
 /// ascending-id serving scan), so the join may only leave out pairs
-/// whose distance is *strictly* greater than every involved front. An
-/// emit bound of front+1 buys exactly that.
+/// whose distance is *strictly* greater than every involved worst kept
+/// distance. An emit bound of that distance + 1 buys exactly that.
 int32_t PlusOne(int32_t threshold) {
   return threshold >= kNoThreshold - 1 ? kNoThreshold : threshold + 1;
 }
@@ -44,10 +44,13 @@ struct TileMap {
   /// live_prefix[i] = live rows among [0, i).
   std::vector<int> live_prefix;
 
-  TileMap(const PackedCodes& codes, const SelfJoinOptions& options) {
+  /// `pick_tile` sizes the tiles from the code width and
+  /// SelfJoinOptions::tile (TopKJoinTileRows or PickCodeBlockSize).
+  TileMap(const PackedCodes& codes, const SelfJoinOptions& options,
+          int (*pick_tile)(int words_per_code, int requested)) {
     n = codes.size();
     tile = codes.words_per_code() > 0
-               ? PickCodeBlockSize(codes.words_per_code(), options.tile)
+               ? pick_tile(codes.words_per_code(), options.tile)
                : 1;
     num_tiles = n > 0 ? (n + tile - 1) / tile : 0;
     dead = options.tombstones;
@@ -124,8 +127,9 @@ void FlushJoinCounters(const JoinTotals& totals) {
 }
 
 /// All (I, J) tile pairs with I <= J, diagonals first: the diagonal task
-/// is what fills a tile's heaps (arming every later bound), so it must
-/// not queue behind off-diagonal work that cannot prune yet.
+/// is what fills a tile's lists (arming every later bound), so it must
+/// not queue behind off-diagonal work that cannot prune yet. The pairs of
+/// one row band I come in ascending J.
 std::vector<std::pair<int, int>> TilePairsDiagonalFirst(int num_tiles) {
   std::vector<std::pair<int, int>> pairs;
   pairs.reserve(static_cast<size_t>(num_tiles) *
@@ -163,41 +167,48 @@ struct Hits {
 
 // ------------------------------------------------------------- TopKJoin
 
-/// Offers one candidate to a bounded max-heap under the full
+/// Codes per TopKJoin tile when SelfJoinOptions::tile is 0: about 16 KiB
+/// (1024 rows at 128 bits), so the scanned tile's codes and bounds stay
+/// in L1 while every row of the other tile streams past them.
+constexpr int kTopKTileBytes = 16 * 1024;
+
+/// A neighbor as one integer: (distance << 32) | id. Distances and ids are
+/// non-negative, so unsigned key order is NeighborLess order.
+inline uint64_t PackNeighbor(int id, int32_t distance) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(distance)) << 32) |
+         static_cast<uint32_t>(id);
+}
+
+/// An unfilled list slot: above every real key.
+constexpr uint64_t kEmptyKey = UINT64_MAX;
+
+/// Offers one candidate key to a row's k-slot list, kept ascending with
+/// empty slots at the back, by sorted insertion under the full
 /// (distance, id) order. Unlike the serving scan's strict-distance rule
 /// (safe there because ids only ascend), the join's mirrored candidates
 /// arrive out of id order, so an equal-distance smaller id must displace
-/// the front. Keeping the exact k-smallest set makes the final sorted
-/// list independent of arrival order — the byte-identity argument.
-/// Updates *bound to front + 1 once the heap holds k entries.
-void OfferNeighbor(std::vector<Neighbor>* heap, int k, Neighbor candidate,
-                   int32_t* bound) {
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(a, b);
-  };
-  if (static_cast<int>(heap->size()) < k) {
-    heap->push_back(candidate);
-    std::push_heap(heap->begin(), heap->end(), cmp);
-  } else if (NeighborLess(candidate, heap->front())) {
-    std::pop_heap(heap->begin(), heap->end(), cmp);
-    heap->back() = candidate;
-    std::push_heap(heap->begin(), heap->end(), cmp);
-  } else {
-    return;
-  }
-  if (static_cast<int>(heap->size()) == k) {
-    *bound = PlusOne(heap->front().distance);
+/// the last entry. Keeping the exact k-smallest set makes the final list
+/// independent of arrival order — the byte-identity argument. Updates
+/// *bound to last + 1 once the list holds k entries.
+inline void OfferKey(uint64_t* list, int k, uint64_t key, int32_t* bound) {
+  if (key >= list[k - 1]) return;
+  int slot = k - 1;
+  for (; slot > 0 && list[slot - 1] > key; --slot) list[slot] = list[slot - 1];
+  list[slot] = key;
+  if (list[k - 1] != kEmptyKey) {
+    *bound = PlusOne(static_cast<int32_t>(list[k - 1] >> 32));
   }
 }
 
-/// Shared mutable state of one TopKJoin call. Heap i and bounds[i] are
-/// owned by row i's tile: mutated only under tile_mu[i / tile]. Reads
-/// from other tasks go through the same lock and are used only as
-/// conservative (stale = larger) emit bounds.
+/// Shared mutable state of one TopKJoin call. Row i's list
+/// keys[i*k, (i+1)*k) and bounds[i] are owned by row i's tile: mutated
+/// only under tile_mu[i / tile]. Reads from other tasks go through the
+/// same lock and are used only as conservative (stale = larger) emit
+/// bounds.
 struct TopKState {
   int k = 0;
-  std::vector<std::vector<Neighbor>> heaps;
-  /// Emit bound per row: front + 1 once heap i holds k entries,
+  std::vector<uint64_t> keys;
+  /// Emit bound per row: last + 1 once list i holds k entries,
   /// INT32_MAX while it fills, 0 for tombstoned rows (which never take a
   /// candidate, so only the live endpoint's bound may emit their pairs).
   std::vector<int32_t> bounds;
@@ -209,23 +220,27 @@ struct TopKState {
 
   TopKState(const TileMap& tiles, int k_eff)
       : k(k_eff),
-        heaps(static_cast<size_t>(tiles.n)),
+        keys(static_cast<size_t>(tiles.n) * static_cast<size_t>(k_eff),
+             kEmptyKey),
         bounds(static_cast<size_t>(tiles.n), INT32_MAX),
         tile_mu(static_cast<size_t>(std::max(1, tiles.num_tiles))) {
     for (int i = 0; i < tiles.n; ++i) {
-      if (tiles.IsLive(i)) {
-        heaps[static_cast<size_t>(i)].reserve(static_cast<size_t>(k));
-      } else {
-        bounds[static_cast<size_t>(i)] = 0;
-      }
+      if (!tiles.IsLive(i)) bounds[static_cast<size_t>(i)] = 0;
     }
+  }
+
+  uint64_t* list(int row) {
+    return keys.data() + static_cast<size_t>(row) * static_cast<size_t>(k);
+  }
+  void Offer(int row, uint64_t key) {
+    OfferKey(list(row), k, key, &bounds[static_cast<size_t>(row)]);
   }
 };
 
-/// One staged heap update: candidate `nb` for row `row`.
+/// One staged list update: candidate `key` for row `row`.
 struct StagedOffer {
+  uint64_t key;
   int row;
-  Neighbor nb;
 };
 
 void ApplyOffers(TopKState* state, int tile_index,
@@ -233,19 +248,16 @@ void ApplyOffers(TopKState* state, int tile_index,
   if (offers->empty()) return;
   std::lock_guard<std::mutex> lock(
       state->tile_mu[static_cast<size_t>(tile_index)]);
-  for (const StagedOffer& offer : *offers) {
-    OfferNeighbor(&state->heaps[static_cast<size_t>(offer.row)], state->k,
-                  offer.nb, &state->bounds[static_cast<size_t>(offer.row)]);
-  }
+  for (const StagedOffer& offer : *offers) state->Offer(offer.row, offer.key);
   offers->clear();
 }
 
 /// Diagonal tile task: rows [t0, t1) against each other, each unordered
 /// pair once (row i scans the contiguous run [i+1, t1)). The task owns
-/// every heap it touches, so the kernel reads the live bounds directly:
+/// every list it touches, so the kernel reads the live bounds directly:
 /// a pair is emitted unless its distance reaches both rows' bounds, and
-/// bounds only shrink, so a pair left out could never enter either heap.
-/// The emitted few are offered to both heaps, which decide exactly.
+/// bounds only shrink, so a pair left out could never enter either list.
+/// The emitted few are offered to both lists, which decide exactly.
 void TopKDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
                       BatchEmitFn emit, int t, TopKState* state,
                       TaskCounters* counters) {
@@ -268,10 +280,8 @@ void TopKDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
       if (!tiles.IsLive(j)) continue;
       ++live_emitted;
       const int32_t d = hits.distance[static_cast<size_t>(e)];
-      OfferNeighbor(&state->heaps[static_cast<size_t>(i)], state->k, {j, d},
-                    &bounds[i]);
-      OfferNeighbor(&state->heaps[static_cast<size_t>(j)], state->k, {i, d},
-                    &bounds[j]);
+      state->Offer(i, PackNeighbor(j, d));
+      state->Offer(j, PackNeighbor(i, d));
     }
     counters->Add(live_ahead, live_emitted);
   }
@@ -325,11 +335,11 @@ void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
       ++live_emitted;
       const int32_t d = hits.distance[static_cast<size_t>(e)];
       // Stage each side only where its snapshot bound admits the pair.
-      // A bound is front + 1, so a pair tying the front is staged and the
-      // live heap decides the id tie-break under the lock.
-      if (d < bound_i) query_side.push_back({i, {j, d}});
+      // A bound is last + 1, so a pair tying the last entry is staged and
+      // the live list decides the id tie-break under the lock.
+      if (d < bound_i) query_side.push_back({PackNeighbor(j, d), i});
       if (d < bounds_j[static_cast<size_t>(c)]) {
-        mirror_side.push_back({j, {i, d}});
+        mirror_side.push_back({PackNeighbor(i, d), j});
       }
     }
     counters->Add(live_j, live_emitted);
@@ -409,10 +419,25 @@ std::vector<JoinPair> BlockedRadiusJoin(const PackedCodes& codes,
     });
   }
   StageTimer timer("stage.join_merge_ns");
-  std::vector<JoinPair> result = Concatenate(per_task);
-  // Tasks emit (a, b)-sorted chunks; one global sort makes the output
-  // canonical regardless of tile size or scheduling.
-  std::sort(result.begin(), result.end(), JoinPairLess);
+  // Counting placement by row a. Each task's chunk is (a, b)-sorted, and
+  // the tasks holding row a's pairs come in ascending tj in task order
+  // (its diagonal tile first, then tiles to the right), so placing the
+  // chunks in task order leaves every row's pairs in ascending b.
+  std::vector<size_t> row_start(static_cast<size_t>(tiles.n) + 1, 0);
+  for (const auto& chunk : per_task) {
+    for (const JoinPair& pair : chunk) {
+      ++row_start[static_cast<size_t>(pair.a) + 1];
+    }
+  }
+  for (int i = 0; i < tiles.n; ++i) {
+    row_start[static_cast<size_t>(i) + 1] += row_start[static_cast<size_t>(i)];
+  }
+  std::vector<JoinPair> result(row_start.back());
+  for (const auto& chunk : per_task) {
+    for (const JoinPair& pair : chunk) {
+      result[row_start[static_cast<size_t>(pair.a)]++] = pair;
+    }
+  }
   return result;
 }
 
@@ -507,11 +532,16 @@ std::vector<JoinPair> MihRadiusJoin(const MultiIndexHashTable& mih,
 
 }  // namespace
 
+int TopKJoinTileRows(int words_per_code, int requested) {
+  if (requested > 0) return requested;
+  return std::max(256, kTopKTileBytes / (words_per_code * 8));
+}
+
 std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
                                             const SelfJoinOptions& options,
                                             SelfJoinStats* stats) {
   Stopwatch watch;
-  const TileMap tiles(codes, options);
+  const TileMap tiles(codes, options, &TopKJoinTileRows);
   const int live = tiles.live();
   SelfJoinStats local;
   local.pairs_total =
@@ -519,7 +549,7 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
   std::vector<std::vector<Neighbor>> results(
       static_cast<size_t>(std::max(0, tiles.n)));
   // Self excluded, so a live row has at most live-1 neighbors; clamping
-  // (like the batched scan clamps to the live count) lets heaps actually
+  // (like the batched scan clamps to the live count) lets lists actually
   // fill, arming the emit bounds.
   k = std::min(k, live - 1);
   if (k <= 0 || tiles.n <= 0) {
@@ -537,7 +567,7 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
   {
     StageTimer timer("stage.join_scan_ns");
     // Diagonal tiles first, as their own parallel phase: they fill every
-    // row's heap (a tile holds up to `tile` rows, usually >> k), so by
+    // row's list (a tile holds up to `tile` rows, usually >> k), so by
     // the time the off-diagonal rectangles run, the emit bounds are
     // armed corpus-wide.
     pool.ParallelFor(tiles.num_tiles, [&](int t) {
@@ -558,11 +588,16 @@ std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
   }
   {
     StageTimer timer("stage.join_merge_ns");
-    auto cmp = [](const Neighbor& a, const Neighbor& b) {
-      return NeighborLess(a, b);
-    };
-    for (auto& heap : state.heaps) std::sort_heap(heap.begin(), heap.end(), cmp);
-    results = std::move(state.heaps);
+    for (int i = 0; i < tiles.n; ++i) {
+      if (!tiles.IsLive(i)) continue;
+      const uint64_t* list = state.list(i);
+      std::vector<Neighbor>& row = results[static_cast<size_t>(i)];
+      row.resize(static_cast<size_t>(k));
+      for (int r = 0; r < k; ++r) {
+        row[static_cast<size_t>(r)] = {static_cast<int>(list[r] & 0xffffffffu),
+                                       static_cast<int32_t>(list[r] >> 32)};
+      }
+    }
   }
 
   FlushJoinCounters(totals);
@@ -578,7 +613,7 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
                                  const SelfJoinOptions& options,
                                  SelfJoinStats* stats) {
   Stopwatch watch;
-  const TileMap tiles(codes, options);
+  const TileMap tiles(codes, options, &PickCodeBlockSize);
   const int live = tiles.live();
   SelfJoinStats local;
   local.pairs_total = static_cast<int64_t>(live) * (live - 1) / 2;
@@ -714,6 +749,27 @@ DedupGroupsResult DedupGroups(const PackedCodes& codes,
 
 // ---------------------------------------------------------- references
 
+namespace {
+
+/// Offers one candidate to a bounded max-heap under the full
+/// (distance, id) order — the reference reducer, independent of
+/// TopKJoin's packed-key lists.
+void OfferNeighbor(std::vector<Neighbor>* heap, int k, Neighbor candidate) {
+  auto cmp = [](const Neighbor& a, const Neighbor& b) {
+    return NeighborLess(a, b);
+  };
+  if (static_cast<int>(heap->size()) < k) {
+    heap->push_back(candidate);
+    std::push_heap(heap->begin(), heap->end(), cmp);
+  } else if (NeighborLess(candidate, heap->front())) {
+    std::pop_heap(heap->begin(), heap->end(), cmp);
+    heap->back() = candidate;
+    std::push_heap(heap->begin(), heap->end(), cmp);
+  }
+}
+
+}  // namespace
+
 std::vector<std::vector<Neighbor>> ReferenceTopKJoin(
     const PackedCodes& codes, int k, const TombstoneSet* tombstones) {
   const int n = codes.size();
@@ -726,16 +782,13 @@ std::vector<std::vector<Neighbor>> ReferenceTopKJoin(
   std::vector<std::vector<Neighbor>> results(static_cast<size_t>(n));
   k = std::min(k, live_count - 1);
   if (k <= 0) return results;
-  std::vector<int32_t> bounds(static_cast<size_t>(n), INT32_MAX);
   for (int i = 0; i < n; ++i) {
     if (!live(i)) continue;
     for (int j = i + 1; j < n; ++j) {
       if (!live(j)) continue;
       const int d = HammingDistance(codes.code(i), codes.code(j), words);
-      OfferNeighbor(&results[static_cast<size_t>(i)], k, {j, d},
-                    &bounds[static_cast<size_t>(i)]);
-      OfferNeighbor(&results[static_cast<size_t>(j)], k, {i, d},
-                    &bounds[static_cast<size_t>(j)]);
+      OfferNeighbor(&results[static_cast<size_t>(i)], k, {j, d});
+      OfferNeighbor(&results[static_cast<size_t>(j)], k, {i, d});
     }
   }
   auto cmp = [](const Neighbor& a, const Neighbor& b) {

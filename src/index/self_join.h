@@ -19,7 +19,7 @@ namespace uhscm::index {
 /// upper triangle of row tiles — each unordered pair of rows lands in
 /// exactly one tile pair, is scored once by the emitting batched kernel
 /// (BatchEmitFn in hamming_kernels.h), and credits both rows' reducers.
-/// The kernel emits only the pairs that could enter a heap (or fall
+/// The kernel emits only the pairs that could enter a top-k list (or fall
 /// within the radius), so the few survivors are all that leave the
 /// kernel (a sparse RadiusJoin probes a multi-index hash instead; see
 /// there). Tile pairs run on a ThreadPool; results are nevertheless
@@ -28,9 +28,11 @@ namespace uhscm::index {
 /// rows, because every reducer keeps the exact k-smallest (distance, id)
 /// set, which is unique regardless of the order candidates arrive in.
 struct SelfJoinOptions {
-  /// Rows per tile; 0 picks a size that keeps one tile of packed codes
-  /// (~64 KiB) cache-resident while it is scanned as the inner block —
-  /// the same sizing rule as the batched scan (PickCodeBlockSize).
+  /// Rows per tile; 0 picks a size per join. TopKJoin takes about 16 KiB
+  /// of codes (TopKJoinTileRows: 1024 rows at 128 bits), so the inner
+  /// tile and its bounds stay in L1 while the other tile's rows stream
+  /// past. RadiusJoin's tiled path keeps the batched scan's ~64 KiB
+  /// (PickCodeBlockSize), the size its cost rule was priced at.
   int tile = 0;
   /// Worker threads for the tile-pair loop (0 = hardware concurrency).
   int threads = 0;
@@ -55,15 +57,20 @@ struct SelfJoinStats {
   int64_t tiles = 0;
   int64_t pairs_total = 0;   ///< unordered live pairs the join covers
   /// live pairs left out: their distance reached the bound of every
-  /// endpoint (front + 1, or radius + 1), or the multi-index hash never
-  /// offered them or its verification rejected them
+  /// endpoint (worst kept distance + 1, or radius + 1), or the
+  /// multi-index hash never offered them or its verification rejected
+  /// them
   int64_t pairs_pruned = 0;
-  /// live pairs offered to a heap or the radius output: the kernel
+  /// live pairs offered to a top-k list or the radius output: the kernel
   /// emitted them, or the hash verified them within the radius;
   /// pairs_pruned + pairs_scored == pairs_total
   int64_t pairs_scored = 0;
   double seconds = 0.0;      ///< wall time of the join
 };
+
+/// Rows per TopKJoin tile: `requested` when positive, otherwise about
+/// 16 KiB of codes (1024 rows at 128 bits) and at least 256 rows.
+int TopKJoinTileRows(int words_per_code, int requested);
 
 /// \brief k nearest neighbors for every row (self-matches excluded).
 ///
@@ -71,7 +78,10 @@ struct SelfJoinStats {
 /// (distance, id) keys, sorted by NeighborLess — exactly what
 /// LinearScanIndex::TopK would return for row i's code against a corpus
 /// with row i removed. k is clamped to live_rows - 1; tombstoned rows
-/// get empty lists.
+/// get empty lists. Each row's candidates go to one flat n x k array of
+/// packed (distance << 32 | id) keys, kept sorted by insertion, so one
+/// integer compare is the NeighborLess displacement test and the row's
+/// emit bound is its last key's distance + 1 once the list is full.
 std::vector<std::vector<Neighbor>> TopKJoin(const PackedCodes& codes, int k,
                                             const SelfJoinOptions& options = {},
                                             SelfJoinStats* stats = nullptr);
@@ -85,11 +95,6 @@ struct JoinPair {
 
 inline bool operator==(const JoinPair& x, const JoinPair& y) {
   return x.a == y.a && x.b == y.b && x.distance == y.distance;
-}
-
-/// Canonical pair ordering: ascending (a, b).
-inline bool JoinPairLess(const JoinPair& x, const JoinPair& y) {
-  return x.a != y.a ? x.a < y.a : x.b < y.b;
 }
 
 /// \brief All unordered live pairs within Hamming radius (inclusive).
@@ -108,7 +113,8 @@ inline bool JoinPairLess(const JoinPair& x, const JoinPair& y) {
 ///   This serves sparse joins such as dedup at small radii.
 /// - the tiled join otherwise (crowded buckets, large radii): the
 ///   emitting kernel compares every distance against radius + 1 and
-///   writes out only the qualifying pairs.
+///   writes out only the qualifying pairs; each tile task's (a, b)-sorted
+///   chunk is placed by row, in task order, without a global sort.
 /// The tier options pick the tiled join's kernel and, through its
 /// measured speed, where the rule switches; the hash verifies with the
 /// same popcount distance at every tier.

@@ -530,7 +530,7 @@ TEST(SelfJoinTest, RadiusJoinTinyAndSingleLiveCorpora) {
 // ------------------------------------------------- loose fronts, big k
 
 TEST(SelfJoinTest, LooseFrontCorporaMatchReference) {
-  // Corpora where heap fronts stay loose and nearly every pair leaves the
+  // Corpora where list bounds stay loose and nearly every pair leaves the
   // kernel: one code repeated (all ties, id order decides everything) and
   // two centres with one-bit copies (fronts at 2, half the pairs within
   // bound). The emitted-candidate path then carries the whole join.
@@ -576,7 +576,7 @@ TEST(SelfJoinTest, LooseFrontCorporaMatchReference) {
 }
 
 TEST(SelfJoinTest, TopKJoinWithKAtLeastTileRowsMatchesReference) {
-  // k >= rows per tile: a diagonal tile cannot fill its own heaps, so the
+  // k >= rows per tile: a diagonal tile cannot fill its own lists, so the
   // bounds stay at INT32_MAX into the off-diagonal phase and the
   // staged-offer flushes carry the cold join.
   Rng rng(89);
@@ -607,6 +607,57 @@ TEST(SelfJoinTest, TopKJoinWithKAtLeastTileRowsMatchesReference) {
                     stats.pairs_total)
               << label;
         }
+      }
+    }
+  }
+}
+
+TEST(SelfJoinTest, TopKJoinFrontTiesBreakByIdAcrossTiles) {
+  // Every code sets 2 of the same 8 bits, so pair distances are 0, 2 or 4
+  // and each row's 5th neighbor ties with many others at its distance.
+  // With tiles of 16 rows, a row's list first fills from its own tile
+  // (larger ids for early rows), then mirrored candidates with smaller ids
+  // arrive from earlier tiles at that same distance and must displace the
+  // last entry on the id tie-break alone. The list keeps the (distance,
+  // id)-smallest k, so the emit bound must admit ties (last + 1), the
+  // order must compare ids, and the lists must come out sorted.
+  Rng rng(97);
+  const int n = 96;
+  std::vector<uint64_t> words(static_cast<size_t>(n));
+  for (uint64_t& word : words) {
+    const int a = static_cast<int>(rng.UniformInt(8));
+    int b = static_cast<int>(rng.UniformInt(7));
+    if (b >= a) ++b;
+    word = (1ULL << a) | (1ULL << b);
+  }
+  const PackedCodes codes = PackedCodes::FromRawWords(n, 64, std::move(words));
+  const TombstoneSet dead = EveryThirdDead(n);
+  for (const TombstoneSet* tombstones :
+       {static_cast<const TombstoneSet*>(nullptr), &dead}) {
+    const auto want = ReferenceTopKJoin(codes, 5, tombstones);
+    // The corpus does what the test is for: most rows' 5th and 6th
+    // nearest tie, so the id decides which of them is kept.
+    const auto wider = ReferenceTopKJoin(codes, 6, tombstones);
+    int cut_through_tie = 0;
+    for (const auto& row : wider) {
+      cut_through_tie += !row.empty() && row[4].distance == row[5].distance;
+    }
+    EXPECT_GT(cut_through_tie, n / 3);
+    for (const KernelTier tier : AvailableTiers()) {
+      for (const int threads : {1, 4}) {
+        SelfJoinOptions options;
+        options.force_tier = true;
+        options.tier = tier;
+        options.tile = 16;
+        options.threads = threads;
+        options.tombstones = tombstones;
+        SelfJoinStats stats;
+        const std::string label =
+            std::string(KernelTierName(tier)) +
+            " threads=" + std::to_string(threads) +
+            (tombstones != nullptr ? " tombstones" : "");
+        ExpectTopKIdentical(TopKJoin(codes, 5, options, &stats), want, label);
+        EXPECT_EQ(stats.tiles, 6 * 7 / 2) << label;
       }
     }
   }
