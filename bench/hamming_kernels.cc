@@ -139,11 +139,12 @@ int Main(int argc, char** argv) {
   std::printf("corpus n=%d bits=%d (%d words/code) | %d queries, k=%d\n",
               flags.n, flags.bits, corpus.words_per_code(), flags.queries,
               flags.k);
+  // Without VPOPCNTDQ the avx512 tier scans with the AVX2 kernels.
   std::printf("dispatched kernel tier: %s%s | compiled-in tiers available:",
               simd_name,
-              active_tier == index::KernelTier::kAvx512 &&
-                      index::Avx512VpopcntAvailable()
-                  ? "+vpopcntdq"
+              active_tier == index::KernelTier::kAvx512
+                  ? (index::Avx512VpopcntAvailable() ? "+vpopcntdq"
+                                                     : "+avx2-scan")
                   : "");
   for (const index::KernelTier tier : tiers) {
     std::printf(" %s", index::KernelTierName(tier));

@@ -232,7 +232,8 @@ void BM_RadiusJoin(benchmark::State& state) {
 BENCHMARK(BM_RadiusJoin)
     ->Unit(benchmark::kMillisecond)
     ->Args({60000, 128, 8})    // the dedup workload's radius join
-    ->Args({60000, 128, 16});  // r >= bits/8: the blocked join on any tier
+    ->Args({60000, 128, 16})   // r >= bits/8: the blocked join on any tier
+    ->Args({10000, 256, 32});  // the blocked join on the wide-code kernels
 
 void BM_TopKJoin(benchmark::State& state) {
   // TopKJoin on one thread over PlantedDedupCorpus. Args are (n, bits, k);
@@ -256,7 +257,8 @@ void BM_TopKJoin(benchmark::State& state) {
 BENCHMARK(BM_TopKJoin)
     ->Unit(benchmark::kMillisecond)
     ->Args({60000, 128, 10})    // the dedup workload's top-k join
-    ->Args({60000, 128, 100});
+    ->Args({60000, 128, 100})
+    ->Args({10000, 256, 10});   // the wide-code kernels
 
 void BM_MatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -20,16 +20,20 @@ inline int Popcount64(uint64_t x) {
 #endif
 }
 
+/// Hamming distance of one pair: four accumulators keep the popcnt ports
+/// busy (same loop shape as HammingDistance).
 inline int ScalarPair(const uint64_t* a, const uint64_t* b, int words) {
-  int d = 0;
-  for (int w = 0; w < words; ++w) d += Popcount64(a[w] ^ b[w]);
-  return d;
+  int d0 = 0, d1 = 0, d2 = 0, d3 = 0;
+  int w = 0;
+  for (; w + 4 <= words; w += 4) {
+    d0 += Popcount64(a[w] ^ b[w]);
+    d1 += Popcount64(a[w + 1] ^ b[w + 1]);
+    d2 += Popcount64(a[w + 2] ^ b[w + 2]);
+    d3 += Popcount64(a[w + 3] ^ b[w + 3]);
+  }
+  for (; w < words; ++w) d0 += Popcount64(a[w] ^ b[w]);
+  return d0 + d1 + d2 + d3;
 }
-
-/// Early-abandon only pays for itself when a meaningful fraction of the
-/// per-code work can be skipped; below this width the partial-sum checks
-/// cost more than the popcounts they save.
-constexpr int kPruneMinWords = 16;
 
 inline int32_t MinInt32(int32_t a, int32_t b) { return a < b ? a : b; }
 inline int32_t MaxInt32(int32_t a, int32_t b) { return a > b ? a : b; }
@@ -69,38 +73,22 @@ inline int EmitEach(const uint64_t* query, const uint64_t* codes, int lo,
   return count;
 }
 
-/// Distances from one query to `n` contiguous codes of three or more
-/// words, plus their minimum: the body each tier's emitting kernel runs
-/// for wide codes (EmitThroughBatch below).
-///
-/// `out` receives `n` distances. `threshold` enables early abandon:
-/// every output strictly below `threshold` is the exact Hamming distance;
-/// an output at or above it is only a lower bound of a true distance that
-/// is itself >= threshold (the kernel may stop counting a code once its
-/// partial popcount proves it cannot beat the threshold). `kNoThreshold`
-/// makes every output exact.
-///
-/// The return value is the minimum of the `n` outputs, computed in
-/// registers while the distances are still hot instead of by a second
-/// pass over `out`. Every output lower-bounds its true distance (exactly
-/// equal below `threshold`), so the return lower-bounds the true block
-/// minimum, and whenever the true minimum is < `threshold` it equals it
-/// exactly (a code that beats the threshold is never abandoned). Returns
-/// INT32_MAX when n == 0.
+/// Exact distances from one query to `n` contiguous codes of three or
+/// more words, written to `out`: the body each tier's emitting kernel
+/// runs for wide codes (EmitThroughBatch below). Returns their minimum,
+/// computed in registers while the distances are still hot instead of by
+/// a second pass over `out` (INT32_MAX when n == 0).
 using DistanceMinFn = int32_t (*)(const uint64_t* query, const uint64_t* codes,
-                                  int n, int words, int32_t threshold,
-                                  int32_t* out);
+                                  int n, int words, int32_t* out);
 
 /// Codes per block of EmitThroughBatch.
 constexpr int kEmitBlock = 128;
 
 /// Emitting kernel built on the tier's distance-min body `kBatchMin`:
 /// scores the run in blocks of kEmitBlock codes into an L1-resident
-/// buffer and keeps the distances that beat their own bound. Each block's
-/// threshold is its loosest bound. A code abandoned at or above it can
-/// never beat its own bound, which is no looser; and a block whose fused
-/// minimum reaches it has no hit, so its buffer is never read. Every
-/// tier's path for codes of three or more words.
+/// buffer and keeps the distances that beat their own bound. A block whose
+/// fused minimum reaches its loosest bound has no hit, so its buffer is
+/// never read. Every tier's path for codes of three or more words.
 template <DistanceMinFn kBatchMin>
 int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
                      int words, int32_t row_bound, const int32_t* code_bounds,
@@ -109,12 +97,12 @@ int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
   int count = 0;
   for (int lo = 0; lo < n; lo += kEmitBlock) {
     const int m = n - lo < kEmitBlock ? n - lo : kEmitBlock;
-    int32_t threshold = row_bound;
+    int32_t loosest = row_bound;
     for (int j = 0; code_bounds != nullptr && j < m; ++j) {
-      threshold = MaxInt32(threshold, code_bounds[lo + j]);
+      loosest = MaxInt32(loosest, code_bounds[lo + j]);
     }
     if (kBatchMin(query, codes + static_cast<size_t>(lo) * words, m, words,
-                  threshold, dist) >= threshold) {
+                  dist) >= loosest) {
       continue;
     }
     for (int j = 0; j < m; ++j) {
@@ -127,32 +115,10 @@ int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
 
 /// Scalar distance-min body: the reference the vector bodies match.
 int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
-                       int words, int32_t threshold, int32_t* out) {
-  const bool prune = threshold != kNoThreshold && words >= kPruneMinWords;
+                       int words, int32_t* out) {
   int32_t best = INT32_MAX;
   for (int i = 0; i < n; ++i) {
-    const uint64_t* code = codes + static_cast<size_t>(i) * words;
-    // Four accumulators keep the popcnt ports busy (same trick as
-    // HammingDistance); the partial-sum check fires once per 16 words.
-    int d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-    int w = 0;
-    bool abandoned = false;
-    for (; w + 4 <= words; w += 4) {
-      d0 += Popcount64(query[w] ^ code[w]);
-      d1 += Popcount64(query[w + 1] ^ code[w + 1]);
-      d2 += Popcount64(query[w + 2] ^ code[w + 2]);
-      d3 += Popcount64(query[w + 3] ^ code[w + 3]);
-      if (prune && (w & 15) == 12 && d0 + d1 + d2 + d3 >= threshold) {
-        // Partial popcounts only grow, so this code can never beat the
-        // threshold — report the (>= threshold) partial and move on.
-        abandoned = true;
-        break;
-      }
-    }
-    if (!abandoned) {
-      for (; w < words; ++w) d0 += Popcount64(query[w] ^ code[w]);
-    }
-    out[i] = d0 + d1 + d2 + d3;
+    out[i] = ScalarPair(query, codes + static_cast<size_t>(i) * words, words);
     best = MinInt32(best, out[i]);
   }
   return best;
@@ -199,14 +165,6 @@ UHSCM_AVX2_FN inline uint64_t HorizontalSum64(__m256i v) {
          static_cast<uint64_t>(_mm_extract_epi64(s, 1));
 }
 
-/// Carry-save adder: (h, l) = a + b + c in bit-sliced form.
-UHSCM_AVX2_FN inline void Csa(__m256i* h, __m256i* l, __m256i a, __m256i b,
-                              __m256i c) {
-  const __m256i u = _mm256_xor_si256(a, b);
-  *h = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c));
-  *l = _mm256_xor_si256(u, c);
-}
-
 /// XOR of the v-th 256-bit chunk (4 words) of a code and query row.
 UHSCM_AVX2_FN inline __m256i LoadXor(const uint64_t* code,
                                      const uint64_t* query, int v) {
@@ -217,78 +175,24 @@ UHSCM_AVX2_FN inline __m256i LoadXor(const uint64_t* code,
   return _mm256_xor_si256(c, q);
 }
 
-/// AVX2 distance-min body: per-code vector accumulation. Codes of >= 32
-/// words go through a Harley–Seal carry-save tree (one full popcount per
-/// eight vectors); the rest accumulate lane popcounts directly. The tail
-/// (words % 4) is scalar. With a finite `threshold`, the running lane
-/// accumulator provides a monotone lower bound used to abandon codes
-/// that can no longer beat the threshold.
+/// AVX2 distance-min body: lane popcounts of each code's 256-bit chunks
+/// (4 words) accumulate in one vector; the tail (words % 4) is scalar.
 UHSCM_AVX2_FN int32_t BatchMinAvx2(const uint64_t* query,
                                    const uint64_t* codes, int n, int words,
-                                   int32_t threshold, int32_t* out) {
+                                   int32_t* out) {
   const int vecs = words / 4;
-  const int tail_start = vecs * 4;
-  const bool prune = threshold != kNoThreshold && words >= kPruneMinWords;
   int32_t best = INT32_MAX;
   for (int i = 0; i < n; ++i) {
     const uint64_t* code = codes + static_cast<size_t>(i) * words;
-    uint64_t sum = 0;
-    int v = 0;
     __m256i acc = _mm256_setzero_si256();
-    bool abandoned = false;
-    if (vecs >= 8) {
-      __m256i ones = _mm256_setzero_si256();
-      __m256i twos = _mm256_setzero_si256();
-      __m256i fours = _mm256_setzero_si256();
-      for (; v + 8 <= vecs; v += 8) {
-        __m256i twos_a, twos_b, fours_a, fours_b, eights;
-        Csa(&twos_a, &ones, ones, LoadXor(code, query, v),
-            LoadXor(code, query, v + 1));
-        Csa(&twos_b, &ones, ones, LoadXor(code, query, v + 2),
-            LoadXor(code, query, v + 3));
-        Csa(&fours_a, &twos, twos, twos_a, twos_b);
-        Csa(&twos_a, &ones, ones, LoadXor(code, query, v + 4),
-            LoadXor(code, query, v + 5));
-        Csa(&twos_b, &ones, ones, LoadXor(code, query, v + 6),
-            LoadXor(code, query, v + 7));
-        Csa(&fours_b, &twos, twos, twos_a, twos_b);
-        Csa(&eights, &fours, fours, fours_a, fours_b);
-        acc = _mm256_add_epi64(acc, PopcountLanes64(eights));
-        // 8 * acc ignores the ones/twos/fours residue, so it is a valid
-        // lower bound of the distance counted so far.
-        if (prune && 8 * HorizontalSum64(acc) >= static_cast<uint64_t>(threshold)) {
-          sum = 8 * HorizontalSum64(acc);
-          abandoned = true;
-          break;
-        }
-      }
-      if (!abandoned) {
-        sum = 8 * HorizontalSum64(acc) +
-              4 * HorizontalSum64(PopcountLanes64(fours)) +
-              2 * HorizontalSum64(PopcountLanes64(twos)) +
-              HorizontalSum64(PopcountLanes64(ones));
-        acc = _mm256_setzero_si256();
-      }
+    for (int v = 0; v < vecs; ++v) {
+      acc = _mm256_add_epi64(acc, PopcountLanes64(LoadXor(code, query, v)));
     }
-    if (!abandoned) {
-      for (; v < vecs; ++v) {
-        acc = _mm256_add_epi64(acc,
-                               PopcountLanes64(LoadXor(code, query, v)));
-        if (prune && (v & 3) == 3 &&
-            sum + HorizontalSum64(acc) >= static_cast<uint64_t>(threshold)) {
-          abandoned = true;
-          break;
-        }
-      }
-      sum += HorizontalSum64(acc);
-      if (!abandoned) {
-        for (int w = tail_start; w < words; ++w) {
-          sum += Popcount64(query[w] ^ code[w]);
-        }
-      }
-    }
-    out[i] = static_cast<int32_t>(sum);
-    best = MinInt32(best, out[i]);
+    const int32_t d = static_cast<int32_t>(HorizontalSum64(acc)) +
+                      ScalarPair(query + 4 * vecs, code + 4 * vecs,
+                                 words - 4 * vecs);
+    out[i] = d;
+    best = MinInt32(best, d);
   }
   return best;
 }
@@ -398,13 +302,10 @@ int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
 
 #if defined(UHSCM_HAVE_AVX512_KERNELS)
 
-#define UHSCM_AVX512_FN __attribute__((target("avx512f,avx512bw,avx512vl")))
 #define UHSCM_AVX512VP_FN \
   __attribute__((target("avx512f,avx512bw,avx512vl,avx512vpopcntdq")))
 
 namespace {
-
-// ------------------------- VPOPCNTDQ sub-tier (Ice Lake+, Zen 4+) -------
 
 // GCC 12's bodies of _mm512_reduce_add_epi64, _mm512_extracti64x4_epi64,
 // _mm512_broadcast_i32x4, _mm512_shuffle_i64x2 and _mm512_max_epi32 start
@@ -413,7 +314,7 @@ namespace {
 // same values and compile to the same unmasked instructions.
 
 /// Sum of the eight 64-bit lanes of v.
-UHSCM_AVX512_FN inline uint64_t ReduceAdd512(__m512i v) {
+UHSCM_AVX512VP_FN inline uint64_t ReduceAdd512(__m512i v) {
   const __m256i quad =
       _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xF, v, 1),
                        _mm512_maskz_extracti64x4_epi64(0xF, v, 0));
@@ -424,177 +325,40 @@ UHSCM_AVX512_FN inline uint64_t ReduceAdd512(__m512i v) {
 }
 
 /// The 128-bit value x in all four 128-bit lanes.
-UHSCM_AVX512_FN inline __m512i Broadcast128(__m128i x) {
+UHSCM_AVX512VP_FN inline __m512i Broadcast128(__m128i x) {
   return _mm512_maskz_broadcast_i32x4(0xFFFF, x);
 }
 
 /// XOR of the v-th 512-bit chunk (8 words) of a code and query row.
-UHSCM_AVX512_FN inline __m512i LoadXor512(const uint64_t* code,
-                                          const uint64_t* query, int v) {
+UHSCM_AVX512VP_FN inline __m512i LoadXor512(const uint64_t* code,
+                                            const uint64_t* query, int v) {
   const __m512i c = _mm512_loadu_si512(code + 8 * static_cast<size_t>(v));
   const __m512i q = _mm512_loadu_si512(query + 8 * static_cast<size_t>(v));
   return _mm512_xor_si512(c, q);
 }
 
-/// Any width >= 3 words, native popcount: two 512-bit accumulators (16
-/// words per iteration) keep the VPOPCNTQ port busy; the 8-word tail of
-/// the vectorized region uses one vector, the final < 8 words are
-/// scalar. Pruning checks the running lane sums every 16 words, like the
-/// scalar kernel.
-UHSCM_AVX512VP_FN int32_t BatchGenericVp(const uint64_t* query,
+/// VPOPCNTDQ distance-min body for codes of 8 words or more: lane
+/// popcounts of each code's whole 512-bit chunks (8 words) accumulate in
+/// one vector; the tail (words % 8) is a plain scalar loop (ScalarPair
+/// inlined here ran 1024-bit codes about 20% slower).
+UHSCM_AVX512VP_FN int32_t BatchMinAvx512(const uint64_t* query,
                                          const uint64_t* codes, int n,
-                                         int words, int32_t threshold,
-                                         int32_t* out) {
+                                         int words, int32_t* out) {
   const int vecs = words / 8;
-  const int tail_start = vecs * 8;
-  const bool prune = threshold != kNoThreshold && words >= kPruneMinWords;
   int32_t best = INT32_MAX;
   for (int i = 0; i < n; ++i) {
     const uint64_t* code = codes + static_cast<size_t>(i) * words;
-    uint64_t sum = 0;
-    int v = 0;
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    bool abandoned = false;
-    for (; v + 2 <= vecs; v += 2) {
-      acc0 = _mm512_add_epi64(acc0,
-                              _mm512_popcnt_epi64(LoadXor512(code, query, v)));
-      acc1 = _mm512_add_epi64(
-          acc1, _mm512_popcnt_epi64(LoadXor512(code, query, v + 1)));
-      if (prune && ReduceAdd512(acc0) + ReduceAdd512(acc1) >=
-                       static_cast<uint64_t>(threshold)) {
-        sum = ReduceAdd512(acc0) + ReduceAdd512(acc1);
-        abandoned = true;
-        break;
-      }
-    }
-    if (!abandoned) {
-      if (v < vecs) {
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(LoadXor512(code, query, v)));
-      }
-      sum = ReduceAdd512(acc0) + ReduceAdd512(acc1);
-      for (int w = tail_start; w < words; ++w) {
-        sum += Popcount64(query[w] ^ code[w]);
-      }
-    }
-    out[i] = static_cast<int32_t>(sum);
-    best = MinInt32(best, out[i]);
-  }
-  return best;
-}
-
-// --------------------- AVX-512BW sub-tier (no VPOPCNTDQ; Skylake-X) -----
-
-/// Per-64-bit-lane popcount of a 512-bit vector via the same pshufb
-/// nibble LUT as the AVX2 tier, twice as wide.
-UHSCM_AVX512_FN inline __m512i PopcountLanes64Bw(__m512i v) {
-  const __m512i lut = Broadcast128(_mm_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4));
-  const __m512i low = _mm512_set1_epi8(0x0f);
-  const __m512i lo = _mm512_and_si512(v, low);
-  const __m512i hi = _mm512_and_si512(_mm512_srli_epi16(v, 4), low);
-  const __m512i cnt = _mm512_add_epi8(_mm512_shuffle_epi8(lut, lo),
-                                      _mm512_shuffle_epi8(lut, hi));
-  return _mm512_sad_epu8(cnt, _mm512_setzero_si512());
-}
-
-/// Carry-save adder, 512-bit: (h, l) = a + b + c in bit-sliced form.
-UHSCM_AVX512_FN inline void Csa512(__m512i* h, __m512i* l, __m512i a,
-                                   __m512i b, __m512i c) {
-  const __m512i u = _mm512_xor_si512(a, b);
-  *h = _mm512_or_si512(_mm512_and_si512(a, b), _mm512_and_si512(u, c));
-  *l = _mm512_xor_si512(u, c);
-}
-
-/// Width >= 8 words without native popcount: LUT popcounts over 512-bit
-/// chunks, under a Harley–Seal carry-save tree once >= 8 chunks (64
-/// words) are in play — one full LUT popcount per eight vectors.
-UHSCM_AVX512_FN int32_t BatchGenericBw(const uint64_t* query,
-                                       const uint64_t* codes, int n, int words,
-                                       int32_t threshold, int32_t* out) {
-  const int vecs = words / 8;
-  const int tail_start = vecs * 8;
-  const bool prune = threshold != kNoThreshold && words >= kPruneMinWords;
-  int32_t best = INT32_MAX;
-  for (int i = 0; i < n; ++i) {
-    const uint64_t* code = codes + static_cast<size_t>(i) * words;
-    uint64_t sum = 0;
-    int v = 0;
     __m512i acc = _mm512_setzero_si512();
-    bool abandoned = false;
-    if (vecs >= 8) {
-      __m512i ones = _mm512_setzero_si512();
-      __m512i twos = _mm512_setzero_si512();
-      __m512i fours = _mm512_setzero_si512();
-      for (; v + 8 <= vecs; v += 8) {
-        __m512i twos_a, twos_b, fours_a, fours_b, eights;
-        Csa512(&twos_a, &ones, ones, LoadXor512(code, query, v),
-               LoadXor512(code, query, v + 1));
-        Csa512(&twos_b, &ones, ones, LoadXor512(code, query, v + 2),
-               LoadXor512(code, query, v + 3));
-        Csa512(&fours_a, &twos, twos, twos_a, twos_b);
-        Csa512(&twos_a, &ones, ones, LoadXor512(code, query, v + 4),
-               LoadXor512(code, query, v + 5));
-        Csa512(&twos_b, &ones, ones, LoadXor512(code, query, v + 6),
-               LoadXor512(code, query, v + 7));
-        Csa512(&fours_b, &twos, twos, twos_a, twos_b);
-        Csa512(&eights, &fours, fours, fours_a, fours_b);
-        acc = _mm512_add_epi64(acc, PopcountLanes64Bw(eights));
-        // 8 * acc ignores the ones/twos/fours residue, so it is a valid
-        // lower bound of the distance counted so far.
-        if (prune &&
-            8 * ReduceAdd512(acc) >= static_cast<uint64_t>(threshold)) {
-          sum = 8 * ReduceAdd512(acc);
-          abandoned = true;
-          break;
-        }
-      }
-      if (!abandoned) {
-        sum = 8 * ReduceAdd512(acc) +
-              4 * ReduceAdd512(PopcountLanes64Bw(fours)) +
-              2 * ReduceAdd512(PopcountLanes64Bw(twos)) +
-              ReduceAdd512(PopcountLanes64Bw(ones));
-        acc = _mm512_setzero_si512();
-      }
+    for (int v = 0; v < vecs; ++v) {
+      acc = _mm512_add_epi64(acc,
+                             _mm512_popcnt_epi64(LoadXor512(code, query, v)));
     }
-    if (!abandoned) {
-      for (; v < vecs; ++v) {
-        acc = _mm512_add_epi64(acc, PopcountLanes64Bw(LoadXor512(code, query, v)));
-        if (prune && (v & 1) == 1 &&
-            sum + ReduceAdd512(acc) >= static_cast<uint64_t>(threshold)) {
-          abandoned = true;
-          break;
-        }
-      }
-      sum += ReduceAdd512(acc);
-      if (!abandoned) {
-        for (int w = tail_start; w < words; ++w) {
-          sum += Popcount64(query[w] ^ code[w]);
-        }
-      }
-    }
-    out[i] = static_cast<int32_t>(sum);
-    best = MinInt32(best, out[i]);
+    int32_t d = static_cast<int32_t>(ReduceAdd512(acc));
+    for (int w = 8 * vecs; w < words; ++w) d += Popcount64(query[w] ^ code[w]);
+    out[i] = d;
+    best = MinInt32(best, d);
   }
   return best;
-}
-
-bool Avx512VpopcntSupported() {
-  return __builtin_cpu_supports("avx512vpopcntdq");
-}
-
-/// AVX-512 distance-min body: VPOPCNTDQ hosts take the native-popcount
-/// body; BW-only hosts take the 512-bit LUT body once a code spans whole
-/// 512-bit chunks and the AVX2 body below that (any AVX-512 CPU runs it).
-int32_t BatchMinAvx512(const uint64_t* query, const uint64_t* codes, int n,
-                       int words, int32_t threshold, int32_t* out) {
-  static const bool vpopcnt = Avx512VpopcntSupported();
-  if (vpopcnt) return BatchGenericVp(query, codes, n, words, threshold, out);
-  if (words >= 8) {
-    return BatchGenericBw(query, codes, n, words, threshold, out);
-  }
-  return BatchMinAvx2(query, codes, n, words, threshold, out);
 }
 
 /// Distances of the sixteen 64-bit codes at `p`, as int32 lanes in code
@@ -686,16 +450,10 @@ UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
 int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance) {
-  // Wider codes take BatchMinAvx512's routing: VPOPCNTDQ, Harley–Seal
-  // BW or AVX2 bodies by width and host.
-  if (words > 2) {
-    return EmitThroughBatch<&BatchMinAvx512>(query, codes, n, words,
-                                             row_bound, code_bounds,
-                                             out_index, out_distance);
-  }
-  // BW-only hosts emit narrow codes through the AVX2 layouts.
-  static const bool vpopcnt = Avx512VpopcntSupported();
-  if (!vpopcnt) {
+  // Hosts without VPOPCNTDQ, and codes of 3 to 7 words (less than one
+  // whole 512-bit chunk), run the AVX2 kernels.
+  static const bool vpopcnt = Avx512VpopcntAvailable();
+  if (!vpopcnt || (words > 2 && words < 8)) {
     return BatchEmitAvx2(query, codes, n, words, row_bound, code_bounds,
                          out_index, out_distance);
   }
@@ -703,8 +461,13 @@ int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
     return EmitNarrowVp<1>(query, codes, n, row_bound, code_bounds, out_index,
                            out_distance);
   }
-  return EmitNarrowVp<2>(query, codes, n, row_bound, code_bounds, out_index,
-                         out_distance);
+  if (words == 2) {
+    return EmitNarrowVp<2>(query, codes, n, row_bound, code_bounds, out_index,
+                           out_distance);
+  }
+  return EmitThroughBatch<&BatchMinAvx512>(query, codes, n, words, row_bound,
+                                           code_bounds, out_index,
+                                           out_distance);
 }
 
 #endif  // UHSCM_HAVE_AVX512_KERNELS

@@ -11,16 +11,15 @@ namespace uhscm::index {
 /// packed row against a long contiguous run of packed codes and keeps
 /// only the few codes that beat a bound. One BatchEmitFn call does that
 /// for a whole run, letting the implementation vectorize across codes
-/// (AVX2 nibble-LUT popcount, AVX-512 VPOPCNTDQ, or Harley–Seal
-/// carry-save accumulation for wide codes) and compare in registers
-/// instead of paying per-pair call and loop overhead. The scalar tier is
-/// the semantic reference; every other tier must be bit-for-bit
-/// identical to it (tests/hamming_kernels_test.cc).
+/// (AVX2 nibble-LUT popcount or AVX-512 VPOPCNTDQ) and compare in
+/// registers instead of paying per-pair call and loop overhead. The
+/// scalar tier is the semantic reference; every other tier must be
+/// bit-for-bit identical to it (tests/hamming_kernels_test.cc).
 enum class KernelTier {
   kScalar,  ///< portable unrolled __builtin_popcountll loop
-  kAvx2,    ///< 256-bit pshufb nibble-LUT popcount, Harley–Seal for wide codes
-  kAvx512,  ///< 512-bit VPOPCNTDQ, or Harley–Seal over 512-bit LUT popcounts
-            ///< on AVX-512BW-only hosts
+  kAvx2,    ///< 256-bit pshufb nibble-LUT popcount
+  kAvx512,  ///< 512-bit VPOPCNTDQ for 1, 2 and 8+ word codes, the AVX2
+            ///< kernels for 3-7 words and on hosts without VPOPCNTDQ
 };
 
 /// Scores one query against `n` contiguous packed codes and writes out
@@ -32,8 +31,8 @@ enum class KernelTier {
 /// buffers must hold `n` entries. Returns the number of hits; a run
 /// where nothing qualifies writes nothing. A bound of INT32_MAX admits
 /// every code; bounds of 0 admit none. Codes of three or more words are
-/// scored in blocks with early abandon and a fused block minimum
-/// (EmitThroughBatch in hamming_kernels.cc states that contract).
+/// scored exactly in blocks of 128 with a fused block minimum
+/// (EmitThroughBatch in hamming_kernels.cc).
 using BatchEmitFn = int (*)(const uint64_t* query, const uint64_t* codes,
                             int n, int words, int32_t row_bound,
                             const int32_t* code_bounds, int32_t* out_index,
@@ -51,10 +50,10 @@ int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
 bool Avx2Available();
 
 /// True when this build carries the AVX-512 tier and the CPU supports
-/// AVX-512F/BW/VL (the minimum the 512-bit kernels need). VPOPCNTDQ is
-/// detected separately inside the tier: hosts with it use the native
-/// 64-bit lane popcount, AVX-512BW-only hosts (Skylake-X era) use a
-/// 512-bit nibble-LUT popcount under a Harley–Seal carry-save tree.
+/// AVX-512F/BW/VL. VPOPCNTDQ is detected separately inside the tier:
+/// hosts with it use the native 64-bit lane popcount, hosts without it
+/// (Skylake-X era) run the AVX2 Hamming kernels at this tier (the packed
+/// GEMM still uses its 512-bit micro-kernel there).
 bool Avx512Available();
 
 /// True when the AVX-512 tier would use native VPOPCNTDQ (informational,

@@ -448,12 +448,15 @@ std::vector<JoinPair> BlockedRadiusJoin(const PackedCodes& codes,
 /// sort and the random-access popcount verification) costs, by the tier
 /// the blocked join would run and the code width. Measured on planted
 /// 60k-row corpora (20k rows for the blocked join; 1% tombstones, one
-/// pinned thread) on an AVX-512BW host without VPOPCNTDQ: a unit costs
-/// 28 ns at one word, 28-37 ns at two and 42-68 ns at three to five;
-/// the kernel scores a pair in 0.16 / 0.37 / 6.5-9.9 ns at avx512,
-/// 0.45 / 1.05 / 4.8-5.7 ns at avx2 and 7.8 / 11.2 / 18-29 ns at scalar.
-/// Hosts with VPOPCNTDQ score pairs faster at avx512, so there the rule
-/// switches to the blocked join later than the measured crossover; both
+/// pinned thread) on a 4-vCPU AVX-512 host: a unit costs 28 ns at one
+/// word, 28-37 ns at two and 42-68 ns at three to five; the kernel
+/// scored a pair in 0.16 / 0.37 / 6.5-9.9 ns at avx512, 0.45 / 1.05 /
+/// 4.8-5.7 ns at avx2 and 7.8 / 11.2 / 18-29 ns at scalar. The 3+ word
+/// avx512 figure is that of an earlier body that counted codes of fewer
+/// than 8 words with scalar popcounts. The tier now runs the AVX2 body
+/// there and scores a 4-word pair in about the avx2 time (4.4 ns against
+/// 10.5 before, bench/self_join at 20k rows), so at 3-7 words the rule
+/// switches to the blocked join later than the measured crossover. Both
 /// paths stay exact.
 double MihUnitCostInPairs(KernelTier tier, int words) {
   //                                       1 word  2 words  3+ words

@@ -115,12 +115,12 @@ Emitted ExpectEveryTierEmits(const PackedCodes& query, const PackedCodes& db,
 /// Every emitting tier must reproduce the scalar reference exactly, and
 /// the scalar reference must follow the contract, across code widths:
 /// widths at and off 64-bit boundaries, the width-specialized 1- and
-/// 2-word layouts, the blocked path for three or more words with its
-/// early-abandon widths (>= 16 words), the AVX2 Harley–Seal path
-/// (>= 32 words) and the AVX-512BW one (>= 64 words), and odd 512-bit
-/// vector counts. Run lengths go on and off the vector width, and bound
-/// patterns from "emit all" to "emit none", with and without per-code
-/// bounds.
+/// 2-word layouts, and the blocked path for three or more words: the
+/// AVX2 body (under the avx512 tier too) at 3-7 words, and the VPOPCNTDQ
+/// body from 8 words with odd and even 512-bit chunk counts and scalar
+/// tails of 0, 1, 2, 4 and 7 words. Run lengths go on and off the vector
+/// width and the 128-code block, and bound patterns from "emit all" to
+/// "emit none", with and without per-code bounds.
 class EmitWidths : public ::testing::TestWithParam<int> {};
 
 TEST_P(EmitWidths, EveryTierMatchesScalarReference) {
@@ -195,11 +195,11 @@ TEST_P(EmitWidths, EveryTierMatchesScalarReference) {
 
 TEST_P(EmitWidths, NearCodesUnderEveryBound) {
   // Codes a few flipped bits from the query, spread over every word,
-  // under every row bound from 0 to one past the largest distance. At
-  // some bound b a code's partial count at an early-abandon check is
-  // b - 1 while more differing bits follow; a kernel that abandoned
-  // there would emit the partial count as a distance. Wide codes also
-  // meet the fused block minimum at every bound around their distances.
+  // under every row bound from 0 to one past the largest distance, so
+  // every distance sits just below, at and just above some bound. A
+  // body that dropped a chunk or a tail word would emit a wrong distance
+  // or miss a hit; wide codes also meet the fused block minimum at every
+  // bound around their distances.
   const int bits = GetParam();
   const int n = 300;
   Rng rng(5300 + bits);
@@ -235,12 +235,15 @@ TEST_P(EmitWidths, NearCodesUnderEveryBound) {
 INSTANTIATE_TEST_SUITE_P(
     Widths, EmitWidths,
     ::testing::Values(1, 7, 63, 64, 65, 127, 128, 129, 190, 192, 255, 256,
-                      300, 320, 384, 448, 511, 512, 576, 1024,
-                      // 24 words: an early-abandon check with words left
-                      // after it on every tier
+                      300, 320, 384, 448, 511, 512, 576,
+                      // 12 and 15 words: one 512-bit chunk and a 4- and
+                      // 7-word tail
+                      768, 960, 1024,
+                      // 24 to 40 words: whole 512-bit chunks with no tail,
+                      // and 1- and 2-word tails
                       1536, 2048, 2112, 2113, 2560,
-                      // 73 words: >= 64 words, an odd count of 512-bit
-                      // vectors and a 1-word tail
+                      // 73 words: an odd count of 512-bit chunks and a
+                      // 1-word tail
                       4672));
 
 TEST(KernelDispatch, TierNamesAndExplicitLookup) {
@@ -365,7 +368,7 @@ TEST(BatchTopKTest, EveryTierIsByteIdenticalToPerQueryScan) {
   // The tier must never change results — ids, distances, and tie-break
   // order all match the per-query scan on every tier. bits=16 forces
   // heavy ties so the ordering contract is actually stressed; k=10
-  // keeps the early-abandon threshold armed for most blocks.
+  // keeps the heap's bound armed for most blocks.
   Rng rng(91);
   PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(700, 16, &rng));
   PackedCodes queries =
@@ -398,10 +401,10 @@ TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
   // Tombstones and the armed bound compose: dead rows are still scored
   // by the kernel (the run stays contiguous) and are emitted when they
   // beat the bound, but must never enter a heap or set the bound. Wide
-  // codes (1024 bits = 16 words) take the kernels' wide accumulation
-  // and early-abandon path, and each query's exact duplicate is planted
-  // in the corpus *dead*: the best hit of its run, which must still be
-  // dropped.
+  // codes (1024 bits = 16 words) take the kernels' blocked wide path
+  // with its fused block minimum, and each query's exact duplicate is
+  // planted in the corpus *dead*: the best hit of its run, which must
+  // still be dropped.
   Rng rng(93);
   const int bits = 1024;
   PackedCodes db = PackedCodes::FromSignMatrix(RandomSignCodes(500, bits, &rng));

@@ -378,9 +378,9 @@ TEST(LinearScanMutableTest, WithinRadiusSkipsTombstonedRows) {
 }
 
 TEST(BatchScanTombstoneTest, WideCodesKernelPruneRespectsTombstones) {
-  // 1024-bit codes engage the kernel-level early-abandon path
-  // (>= 16 words); tombstoned rows must not surface even when their
-  // distances were computed by the pruning kernel.
+  // 1024-bit codes (16 words) take the kernels' blocked wide path, whose
+  // fused block minimum skips blocks with no hit; tombstoned rows must
+  // not surface even when that path scored them.
   Rng rng(32);
   const int n = 300, bits = 1024, k = 10;
   Matrix db = RandomSignCodes(n, bits, &rng);

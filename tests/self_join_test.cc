@@ -100,29 +100,36 @@ TombstoneSet EveryThirdDead(int n) {
 // --------------------------------------------------------- byte identity
 
 TEST(SelfJoinTest, TopKJoinMatchesReferenceAcrossTiersTilesThreads) {
-  Rng rng(41);
-  PackedCodes codes =
-      PackedCodes::FromSignMatrix(RandomSignCodes(301, 96, &rng));
-  const auto want = ReferenceTopKJoin(codes, 7);
-  for (const KernelTier tier : AvailableTiers()) {
-    for (const int tile : {0, 17, 64}) {
-      for (const int threads : {1, 4}) {
-        SelfJoinOptions options;
-        options.force_tier = true;
-        options.tier = tier;
-        options.tile = tile;
-        options.threads = threads;
-        SelfJoinStats stats;
-        const auto got = TopKJoin(codes, 7, options, &stats);
-        const std::string label = std::string(KernelTierName(tier)) +
-                                  " tile=" + std::to_string(tile) +
-                                  " threads=" + std::to_string(threads);
-        ExpectTopKIdentical(got, want, label);
-        // Every live pair is disposed exactly once: left out by the
-        // kernel (pruned) or emitted by it (scored).
-        EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored, stats.pairs_total)
-            << label;
-        EXPECT_GT(stats.tiles, 0) << label;
+  // 96 bits run the 2-word layouts; 192 and 576 bits (3 and 9 words) run
+  // the wide-code path under per-code bounds: the AVX2 body, and the
+  // VPOPCNTDQ body with a 1-word tail.
+  for (const int bits : {96, 192, 576}) {
+    Rng rng(41);
+    PackedCodes codes =
+        PackedCodes::FromSignMatrix(RandomSignCodes(301, bits, &rng));
+    const auto want = ReferenceTopKJoin(codes, 7);
+    for (const KernelTier tier : AvailableTiers()) {
+      for (const int tile : {0, 17, 64}) {
+        for (const int threads : {1, 4}) {
+          SelfJoinOptions options;
+          options.force_tier = true;
+          options.tier = tier;
+          options.tile = tile;
+          options.threads = threads;
+          SelfJoinStats stats;
+          const auto got = TopKJoin(codes, 7, options, &stats);
+          const std::string label = "bits=" + std::to_string(bits) + " " +
+                                    KernelTierName(tier) +
+                                    " tile=" + std::to_string(tile) +
+                                    " threads=" + std::to_string(threads);
+          ExpectTopKIdentical(got, want, label);
+          // Every live pair is disposed exactly once: left out by the
+          // kernel (pruned) or emitted by it (scored).
+          EXPECT_EQ(stats.pairs_pruned + stats.pairs_scored,
+                    stats.pairs_total)
+              << label;
+          EXPECT_GT(stats.tiles, 0) << label;
+        }
       }
     }
   }

@@ -917,9 +917,10 @@ int CmdServe(const Flags& flags) {
   const index::KernelTier active_tier = index::ActiveKernelTier();
   obs::MetricsRegistry::Global().GetGauge("kernel.tier")->Set(
       static_cast<int64_t>(active_tier));
+  // Without VPOPCNTDQ the avx512 tier scans with the AVX2 kernels.
   const char* tier_detail =
       active_tier == index::KernelTier::kAvx512
-          ? (index::Avx512VpopcntAvailable() ? "+vpopcntdq" : "+harley-seal")
+          ? (index::Avx512VpopcntAvailable() ? "+vpopcntdq" : "+avx2-scan")
           : "";
   std::printf(
       "serving %d live / %d total codes @ %d bits: %d replicas x %d shards, "
