@@ -1,13 +1,17 @@
 // Micro-performance benchmarks (google-benchmark) for the hot kernels
 // behind the paper-table benches: packed Hamming scans, multi-index
-// hashing lookups, the radius and top-k self-joins, GEMM, VLP scoring,
-// the UHSCM batch loss and one whole training step. These are the "is
-// the substrate fast enough" counterpart to the paper-shape benches; run
-// any binary with --benchmark_filter=... as usual.
+// hashing lookups, the radius and top-k self-joins, snapshot load and
+// hydrate, GEMM, VLP scoring, the UHSCM batch loss and one whole
+// training step. These are the "is the substrate fast enough"
+// counterpart to the paper-shape benches; run any binary with
+// --benchmark_filter=... as usual.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,10 +29,12 @@
 #include "index/multi_index_hash.h"
 #include "index/packed_codes.h"
 #include "index/self_join.h"
+#include "io/serialize.h"
 #include "linalg/ops.h"
 #include "obs/metrics.h"
 #include "nn/sgd.h"
 #include "perf_util.h"
+#include "serve/snapshot.h"
 #include "vlp/simulated_vlp.h"
 
 namespace uhscm {
@@ -259,6 +265,73 @@ BENCHMARK(BM_TopKJoin)
     ->Args({60000, 128, 10})    // the dedup workload's top-k join
     ->Args({60000, 128, 100})
     ->Args({10000, 256, 10});   // the wide-code kernels
+
+/// `n` uniformly random `bits`-bit codes (bits a multiple of 64), drawn
+/// word by word so a 1M-row corpus needs no sign matrix.
+index::PackedCodes RandomPackedCodes(int n, int bits, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> words(static_cast<size_t>(n) * (bits / 64));
+  for (uint64_t& w : words) w = rng.NextU64();
+  return index::PackedCodes::FromRawWords(n, bits, std::move(words));
+}
+
+void BM_SnapshotLoad(benchmark::State& state) {
+  // io::LoadCodesSnapshot of a v3 snapshot of (n, bits) random codes:
+  // 1000000/64 is serve-scan's corpus, 60000/128 dedup's. The file is
+  // read from the page cache after the first iteration.
+  const int n = static_cast<int>(state.range(0));
+  const int bits = static_cast<int>(state.range(1));
+  io::CodesSnapshot snapshot;
+  snapshot.codes = RandomPackedCodes(n, bits, 41);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "micro_perf_snapshot.bin")
+          .string();
+  if (!io::SaveCodesSnapshot(snapshot, path).ok()) {
+    state.SkipWithError("cannot write the snapshot");
+    return;
+  }
+  for (auto _ : state) {
+    Result<io::CodesSnapshot> loaded = io::LoadCodesSnapshot(path);
+    if (!loaded.ok()) state.SkipWithError("load failed");
+    benchmark::DoNotOptimize(loaded);
+  }
+  std::remove(path.c_str());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(snapshot.codes.words().size() *
+                                               sizeof(uint64_t)));
+}
+BENCHMARK(BM_SnapshotLoad)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({1000000, 64})
+    ->Args({60000, 128});
+
+void BM_Hydrate(benchmark::State& state) {
+  // serve::MakeQueryEngineFromSnapshot over a loaded (n, bits) snapshot
+  // into 4 shards, the ledger's serving layout; the engine's teardown is
+  // not timed.
+  const int n = static_cast<int>(state.range(0));
+  const int bits = static_cast<int>(state.range(1));
+  io::CodesSnapshot snapshot;
+  snapshot.codes = RandomPackedCodes(n, bits, 42);
+  serve::ServingSnapshotOptions options;
+  options.index.num_shards = 4;
+  options.engine.num_threads = 1;
+  for (auto _ : state) {
+    std::unique_ptr<serve::QueryEngine> engine =
+        serve::MakeQueryEngineFromSnapshot(snapshot, options);
+    benchmark::DoNotOptimize(engine.get());
+    state.PauseTiming();
+    engine.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(snapshot.codes.words().size() *
+                                               sizeof(uint64_t)));
+}
+BENCHMARK(BM_Hydrate)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({1000000, 64})
+    ->Args({60000, 128});
 
 void BM_MatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

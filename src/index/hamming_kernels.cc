@@ -114,8 +114,8 @@ int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
 }
 
 /// Scalar distance-min body: the reference the vector bodies match.
-int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
-                       int words, int32_t* out) {
+inline int32_t BatchMinBody(const uint64_t* query, const uint64_t* codes,
+                            int n, int words, int32_t* out) {
   int32_t best = INT32_MAX;
   for (int i = 0; i < n; ++i) {
     out[i] = ScalarPair(query, codes + static_cast<size_t>(i) * words, words);
@@ -124,17 +124,68 @@ int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
   return best;
 }
 
+/// The scalar tier's emitting body over the distance-min body `kBatchMin`.
+template <DistanceMinFn kBatchMin>
+inline int EmitScalarBody(const uint64_t* query, const uint64_t* codes, int n,
+                          int words, int32_t row_bound,
+                          const int32_t* code_bounds, int32_t* out_index,
+                          int32_t* out_distance) {
+  if (words <= 2) {
+    return EmitEach(query, codes, 0, n, words, row_bound, code_bounds,
+                    out_index, out_distance, 0);
+  }
+  return EmitThroughBatch<kBatchMin>(query, codes, n, words, row_bound,
+                                     code_bounds, out_index, out_distance);
+}
+
+int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
+                       int words, int32_t* out) {
+  return BatchMinBody(query, codes, n, words, out);
+}
+
+int BatchEmitPortable(const uint64_t* query, const uint64_t* codes, int n,
+                      int words, int32_t row_bound, const int32_t* code_bounds,
+                      int32_t* out_index, int32_t* out_distance) {
+  return EmitScalarBody<&BatchMinScalar>(query, codes, n, words, row_bound,
+                                         code_bounds, out_index,
+                                         out_distance);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/// The scalar bodies on the popcnt instruction. The library's baseline ISA
+/// (x86-64) has no popcnt, so the portable bodies count bits with a
+/// bit-twiddling sequence per word.
+__attribute__((target("popcnt"))) int32_t BatchMinPopcnt(
+    const uint64_t* query, const uint64_t* codes, int n, int words,
+    int32_t* out) {
+  return BatchMinBody(query, codes, n, words, out);
+}
+
+__attribute__((target("popcnt"))) int BatchEmitPopcnt(
+    const uint64_t* query, const uint64_t* codes, int n, int words,
+    int32_t row_bound, const int32_t* code_bounds, int32_t* out_index,
+    int32_t* out_distance) {
+  return EmitScalarBody<&BatchMinPopcnt>(query, codes, n, words, row_bound,
+                                         code_bounds, out_index,
+                                         out_distance);
+}
+
+BatchEmitFn PickScalarBody() {
+  return __builtin_cpu_supports("popcnt") ? &BatchEmitPopcnt
+                                          : &BatchEmitPortable;
+}
+#else
+BatchEmitFn PickScalarBody() { return &BatchEmitPortable; }
+#endif
+
 }  // namespace
 
 int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance) {
-  if (words <= 2) {
-    return EmitEach(query, codes, 0, n, words, row_bound, code_bounds,
-                    out_index, out_distance, 0);
-  }
-  return EmitThroughBatch<&BatchMinScalar>(
-      query, codes, n, words, row_bound, code_bounds, out_index, out_distance);
+  static const BatchEmitFn body = PickScalarBody();
+  return body(query, codes, n, words, row_bound, code_bounds, out_index,
+              out_distance);
 }
 
 #if defined(UHSCM_HAVE_AVX2_KERNELS)

@@ -16,7 +16,8 @@ namespace uhscm::index {
 /// scalar tier is the semantic reference; every other tier must be
 /// bit-for-bit identical to it (tests/hamming_kernels_test.cc).
 enum class KernelTier {
-  kScalar,  ///< portable unrolled __builtin_popcountll loop
+  kScalar,  ///< unrolled __builtin_popcountll loop, on the popcnt
+            ///< instruction where the CPU has it
   kAvx2,    ///< 256-bit pshufb nibble-LUT popcount
   kAvx512,  ///< 512-bit VPOPCNTDQ for 1, 2 and 8+ word codes, the AVX2
             ///< kernels for 3-7 words and on hosts without VPOPCNTDQ
@@ -41,7 +42,9 @@ using BatchEmitFn = int (*)(const uint64_t* query, const uint64_t* codes,
 /// Bound that admits every code (BatchTopK's bound until a heap fills).
 inline constexpr int32_t kNoThreshold = INT32_MAX;
 
-/// Reference scalar kernel (always available).
+/// Reference scalar kernel (always available). Runs a body compiled for
+/// the popcnt instruction on CPUs that have it, chosen once at first
+/// call, and a portable body elsewhere; both give identical results.
 int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
                     int words, int32_t row_bound, const int32_t* code_bounds,
                     int32_t* out_index, int32_t* out_distance);

@@ -99,24 +99,7 @@ struct JoinTotals {
   }
 };
 
-/// Records one stage duration into the registry's stage.* histograms
-/// (the same namespace the serving tracer fills), so the bench's
-/// stage_breakdown JSON works for joins too. No-op when the obs layer is
-/// runtime-disabled.
-class StageTimer {
- public:
-  explicit StageTimer(const char* name) : name_(name) {}
-  ~StageTimer() {
-    if (!obs::RuntimeEnabled()) return;
-    const int64_t ns =
-        static_cast<int64_t>(watch_.ElapsedSeconds() * 1e9);
-    obs::MetricsRegistry::Global().GetHistogram(name_)->Record(ns);
-  }
-
- private:
-  const char* name_;
-  Stopwatch watch_;
-};
+using obs::StageTimer;
 
 void FlushJoinCounters(const JoinTotals& totals) {
   obs::KernelCounters counters;

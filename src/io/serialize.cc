@@ -7,26 +7,39 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 
 namespace uhscm::io {
 
 namespace {
 
 constexpr uint32_t kVersion = 1;
-/// "UHSC" version 2: packed codes + corpus epoch + tombstone bitmap (the
-/// mutable-index serving snapshot). Version 1 stays the plain
-/// codes-only artifact and remains readable.
-constexpr uint32_t kCodesSnapshotVersion = 2;
+/// "UHSC" versions: 1 is the codes-only artifact, 2 adds the corpus epoch
+/// and the tombstone bitmap, 3 keeps v2's layout with WordFnv1a section
+/// checksums. Every version stays readable; only v3 is written.
+constexpr uint32_t kCodesV2 = 2;
+constexpr uint32_t kCodesV3 = 3;
 
-/// FNV-1a over a byte range.
+constexpr uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+/// The offset basis of the byte-wise checksum: the published one with its
+/// last digit missing. Every file written before v3 carries sums over it.
+constexpr uint64_t kLegacyOffsetBasis = 1469598103934665603ULL;
+
+/// Byte-wise FNV-1a: model and matrix files, and "UHSC" v1/v2 sections.
 uint64_t Checksum(const void* data, size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kLegacyOffsetBasis;
   for (size_t i = 0; i < bytes; ++i) {
     h ^= p[i];
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+/// The checksum a "UHSC" section of `version` carries.
+uint64_t SectionChecksum(uint32_t version, const void* data, size_t bytes) {
+  return version >= kCodesV3 ? WordFnv1a(data, bytes) : Checksum(data, bytes);
 }
 
 /// RAII FILE wrapper.
@@ -157,6 +170,24 @@ Result<linalg::Matrix> ReadMatrixBody(std::FILE* fp,
 
 }  // namespace
 
+uint64_t WordFnv1a(const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t lane[4];
+  for (uint64_t l = 0; l < 4; ++l) lane[l] = kFnvOffsetBasis ^ l;
+  const size_t blocks = bytes / 32;
+  for (size_t b = 0; b < blocks; ++b, p += 32) {
+    for (int l = 0; l < 4; ++l) {
+      uint64_t word;
+      std::memcpy(&word, p + 8 * l, sizeof(word));
+      lane[l] = (lane[l] ^ word) * kFnvPrime;
+    }
+  }
+  uint64_t h = kFnvOffsetBasis;
+  for (uint64_t l : lane) h = (h ^ l) * kFnvPrime;
+  for (size_t i = 0; i < bytes % 32; ++i) h = (h ^ p[i]) * kFnvPrime;
+  return h;
+}
+
 Status SaveMatrix(const linalg::Matrix& m, const std::string& path) {
   File file(std::fopen(path.c_str(), "wb"));
   if (file.fp == nullptr) return Status::NotFound("cannot open " + path);
@@ -276,7 +307,8 @@ Result<std::unique_ptr<core::HashingNetwork>> LoadHashingNetwork(
 
 namespace {
 
-/// Shared v1/v2 codes section: size, bits, words, checksum.
+/// The codes section of every "UHSC" version: size, bits, words,
+/// checksum.
 Status WriteCodesBody(std::FILE* fp, const index::PackedCodes& codes) {
   const int32_t size = codes.size();
   const int32_t bits = codes.bits();
@@ -284,10 +316,10 @@ Status WriteCodesBody(std::FILE* fp, const index::PackedCodes& codes) {
   UHSCM_RETURN_NOT_OK(WritePod(fp, bits));
   const size_t bytes = codes.words().size() * sizeof(uint64_t);
   UHSCM_RETURN_NOT_OK(WriteBytes(fp, codes.words().data(), bytes));
-  return WritePod(fp, Checksum(codes.words().data(), bytes));
+  return WritePod(fp, WordFnv1a(codes.words().data(), bytes));
 }
 
-Result<index::PackedCodes> ReadCodesBody(std::FILE* fp,
+Result<index::PackedCodes> ReadCodesBody(std::FILE* fp, uint32_t version,
                                          const std::string& path) {
   int32_t size = 0, bits = 0;
   UHSCM_RETURN_NOT_OK(ReadPod(fp, &size));
@@ -305,10 +337,50 @@ Result<index::PackedCodes> ReadCodesBody(std::FILE* fp,
   UHSCM_RETURN_NOT_OK(ReadBytes(fp, words.data(), bytes));
   uint64_t checksum = 0;
   UHSCM_RETURN_NOT_OK(ReadPod(fp, &checksum));
-  if (checksum != Checksum(words.data(), bytes)) {
+  if (checksum != SectionChecksum(version, words.data(), bytes)) {
     return Status::InvalidArgument(path + ": checksum mismatch (corrupt)");
   }
+  // Bits past `bits` in a code's last word would count in every
+  // distance to it.
+  if (bits % 64 != 0) {
+    const uint64_t padding = ~uint64_t{0} << (bits % 64);
+    for (uint64_t i = words_per_code - 1; i < count; i += words_per_code) {
+      if ((words[i] & padding) != 0) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: code %llu sets bits past its %d-bit width", path.c_str(),
+            static_cast<unsigned long long>(i / words_per_code), bits));
+      }
+    }
+  }
   return index::PackedCodes::FromRawWords(size, bits, std::move(words));
+}
+
+/// Writes a v3 snapshot of `codes`; an empty `tombstone_words` is
+/// persisted as the full-width all-live bitmap so the loader never has
+/// to special-case it.
+Status WriteSnapshot(const index::PackedCodes& codes, uint64_t epoch,
+                     const std::vector<uint64_t>& tombstone_words,
+                     const std::string& path) {
+  obs::StageTimer timer("stage.snapshot_save_ns");
+  const size_t expected_words = static_cast<size_t>((codes.size() + 63) / 64);
+  if (!tombstone_words.empty() && tombstone_words.size() != expected_words) {
+    return Status::InvalidArgument(
+        StrFormat("%s: tombstone bitmap has %zu words, corpus needs %zu",
+                  path.c_str(), tombstone_words.size(), expected_words));
+  }
+  File file(std::fopen(path.c_str(), "wb"));
+  if (file.fp == nullptr) return Status::NotFound("cannot open " + path);
+  UHSCM_RETURN_NOT_OK(WriteHeader(file.fp, "UHSC", kCodesV3));
+  UHSCM_RETURN_NOT_OK(WritePod(file.fp, epoch));
+  UHSCM_RETURN_NOT_OK(WriteCodesBody(file.fp, codes));
+  // Tombstone section: word count, bitmap, checksum.
+  const int32_t tomb_words = static_cast<int32_t>(expected_words);
+  UHSCM_RETURN_NOT_OK(WritePod(file.fp, tomb_words));
+  std::vector<uint64_t> bitmap = tombstone_words;
+  bitmap.resize(expected_words, 0);
+  const size_t bytes = bitmap.size() * sizeof(uint64_t);
+  UHSCM_RETURN_NOT_OK(WriteBytes(file.fp, bitmap.data(), bytes));
+  return WritePod(file.fp, WordFnv1a(bitmap.data(), bytes));
 }
 
 }  // namespace
@@ -328,17 +400,14 @@ int CodesSnapshot::LiveCount() const {
 
 Status SavePackedCodes(const index::PackedCodes& codes,
                        const std::string& path) {
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file.fp == nullptr) return Status::NotFound("cannot open " + path);
-  UHSCM_RETURN_NOT_OK(WriteHeader(file.fp, "UHSC"));
-  return WriteCodesBody(file.fp, codes);
+  return WriteSnapshot(codes, 0, {}, path);
 }
 
 Result<index::PackedCodes> LoadPackedCodes(const std::string& path) {
   Result<CodesSnapshot> snapshot = LoadCodesSnapshot(path);
   if (!snapshot.ok()) return snapshot.status();
   if (!snapshot->HasTombstones()) return std::move(snapshot->codes);
-  // A v2 snapshot with deletions: compact so the caller sees exactly the
+  // A snapshot with deletions: compact so the caller sees exactly the
   // surviving database.
   const index::PackedCodes& all = snapshot->codes;
   const int words_per_code = all.words_per_code();
@@ -356,50 +425,29 @@ Result<index::PackedCodes> LoadPackedCodes(const std::string& path) {
 
 Status SaveCodesSnapshot(const CodesSnapshot& snapshot,
                          const std::string& path) {
-  const size_t expected_words =
-      static_cast<size_t>((snapshot.codes.size() + 63) / 64);
-  if (!snapshot.tombstone_words.empty() &&
-      snapshot.tombstone_words.size() != expected_words) {
-    return Status::InvalidArgument(
-        StrFormat("%s: tombstone bitmap has %zu words, corpus needs %zu",
-                  path.c_str(), snapshot.tombstone_words.size(),
-                  expected_words));
-  }
-  File file(std::fopen(path.c_str(), "wb"));
-  if (file.fp == nullptr) return Status::NotFound("cannot open " + path);
-  UHSCM_RETURN_NOT_OK(WriteHeader(file.fp, "UHSC", kCodesSnapshotVersion));
-  UHSCM_RETURN_NOT_OK(WritePod(file.fp, snapshot.epoch));
-  UHSCM_RETURN_NOT_OK(WriteCodesBody(file.fp, snapshot.codes));
-  // Tombstone section: word count, bitmap, checksum. An empty bitmap is
-  // persisted as the full-width all-live bitmap so the loader never has
-  // to special-case it.
-  const int32_t tomb_words = static_cast<int32_t>(expected_words);
-  UHSCM_RETURN_NOT_OK(WritePod(file.fp, tomb_words));
-  std::vector<uint64_t> bitmap = snapshot.tombstone_words;
-  bitmap.resize(expected_words, 0);
-  const size_t bytes = bitmap.size() * sizeof(uint64_t);
-  UHSCM_RETURN_NOT_OK(WriteBytes(file.fp, bitmap.data(), bytes));
-  return WritePod(file.fp, Checksum(bitmap.data(), bytes));
+  return WriteSnapshot(snapshot.codes, snapshot.epoch,
+                       snapshot.tombstone_words, path);
 }
 
 Result<CodesSnapshot> LoadCodesSnapshot(const std::string& path) {
+  obs::StageTimer timer("stage.snapshot_load_ns");
   File file(std::fopen(path.c_str(), "rb"));
   if (file.fp == nullptr) return Status::NotFound("cannot open " + path);
   uint32_t version = 0;
   UHSCM_RETURN_NOT_OK(ReadHeader(file.fp, "UHSC", path, &version));
-  if (version != kVersion && version != kCodesSnapshotVersion) {
+  if (version != kVersion && version != kCodesV2 && version != kCodesV3) {
     return Status::InvalidArgument(
         StrFormat("%s: unsupported version %u", path.c_str(), version));
   }
   CodesSnapshot snapshot;
   snapshot.version = version;
-  if (version == kCodesSnapshotVersion) {
+  if (version >= kCodesV2) {
     UHSCM_RETURN_NOT_OK(ReadPod(file.fp, &snapshot.epoch));
   }
-  Result<index::PackedCodes> codes = ReadCodesBody(file.fp, path);
+  Result<index::PackedCodes> codes = ReadCodesBody(file.fp, version, path);
   if (!codes.ok()) return codes.status();
   snapshot.codes = std::move(codes).ValueOrDie();
-  if (version == kCodesSnapshotVersion) {
+  if (version >= kCodesV2) {
     int32_t tomb_words = 0;
     UHSCM_RETURN_NOT_OK(ReadPod(file.fp, &tomb_words));
     const int32_t expected =
@@ -415,9 +463,16 @@ Result<CodesSnapshot> LoadCodesSnapshot(const std::string& path) {
         ReadBytes(file.fp, snapshot.tombstone_words.data(), bytes));
     uint64_t checksum = 0;
     UHSCM_RETURN_NOT_OK(ReadPod(file.fp, &checksum));
-    if (checksum != Checksum(snapshot.tombstone_words.data(), bytes)) {
+    if (checksum !=
+        SectionChecksum(version, snapshot.tombstone_words.data(), bytes)) {
       return Status::InvalidArgument(
           path + ": tombstone checksum mismatch (corrupt)");
+    }
+    // A bit past the last row would count as a dead row in LiveCount.
+    const int tail = snapshot.codes.size() % 64;
+    if (tail != 0 && (snapshot.tombstone_words.back() >> tail) != 0) {
+      return Status::InvalidArgument(
+          path + ": tombstone bitmap marks rows past the corpus");
     }
   }
   return snapshot;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/annotated_sync.h"
+#include "common/stopwatch.h"
 
 namespace uhscm::obs {
 
@@ -174,6 +175,27 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ UHSCM_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       UHSCM_GUARDED_BY(mu_);
+};
+
+/// \brief Records the wall time of its scope, in ns, as one sample of
+/// the registry histogram `name` (a `stage.*_ns` name). For stages run
+/// a few times per job or per start-up, not per request: the name is
+/// looked up once per scope. No-op when the obs layer is
+/// runtime-disabled.
+class StageTimer {
+ public:
+  explicit StageTimer(const char* name) : name_(name) {}
+  ~StageTimer() {
+    if (!RuntimeEnabled()) return;
+    const int64_t ns = static_cast<int64_t>(watch_.ElapsedSeconds() * 1e9);
+    MetricsRegistry::Global().GetHistogram(name_)->Record(ns);
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  const char* name_;
+  Stopwatch watch_;
 };
 
 }  // namespace uhscm::obs

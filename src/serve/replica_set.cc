@@ -21,32 +21,32 @@ ServingSnapshotOptions PerReplicaOptions(const ReplicaSetOptions& options,
   return serving;
 }
 
-/// A bare corpus as a snapshot: epoch 0, nothing tombstoned — hydrating
-/// from it is id- and result-identical to building an engine on the
-/// corpus directly.
-io::CodesSnapshot BareSnapshot(const index::PackedCodes& corpus) {
-  io::CodesSnapshot snapshot;
-  snapshot.codes = corpus;
-  snapshot.epoch = 0;
-  return snapshot;
+/// `options.replicas` engines (at least 1), each built by
+/// `make_engine(serving)` with the per-replica options.
+template <typename MakeEngine>
+std::vector<std::unique_ptr<QueryEngine>> MakeReplicas(
+    const ReplicaSetOptions& options, const MakeEngine& make_engine) {
+  const int replicas = std::max(1, options.replicas);
+  const ServingSnapshotOptions serving = PerReplicaOptions(options, replicas);
+  std::vector<std::unique_ptr<QueryEngine>> engines;
+  engines.reserve(static_cast<size_t>(replicas));
+  for (int r = 0; r < replicas; ++r) engines.push_back(make_engine(serving));
+  return engines;
 }
 
 }  // namespace
 
 ReplicaSet::ReplicaSet(const io::CodesSnapshot& snapshot,
-                       const ReplicaSetOptions& options) {
-  const int replicas = std::max(1, options.replicas);
-  const ServingSnapshotOptions serving = PerReplicaOptions(options, replicas);
-  engines_.reserve(static_cast<size_t>(replicas));
-  for (int r = 0; r < replicas; ++r) {
-    engines_.push_back(
-        MakeQueryEngineFromSnapshot(io::CodesSnapshot(snapshot), serving));
-  }
-}
+                       const ReplicaSetOptions& options)
+    : engines_(MakeReplicas(options, [&](const ServingSnapshotOptions& s) {
+        return MakeQueryEngineFromSnapshot(snapshot, s);
+      })) {}
 
 ReplicaSet::ReplicaSet(const index::PackedCodes& corpus,
                        const ReplicaSetOptions& options)
-    : ReplicaSet(BareSnapshot(corpus), options) {}
+    : engines_(MakeReplicas(options, [&](const ServingSnapshotOptions& s) {
+        return MakeQueryEngine(corpus, s);
+      })) {}
 
 std::vector<int> ReplicaSet::Append(const index::PackedCodes& codes) {
   MutexLock lock(update_mu_);

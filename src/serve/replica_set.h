@@ -44,13 +44,14 @@ struct ReplicaSetOptions {
 /// apply the identical update sequence.
 class ReplicaSet {
  public:
-  /// Builds `replicas` engines, each hydrated from its own copy of the
-  /// snapshot (ids, tombstones, and epoch restored identically).
+  /// Builds `replicas` engines, each hydrated from the snapshot (ids,
+  /// tombstones, and epoch restored identically). Each replica copies
+  /// the codes once, into its shards; the snapshot is not copied whole.
   ReplicaSet(const io::CodesSnapshot& snapshot,
              const ReplicaSetOptions& options);
 
   /// Convenience for tests/benches that hold a bare corpus (epoch 0,
-  /// nothing tombstoned).
+  /// nothing tombstoned): each replica is MakeQueryEngine(corpus).
   ReplicaSet(const index::PackedCodes& corpus,
              const ReplicaSetOptions& options);
 

@@ -10,7 +10,7 @@ namespace uhscm::serve {
 
 using index::Neighbor;
 
-ShardedIndex::ShardedIndex(index::PackedCodes corpus,
+ShardedIndex::ShardedIndex(const index::PackedCodes& corpus,
                            const ShardedIndexOptions& options)
     : bits_(corpus.bits()) {
   UHSCM_CHECK(bits_ > 0, "ShardedIndex: corpus has zero code width");

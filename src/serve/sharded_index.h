@@ -70,8 +70,9 @@ struct CompactionStats {
 /// loop and merges per query; the index itself owns no thread pool.
 class ShardedIndex {
  public:
-  /// Takes ownership of the corpus and builds all shard structures.
-  explicit ShardedIndex(index::PackedCodes corpus,
+  /// Slices the corpus into its shards: each shard copies its own row
+  /// range, so the corpus is copied once and left unchanged.
+  explicit ShardedIndex(const index::PackedCodes& corpus,
                         const ShardedIndexOptions& options = {});
 
   /// Live (non-tombstoned) codes across all shards.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "io/serialize.h"
+#include "obs/metrics.h"
 
 namespace uhscm::serve {
 
@@ -10,12 +11,12 @@ Result<std::unique_ptr<QueryEngine>> LoadQueryEngine(
     const std::string& codes_path, const ServingSnapshotOptions& options) {
   Result<io::CodesSnapshot> snapshot = io::LoadCodesSnapshot(codes_path);
   if (!snapshot.ok()) return snapshot.status();
-  return MakeQueryEngineFromSnapshot(std::move(snapshot).ValueOrDie(),
-                                     options);
+  return MakeQueryEngineFromSnapshot(*snapshot, options);
 }
 
 std::unique_ptr<QueryEngine> MakeQueryEngineFromSnapshot(
-    io::CodesSnapshot snapshot, const ServingSnapshotOptions& options) {
+    const io::CodesSnapshot& snapshot, const ServingSnapshotOptions& options) {
+  obs::StageTimer timer("stage.hydrate_ns");
   std::vector<int> dead;
   if (snapshot.HasTombstones()) {
     for (int gid = 0; gid < snapshot.codes.size(); ++gid) {
@@ -24,8 +25,7 @@ std::unique_ptr<QueryEngine> MakeQueryEngineFromSnapshot(
   }
   // Shards partition all rows (tombstoned ones included) so global ids
   // match the snapshot exactly; deletions are re-applied on top.
-  auto index = std::make_unique<ShardedIndex>(std::move(snapshot.codes),
-                                              options.index);
+  auto index = std::make_unique<ShardedIndex>(snapshot.codes, options.index);
   index->RemoveIds(dead);
   // Hydration-time compaction, unconditional: a snapshot's dead rows
   // (tombstoned or compacted-away holes serialized as zeroed rows)
@@ -43,9 +43,8 @@ std::unique_ptr<QueryEngine> MakeQueryEngineFromSnapshot(
 }
 
 std::unique_ptr<QueryEngine> MakeQueryEngine(
-    index::PackedCodes corpus, const ServingSnapshotOptions& options) {
-  auto index =
-      std::make_unique<ShardedIndex>(std::move(corpus), options.index);
+    const index::PackedCodes& corpus, const ServingSnapshotOptions& options) {
+  auto index = std::make_unique<ShardedIndex>(corpus, options.index);
   return std::make_unique<QueryEngine>(std::move(index), options.engine);
 }
 

@@ -203,8 +203,28 @@ INSTANTIATE_TEST_SUITE_P(Widths, PackedCodesRoundTrip,
                          ::testing::Values(16, 64, 96, 128));
 
 // ---------------------------------------------------------------------
-// Serving snapshot ("UHSC" v2): epoch + tombstone section, with v1 read
-// compatibility.
+// Serving snapshot ("UHSC" v3): epoch + tombstone section, with v1 and
+// v2 read compatibility.
+
+std::vector<unsigned char> ReadFileBytes(const std::string& path) {
+  std::vector<unsigned char> bytes;
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  if (fp == nullptr) return bytes;
+  int c;
+  while ((c = std::fgetc(fp)) != EOF) {
+    bytes.push_back(static_cast<unsigned char>(c));
+  }
+  std::fclose(fp);
+  return bytes;
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<unsigned char>& bytes, size_t len) {
+  std::FILE* fp = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(fp, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, len, fp), len);
+  std::fclose(fp);
+}
 
 index::PackedCodes RandomPacked(int n, int bits, Rng* rng) {
   linalg::Matrix codes(n, bits);
@@ -214,7 +234,7 @@ index::PackedCodes RandomPacked(int n, int bits, Rng* rng) {
   return index::PackedCodes::FromSignMatrix(codes);
 }
 
-TEST_F(IoTest, CodesSnapshotV2RoundTrip) {
+TEST_F(IoTest, CodesSnapshotRoundTrip) {
   Rng rng(9);
   CodesSnapshot snapshot;
   snapshot.codes = RandomPacked(70, 96, &rng);
@@ -223,7 +243,7 @@ TEST_F(IoTest, CodesSnapshotV2RoundTrip) {
   snapshot.tombstone_words[0] |= 1ULL << 3;
   snapshot.tombstone_words[1] |= 1ULL << (69 - 64);
 
-  const std::string path = Path("snapshot_v2.bin");
+  const std::string path = Path("snapshot.bin");
   ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
   Result<CodesSnapshot> loaded = LoadCodesSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -235,7 +255,7 @@ TEST_F(IoTest, CodesSnapshotV2RoundTrip) {
   EXPECT_EQ(loaded->tombstone_words, snapshot.tombstone_words);
   EXPECT_EQ(loaded->codes.words(), snapshot.codes.words());
 
-  // LoadPackedCodes on the same v2 file compacts the tombstoned rows.
+  // LoadPackedCodes on the same file compacts the tombstoned rows.
   Result<index::PackedCodes> compacted = LoadPackedCodes(path);
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   EXPECT_EQ(compacted->size(), 68);
@@ -246,17 +266,203 @@ TEST_F(IoTest, CodesSnapshotV2RoundTrip) {
                                       snapshot.codes.words_per_code()));
 }
 
+// Hand-built legacy files: the writer below knows the v1/v2 layouts and
+// checksums them with its own byte-wise FNV-1a, so the loader's legacy
+// path is checked against an independent encoder.
+
+/// The legacy checksum: byte-wise FNV-1a from the offset basis the
+/// pre-v3 writer used (the published one without its last digit).
+uint64_t ByteFnv1a(const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t h = 1469598103934665603ULL;
+  for (size_t i = 0; i < bytes; ++i) {
+    h = (h ^ p[i]) * 1099511628211ULL;
+  }
+  return h;
+}
+
+template <typename T>
+void Put(std::vector<unsigned char>* out, const T& value) {
+  const auto* p = reinterpret_cast<const unsigned char*>(&value);
+  out->insert(out->end(), p, p + sizeof(T));
+}
+
+void PutSection(std::vector<unsigned char>* out,
+                const std::vector<uint64_t>& words) {
+  for (uint64_t w : words) Put(out, w);
+  Put(out, ByteFnv1a(words.data(), words.size() * sizeof(uint64_t)));
+}
+
+/// A "UHSC" v1 file: header, size, bits, code words, checksum.
+std::vector<unsigned char> LegacyV1File(const index::PackedCodes& codes) {
+  std::vector<unsigned char> out = {'U', 'H', 'S', 'C'};
+  Put(&out, uint32_t{1});
+  Put(&out, int32_t{codes.size()});
+  Put(&out, int32_t{codes.bits()});
+  PutSection(&out, codes.words());
+  return out;
+}
+
+/// A "UHSC" v2 file: v1's code section between an epoch and the
+/// tombstone section, every checksum byte-wise FNV-1a.
+std::vector<unsigned char> LegacyV2File(const CodesSnapshot& snapshot) {
+  std::vector<unsigned char> out = {'U', 'H', 'S', 'C'};
+  Put(&out, uint32_t{2});
+  Put(&out, snapshot.epoch);
+  Put(&out, int32_t{snapshot.codes.size()});
+  Put(&out, int32_t{snapshot.codes.bits()});
+  PutSection(&out, snapshot.codes.words());
+  Put(&out, static_cast<int32_t>(snapshot.tombstone_words.size()));
+  PutSection(&out, snapshot.tombstone_words);
+  return out;
+}
+
 TEST_F(IoTest, LegacyV1LoadsAsSnapshotWithEpochZero) {
   Rng rng(10);
-  index::PackedCodes packed = RandomPacked(30, 64, &rng);
+  index::PackedCodes packed = RandomPacked(30, 96, &rng);
   const std::string path = Path("legacy_codes.bin");
-  ASSERT_TRUE(SavePackedCodes(packed, path).ok());
+  const std::vector<unsigned char> file = LegacyV1File(packed);
+  WriteFileBytes(path, file, file.size());
   Result<CodesSnapshot> loaded = LoadCodesSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->version, 1u);
   EXPECT_EQ(loaded->epoch, 0u);
   EXPECT_FALSE(loaded->HasTombstones());
   EXPECT_EQ(loaded->LiveCount(), 30);
+  EXPECT_EQ(loaded->codes.bits(), 96);
   EXPECT_EQ(loaded->codes.words(), packed.words());
+}
+
+TEST_F(IoTest, LegacyV2LoadsBitIdentical) {
+  Rng rng(16);
+  CodesSnapshot snapshot;
+  snapshot.codes = RandomPacked(70, 128, &rng);
+  snapshot.epoch = 9;
+  snapshot.tombstone_words = {1ULL << 4, 1ULL << 5};
+  const std::string path = Path("legacy_v2.bin");
+  const std::vector<unsigned char> file = LegacyV2File(snapshot);
+  WriteFileBytes(path, file, file.size());
+  Result<CodesSnapshot> loaded = LoadCodesSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->version, 2u);
+  EXPECT_EQ(loaded->epoch, 9u);
+  EXPECT_EQ(loaded->codes.size(), 70);
+  EXPECT_EQ(loaded->codes.bits(), 128);
+  EXPECT_EQ(loaded->codes.words(), snapshot.codes.words());
+  EXPECT_EQ(loaded->tombstone_words, snapshot.tombstone_words);
+  EXPECT_EQ(loaded->LiveCount(), 68);
+
+  // One flipped code byte fails the byte-wise checksum.
+  std::vector<unsigned char> corrupt = file;
+  corrupt[30] ^= 0x10;
+  WriteFileBytes(path, corrupt, corrupt.size());
+  EXPECT_FALSE(LoadCodesSnapshot(path).ok());
+}
+
+TEST_F(IoTest, SnapshotsAreWrittenAsVersion3) {
+  Rng rng(17);
+  CodesSnapshot snapshot;
+  snapshot.codes = RandomPacked(40, 64, &rng);
+  const std::string snap_path = Path("v3_snapshot.bin");
+  const std::string codes_path = Path("v3_codes.bin");
+  ASSERT_TRUE(SaveCodesSnapshot(snapshot, snap_path).ok());
+  ASSERT_TRUE(SavePackedCodes(snapshot.codes, codes_path).ok());
+  for (const std::string& path : {snap_path, codes_path}) {
+    const std::vector<unsigned char> bytes = ReadFileBytes(path);
+    ASSERT_GE(bytes.size(), 8u);
+    EXPECT_EQ(bytes[4], 3) << path;
+    Result<CodesSnapshot> loaded = LoadCodesSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->version, 3u);
+    EXPECT_EQ(loaded->codes.words(), snapshot.codes.words());
+    // Relabelled as v2, the sections fail the byte-wise checksum.
+    std::vector<unsigned char> relabelled = bytes;
+    relabelled[4] = 2;
+    WriteFileBytes(path, relabelled, relabelled.size());
+    Result<CodesSnapshot> as_v2 = LoadCodesSnapshot(path);
+    ASSERT_FALSE(as_v2.ok()) << path;
+    EXPECT_EQ(as_v2.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(IoTest, SnapshotRejectsBitsPastTheCodeWidth) {
+  Rng rng(18);
+  const index::PackedCodes clean = RandomPacked(5, 96, &rng);
+  std::vector<uint64_t> words = clean.words();
+  words[2 * 2 + 1] |= 1ULL << 40;  // code 2, bit 104 of a 96-bit code
+  CodesSnapshot snapshot;
+  snapshot.codes = index::PackedCodes::FromRawWords(5, 96, std::move(words));
+  const std::string path = Path("padding_bit.bin");
+  ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
+  Result<CodesSnapshot> loaded = LoadCodesSnapshot(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(LoadPackedCodes(path).ok());
+
+  // The same padding bit in a legacy v1 file.
+  const std::vector<unsigned char> v1 = LegacyV1File(snapshot.codes);
+  WriteFileBytes(path, v1, v1.size());
+  EXPECT_FALSE(LoadCodesSnapshot(path).ok());
+}
+
+TEST_F(IoTest, SnapshotRejectsTombstonesPastTheLastRow) {
+  Rng rng(20);
+  CodesSnapshot snapshot;
+  snapshot.codes = RandomPacked(10, 64, &rng);
+  snapshot.tombstone_words = {1ULL << 10};  // row 10 of a 10-row corpus
+  const std::string path = Path("padding_tombstone.bin");
+  ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
+  Result<CodesSnapshot> loaded = LoadCodesSnapshot(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  snapshot.tombstone_words = {1ULL << 9};  // the last row itself is fine
+  ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
+  loaded = LoadCodesSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->LiveCount(), 9);
+}
+
+/// WordFnv1a as its header defines it, written out independently.
+uint64_t ReferenceWordFnv1a(const std::vector<unsigned char>& bytes) {
+  constexpr uint64_t kBasis = 14695981039346656037ULL;
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  uint64_t lanes[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
+  const size_t whole = bytes.size() / 32 * 32;
+  for (size_t i = 0; i < whole; i += 8) {
+    uint64_t word = 0;
+    for (int b = 7; b >= 0; --b) word = (word << 8) | bytes[i + b];
+    uint64_t& lane = lanes[(i / 8) % 4];
+    lane = (lane ^ word) * kPrime;
+  }
+  uint64_t h = kBasis;
+  for (uint64_t lane : lanes) h = (h ^ lane) * kPrime;
+  for (size_t i = whole; i < bytes.size(); ++i) h = (h ^ bytes[i]) * kPrime;
+  return h;
+}
+
+TEST(WordFnv1a, EverySingleByteChangeChangesTheSum) {
+  Rng rng(19);
+  for (size_t len = 0; len <= 100; ++len) {
+    std::vector<unsigned char> bytes(len);
+    for (unsigned char& b : bytes) {
+      b = static_cast<unsigned char>(rng.UniformInt(256));
+    }
+    const uint64_t sum = WordFnv1a(bytes.data(), bytes.size());
+    ASSERT_EQ(sum, ReferenceWordFnv1a(bytes)) << "length " << len;
+    for (size_t i = 0; i < len; ++i) {
+      const unsigned char original = bytes[i];
+      for (int delta = 1; delta < 256; ++delta) {
+        bytes[i] = static_cast<unsigned char>(original ^ delta);
+        ASSERT_NE(WordFnv1a(bytes.data(), bytes.size()), sum)
+            << "length " << len << ", byte " << i << " xor " << delta;
+      }
+      bytes[i] = original;
+    }
+  }
+  // Empty sections differ too, so an empty v3 snapshot relabelled as v2
+  // fails to load.
+  EXPECT_NE(WordFnv1a(nullptr, 0), ByteFnv1a(nullptr, 0));
 }
 
 TEST_F(IoTest, SnapshotCorruptHeaderReturnsStatusError) {
@@ -284,7 +490,7 @@ TEST_F(IoTest, SnapshotCorruptHeaderReturnsStatusError) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   }
-  // Valid v2 prefix, truncated before the tombstone section.
+  // Valid v3 prefix, truncated before the tombstone section.
   {
     Rng rng(11);
     CodesSnapshot snapshot;
@@ -339,30 +545,10 @@ TEST_F(IoTest, SnapshotRejectsWrongSizeTombstoneBitmap) {
 
 // ---------------------------------------------------------------------
 // Corruption sweep: every single-byte corruption and every truncation of
-// a model file and of a v2 snapshot loads to OK or to a non-OK Status,
+// a model file and of a v3 snapshot loads to OK or to a non-OK Status,
 // never a throw or an abort. Under ASan+UBSan the sweep also checks that
 // no corrupt header field reaches an oversized allocation or undefined
 // behaviour.
-
-std::vector<unsigned char> ReadFileBytes(const std::string& path) {
-  std::vector<unsigned char> bytes;
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) return bytes;
-  int c;
-  while ((c = std::fgetc(fp)) != EOF) {
-    bytes.push_back(static_cast<unsigned char>(c));
-  }
-  std::fclose(fp);
-  return bytes;
-}
-
-void WriteFileBytes(const std::string& path,
-                    const std::vector<unsigned char>& bytes, size_t len) {
-  std::FILE* fp = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(fp, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, len, fp), len);
-  std::fclose(fp);
-}
 
 /// A checksummed section of a file: its payload bytes plus the 8-byte
 /// checksum that follows them, as [begin, end).
@@ -445,6 +631,7 @@ TEST_F(IoTest, CorruptionSweepSnapshotWithTombstones) {
   const std::string path = Path("sweep_snapshot.bin");
   ASSERT_TRUE(SaveCodesSnapshot(snapshot, path).ok());
   const std::vector<unsigned char> original = ReadFileBytes(path);
+  ASSERT_EQ(original.at(4), 3) << "the sweep runs on a v3 snapshot";
 
   // Layout: magic + version (8), epoch (8), size + bits (8), code words,
   // checksum (8), tombstone word count (4), bitmap words, checksum (8).

@@ -21,12 +21,14 @@
 
 #include "common/rng.h"
 #include "index/packed_codes.h"
+#include "io/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
 #include "serve/replica_set.h"
 #include "serve/router.h"
 #include "serve/serve_stats.h"
+#include "serve/snapshot.h"
 #include "test_util.h"
 
 namespace uhscm::obs {
@@ -397,6 +399,39 @@ TEST(TraceRecorderTest, SpansFeedStageHistograms) {
   // 1000us = 1e6 ns, within one bucket of resolution.
   EXPECT_NEAR(static_cast<double>(snap.ValueAtPercentile(50.0)), 1e6,
               1e6 * kRelTolerance);
+}
+
+TEST(StageTimerTest, SnapshotStagesRecordOneSamplePerCall) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Histogram* save = registry.GetHistogram("stage.snapshot_save_ns");
+  Histogram* load = registry.GetHistogram("stage.snapshot_load_ns");
+  Histogram* hydrate = registry.GetHistogram("stage.hydrate_ns");
+  save->Reset();
+  load->Reset();
+  hydrate->Reset();
+  auto samples = [&] {
+    return std::array<uint64_t, 3>{save->Snapshot().total,
+                                   load->Snapshot().total,
+                                   hydrate->Snapshot().total};
+  };
+
+  Rng rng(7);
+  io::CodesSnapshot snapshot;
+  snapshot.codes = PackedCodes::FromSignMatrix(RandomSignCodes(50, 64, &rng));
+  const std::string path = ::testing::TempDir() + "/stage_snapshot.bin";
+  ASSERT_TRUE(io::SaveCodesSnapshot(snapshot, path).ok());
+  EXPECT_EQ(samples(), (std::array<uint64_t, 3>{1, 0, 0}));
+  Result<io::CodesSnapshot> loaded = io::LoadCodesSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(samples(), (std::array<uint64_t, 3>{1, 1, 0}));
+  auto engine = serve::MakeQueryEngineFromSnapshot(*loaded);
+  EXPECT_EQ(samples(), (std::array<uint64_t, 3>{1, 1, 1}));
+  ASSERT_TRUE(serve::LoadQueryEngine(path).ok());
+  EXPECT_EQ(samples(), (std::array<uint64_t, 3>{1, 2, 2}));
+  ASSERT_TRUE(io::SavePackedCodes(snapshot.codes, path).ok());
+  EXPECT_EQ(samples(), (std::array<uint64_t, 3>{2, 2, 2}));
+  std::remove(path.c_str());
+  EXPECT_GT(load->Snapshot().sum, 0);
 }
 
 TEST(PipelineTraceTest, EndToEndSpanVocabulary) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "index/packed_codes.h"
 #include "io/serialize.h"
 #include "serve/query_engine.h"
+#include "serve/replica_set.h"
 #include "serve/result_cache.h"
 #include "serve/serve_stats.h"
 #include "serve/sharded_index.h"
@@ -610,7 +612,7 @@ TEST(MutableEngineTest, EvictionCounterSurfacesThroughServeStats) {
   EXPECT_EQ(engine->stats().cache_evictions, 0);
 }
 
-TEST(SnapshotTest, V2RoundTripPreservesIdsEpochAndResults) {
+TEST(SnapshotTest, RoundTripPreservesIdsEpochAndResults) {
   Rng rng(804);
   const int bits = 64, k = 8;
   Matrix db = RandomSignCodes(90, bits, &rng);
@@ -942,12 +944,12 @@ TEST(MutableEngineTest, RestoreEpochClearsStaleCacheEntries) {
       << "test needs the stale entry to be distinguishable";
 }
 
-TEST(SnapshotTest, LegacyV1ArtifactStillLoads) {
+TEST(SnapshotTest, PackedCodesArtifactLoadsAtEpochZero) {
   Rng rng(805);
   const int bits = 64, k = 5;
   Matrix db = RandomSignCodes(70, bits, &rng);
   PackedCodes packed = PackedCodes::FromSignMatrix(db);
-  const std::string path = ::testing::TempDir() + "/legacy_v1_codes.bin";
+  const std::string path = ::testing::TempDir() + "/packed_codes.bin";
   ASSERT_TRUE(io::SavePackedCodes(packed, path).ok());
 
   Result<std::unique_ptr<QueryEngine>> engine = LoadQueryEngine(path);
@@ -961,6 +963,53 @@ TEST(SnapshotTest, LegacyV1ArtifactStillLoads) {
   ExpectSameNeighbors(truth.TopK(pq.code(0), k),
                       (*engine)->SearchOne(pq.code(0), k));
   std::remove(path.c_str());
+}
+
+/// Every query's result list of `a` and `b`, compared as raw bytes.
+void ExpectMemcmpEqual(const std::vector<std::vector<Neighbor>>& a,
+                       const std::vector<std::vector<Neighbor>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t q = 0; q < a.size(); ++q) {
+    ASSERT_EQ(a[q].size(), b[q].size()) << "query " << q;
+    EXPECT_EQ(std::memcmp(a[q].data(), b[q].data(),
+                          a[q].size() * sizeof(Neighbor)),
+              0)
+        << "query " << q;
+  }
+}
+
+TEST(SnapshotTest, ConstSnapshotHydratesLikeTheCorpusAndStaysUnchanged) {
+  Rng rng(806);
+  const int bits = 128, k = 10;
+  const PackedCodes corpus =
+      PackedCodes::FromSignMatrix(RandomSignCodes(400, bits, &rng));
+  io::CodesSnapshot owned;
+  owned.codes = corpus;
+  const io::CodesSnapshot& snapshot = owned;
+  ServingSnapshotOptions options;
+  options.index.num_shards = 3;
+
+  auto hydrated = MakeQueryEngineFromSnapshot(snapshot, options);
+  auto built = MakeQueryEngine(corpus, options);
+  ReplicaSetOptions replica_options;
+  replica_options.replicas = 2;
+  replica_options.serving = options;
+  ReplicaSet replicas(snapshot, replica_options);
+
+  // The caller's snapshot is unchanged.
+  EXPECT_EQ(snapshot.codes.size(), corpus.size());
+  EXPECT_EQ(snapshot.codes.bits(), bits);
+  EXPECT_EQ(snapshot.codes.words(), corpus.words());
+  EXPECT_TRUE(snapshot.tombstone_words.empty());
+  EXPECT_EQ(snapshot.epoch, 0u);
+
+  const PackedCodes queries =
+      PackedCodes::FromSignMatrix(RandomSignCodes(24, bits, &rng));
+  const auto expect = built->Search(queries, k);
+  ExpectMemcmpEqual(expect, hydrated->Search(queries, k));
+  for (int r = 0; r < replicas.num_replicas(); ++r) {
+    ExpectMemcmpEqual(expect, replicas.replica(r)->Search(queries, k));
+  }
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 //   dedup  --codes=PATH [--k=K] [--radius=R] [--link=radius|best]
 //          [--threads=N] [--tile=N] [--json-out=PATH]
 //       Offline corpus×corpus self-join over a packed-codes artifact
-//       (v1 or v2 snapshot; tombstoned rows never join). --k=K reports
+//       (any snapshot version; tombstoned rows never join). --k=K reports
 //       each row's K nearest neighbors (throughput, prune rate, mean
 //       nearest distance); --radius=R groups rows into duplicate
 //       clusters — transitive closure of pairs within R by default,
@@ -39,8 +39,8 @@
 //          [--queries=N]
 //          [--append=PATH] [--delete-ids=1,5,10-20] [--compact]
 //          [--compact-threshold=F] [--save-snapshot=PATH]
-//       Hydrates N QueryEngine replicas from the packed codes (legacy v1
-//       artifact or v2 serving snapshot) behind the async request
+//       Hydrates N QueryEngine replicas from the packed codes (a codes
+//       snapshot of any version) behind the async request
 //       pipeline — bounded admission queue, adaptive batcher (flush at B
 //       queries or T microseconds, whichever first), load-aware router —
 //       and replays a query stream through it twice (cold, then
@@ -66,7 +66,7 @@
 //       shard's dead fraction reaches F. Hydration always compacts a
 //       snapshot's dead rows, so a delete-heavy snapshot reloads
 //       reclaimed either way.
-//       --save-snapshot persists the mutated corpus as a versioned v2
+//       --save-snapshot persists the mutated corpus as a versioned v3
 //       snapshot (epoch + tombstones) that future serve runs reload with
 //       identical ids and results.
 //
@@ -539,17 +539,11 @@ int CmdInfo(const Flags& flags) {
   }
   if (Result<io::CodesSnapshot> snap = io::LoadCodesSnapshot(flags.file);
       snap.ok()) {
-    if (snap->version >= 2) {
-      std::printf(
-          "%s: serving snapshot v2, n=%d (%d live), bits=%d, epoch=%llu\n",
-          flags.file.c_str(), snap->codes.size(), snap->LiveCount(),
-          snap->codes.bits(),
-          static_cast<unsigned long long>(snap->epoch));
-    } else {
-      std::printf("%s: packed codes, n=%d bits=%d (%d words/code)\n",
-                  flags.file.c_str(), snap->codes.size(), snap->codes.bits(),
-                  snap->codes.words_per_code());
-    }
+    std::printf(
+        "%s: codes snapshot v%u, n=%d (%d live), bits=%d, epoch=%llu\n",
+        flags.file.c_str(), snap->version, snap->codes.size(),
+        snap->LiveCount(), snap->codes.bits(),
+        static_cast<unsigned long long>(snap->epoch));
     return 0;
   }
   if (Result<linalg::Matrix> m = io::LoadMatrix(flags.file); m.ok()) {
@@ -634,7 +628,7 @@ int CmdQuery(const Flags& flags) {
 /// dedup: offline all-pairs analytics over a packed-codes artifact via
 /// the tiled self-join engine — k nearest neighbors for every row
 /// (--k), duplicate clusters within a Hamming radius (--radius), or
-/// both. Tombstones in a v2 snapshot are honored: dead rows never join.
+/// both. Tombstones in the snapshot are honored: dead rows never join.
 int CmdDedup(const Flags& flags) {
   if (flags.codes.empty()) {
     std::fprintf(stderr, "dedup: --codes=PATH is required\n");
@@ -790,9 +784,9 @@ int CmdServe(const Flags& flags) {
   options.serving.index.num_shards = flags.shards;
   options.serving.engine.num_threads = flags.threads;
   options.serving.engine.compact_dead_fraction = flags.compact_threshold;
-  // One disk read handles both the legacy v1 codes artifact and the v2
-  // serving snapshot; the loaded snapshot doubles as the query-sampling
-  // source before the engine takes ownership of it.
+  // One disk read handles every snapshot version; the loaded snapshot
+  // doubles as the query-sampling source before the replicas copy it
+  // into their shards.
   Result<io::CodesSnapshot> loaded = io::LoadCodesSnapshot(flags.codes);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -1100,7 +1094,7 @@ int CmdServe(const Flags& flags) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("wrote serving snapshot (v2, epoch %llu, %d live / %d "
+    std::printf("wrote serving snapshot (v3, epoch %llu, %d live / %d "
                 "total) -> %s\n",
                 static_cast<unsigned long long>(replicas.epoch()),
                 engine0.index().size(), engine0.index().total_size(),
