@@ -347,9 +347,9 @@ BENCHMARK(BM_MatMul)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_PackedGemm(benchmark::State& state) {
   // Args are (m, k, n, variant): C is m x n with inner dimension k, and
-  // the variant picks the entry point — 0 the pre-packing cache-blocked
-  // loop, 1 MatMul, 2 MatMulTransA (A stored k x m), 3 MatMulTransB (B
-  // stored n x k). The transposed rows read their transpose in the pack.
+  // the variant picks the entry point — 1 MatMul, 2 MatMulTransA (A
+  // stored k x m), 3 MatMulTransB (B stored n x k). The transposed rows
+  // read their transpose in the pack.
   const int m = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
   const int n = static_cast<int>(state.range(2));
@@ -363,7 +363,6 @@ void BM_PackedGemm(benchmark::State& state) {
                                : linalg::Matrix::RandomNormal(k, n, &rng);
   for (auto _ : state) {
     switch (variant) {
-      case 0: benchmark::DoNotOptimize(linalg::MatMulBlocked(a, b)); break;
       case 1: benchmark::DoNotOptimize(linalg::MatMul(a, b)); break;
       case 2: benchmark::DoNotOptimize(linalg::MatMulTransA(a, b)); break;
       default: benchmark::DoNotOptimize(linalg::MatMulTransB(a, b)); break;
@@ -372,20 +371,16 @@ void BM_PackedGemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * int64_t{m} * k * n);
   state.counters["GFLOPs"] = benchmark::Counter(
       2e-9 * m * k * n, benchmark::Counter::kIsIterationInvariantRate);
-  static const char* const kNames[] = {"blocked", "NN", "TN", "NT"};
-  state.SetLabel(variant == 0 ? std::string(kNames[variant])
-                             : std::string(kNames[variant]) + " packed/" +
-                                   linalg::PackedGemmKernelName());
+  const char* name = variant == 1 ? "NN" : variant == 2 ? "TN" : "NT";
+  state.SetLabel(std::string(name) + " packed/" +
+                 linalg::PackedGemmKernelName());
 }
 // Wall time: a product above the pool threshold runs on several threads,
 // and the main thread's CPU time would count only its own share.
 BENCHMARK(BM_PackedGemm)
     ->UseRealTime()
-    ->Args({128, 3072, 512, 0})
     ->Args({128, 3072, 512, 1})
-    ->Args({256, 256, 256, 0})
     ->Args({256, 256, 256, 1})
-    ->Args({512, 512, 512, 0})
     ->Args({512, 512, 512, 1})
     // The ten products of one training step at the ledger's shape
     // (BM_TrainStep): forward, the loss's two, then backward in order.

@@ -1,7 +1,5 @@
 #include "common/annotated_sync.h"
 
-#ifndef UHSCM_LOCK_ORDER_DISABLED
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -220,5 +218,3 @@ void SetAbortOnViolation(bool abort_on_violation) {
 
 }  // namespace lockorder
 }  // namespace uhscm
-
-#endif  // UHSCM_LOCK_ORDER_DISABLED

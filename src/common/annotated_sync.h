@@ -5,10 +5,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
-
-#ifndef UHSCM_LOCK_ORDER_DISABLED
 #include <source_location>
-#endif
 
 /// \file
 /// Concurrency primitives for the serving stack: std::mutex /
@@ -29,10 +26,7 @@
 ///     aborts immediately, printing both acquisition sites — turning a
 ///     potential deadlock that TSan needs a lucky interleaving to see
 ///     into a deterministic failure on any single execution of the two
-///     code paths. Compiled out entirely with -DUHSCM_LOCK_ORDER=OFF
-///     (CI builds and tests both settings): the wrappers then hold
-///     nothing but the underlying std primitive and every method inlines
-///     to the std call.
+///     code paths.
 ///
 /// The global lock hierarchy (who may be acquired while holding what)
 /// and the naming/ranking rules live in src/serve/README.md under
@@ -78,21 +72,11 @@
 namespace uhscm {
 namespace lockorder {
 
-/// True when the runtime lock-order checker is compiled in (default; the
-/// -DUHSCM_LOCK_ORDER=OFF configure flag removes it entirely).
-#ifndef UHSCM_LOCK_ORDER_DISABLED
-inline constexpr bool kLockOrderCompiledIn = true;
-#else
-inline constexpr bool kLockOrderCompiledIn = false;
-#endif
-
 /// Lock-class flag: instances of this class may nest inside each other
 /// (same-name nesting), because the code always acquires them in one
 /// globally consistent instance order — e.g. the per-shard rwlocks,
 /// which Export() takes all at once in shard-index order.
 inline constexpr unsigned kOrderedInstances = 1u << 0;
-
-#ifndef UHSCM_LOCK_ORDER_DISABLED
 
 /// Acquisition site forwarded through the wrappers so a violation report
 /// can name the exact file:line of both conflicting acquisitions. The
@@ -128,13 +112,6 @@ void OnRelease(const LockClass* cls, const void* instance);
 int ViolationCount();
 void SetAbortOnViolation(bool abort_on_violation);
 
-#else  // UHSCM_LOCK_ORDER_DISABLED
-
-struct AcquireSite {};
-#define UHSCM_ACQUIRE_SITE ::uhscm::lockorder::AcquireSite {}
-
-#endif  // UHSCM_LOCK_ORDER_DISABLED
-
 }  // namespace lockorder
 
 /// std::mutex with TSA capability annotations and optional lock-order
@@ -146,22 +123,16 @@ class UHSCM_CAPABILITY("mutex") Mutex {
   Mutex() = default;
   /// Registers under `name` in the lock-order checker. See the rank
   /// table in src/serve/README.md before picking a rank.
-  explicit Mutex([[maybe_unused]] const char* name,
-                 [[maybe_unused]] int rank = 0,
-                 [[maybe_unused]] unsigned flags = 0) {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
+  explicit Mutex(const char* name, int rank = 0, unsigned flags = 0) {
     cls_ = lockorder::RegisterLockClass(name, rank, flags);
-#endif
   }
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock([[maybe_unused]] const lockorder::AcquireSite& site =
+  void lock(const lockorder::AcquireSite& site =
                 UHSCM_ACQUIRE_SITE) UHSCM_ACQUIRE() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnAcquire(cls_, this, site);
-#endif
     mu_.lock();
   }
 
@@ -169,21 +140,17 @@ class UHSCM_CAPABILITY("mutex") Mutex {
   /// free another thread may destroy this mutex, so nothing here may
   /// touch `this` after the release.
   void unlock() UHSCM_RELEASE() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnRelease(cls_, this);
-#endif
     mu_.unlock();
   }
 
   /// Never blocks, so it cannot participate in a deadlock cycle; on
   /// success the lock still joins the held-set so later nested
   /// acquisitions are checked against it.
-  bool try_lock([[maybe_unused]] const lockorder::AcquireSite& site =
+  bool try_lock(const lockorder::AcquireSite& site =
                     UHSCM_ACQUIRE_SITE) UHSCM_TRY_ACQUIRE(true) {
     const bool ok = mu_.try_lock();
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (ok && cls_ != nullptr) lockorder::OnAcquire(cls_, this, site);
-#endif
     return ok;
   }
 
@@ -193,9 +160,7 @@ class UHSCM_CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex mu_;
-#ifndef UHSCM_LOCK_ORDER_DISABLED
   const lockorder::LockClass* cls_ = nullptr;
-#endif
 };
 
 /// std::shared_mutex with TSA capability annotations and lock-order
@@ -205,44 +170,32 @@ class UHSCM_CAPABILITY("mutex") Mutex {
 class UHSCM_CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
-  explicit SharedMutex([[maybe_unused]] const char* name,
-                       [[maybe_unused]] int rank = 0,
-                       [[maybe_unused]] unsigned flags = 0) {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
+  explicit SharedMutex(const char* name, int rank = 0, unsigned flags = 0) {
     cls_ = lockorder::RegisterLockClass(name, rank, flags);
-#endif
   }
 
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock([[maybe_unused]] const lockorder::AcquireSite& site =
+  void lock(const lockorder::AcquireSite& site =
                 UHSCM_ACQUIRE_SITE) UHSCM_ACQUIRE() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnAcquire(cls_, this, site);
-#endif
     mu_.lock();
   }
 
   void unlock() UHSCM_RELEASE() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnRelease(cls_, this);
-#endif
     mu_.unlock();
   }
 
-  void lock_shared([[maybe_unused]] const lockorder::AcquireSite& site =
+  void lock_shared(const lockorder::AcquireSite& site =
                        UHSCM_ACQUIRE_SITE) UHSCM_ACQUIRE_SHARED() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnAcquire(cls_, this, site);
-#endif
     mu_.lock_shared();
   }
 
   void unlock_shared() UHSCM_RELEASE_SHARED() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     if (cls_ != nullptr) lockorder::OnRelease(cls_, this);
-#endif
     mu_.unlock_shared();
   }
 
@@ -250,9 +203,7 @@ class UHSCM_CAPABILITY("shared_mutex") SharedMutex {
 
  private:
   std::shared_mutex mu_;
-#ifndef UHSCM_LOCK_ORDER_DISABLED
   const lockorder::LockClass* cls_ = nullptr;
-#endif
 };
 
 /// std::lock_guard equivalent for Mutex.
@@ -282,10 +233,7 @@ class UHSCM_SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& mu, const lockorder::AcquireSite& site =
                                      UHSCM_ACQUIRE_SITE) UHSCM_ACQUIRE(mu)
-      : mu_(&mu) {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
-    site_ = site;
-#endif
+      : mu_(&mu), site_(site) {
     mu_->lock(site);
     native_ = std::unique_lock<std::mutex>(mu_->native(), std::adopt_lock);
   }
@@ -308,11 +256,7 @@ class UHSCM_SCOPED_CAPABILITY UniqueLock {
   /// Reacquires at the recorded construction site (the interesting site
   /// for order reports is where this scope first took the lock).
   void lock() UHSCM_ACQUIRE() {
-#ifndef UHSCM_LOCK_ORDER_DISABLED
     mu_->lock(site_);
-#else
-    mu_->lock();
-#endif
     native_ = std::unique_lock<std::mutex>(mu_->native(), std::adopt_lock);
   }
 
@@ -323,9 +267,7 @@ class UHSCM_SCOPED_CAPABILITY UniqueLock {
 
   Mutex* mu_;
   std::unique_lock<std::mutex> native_;
-#ifndef UHSCM_LOCK_ORDER_DISABLED
   lockorder::AcquireSite site_;
-#endif
 };
 
 /// std::shared_lock equivalent for SharedMutex (reader side).

@@ -17,13 +17,6 @@ namespace uhscm::linalg {
 
 namespace {
 
-// Cache-blocking parameters of the blocked loops. An i-block of C rows is
-// one work unit; within it the inner dimension is walked in kKC-sized
-// panels so the B panel streamed by the micro-kernel stays L2-resident
-// across the block's rows instead of thrashing per row.
-constexpr int kMC = 32;   // C rows per work unit (upper bound)
-constexpr int kKC = 128;  // inner-dimension panel
-
 /// Products below this many multiply-adds run their blocks on the calling
 /// thread: at a training step's shapes (2^20 to 2^24) waking the pool for
 /// one or two i-blocks costs more CPU than it saves wall time. Which
@@ -37,38 +30,6 @@ void ForEachBlock(int64_t flops, int count, const Fn& fn) {
   } else {
     ParallelFor(count, fn);
   }
-}
-
-// Micro-kernel: crow += sum_t avs[t] * brows[t][0..n), four inner-dim
-// slices fused per pass so each crow[j] is loaded/stored once per four
-// multiply-adds (register tiling), with a 4-wide j unroll for the
-// vectorizer. The old per-slice axpy with its `av == 0` skip is gone:
-// on dense data that branch mispredicts and starves the FMA ports, and
-// genuinely sparse inputs lose nothing measurable to four fused slices.
-inline void Axpy4(float* crow, const float* avs, const float* const* brows,
-                  int n) {
-  const float a0 = avs[0], a1 = avs[1], a2 = avs[2], a3 = avs[3];
-  const float* b0 = brows[0];
-  const float* b1 = brows[1];
-  const float* b2 = brows[2];
-  const float* b3 = brows[3];
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-    crow[j + 1] += a0 * b0[j + 1] + a1 * b1[j + 1] + a2 * b2[j + 1] +
-                   a3 * b3[j + 1];
-    crow[j + 2] += a0 * b0[j + 2] + a1 * b1[j + 2] + a2 * b2[j + 2] +
-                   a3 * b3[j + 2];
-    crow[j + 3] += a0 * b0[j + 3] + a1 * b1[j + 3] + a2 * b2[j + 3] +
-                   a3 * b3[j + 3];
-  }
-  for (; j < n; ++j) {
-    crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-  }
-}
-
-inline void Axpy1(float* crow, float av, const float* brow, int n) {
-  for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
 }
 
 // ------------------------------------------------ packed-panel GEMM
@@ -92,22 +53,18 @@ constexpr int kNR = 32;       // micro-tile cols (B panel width, 2 x zmm)
 constexpr int kGemmKC = 256;  // inner-dimension slab depth
 constexpr int kGemmMC = 96;   // A block rows per work unit (8 panels)
 
-/// Below this many multiply-adds the packing overhead beats the
-/// micro-kernel win; such products stay on the cache-blocked loop.
-constexpr int64_t kPackedMinFlops = int64_t{1} << 18;
-
 /// c[0..kMR) x [0..kNR) += A-panel * B-panel over kc inner steps.
 /// `ap` is kMR floats per step, `bp` kNR floats per step, `c` row-major
 /// with leading dimension ldc. Full tiles only.
 using MicroKernelFn = void (*)(int kc, const float* ap, const float* bp,
                                float* c, int ldc);
 
-/// Portable micro-kernel: per four inner steps, each C row of the tile
-/// (L1-resident) gains the sum of four products, as in MatMulBlocked's
-/// Axpy4. It multiplies, then adds, so it is not an FMA chain. A tile
+/// Portable micro-kernel, the only kernel of the scalar tier: per four
+/// inner steps, each C row of the tile (L1-resident) gains the sum of four
+/// products. It multiplies, then adds, so it is not an FMA chain. A tile
 /// held as one accumulator array does not fit the 16 SSE registers: the
-/// compiler kept it on the stack, and that kernel ran 8.6x slower than the
-/// blocked loop.
+/// compiler kept it on the stack, and that kernel ran about 8x slower
+/// than this one.
 void Micro12x32Portable(int kc, const float* ap, const float* bp,
                         float* __restrict c, int ldc) {
   int p = 0;
@@ -315,9 +272,10 @@ void PackBPanels(const float* b, int ldb, bool trans, int p0, int kc, int n,
   }
 }
 
-/// C(m x n, ldc) += A * B over the packed panels. The A/B transpose
-/// flags select the packing reads; the compute loop is identical for all
-/// three MatMul entry points.
+/// C(m x n, ldc) += A * B over the packed panels: the one product kernel
+/// behind every MatMul entry point, for any shape (empty ones included).
+/// The A/B transpose flags select the packing reads; the compute loop is
+/// the same for all of them.
 void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
                     const float* b, int ldb, bool b_trans, float* c, int ldc) {
   const MicroKernelFn micro = ActiveGemmKernel().fn;
@@ -374,45 +332,14 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
 
 const char* PackedGemmKernelName() { return ActiveGemmKernel().name; }
 
-Matrix MatMulBlocked(const Matrix& a, const Matrix& b) {
-  UHSCM_CHECK(a.cols() == b.rows(), "MatMul: inner dims mismatch");
-  Matrix c(a.rows(), b.cols());
-  const int m = a.rows();
-  const int k = a.cols();
-  const int n = b.cols();
-  const int iblocks = (m + kMC - 1) / kMC;
-  ForEachBlock(int64_t{m} * k * n, iblocks, [&](int ib) {
-    const int i0 = ib * kMC;
-    const int i1 = std::min(i0 + kMC, m);
-    for (int p0 = 0; p0 < k; p0 += kKC) {
-      const int p1 = std::min(p0 + kKC, k);
-      for (int i = i0; i < i1; ++i) {
-        const float* arow = a.Row(i);
-        float* crow = c.Row(i);
-        int p = p0;
-        for (; p + 4 <= p1; p += 4) {
-          const float avs[4] = {arow[p], arow[p + 1], arow[p + 2],
-                                arow[p + 3]};
-          const float* brows[4] = {b.Row(p), b.Row(p + 1), b.Row(p + 2),
-                                   b.Row(p + 3)};
-          Axpy4(crow, avs, brows, n);
-        }
-        for (; p < p1; ++p) Axpy1(crow, arow[p], b.Row(p), n);
-      }
-    }
-  });
-  return c;
-}
-
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.rows(), "MatMul: inner dims mismatch");
   const int m = a.rows();
   const int k = a.cols();
   const int n = b.cols();
-  if (int64_t{m} * k * n < kPackedMinFlops) return MatMulBlocked(a, b);
   Matrix c(m, n);
   PackedGemmInto(m, n, k, a.data(), k, /*a_trans=*/false, b.data(), n,
-                 /*b_trans=*/false, c.Row(0), n);
+                 /*b_trans=*/false, c.data(), n);
   return c;
 }
 
@@ -421,29 +348,9 @@ void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* c) {
   UHSCM_CHECK(c->rows() == a.cols() && c->cols() == b.cols(),
               "AddMatMulTransA: C shape mismatch");
   const int m = a.cols();
-  const int k = a.rows();
   const int n = b.cols();
-  if (int64_t{m} * k * n >= kPackedMinFlops) {
-    PackedGemmInto(m, n, k, a.data(), m, /*a_trans=*/true, b.data(), n,
-                   /*b_trans=*/false, c->data(), n);
-    return;
-  }
-  // MatMulBlocked's loop with the roles transposed, c(i,j) += sum_p
-  // a(p,i) * b(p,j): the A reads are column-strided, the rest is the same.
-  for (int p0 = 0; p0 < k; p0 += kKC) {
-    const int p1 = std::min(p0 + kKC, k);
-    for (int i = 0; i < m; ++i) {
-      float* crow = c->Row(i);
-      int p = p0;
-      for (; p + 4 <= p1; p += 4) {
-        const float avs[4] = {a(p, i), a(p + 1, i), a(p + 2, i), a(p + 3, i)};
-        const float* brows[4] = {b.Row(p), b.Row(p + 1), b.Row(p + 2),
-                                 b.Row(p + 3)};
-        Axpy4(crow, avs, brows, n);
-      }
-      for (; p < p1; ++p) Axpy1(crow, a(p, i), b.Row(p), n);
-    }
-  }
+  PackedGemmInto(m, n, a.rows(), a.data(), m, /*a_trans=*/true, b.data(), n,
+                 /*b_trans=*/false, c->data(), n);
 }
 
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
@@ -454,42 +361,10 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.cols(), "MatMulTransB: dims mismatch");
-  if (int64_t{a.rows()} * a.cols() * b.rows() >= kPackedMinFlops) {
-    Matrix c(a.rows(), b.rows());
-    PackedGemmInto(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
-                   /*a_trans=*/false, b.data(), b.cols(), /*b_trans=*/true,
-                   c.Row(0), b.rows());
-    return c;
-  }
   Matrix c(a.rows(), b.rows());
-  const int k = a.cols();
-  const int nb = b.rows();
-  for (int i = 0; i < a.rows(); ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c.Row(i);
-    // Four dot products share one streaming pass over arow (register
-    // tiling along the output row); remainder rows fall back to Dot.
-    int j = 0;
-    for (; j + 4 <= nb; j += 4) {
-      const float* b0 = b.Row(j);
-      const float* b1 = b.Row(j + 1);
-      const float* b2 = b.Row(j + 2);
-      const float* b3 = b.Row(j + 3);
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      crow[j] = s0;
-      crow[j + 1] = s1;
-      crow[j + 2] = s2;
-      crow[j + 3] = s3;
-    }
-    for (; j < nb; ++j) crow[j] = Dot(arow, b.Row(j), k);
-  }
+  PackedGemmInto(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
+                 /*a_trans=*/false, b.data(), b.cols(), /*b_trans=*/true,
+                 c.data(), b.rows());
   return c;
 }
 

@@ -7,18 +7,16 @@
 
 namespace uhscm::linalg {
 
-/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Products of 2^18
-/// multiply-adds or more go through the packed-panel GEMM (12x32 register
-/// tile; AVX-512, AVX2+FMA or portable micro-kernel by the dispatched
-/// kernel tier, see PackedGemmKernelName), smaller ones through the
-/// cache-blocked loop (MatMulBlocked). On the FMA tiers every element of a
-/// packed product is the in-order chain c = fma(a(i,p), b(p,j), c) over
-/// p, so avx2 and avx512 give the same bytes. Row blocks of products of
-/// 2^25 or more run on the thread pool, which never changes the bytes of
-/// the result.
+/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Every product, of
+/// any size, runs on the packed-panel GEMM (12x32 register tile; AVX-512,
+/// AVX2+FMA or portable micro-kernel by the dispatched kernel tier, see
+/// PackedGemmKernelName). On the FMA tiers every element is the in-order
+/// chain c = fma(a(i,p), b(p,j), c) over p, so avx2 and avx512 give the
+/// same bytes. Row blocks of products of 2^25 multiply-adds or more run on
+/// the thread pool, which never changes the bytes of the result.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n). Same dispatch as
+/// C = A^T * B. Shapes: (k x m)^T * (k x n) -> (m x n). Same kernel as
 /// MatMul (the packing step absorbs the transpose).
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 
@@ -26,15 +24,9 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 /// bytes equal MatMulTransA(a, b).
 void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* c);
 
-/// C = A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n). Same dispatch as
+/// C = A * B^T. Shapes: (m x k) * (n x k)^T -> (m x n). Same kernel as
 /// MatMul (the packing step absorbs the transpose).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
-
-/// The pre-packing cache-blocked implementation of MatMul, kept as the
-/// portable fallback for small products and as the baseline the
-/// micro-kernel benches compare against (bench/micro_perf.cc
-/// BM_PackedGemm).
-Matrix MatMulBlocked(const Matrix& a, const Matrix& b);
 
 /// The packed GEMM's micro-kernel and tile on this host, e.g.
 /// "avx512 12x32": picked once from index::ActiveKernelTier(), so

@@ -157,16 +157,17 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
                       std::make_tuple(8, 8, 8), std::make_tuple(17, 4, 23),
                       std::make_tuple(2, 31, 7),
-                      // Shapes that cross the kMC/kKC cache-block and
-                      // 4-wide register-tile boundaries of the blocked
-                      // kernels, including non-multiples of every tile.
+                      // Shapes that cross the kMR=12 / kNR=32 micro-tile
+                      // edges, the kGemmMC i-block and the kGemmKC slab,
+                      // including non-multiples of every tile.
                       std::make_tuple(33, 130, 37), std::make_tuple(64, 128, 64),
                       std::make_tuple(65, 129, 66), std::make_tuple(100, 257, 3),
                       std::make_tuple(31, 259, 121)));
 
-TEST(OpsTest, BlockedMatMulMatchesNaiveTightTolerance) {
-  // The blocked kernels reassociate float sums; on O(100)-term unit-scale
-  // dot products the drift must stay within 1e-4 of the naive order.
+TEST(OpsTest, MatMulMatchesNaiveTightTolerance) {
+  // The packed kernels sum in a different order from the naive loop (an
+  // FMA chain, or the portable kernel's groups of four); on O(100)-term
+  // unit-scale dot products the drift must stay within 1e-4 of it.
   Rng rng(211);
   Matrix a = Matrix::RandomNormal(45, 150, &rng);
   Matrix b = Matrix::RandomNormal(150, 52, &rng);
@@ -177,7 +178,7 @@ TEST(OpsTest, BlockedMatMulMatchesNaiveTightTolerance) {
       EXPECT_NEAR(fast(i, j), slow(i, j), 1e-4f);
     }
   }
-  // A^T B with a 150-deep inner dimension (crosses the kKC panel).
+  // A^T B with a 150-deep inner dimension.
   Matrix c = Matrix::RandomNormal(150, 41, &rng);
   const Matrix fast_ta = MatMulTransA(b, c);  // (150x52)^T * (150x41)
   const Matrix slow_ta = NaiveMatMul(b.Transposed(), c);
@@ -198,32 +199,28 @@ TEST(OpsTest, BlockedMatMulMatchesNaiveTightTolerance) {
 class PackedGemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(PackedGemmShapes, PackedMatchesBlockedAndNaive) {
-  // Shapes above the packed-panel dispatch threshold, chosen to cross the
-  // kMR=12 / kNR=32 micro-tile edges, the kGemmKC=256 inner slab, and the
-  // kGemmMC i-block — each with remainders. All three variants must agree
-  // with the naive reference (float reassociation tolerance) whichever
-  // micro-kernel the kernel tier picked.
+TEST_P(PackedGemmShapes, PackedMatchesNaive) {
+  // Shapes chosen to cross the kMR=12 / kNR=32 micro-tile edges, the
+  // kGemmKC=256 inner slab, and the kGemmMC i-block — each with
+  // remainders. All three entry points must agree with the naive reference
+  // (float reassociation tolerance) whichever micro-kernel the kernel tier
+  // picked.
   const auto [m, k, n] = GetParam();
   Rng rng(301);
   Matrix a = Matrix::RandomNormal(m, k, &rng);
   Matrix b = Matrix::RandomNormal(k, n, &rng);
   const Matrix naive = NaiveMatMul(a, b);
   const Matrix packed = MatMul(a, b);
-  const Matrix blocked = MatMulBlocked(a, b);
-  // Rounding drift scales with the inner dimension (the sequential naive
-  // reference drifts the most; the tiled kernels' tree-like accumulation
-  // drifts less), so the bar does too.
+  // Rounding drift scales with the inner dimension, so the bar does too.
   const float tol = 5e-6f * static_cast<float>(k) + 1e-4f;
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       EXPECT_NEAR(packed(i, j), naive(i, j), tol) << i << "," << j;
-      EXPECT_NEAR(blocked(i, j), naive(i, j), tol) << i << "," << j;
     }
   }
 
-  // Transposed entry points at the same (packed-dispatch) sizes: the
-  // packing step absorbs the transpose, so storage order must not matter.
+  // Transposed entry points at the same sizes: the packing step absorbs
+  // the transpose, so storage order must not matter.
   Matrix at = a.Transposed();  // k x m
   const Matrix packed_ta = MatMulTransA(at, b);
   Matrix bt = b.Transposed();  // n x k
@@ -263,6 +260,7 @@ void ExpectFmaChain(const Matrix& got, const Matrix& want, int k,
                     const char* what) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
+  if (got.size() == 0) return;  // no bytes; memcmp must not see null data
   if (std::strncmp(PackedGemmKernelName(), "portable", 8) != 0) {
     EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
               0)
@@ -281,10 +279,12 @@ class FmaChainShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(FmaChainShapes, PackedEqualsNaiveFmaChain) {
-  // Every shape takes the packed path and has ragged tiles in both
-  // directions for both the 12x32 and the 6x16 tile (m mod 12, m mod 6,
-  // n mod 32, n mod 16 all non-zero), so edge tiles, slab boundaries and
-  // accumulation onto a non-zero C are all compared with the chain.
+  // The large shapes have ragged tiles in both directions for both the
+  // 12x32 and the 6x16 tile (m mod 12, m mod 6, n mod 32, n mod 16 all
+  // non-zero), so edge tiles, slab boundaries and accumulation onto a
+  // non-zero C are all compared with the chain. The small shapes (below
+  // 2^18 multiply-adds) are one or a few edge tiles, and the empty ones
+  // must leave C as it was.
   const auto [m, k, n] = GetParam();
   Rng rng(505);
   const Matrix a = Matrix::RandomNormal(m, k, &rng);
@@ -307,7 +307,14 @@ TEST_P(FmaChainShapes, PackedEqualsNaiveFmaChain) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FmaChainShapes,
-    ::testing::Values(std::make_tuple(67, 513, 41),    // three slabs
+    ::testing::Values(std::make_tuple(1, 1, 1),        // one rounding
+                      std::make_tuple(3, 5, 2),
+                      std::make_tuple(17, 4, 23),
+                      std::make_tuple(33, 130, 37),
+                      std::make_tuple(0, 7, 3),        // empty C
+                      std::make_tuple(4, 0, 5),        // k = 0: C unchanged
+                      std::make_tuple(5, 7, 0),        // empty C
+                      std::make_tuple(67, 513, 41),    // three slabs
                       std::make_tuple(101, 129, 71),   // crosses kGemmMC
                       std::make_tuple(389, 300, 301)));  // >= 2^25: pool
 
@@ -383,9 +390,9 @@ TEST_P(AddMatMulTransAShapes, AccumulatesOntoC) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, AddMatMulTransAShapes,
-    ::testing::Values(std::make_tuple(6, 5, 4),        // blocked loop
-                      std::make_tuple(33, 130, 37),    // blocked, kKC tail
-                      std::make_tuple(70, 129, 67),    // packed, tile edges
+    ::testing::Values(std::make_tuple(6, 5, 4),        // one edge tile
+                      std::make_tuple(33, 130, 37),    // ragged m and n
+                      std::make_tuple(70, 129, 67),    // tile edges
                       std::make_tuple(256, 128, 512)));  // a layer's dW
 
 TEST(OpsTest, MatMulZeroHeavyInputsStayExact) {

@@ -13,8 +13,6 @@
 namespace uhscm {
 namespace {
 
-#ifndef UHSCM_LOCK_ORDER_DISABLED
-
 /// Flips abort-on-violation off for one test and always restores it, so
 /// a failing assertion cannot leak counting mode into later tests.
 class CountDontAbort {
@@ -22,10 +20,6 @@ class CountDontAbort {
   CountDontAbort() { lockorder::SetAbortOnViolation(false); }
   ~CountDontAbort() { lockorder::SetAbortOnViolation(true); }
 };
-
-TEST(LockOrderTest, CompiledIn) {
-  EXPECT_TRUE(lockorder::kLockOrderCompiledIn);
-}
 
 TEST(LockOrderTest, CorrectRankOrderIsSilent) {
   Mutex hi("test.clean_hi", 200);
@@ -171,18 +165,6 @@ TEST(LockOrderTest, UncheckedMutexesStayOutOfTheGraph) {
   }
   EXPECT_EQ(lockorder::ViolationCount(), before);
 }
-
-#else  // UHSCM_LOCK_ORDER_DISABLED
-
-TEST(LockOrderTest, CompiledOutWrappersStillLock) {
-  // -DUHSCM_LOCK_ORDER=OFF: the wrappers must reduce to the bare std
-  // primitives — constructible with names, lockable, zero checking.
-  EXPECT_FALSE(lockorder::kLockOrderCompiledIn);
-  Mutex named("test.compiled_out", 10);
-  MutexLock lock(named);
-}
-
-#endif  // UHSCM_LOCK_ORDER_DISABLED
 
 }  // namespace
 }  // namespace uhscm

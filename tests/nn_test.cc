@@ -109,7 +109,7 @@ TEST_P(LinearWeightGradient, AccumulatesInPlace) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, LinearWeightGradient,
-    ::testing::Values(std::make_tuple(5, 4, 3),          // blocked loop
+    ::testing::Values(std::make_tuple(5, 4, 3),          // one edge tile
                       std::make_tuple(128, 256, 512)));  // trainer layer 1
 
 TEST(ActivationsTest, TanhForwardBackward) {

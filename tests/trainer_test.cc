@@ -255,8 +255,9 @@ class FactoredSimilaritySweep
     : public ::testing::TestWithParam<SimilaritySource> {};
 
 TEST_P(FactoredSimilaritySweep, BlocksMatchDenseReference) {
-  // 310 train rows, so a 301-row batch fits; block sizes straddle the
-  // packed-GEMM threshold (kPackedMinFlops) for every factor width.
+  // 310 train rows, so a 301-row batch fits; block sizes run from single
+  // edge tiles of the packed GEMM to several i-blocks for every factor
+  // width.
   TinyEnv env = MakeTinyEnv("cifar", 400, 310, 20);
   const linalg::Matrix train_pixels =
       env.dataset.pixels.SelectRows(env.dataset.split.train);

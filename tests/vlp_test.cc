@@ -200,9 +200,9 @@ class VlpFixture : public ::testing::Test {
   std::unique_ptr<SimulatedVlpModel> vlp_;
 };
 
-// Batch sizes straddle kPackedMinFlops in both products (the affinity
-// product goes packed from ~8 rows, the composition product from ~36) and
-// include sizes that are not multiples of the 6-row micro-tile.
+// Batch sizes run both products from a single edge tile of the packed GEMM
+// (1 row) to several 96-row i-blocks (301 rows), and none is a multiple of
+// the 12-row micro-tile.
 TEST_F(VlpFixture, TowerMatchesPerPairReferenceAcrossBatchSizes) {
   for (const int n : {1, 5, 7, 64, 301}) {
     int fallbacks = 0;
