@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -431,21 +431,21 @@ std::vector<JoinPair> BlockedRadiusJoin(const PackedCodes& codes,
 /// sort and the random-access popcount verification) costs, by the tier
 /// the blocked join would run and the code width. Measured on planted
 /// 60k-row corpora (20k rows for the blocked join; 1% tombstones, one
-/// pinned thread) on a 4-vCPU AVX-512 host: a unit costs 28 ns at one
-/// word, 28-37 ns at two and 42-68 ns at three to five; the kernel
-/// scored a pair in 0.16 / 0.37 / 6.5-9.9 ns at avx512, 0.45 / 1.05 /
-/// 4.8-5.7 ns at avx2 and 7.8 / 11.2 / 18-29 ns at scalar. The 3+ word
-/// avx512 figure is that of an earlier body that counted codes of fewer
-/// than 8 words with scalar popcounts. The tier now runs the AVX2 body
-/// there and scores a 4-word pair in about the avx2 time (4.4 ns against
-/// 10.5 before, bench/self_join at 20k rows), so at 3-7 words the rule
-/// switches to the blocked join later than the measured crossover. Both
-/// paths stay exact.
+/// pinned thread) on a 4-vCPU AVX-512 VPOPCNTDQ host, in two rounds.
+/// The SIMD tiers' 1- and 2-word cells: a unit cost 28 ns at one word
+/// and 28-37 ns at two, and the kernel scored a pair in 0.16 / 0.37 ns
+/// at avx512 and 0.45 / 1.05 ns at avx2. The scalar row and the 3+ word
+/// column, re-measured on the popcnt scalar body and the plain wide-code
+/// bodies: a unit cost 15-29 ns at one word, 18-26 ns at two and
+/// 21-41 ns at three to eight; a pair cost 2.2-2.8 / 2.1-2.6 /
+/// 3.2-6.7 ns at scalar and 2.4-6.2 ns at 3+ words on either SIMD tier
+/// (avx512 runs the AVX2 body at 3-7 words). The 60k-row crossovers
+/// agree. Both paths stay exact whichever the rule picks.
 double MihUnitCostInPairs(KernelTier tier, int words) {
   //                                       1 word  2 words  3+ words
-  static constexpr double kPairs[3][3] = {{3.5, 3.0, 3.5},      // scalar
-                                          {53.0, 31.0, 13.0},   // avx2
-                                          {158.0, 89.0, 10.0}};  // avx512
+  static constexpr double kPairs[3][3] = {{9.0, 9.0, 7.0},      // scalar
+                                          {53.0, 31.0, 9.0},    // avx2
+                                          {158.0, 89.0, 9.0}};  // avx512
   return kPairs[static_cast<int>(tier)][std::min(words, 3) - 1];
 }
 
@@ -634,90 +634,72 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
 
 // ------------------------------------------------------------ reducers
 
-namespace {
-
-/// Deterministic union-find over sparse row ids (path halving + union by
-/// smaller root, so every component's root is its smallest member).
-class UnionFind {
- public:
-  int Find(int x) {
-    auto [it, inserted] = parent_.try_emplace(x, x);
-    int root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      const int next = parent_[x];
-      parent_[x] = root;
-      x = next;
-    }
-    (void)it;
-    (void)inserted;
-    return root;
-  }
-
-  void Union(int a, int b) {
-    const int ra = Find(a), rb = Find(b);
-    if (ra == rb) return;
-    // Smaller id wins the root, so the representative of a finished
-    // component is always its smallest member.
-    if (ra < rb) {
-      parent_[rb] = ra;
-    } else {
-      parent_[ra] = rb;
-    }
-  }
-
-  const std::map<int, int>& nodes() const { return parent_; }
-
- private:
-  std::map<int, int> parent_;
-};
-
-}  // namespace
-
 DedupGroupsResult ReducePairsToGroups(const std::vector<JoinPair>& pairs,
                                       DedupLink link) {
   DedupGroupsResult result;
-  // Best within-radius match per participating row, under the canonical
-  // (distance, id) order. Whenever a row's global nearest neighbor is
-  // within the radius, this equals it (the global best is the minimum).
-  std::map<int, Neighbor> best;
-  auto offer = [&best](int row, Neighbor nb) {
-    auto [it, inserted] = best.try_emplace(row, nb);
-    if (!inserted && NeighborLess(nb, it->second)) it->second = nb;
+  int n = 0;
+  for (const JoinPair& pair : pairs) n = std::max({n, pair.a + 1, pair.b + 1});
+  // Best within-radius match per row as a packed (distance << 32) | id
+  // key, so one unsigned min is the (distance, id) order. Whenever a
+  // row's global nearest neighbor is within the radius, this equals it.
+  constexpr uint64_t kNoMatch = ~uint64_t{0};
+  std::vector<uint64_t> best(static_cast<size_t>(n), kNoMatch);
+  auto offer = [&best](int row, int other, int distance) {
+    uint64_t& key = best[static_cast<size_t>(row)];
+    key = std::min(key, static_cast<uint64_t>(distance) << 32 |
+                            static_cast<uint32_t>(other));
   };
   for (const JoinPair& pair : pairs) {
-    offer(pair.a, {pair.b, pair.distance});
-    offer(pair.b, {pair.a, pair.distance});
+    offer(pair.a, pair.b, pair.distance);
+    offer(pair.b, pair.a, pair.distance);
   }
-  for (const JoinPair& pair : pairs) {
-    const auto a = best.find(pair.a);
-    const auto b = best.find(pair.b);
-    if (a->second.id == pair.b && b->second.id == pair.a) {
-      result.reciprocal_pairs.push_back(pair);  // pairs is (a, b)-sorted
+  auto match = [&best](int row) {
+    return static_cast<int>(best[static_cast<size_t>(row)] & 0xffffffffu);
+  };
+  // Ascending rows emit each mutual best match once, from its smaller
+  // end, so the pairs come out (a, b)-sorted.
+  for (int a = 0; a < n; ++a) {
+    if (best[static_cast<size_t>(a)] == kNoMatch) continue;
+    const int b = match(a);
+    if (b > a && match(b) == a) {
+      result.reciprocal_pairs.push_back(
+          {a, b, static_cast<int>(best[static_cast<size_t>(a)] >> 32)});
     }
   }
 
-  UnionFind uf;
-  if (link == DedupLink::kRadius) {
-    for (const JoinPair& pair : pairs) uf.Union(pair.a, pair.b);
-  } else {
-    for (const JoinPair& pair : result.reciprocal_pairs) {
-      uf.Union(pair.a, pair.b);
-    }
+  // Array union-find with path halving. The smaller root wins, so every
+  // parent is smaller than its child and each root is its component's
+  // smallest member.
+  std::vector<int> parent(static_cast<size_t>(n));
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&parent](int x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const JoinPair& pair :
+       link == DedupLink::kRadius ? pairs : result.reciprocal_pairs) {
+    const int ra = find(pair.a), rb = find(pair.b);
+    parent[std::max(ra, rb)] = std::min(ra, rb);
   }
-  std::map<int, std::vector<int>> components;
-  for (const auto& [row, unused] : uf.nodes()) {
-    (void)unused;
-    components[uf.Find(row)].push_back(row);
+  // One ascending pass points every row at its root (its parent is
+  // already resolved) and counts the components' sizes; a root's count
+  // then becomes its group's index, or -1 for a row left alone.
+  std::vector<int> slot(static_cast<size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    parent[i] = parent[parent[i]];
+    ++slot[parent[i]];
   }
-  for (auto& [root, members] : components) {
-    (void)root;
-    if (members.size() < 2) continue;  // isolated Find() artifacts
-    std::sort(members.begin(), members.end());
-    result.rows_clustered += static_cast<int64_t>(members.size());
-    result.groups.push_back(std::move(members));
+  for (int root = 0; root < n; ++root) {
+    if (parent[root] != root) continue;
+    const int size = slot[root];
+    slot[root] = size < 2 ? -1 : static_cast<int>(result.groups.size());
+    if (size < 2) continue;
+    result.groups.emplace_back().reserve(static_cast<size_t>(size));
+    result.rows_clustered += size;
   }
-  // std::map iteration gives groups sorted by root == smallest member.
+  for (int i = 0; i < n; ++i) {
+    if (slot[parent[i]] >= 0) result.groups[slot[parent[i]]].push_back(i);
+  }
   return result;
 }
 

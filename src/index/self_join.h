@@ -168,9 +168,11 @@ DedupGroupsResult DedupGroups(const PackedCodes& codes,
                               const DedupOptions& dedup,
                               const SelfJoinOptions& options = {});
 
-/// Pure reducer from a (a, b)-sorted within-radius pair list to dedup
-/// groups — exposed so tests and the reference path share the engine's
-/// exact semantics.
+/// Pure reducer from a within-radius pair list, in any order, to dedup
+/// groups: O(n + pairs) time and O(n) memory over dense arrays, where
+/// n = the largest id in the pairs + 1. It keeps a best match per row,
+/// an array union-find whose roots are each component's smallest
+/// member, and places members in one ascending pass.
 DedupGroupsResult ReducePairsToGroups(const std::vector<JoinPair>& pairs,
                                       DedupLink link);
 

@@ -48,15 +48,9 @@ Batcher::Batcher(Router* router, const BatcherOptions& options)
       words_per_code_((router->replicas()->replica(0)->index().bits() + 63) /
                       64),
       bits_(router->replicas()->replica(0)->index().bits()),
-      max_inflight_batches_(
-          options.max_inflight_batches > 0
-              ? options.max_inflight_batches
-              : 2 * router->replicas()->num_replicas()),
-      queue_(options.queue_capacity != 0
-                 ? options.queue_capacity
-                 : static_cast<size_t>(std::max(1, options.max_batch)) * 8 *
-                       static_cast<size_t>(
-                           router->replicas()->num_replicas())) {
+      max_inflight_batches_(2 * router->replicas()->num_replicas()),
+      queue_(static_cast<size_t>(std::max(1, options.max_batch)) * 8 *
+             static_cast<size_t>(router->replicas()->num_replicas())) {
   options_.max_batch = std::max(1, options_.max_batch);
   options_.timeout_us = std::max<int64_t>(1, options_.timeout_us);
   flush_thread_ = std::thread([this] { FlushLoop(); });

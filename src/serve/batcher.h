@@ -15,6 +15,17 @@
 
 namespace uhscm::serve {
 
+/// Flush policy of the Batcher. Backpressure is sized from `max_batch`
+/// and the replica count, not set:
+/// - the admission queue holds 8 * max_batch * replicas requests, a few
+///   batches per replica, so queue wait stays a handful of flush
+///   intervals even at saturation;
+/// - at most 2 batches per replica are past the batcher at once (one
+///   executing + one queued keeps every engine busy without a deep
+///   engine-side queue). That makes backpressure end-to-end: when the
+///   engines fall behind, the flush thread blocks, the admission queue
+///   fills, and Submit pushes back on clients, so memory stays bounded
+///   at any overload.
 struct BatcherOptions {
   /// B: flush as soon as this many requests are collected.
   int max_batch = 32;
@@ -24,18 +35,6 @@ struct BatcherOptions {
   /// the SIMD kernels), bounded-latency when idle (T wins, a lone
   /// straggler waits at most T).
   int64_t timeout_us = 200;
-  /// Admission-queue bound (backpressure). 0 = auto: enough for a few
-  /// batches per replica (8 * max_batch * replicas), so queue wait stays
-  /// a handful of flush intervals even at saturation.
-  size_t queue_capacity = 0;
-  /// Batches allowed past the batcher at once, across all replicas.
-  /// 0 = auto: 2 per replica (one executing + one queued keeps every
-  /// engine busy without building a deep engine-side queue). This is
-  /// what makes backpressure end-to-end: when the engines fall behind,
-  /// the flush thread blocks here, the admission queue fills, and
-  /// Submit pushes back on clients — memory stays bounded at any
-  /// overload.
-  int max_inflight_batches = 0;
 };
 
 /// \brief The adaptive-batching stage of the async pipeline: one flush

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -444,8 +446,9 @@ TEST(SelfJoinTest, RadiusJoinBucketOfHundredsOfIdenticalCodes) {
   // every pair among them is within any radius. Each of those rows reads
   // 400 entries per substring, more than the vectorized blocked join
   // spends on its ~1250 pairs, so the rule prices the hash out on the
-  // SIMD tiers; against the scalar kernel the hash still pays and serves
-  // the crowded bucket.
+  // SIMD tiers. Against the scalar kernel the hash still pays, and serves
+  // the crowded bucket, while it has few substrings (radius 0 and 1); at
+  // radius 4 its five tables cost more than the scalar blocked join.
   Rng rng(509);
   PackedCodes codes = ExactDuplicates(400, 128, &rng);
   codes.Append(PlantedDuplicates(20, 5, 2000, 128, 3, &rng));
@@ -459,7 +462,7 @@ TEST(SelfJoinTest, RadiusJoinBucketOfHundredsOfIdenticalCodes) {
                                       std::string(KernelTierName(tier)) +
                                           " radius=" +
                                           std::to_string(radius)),
-                tier == KernelTier::kScalar)
+                tier == KernelTier::kScalar && radius < 4)
           << KernelTierName(tier) << " radius=" << radius;
     }
   }
@@ -672,6 +675,113 @@ TEST(SelfJoinTest, TopKJoinFrontTiesBreakByIdAcrossTiles) {
 
 // --------------------------------------------------------------- reducers
 
+/// The reducer ReducePairsToGroups replaced, kept verbatim as the
+/// reference the dense one is checked against: a std::map best-match
+/// table, a std::map union-find and a std::map of components. It needs
+/// (a, b)-sorted pairs.
+class UnionFind {
+ public:
+  int Find(int x) {
+    auto [it, inserted] = parent_.try_emplace(x, x);
+    int root = x;
+    while (parent_[root] != root) root = parent_[root];
+    while (parent_[x] != root) {
+      const int next = parent_[x];
+      parent_[x] = root;
+      x = next;
+    }
+    (void)it;
+    (void)inserted;
+    return root;
+  }
+
+  void Union(int a, int b) {
+    const int ra = Find(a), rb = Find(b);
+    if (ra == rb) return;
+    // Smaller id wins the root, so the representative of a finished
+    // component is always its smallest member.
+    if (ra < rb) {
+      parent_[rb] = ra;
+    } else {
+      parent_[ra] = rb;
+    }
+  }
+
+  const std::map<int, int>& nodes() const { return parent_; }
+
+ private:
+  std::map<int, int> parent_;
+};
+
+DedupGroupsResult MapReducePairsToGroups(const std::vector<JoinPair>& pairs,
+                                         DedupLink link) {
+  DedupGroupsResult result;
+  // Best within-radius match per participating row, under the canonical
+  // (distance, id) order. Whenever a row's global nearest neighbor is
+  // within the radius, this equals it (the global best is the minimum).
+  std::map<int, Neighbor> best;
+  auto offer = [&best](int row, Neighbor nb) {
+    auto [it, inserted] = best.try_emplace(row, nb);
+    if (!inserted && NeighborLess(nb, it->second)) it->second = nb;
+  };
+  for (const JoinPair& pair : pairs) {
+    offer(pair.a, {pair.b, pair.distance});
+    offer(pair.b, {pair.a, pair.distance});
+  }
+  for (const JoinPair& pair : pairs) {
+    const auto a = best.find(pair.a);
+    const auto b = best.find(pair.b);
+    if (a->second.id == pair.b && b->second.id == pair.a) {
+      result.reciprocal_pairs.push_back(pair);  // pairs is (a, b)-sorted
+    }
+  }
+
+  UnionFind uf;
+  if (link == DedupLink::kRadius) {
+    for (const JoinPair& pair : pairs) uf.Union(pair.a, pair.b);
+  } else {
+    for (const JoinPair& pair : result.reciprocal_pairs) {
+      uf.Union(pair.a, pair.b);
+    }
+  }
+  std::map<int, std::vector<int>> components;
+  for (const auto& [row, unused] : uf.nodes()) {
+    (void)unused;
+    components[uf.Find(row)].push_back(row);
+  }
+  for (auto& [root, members] : components) {
+    (void)root;
+    if (members.size() < 2) continue;  // isolated Find() artifacts
+    std::sort(members.begin(), members.end());
+    result.rows_clustered += static_cast<int64_t>(members.size());
+    result.groups.push_back(std::move(members));
+  }
+  // std::map iteration gives groups sorted by root == smallest member.
+  return result;
+}
+
+/// Runs ReducePairsToGroups on `pairs` as given and the map reducer on
+/// the same pairs (a, b)-sorted, and compares groups, rows_clustered and
+/// reciprocal pairs with == under both links.
+void ExpectReducersAgree(const std::vector<JoinPair>& pairs,
+                         const std::string& label) {
+  std::vector<JoinPair> sorted = pairs;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const JoinPair& x, const JoinPair& y) {
+              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+            });
+  for (const DedupLink link :
+       {DedupLink::kRadius, DedupLink::kReciprocalBest}) {
+    const std::string where =
+        label + (link == DedupLink::kRadius ? " link=radius" : " link=best");
+    const DedupGroupsResult got = ReducePairsToGroups(pairs, link);
+    const DedupGroupsResult want = MapReducePairsToGroups(sorted, link);
+    EXPECT_EQ(got.groups, want.groups) << where;
+    EXPECT_EQ(got.rows_clustered, want.rows_clustered) << where;
+    ExpectPairsIdentical(got.reciprocal_pairs, want.reciprocal_pairs, where);
+  }
+}
+
 TEST(SelfJoinTest, ReducePairsRadiusModeTakesTransitiveClosure) {
   // 0-1, 1-2 chain plus isolated 5-6 pair: radius linking closes the
   // chain into {0,1,2} even though 0-2 was never a pair.
@@ -705,6 +815,116 @@ TEST(SelfJoinTest, ReducePairsBreaksBestMatchTiesByAscendingId) {
   const auto result = ReducePairsToGroups(pairs, DedupLink::kReciprocalBest);
   ASSERT_EQ(result.reciprocal_pairs.size(), 1u);
   EXPECT_TRUE(result.reciprocal_pairs[0] == (JoinPair{0, 1, 2}));
+}
+
+TEST(SelfJoinTest, ReducerMatchesMapReferenceOnExistingInputs) {
+  // The hand-made lists above and the join outputs the DedupGroups tests
+  // reduce, rebuilt from the same seeds.
+  ExpectReducersAgree({{0, 1, 2}, {1, 2, 3}, {5, 6, 1}}, "chain");
+  ExpectReducersAgree({{0, 1, 2}, {1, 3, 2}}, "tie");
+  Rng rng73(73);
+  ExpectReducersAgree(
+      ReferenceRadiusJoin(PlantedDuplicates(10, 4, 80, 128, 5, &rng73), 6),
+      "planted radius=6");
+  Rng rng74(74);
+  const PackedCodes two_blocks = TwoBlockDuplicates(128, 5, &rng74);
+  for (const int radius : {0, 6, 40}) {
+    ExpectReducersAgree(ReferenceRadiusJoin(two_blocks, radius),
+                        "two blocks radius=" + std::to_string(radius));
+  }
+  Rng rng79(79);
+  ExpectReducersAgree(
+      ReferenceRadiusJoin(PlantedDuplicates(6, 4, 0, 128, 2, &rng79), 4),
+      "clusters radius=4");
+}
+
+TEST(SelfJoinTest, ReducerMatchesMapReferenceOnMillionsOfZeroDistancePairs) {
+  // 1500 copies of one code and 300 of another give 1.17M pairs at
+  // distance 0, where every row's best match is decided by id alone.
+  Rng rng(601);
+  PackedCodes codes = ExactDuplicates(1500, 128, &rng);
+  codes.Append(PlantedDuplicates(20, 5, 500, 128, 2, &rng));
+  codes.Append(ExactDuplicates(300, 128, &rng));
+  const std::vector<JoinPair> pairs = RadiusJoin(codes, 0);
+  ASSERT_GE(pairs.size(), 1500u * 1499u / 2u + 300u * 299u / 2u);
+  ExpectReducersAgree(pairs, "identical codes");
+  const DedupGroupsResult groups =
+      ReducePairsToGroups(pairs, DedupLink::kReciprocalBest);
+  ASSERT_FALSE(groups.groups.empty());
+  EXPECT_EQ(groups.groups[0], (std::vector<int>{0, 1}));
+}
+
+TEST(SelfJoinTest, ReducerMatchesMapReferenceOnDistanceTies) {
+  // Row 5 is at distance 1 from both 3 and 7, and 7 has no other pair:
+  // the id tie-break makes 3 row 5's best, so only 3-5 is reciprocal.
+  const std::vector<JoinPair> tie = {{3, 5, 1}, {5, 7, 1}, {7, 9, 2}};
+  ExpectReducersAgree(tie, "hand tie");
+  const DedupGroupsResult hand =
+      ReducePairsToGroups(tie, DedupLink::kReciprocalBest);
+  ExpectPairsIdentical(hand.reciprocal_pairs, {{3, 5, 1}}, "hand tie");
+  // Random pairs over 300 rows with distances 0..2: most rows have
+  // several matches at their best distance.
+  Rng rng(607);
+  std::vector<JoinPair> pairs;
+  for (int a = 0; a < 300; ++a) {
+    for (int b = a + 1; b < 300; ++b) {
+      if (rng.UniformInt(40) == 0) {
+        pairs.push_back({a, b, static_cast<int>(rng.UniformInt(3))});
+      }
+    }
+  }
+  ExpectReducersAgree(pairs, "random ties");
+}
+
+TEST(SelfJoinTest, ReducerMatchesMapReferenceOnSparseAndFarIds) {
+  // Rows 0, 1, 3 and 5..6 and everything between 10 and 999999 are in
+  // no pair; the far ids size the reducer's arrays to a million rows.
+  const std::vector<JoinPair> pairs = {{2, 4, 1},       {4, 9, 3},
+                                       {7, 1000000, 0}, {8, 999999, 2},
+                                       {9, 999999, 2},  {999999, 1000000, 1}};
+  ExpectReducersAgree(pairs, "sparse ids");
+  const DedupGroupsResult groups =
+      ReducePairsToGroups(pairs, DedupLink::kRadius);
+  EXPECT_EQ(groups.groups,
+            (std::vector<std::vector<int>>{{2, 4, 7, 8, 9, 999999, 1000000}}));
+  EXPECT_EQ(groups.rows_clustered, 7);
+}
+
+TEST(SelfJoinTest, ReducerOnEmptyPairList) {
+  ExpectReducersAgree({}, "empty");
+  for (const DedupLink link :
+       {DedupLink::kRadius, DedupLink::kReciprocalBest}) {
+    const DedupGroupsResult result = ReducePairsToGroups({}, link);
+    EXPECT_TRUE(result.groups.empty());
+    EXPECT_TRUE(result.reciprocal_pairs.empty());
+    EXPECT_EQ(result.rows_clustered, 0);
+  }
+}
+
+TEST(SelfJoinTest, ReducerIsIndependentOfPairOrder) {
+  // The same join output shuffled and reversed: the reducer must give
+  // what the map reducer gives on the sorted list.
+  Rng rng(613);
+  PackedCodes codes = ExactDuplicates(40, 128, &rng);
+  codes.Append(TwoBlockDuplicates(128, 5, &rng));
+  // A chain given from its far end: each union hangs the old root under
+  // a smaller one, so the placement pass resolves a parent path 4 deep.
+  ExpectReducersAgree({{3, 4, 1}, {2, 3, 1}, {1, 2, 1}, {0, 1, 1}},
+                      "chain from its far end");
+  std::vector<JoinPair> pairs = ReferenceRadiusJoin(codes, 6);
+  const DedupGroupsResult sorted =
+      ReducePairsToGroups(pairs, DedupLink::kReciprocalBest);
+  std::reverse(pairs.begin(), pairs.end());
+  ExpectReducersAgree(pairs, "reversed");
+  for (int round = 0; round < 3; ++round) {
+    rng.Shuffle(&pairs);
+    ExpectReducersAgree(pairs, "shuffle " + std::to_string(round));
+    const DedupGroupsResult shuffled =
+        ReducePairsToGroups(pairs, DedupLink::kReciprocalBest);
+    EXPECT_EQ(shuffled.groups, sorted.groups);
+    ExpectPairsIdentical(shuffled.reciprocal_pairs, sorted.reciprocal_pairs,
+                         "shuffle " + std::to_string(round));
+  }
 }
 
 TEST(SelfJoinTest, DedupGroupsMatchesReferenceReduction) {
