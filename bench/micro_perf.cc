@@ -453,6 +453,28 @@ void BM_TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStep);
 
+void BM_EncodeBinary(benchmark::State& state) {
+  // Codes from the default 256 -> 512-256-64 network, as the ledger's
+  // `build` encodes its 10000 database and 2000 query rows (the 12000
+  // row), a training batch's worth (128), and one query (1). `cpu_ms` is
+  // the process CPU per call, pool threads included.
+  const int rows = static_cast<int>(state.range(0));
+  constexpr int kInput = 256;
+  Rng rng(10);
+  core::HashingNetwork net(kInput, core::HashingNetworkOptions{}, &rng);
+  const linalg::Matrix x = linalg::Matrix::RandomNormal(rows, kInput, &rng);
+  double cpu = 0;
+  for (auto _ : state) {
+    const double t0 = ProcessCpuSeconds();
+    benchmark::DoNotOptimize(net.EncodeBinary(x));
+    cpu += ProcessCpuSeconds() - t0;
+  }
+  state.counters["cpu_ms"] =
+      benchmark::Counter(1e3 * cpu, benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_EncodeBinary)->Arg(1)->Arg(128)->Arg(12000)->UseRealTime();
+
 void BM_VlpScoring(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   data::SemanticWorld world(4);

@@ -7,6 +7,13 @@
 
 namespace uhscm {
 
+namespace {
+
+/// The pool whose worker this thread is, or null on any other thread.
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -36,6 +43,7 @@ void ThreadPool::Drain() {
 }
 
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     Task task;
     {
@@ -51,8 +59,10 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(int count, const std::function<void(int)>& fn) {
   if (count <= 0) return;
-  int nthreads;
-  {
+  // A loop issued from one of this pool's own workers runs inline: queued
+  // chunks could wait behind workers that are all blocked the same way.
+  int nthreads = 0;
+  if (current_pool != this) {
     MutexLock lock(mu_);
     nthreads = stop_ ? 0 : num_threads();
   }

@@ -26,8 +26,10 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, count) across the pool and blocks until all
   /// iterations finish. Iterations are chunked to limit scheduling
-  /// overhead. Safe to call with count == 0. After Drain() the loop runs
-  /// inline on the calling thread — work is never dropped.
+  /// overhead. Safe to call with count == 0. After Drain(), or when called
+  /// from one of this pool's own workers (a nested loop), the loop runs
+  /// inline on the calling thread — work is never dropped, and a nested
+  /// loop cannot deadlock waiting for workers that are all busy.
   void ParallelFor(int count, const std::function<void(int)>& fn);
 
   /// Orderly shutdown: stops handing new work to the workers, lets every

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -47,6 +48,42 @@ UhscmTrainer::UhscmTrainer(const vlp::SimulatedVlpModel* vlp,
   UHSCM_CHECK(vlp != nullptr, "UhscmTrainer: null VLP model");
 }
 
+namespace {
+
+/// The denoised-concept similarity factor for one prompt, and the names
+/// of the concepts it kept when `retained_concepts` is non-null.
+SimilarityFactor DenoisedSimilarity(
+    const vlp::SimulatedVlpModel* vlp, const linalg::Matrix& train_pixels,
+    const data::ConceptVocab& vocab, const ConceptMinerOptions& options,
+    std::vector<std::string>* retained_concepts) {
+  // Algorithm 1, steps 2-5, on one VLP scoring pass: the second mining
+  // pass re-softmaxes the kept columns of the full-vocabulary scores with
+  // tau pinned to the original vocabulary size (see ConceptMinerOptions).
+  // Each score depends only on its own (image, concept) pair, so these
+  // columns are byte for byte what re-scoring the denoised vocabulary
+  // gives.
+  const ConceptMiner miner(vlp, options);
+  const linalg::Matrix scores = miner.ScoreConcepts(train_pixels, vocab);
+  const DenoiseResult denoised =
+      DenoiseConcepts(miner.DistributionsFromScores(scores), vocab);
+  const int kept = static_cast<int>(denoised.kept_positions.size());
+  linalg::Matrix kept_scores(scores.rows(), kept);
+  for (int i = 0; i < scores.rows(); ++i) {
+    const float* src = scores.Row(i);
+    float* dst = kept_scores.Row(i);
+    for (int c = 0; c < kept; ++c) {
+      dst[c] = src[denoised.kept_positions[static_cast<size_t>(c)]];
+    }
+  }
+  ConceptMinerOptions pinned = options;
+  pinned.tau_concepts_override = vocab.size();
+  if (retained_concepts != nullptr) *retained_concepts = denoised.vocab.names;
+  return SimilarityFromDistributions(
+      ConceptMiner(vlp, pinned).DistributionsFromScores(kept_scores));
+}
+
+}  // namespace
+
 Result<UhscmTrainer::SimilarityArtifacts> UhscmTrainer::BuildSimilarity(
     const linalg::Matrix& train_pixels, const data::ConceptVocab& vocab,
     Rng* rng) const {
@@ -57,20 +94,11 @@ Result<UhscmTrainer::SimilarityArtifacts> UhscmTrainer::BuildSimilarity(
 
   SimilarityArtifacts artifacts;
   switch (config_.similarity_source) {
-    case SimilaritySource::kDenoisedConcepts: {
-      // Algorithm 1, steps 2-5. The second mining pass pins tau to the
-      // original vocabulary size (see ConceptMinerOptions).
-      const linalg::Matrix d = miner.MineDistributions(train_pixels, vocab);
-      const DenoiseResult denoised = DenoiseConcepts(d, vocab);
-      ConceptMinerOptions pinned = miner_options;
-      pinned.tau_concepts_override = vocab.size();
-      ConceptMiner pinned_miner(vlp_, pinned);
-      const linalg::Matrix d_clean =
-          pinned_miner.MineDistributions(train_pixels, denoised.vocab);
-      artifacts.q = SimilarityFromDistributions(d_clean);
-      artifacts.retained_concepts = denoised.vocab.names;
+    case SimilaritySource::kDenoisedConcepts:
+      artifacts.q = DenoisedSimilarity(vlp_, train_pixels, vocab,
+                                       miner_options,
+                                       &artifacts.retained_concepts);
       break;
-    }
     case SimilaritySource::kRawConcepts: {
       const linalg::Matrix d = miner.MineDistributions(train_pixels, vocab);
       artifacts.q = SimilarityFromDistributions(d);
@@ -108,15 +136,8 @@ Result<UhscmTrainer::SimilarityArtifacts> UhscmTrainer::BuildSimilarity(
             vlp::PromptTemplate::kItContainsThe}) {
         ConceptMinerOptions opt = miner_options;
         opt.prompt = tmpl;
-        ConceptMiner prompt_miner(vlp_, opt);
-        const linalg::Matrix d =
-            prompt_miner.MineDistributions(train_pixels, vocab);
-        const DenoiseResult denoised = DenoiseConcepts(d, vocab);
-        opt.tau_concepts_override = vocab.size();
-        ConceptMiner pinned_miner(vlp_, opt);
-        const linalg::Matrix d_clean =
-            pinned_miner.MineDistributions(train_pixels, denoised.vocab);
-        factors.push_back(SimilarityFromDistributions(d_clean));
+        factors.push_back(
+            DenoisedSimilarity(vlp_, train_pixels, vocab, opt, nullptr));
       }
       artifacts.q = AverageSimilarity(factors);
       break;

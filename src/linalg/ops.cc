@@ -272,13 +272,56 @@ void PackBPanels(const float* b, int ldb, bool trans, int p0, int kc, int n,
   }
 }
 
-/// C(m x n, ldc) += A * B over the packed panels: the one product kernel
-/// behind every MatMul entry point, for any shape (empty ones included).
-/// The A/B transpose flags select the packing reads; the compute loop is
-/// the same for all of them.
+/// C rows [i0, i0+mc) += A rows [i0, i0+mc) times one kc-deep slab of B
+/// whose j-panels `bslab` holds: the one compute loop behind every
+/// product. Packs the block's A panels into `apack` (room for
+/// ceil(mc / kMR) * kMR * kc floats), then runs the micro-kernel over
+/// every tile of the block.
+void GemmBlockOverPackedB(int i0, int mc, int n, int p0, int kc,
+                          const float* a, int lda, bool a_trans,
+                          const float* bslab, float* apack, float* c,
+                          int ldc) {
+  const MicroKernelFn micro = ActiveGemmKernel().fn;
+  const int jpanels = (n + kNR - 1) / kNR;
+  const int ipanels = (mc + kMR - 1) / kMR;
+  PackAPanels(a, lda, a_trans, i0, mc, p0, kc, apack);
+  alignas(64) float scratch[kMR * kNR];
+  for (int jp = 0; jp < jpanels; ++jp) {
+    const float* bp = bslab + static_cast<size_t>(jp) * kc * kNR;
+    const int j0 = jp * kNR;
+    const int cols = std::min(kNR, n - j0);
+    for (int ip = 0; ip < ipanels; ++ip) {
+      const float* ap = apack + static_cast<size_t>(ip) * kc * kMR;
+      const int i = i0 + ip * kMR;
+      const int rows = std::min(kMR, i0 + mc - i);
+      if (rows == kMR && cols == kNR) {
+        micro(kc, ap, bp, c + static_cast<size_t>(i) * ldc + j0, ldc);
+      } else {
+        // Edge tile: run the kernel on a scratch copy of C's live
+        // region and copy it back, so every element continues the
+        // same FMA chain a full tile would.
+        std::memset(scratch, 0, sizeof(scratch));
+        float* ctile = c + static_cast<size_t>(i) * ldc + j0;
+        for (int r = 0; r < rows; ++r) {
+          std::memcpy(scratch + r * kNR, ctile + static_cast<size_t>(r) * ldc,
+                      cols * sizeof(float));
+        }
+        micro(kc, ap, bp, scratch, kNR);
+        for (int r = 0; r < rows; ++r) {
+          std::memcpy(ctile + static_cast<size_t>(r) * ldc, scratch + r * kNR,
+                      cols * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+/// C(m x n, ldc) += A * B, packing B slab by slab: the product behind every
+/// MatMul entry point, for any shape (empty ones included). The A/B
+/// transpose flags select the packing reads; the compute loop is
+/// GemmBlockOverPackedB for all of them.
 void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
                     const float* b, int ldb, bool b_trans, float* c, int ldc) {
-  const MicroKernelFn micro = ActiveGemmKernel().fn;
   const int jpanels = (n + kNR - 1) / kNR;
   // As deep as the deepest slab, not kGemmKC: for a layer's dW (k = 128,
   // n = 512) the larger pack plus the 512 KB result crossed glibc's
@@ -292,38 +335,10 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
     ForEachBlock(int64_t{m} * n * k, iblocks, [&](int ib) {
       const int i0 = ib * kGemmMC;
       const int mc = std::min(kGemmMC, m - i0);
-      const int ipanels = (mc + kMR - 1) / kMR;
-      std::vector<float> apack(static_cast<size_t>(ipanels) * kc * kMR);
-      PackAPanels(a, lda, a_trans, i0, mc, p0, kc, apack.data());
-      alignas(64) float scratch[kMR * kNR];
-      for (int jp = 0; jp < jpanels; ++jp) {
-        const float* bp = bpack.data() + static_cast<size_t>(jp) * kc * kNR;
-        const int j0 = jp * kNR;
-        const int cols = std::min(kNR, n - j0);
-        for (int ip = 0; ip < ipanels; ++ip) {
-          const float* ap = apack.data() + static_cast<size_t>(ip) * kc * kMR;
-          const int i = i0 + ip * kMR;
-          const int rows = std::min(kMR, m - i);
-          if (rows == kMR && cols == kNR) {
-            micro(kc, ap, bp, c + static_cast<size_t>(i) * ldc + j0, ldc);
-          } else {
-            // Edge tile: run the kernel on a scratch copy of C's live
-            // region and copy it back, so every element continues the
-            // same FMA chain a full tile would.
-            std::memset(scratch, 0, sizeof(scratch));
-            float* ctile = c + static_cast<size_t>(i) * ldc + j0;
-            for (int r = 0; r < rows; ++r) {
-              std::memcpy(scratch + r * kNR, ctile + static_cast<size_t>(r) * ldc,
-                          cols * sizeof(float));
-            }
-            micro(kc, ap, bp, scratch, kNR);
-            for (int r = 0; r < rows; ++r) {
-              std::memcpy(ctile + static_cast<size_t>(r) * ldc, scratch + r * kNR,
-                          cols * sizeof(float));
-            }
-          }
-        }
-      }
+      std::vector<float> apack(static_cast<size_t>((mc + kMR - 1) / kMR) *
+                               kc * kMR);
+      GemmBlockOverPackedB(i0, mc, n, p0, kc, a, lda, a_trans, bpack.data(),
+                           apack.data(), c, ldc);
     });
   }
 }
@@ -331,6 +346,38 @@ void PackedGemmInto(int m, int n, int k, const float* a, int lda, bool a_trans,
 }  // namespace
 
 const char* PackedGemmKernelName() { return ActiveGemmKernel().name; }
+
+size_t PackedB::Size(const Matrix& b) {
+  return static_cast<size_t>((b.cols() + kNR - 1) / kNR) * kNR *
+         static_cast<size_t>(b.rows());
+}
+
+PackedB::PackedB(const Matrix& b, float* storage)
+    : rows_(b.rows()),
+      cols_(b.cols()),
+      padded_cols_(static_cast<size_t>((b.cols() + kNR - 1) / kNR) * kNR),
+      panels_(storage) {
+  // Slab after slab, each laid out exactly as PackedGemmInto packs it.
+  for (int p0 = 0; p0 < rows_; p0 += kGemmKC) {
+    PackBPanels(b.data(), cols_, /*trans=*/false, p0,
+                std::min(kGemmKC, rows_ - p0), cols_, Slab(p0));
+  }
+}
+
+void MatMulPackedInto(const float* a, int m, int lda, const PackedB& b,
+                      float* c, int ldc, std::vector<float>* apack) {
+  const int n = b.cols();
+  for (int i = 0; i < m; ++i) {
+    std::fill_n(c + static_cast<size_t>(i) * ldc, n, 0.0f);
+  }
+  apack->resize(static_cast<size_t>((m + kMR - 1) / kMR) * kMR *
+                std::min(b.rows(), kGemmKC));
+  for (int p0 = 0; p0 < b.rows(); p0 += kGemmKC) {
+    GemmBlockOverPackedB(0, m, n, p0, std::min(kGemmKC, b.rows() - p0), a,
+                         lda, /*a_trans=*/false, b.Slab(p0), apack->data(), c,
+                         ldc);
+  }
+}
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   UHSCM_CHECK(a.cols() == b.rows(), "MatMul: inner dims mismatch");

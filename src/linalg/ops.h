@@ -28,6 +28,49 @@ void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* c);
 /// MatMul (the packing step absorbs the transpose).
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
+/// A right-hand operand B (k x n) packed once into the GEMM's j-panels,
+/// slab by slab, exactly as every MatMul packs its B per call. For callers
+/// that multiply many row blocks by one B: the encoder packs each weight
+/// matrix once and shares it, read-only, across threads. The panels live
+/// in storage the caller owns, so one buffer can hold several operands.
+class PackedB {
+ public:
+  /// Floats the packed panels of `b` occupy.
+  static size_t Size(const Matrix& b);
+
+  /// Packs `b` into `storage`, which holds Size(b) floats and outlives
+  /// this view.
+  PackedB(const Matrix& b, float* storage);
+
+  int rows() const { return rows_; }
+  int cols() const { return cols_; }
+
+ private:
+  friend void MatMulPackedInto(const float* a, int m, int lda,
+                               const PackedB& b, float* c, int ldc,
+                               std::vector<float>* apack);
+
+  /// The slab starting at inner index p0, a multiple of the slab depth:
+  /// each inner step holds n rounded up to the panel width.
+  float* Slab(int p0) const {
+    return panels_ + static_cast<size_t>(p0) * padded_cols_;
+  }
+
+  int rows_;
+  int cols_;
+  size_t padded_cols_;
+  float* panels_;
+};
+
+/// C(m x n, ldc) = A(m x k, lda) * B over B packed once, on the calling
+/// thread. The m rows form one block of the packed GEMM's compute loop,
+/// so callers pass a few micro-panels' worth (the encoder passes 132);
+/// `apack` is scratch for the block's packed A, grown as needed. Every
+/// element is the same arithmetic MatMul gives it: the rows are
+/// memcmp-equal to the matching rows of MatMul(a, b) on every tier.
+void MatMulPackedInto(const float* a, int m, int lda, const PackedB& b,
+                      float* c, int ldc, std::vector<float>* apack);
+
 /// The packed GEMM's micro-kernel and tile on this host, e.g.
 /// "avx512 12x32": picked once from index::ActiveKernelTier(), so
 /// UHSCM_FORCE_TIER selects it too.

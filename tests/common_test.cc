@@ -283,6 +283,21 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   }
 }
 
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+  // Every outer iteration blocks its worker in an inner loop on the same
+  // pool; queued inner chunks would wait for a worker forever.
+  ThreadPool pool(4);
+  constexpr int kOuter = 16;
+  constexpr int kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.ParallelFor(kOuter, [&](int i) {
+    pool.ParallelFor(kInner, [&](int j) {
+      hits[static_cast<size_t>(i * kInner + j)]++;
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 // ------------------------------------------------------------- Stopwatch
 
 TEST(StopwatchTest, MeasuresNonNegativeMonotoneTime) {

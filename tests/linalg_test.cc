@@ -360,6 +360,46 @@ TEST(OpsTest, PoolSplitDoesNotChangeBytes) {
   }
 }
 
+TEST(OpsTest, PackedOperandMatchesMatMulBytes) {
+  // MatMulPackedInto over B packed once, walked in row blocks of uneven
+  // sizes, must give MatMul's bytes on every tier: depths from one inner
+  // step to three slabs, widths on and off the 32-column panel edge. A is
+  // read from the left part of a wider matrix and C written into the left
+  // part of a wider one (lda > k, ldc > n), and C starts dirty.
+  constexpr int kRows = 400;
+  constexpr int kPad = 5;
+  for (int k : {1, 7, 256, 257, 600}) {
+    for (int n : {1, 31, 32, 45, 64}) {
+      Rng rng(static_cast<uint64_t>(k * 100 + n));
+      const Matrix wide_a = Matrix::RandomNormal(kRows, k + kPad, &rng);
+      Matrix a(kRows, k);
+      for (int i = 0; i < kRows; ++i) {
+        std::copy(wide_a.Row(i), wide_a.Row(i) + k, a.Row(i));
+      }
+      const Matrix b = Matrix::RandomNormal(k, n, &rng);
+      std::vector<float> storage(PackedB::Size(b));
+      const PackedB packed(b, storage.data());
+      ASSERT_EQ(packed.rows(), k);
+      ASSERT_EQ(packed.cols(), n);
+      Matrix c(kRows, n + kPad, 7.0f);
+      std::vector<float> apack;
+      int i0 = 0;
+      for (int block : {1, 12, 13, 132, 131, 111}) {
+        MatMulPackedInto(wide_a.Row(i0), block, k + kPad, packed, c.Row(i0),
+                         n + kPad, &apack);
+        i0 += block;
+      }
+      ASSERT_EQ(i0, kRows);
+      const Matrix want = MatMul(a, b);
+      for (int i = 0; i < kRows; ++i) {
+        ASSERT_EQ(std::memcmp(c.Row(i), want.Row(i), n * sizeof(float)), 0)
+            << "k " << k << " n " << n << " row " << i;
+        EXPECT_EQ(c(i, n), 7.0f) << "wrote past column " << n;
+      }
+    }
+  }
+}
+
 class AddMatMulTransAShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/hashing_network.h"
@@ -210,6 +212,124 @@ TEST(HashingNetworkTest, BackwardMatchesSequentialBitForBit) {
         << "parameter " << p;
     EXPECT_GT(a[p].grad->FrobeniusNorm(), 0.0f) << "parameter " << p;
   }
+}
+
+/// The training path's codes: every layer's Forward, then Sign.
+Matrix ForwardSign(core::HashingNetwork* net, const Matrix& x) {
+  return linalg::Sign(net->Forward(x));
+}
+
+bool BytesEqual(const Matrix& a, const Matrix& b) {
+  // An empty matrix's data() may be null, which memcmp must not see.
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(HashingNetworkTest, EncodeBinaryEqualsSignOfForward) {
+  // Row counts around the 12-row micro-panel and the 132-row encode
+  // block. The first network runs the ledger's widths; the second puts
+  // every layer on a tile edge and its input across two 256-deep slabs.
+  core::HashingNetworkOptions ragged;
+  ragged.hidden1 = 45;
+  ragged.hidden2 = 20;
+  ragged.bits = 33;
+  const struct {
+    int input;
+    core::HashingNetworkOptions options;
+  } shapes[] = {{256, core::HashingNetworkOptions{}}, {300, ragged}};
+  for (const auto& shape : shapes) {
+    Rng rng(21);
+    core::HashingNetwork net(shape.input, shape.options, &rng);
+    // Non-zero biases, so the fused bias pass is exercised.
+    for (const Parameter& p : net.model()->Parameters()) {
+      if (p.value->rows() == 1) {
+        *p.value = Matrix::RandomNormal(1, p.value->cols(), &rng, 0.1f);
+      }
+    }
+    for (int rows : {0, 1, 11, 12, 13, 131, 132, 133, 1000}) {
+      const Matrix x = Matrix::RandomNormal(rows, shape.input, &rng);
+      const Matrix codes = net.EncodeBinary(x);
+      ASSERT_EQ(codes.rows(), rows);
+      ASSERT_EQ(codes.cols(), shape.options.bits);
+      EXPECT_TRUE(BytesEqual(codes, ForwardSign(&net, x)))
+          << "input " << shape.input << " rows " << rows;
+    }
+  }
+}
+
+TEST(HashingNetworkTest, EncodeBinarySignsEdgePreActivations) {
+  // Hand-set weights give the last layer the pre-activations
+  //   column 0: +0             -> +1
+  //   column 1: -0 on the FMA tiers (an underflowing product plus -0
+  //             terms), +0 on the portable kernel -> +1 either way
+  //   column 2: -1e-40, a negative denormal -> -1
+  //   column 3: -1e30 -> -1
+  //   column 4: +2 -> +1
+  // for the input (1, 1): both hidden layers hold (1e-30, 1).
+  core::HashingNetworkOptions options;
+  options.hidden1 = 2;
+  options.hidden2 = 2;
+  options.bits = 5;
+  Rng rng(3);
+  core::HashingNetwork net(2, options, &rng);
+  const std::vector<Parameter> params = net.model()->Parameters();
+  ASSERT_EQ(params.size(), 6u);
+  Matrix w1(2, 2);
+  w1(0, 0) = 1e-30f;
+  w1(1, 1) = 1.0f;
+  Matrix w2(2, 2);
+  w2(0, 0) = 1.0f;
+  w2(1, 1) = 1.0f;
+  Matrix w3(2, 5);
+  w3(0, 1) = -1e-30f;
+  w3(1, 1) = -0.0f;
+  w3(1, 2) = -1e-40f;
+  w3(1, 4) = 2.0f;
+  Matrix b3(1, 5);
+  b3(0, 1) = -0.0f;
+  b3(0, 3) = -1e30f;
+  *params[0].value = w1;
+  *params[1].value = Matrix(1, 2);
+  *params[2].value = w2;
+  *params[3].value = Matrix(1, 2);
+  *params[4].value = w3;
+  *params[5].value = b3;
+
+  const Matrix x(3, 2, 1.0f);
+  const Matrix z = net.Forward(x);  // tanh of the pre-activations
+  EXPECT_EQ(z(0, 0), 0.0f);
+  EXPECT_FALSE(std::signbit(z(0, 0)));
+  EXPECT_EQ(z(0, 1), 0.0f);
+  EXPECT_LT(z(0, 2), 0.0f);
+  EXPECT_GT(z(0, 2), -1e-38f);  // still denormal after tanh
+  EXPECT_EQ(z(0, 3), -1.0f);
+
+  const Matrix codes = net.EncodeBinary(x);
+  EXPECT_TRUE(BytesEqual(codes, linalg::Sign(z)));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(codes(i, 0), 1.0f);
+    EXPECT_EQ(codes(i, 1), 1.0f);
+    EXPECT_EQ(codes(i, 2), -1.0f);
+    EXPECT_EQ(codes(i, 3), -1.0f);
+    EXPECT_EQ(codes(i, 4), 1.0f);
+  }
+}
+
+TEST(HashingNetworkTest, EncodeBinaryFromTwoThreadsAtOnce) {
+  // EncodeBinary writes no layer state, so concurrent calls on one
+  // network are race-free (run under TSan) and each returns the codes.
+  Rng rng(5);
+  core::HashingNetwork net(256, core::HashingNetworkOptions{}, &rng);
+  const Matrix x = Matrix::RandomNormal(700, 256, &rng);
+  const Matrix y = Matrix::RandomNormal(300, 256, &rng);
+  Matrix cx, cy;
+  std::thread tx([&] { cx = net.EncodeBinary(x); });
+  std::thread ty([&] { cy = net.EncodeBinary(y); });
+  tx.join();
+  ty.join();
+  EXPECT_TRUE(BytesEqual(cx, ForwardSign(&net, x)));
+  EXPECT_TRUE(BytesEqual(cy, ForwardSign(&net, y)));
 }
 
 TEST(SgdTest, ConvergesOnLinearRegression) {

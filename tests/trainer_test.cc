@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/concept_denoiser.h"
@@ -249,6 +251,85 @@ linalg::Matrix ReferenceDenseQ(const vlp::SimulatedVlpModel* vlp,
     }
   }
   return {};
+}
+
+/// The denoised-concept factor as two mining passes build it: score and
+/// denoise the whole vocabulary, then score the kept concepts again with
+/// tau pinned to the original vocabulary size. `kept` receives how many
+/// concepts the denoiser kept.
+SimilarityFactor TwoPassDenoisedFactor(const vlp::SimulatedVlpModel* vlp,
+                                       ConceptMinerOptions options,
+                                       const linalg::Matrix& train_pixels,
+                                       const data::ConceptVocab& vocab,
+                                       std::vector<std::string>* kept) {
+  const linalg::Matrix d =
+      ConceptMiner(vlp, options).MineDistributions(train_pixels, vocab);
+  const DenoiseResult denoised = DenoiseConcepts(d, vocab);
+  *kept = denoised.vocab.names;
+  options.tau_concepts_override = vocab.size();
+  return SimilarityFromDistributions(ConceptMiner(vlp, options)
+                                         .MineDistributions(train_pixels,
+                                                            denoised.vocab));
+}
+
+TEST(TrainerTest, OneScoringPassMatchesTwoPassFactorBytes) {
+  // BuildSimilarity scores the vocabulary once and re-softmaxes the kept
+  // columns; the factor must be memcmp-equal to the two-pass pipeline's.
+  // The one-concept vocabulary is the degenerate case: its concept is
+  // every image's argmax, the band drops it, and the denoiser falls back
+  // to keeping the whole vocabulary.
+  TinyEnv env = MakeTinyEnv("cifar", 400, 310, 20);
+  const linalg::Matrix train_pixels =
+      env.dataset.pixels.SelectRows(env.dataset.split.train);
+  data::ConceptVocab one_concept = data::SubsetVocab(env.vocab, {3});
+  for (const data::ConceptVocab* vocab : {&env.vocab, &one_concept}) {
+    for (SimilaritySource source : {SimilaritySource::kDenoisedConcepts,
+                                    SimilaritySource::kAveragePrompts}) {
+      UhscmConfig config = TinyConfig();
+      config.similarity_source = source;
+      Rng rng(9);
+      Result<UhscmTrainer::SimilarityArtifacts> artifacts =
+          UhscmTrainer(env.vlp.get(), config)
+              .BuildSimilarity(train_pixels, *vocab, &rng);
+      ASSERT_TRUE(artifacts.ok()) << artifacts.status().ToString();
+
+      ConceptMinerOptions options;
+      options.tau_multiplier = config.tau_multiplier;
+      options.prompt = config.prompt;
+      std::vector<std::string> kept;
+      SimilarityFactor reference;
+      if (source == SimilaritySource::kDenoisedConcepts) {
+        reference = TwoPassDenoisedFactor(env.vlp.get(), options,
+                                          train_pixels, *vocab, &kept);
+        EXPECT_EQ(artifacts->retained_concepts, kept);
+      } else {
+        std::vector<SimilarityFactor> factors;
+        for (vlp::PromptTemplate tmpl :
+             {vlp::PromptTemplate::kAPhotoOfThe, vlp::PromptTemplate::kThe,
+              vlp::PromptTemplate::kItContainsThe}) {
+          options.prompt = tmpl;
+          factors.push_back(TwoPassDenoisedFactor(env.vlp.get(), options,
+                                                  train_pixels, *vocab,
+                                                  &kept));
+        }
+        reference = AverageSimilarity(factors);
+      }
+      if (vocab == &one_concept) {
+        EXPECT_EQ(kept.size(), 1u);
+      } else {
+        EXPECT_GT(kept.size(), 1u);
+        EXPECT_LT(kept.size(), env.vocab.names.size());
+      }
+      const linalg::Matrix& f = artifacts->q.f;
+      ASSERT_EQ(f.rows(), reference.f.rows());
+      ASSERT_EQ(f.cols(), reference.f.cols());
+      EXPECT_EQ(std::memcmp(f.data(), reference.f.data(),
+                            f.size() * sizeof(float)),
+                0)
+          << "source " << static_cast<int>(source) << ", vocabulary of "
+          << vocab->names.size();
+    }
+  }
 }
 
 class FactoredSimilaritySweep
