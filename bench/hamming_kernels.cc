@@ -211,9 +211,12 @@ int Main(int argc, char** argv) {
     const double secs = TimeBest(kTimingReps, [&] {
       sink = 0;
       for (int q = 0; q < queries.size(); ++q) {
-        sink += fn(queries.code(q), corpus.code(0), corpus.size(),
-                   corpus.words_per_code(), index::kNoThreshold, nullptr,
-                   hit_index.data(), hit_distance.data());
+        const uint64_t* row = queries.code(q);
+        const int32_t bound = index::kNoThreshold;
+        int hits = 0;
+        fn(&row, 1, corpus.code(0), corpus.size(), corpus.words_per_code(),
+           &bound, nullptr, hit_index.data(), hit_distance.data(), &hits);
+        sink += hits;
         sink += hit_distance[static_cast<size_t>(corpus.size()) - 1];
       }
     });

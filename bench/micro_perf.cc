@@ -97,11 +97,13 @@ void BM_BatchEmit(benchmark::State& state) {
              : index::GetBatchEmitFn();
   std::vector<int32_t> hit_index(static_cast<size_t>(n));
   std::vector<int32_t> hit_distance(static_cast<size_t>(n));
+  const uint64_t* row = query.code(0);
+  const int32_t bound = index::kNoThreshold;
+  int hits = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fn(query.code(0), corpus.code(0), n,
-                                corpus.words_per_code(), index::kNoThreshold,
-                                nullptr, hit_index.data(),
-                                hit_distance.data()));
+    fn(&row, 1, corpus.code(0), n, corpus.words_per_code(), &bound, nullptr,
+       hit_index.data(), hit_distance.data(), &hits);
+    benchmark::DoNotOptimize(hits);
     benchmark::DoNotOptimize(hit_index.data());
     benchmark::DoNotOptimize(hit_distance.data());
     benchmark::ClobberMemory();
@@ -165,10 +167,14 @@ BENCHMARK(BM_BatchTopK)
     ->Args({100000, 128, 32, 100, 0, 0})
     ->Args({10000, 128, 256, 100, 0, 0})
     // The ledger's shard units at k = 10: one 250k-row shard of
-    // serve-scan's clustered codes under a full batch, and one 2500-row
-    // shard of build's ten-class codes under a batch of two.
+    // serve-scan's clustered codes and one 25k-row shard of serve-hot's
+    // (and serve-churn's) under a full batch, and one 2500-row shard of
+    // build's ten-class codes under a batch of two.
     ->Args({250000, 64, 16, 10, 1000, 100})
-    ->Args({2500, 64, 2, 10, 10, 20});
+    ->Args({25000, 64, 16, 10, 1000, 100})
+    ->Args({2500, 64, 2, 10, 10, 20})
+    // The same clustering at 128 bits (2048 codes per 32 KiB block).
+    ->Args({100000, 128, 16, 10, 1000, 100});
 
 void BM_MihRadiusQuery(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -12,9 +12,9 @@
 namespace uhscm::index {
 
 struct BatchScanOptions {
-  /// Codes per cache block; 0 picks a size that keeps one block of packed
-  /// codes (~64 KiB) resident in L1/L2 while every query in the batch is
-  /// scored against it.
+  /// Codes per cache block; 0 picks about 32 KiB of packed codes (4096
+  /// codes at 64 bits, 2048 at 128, at least 256), so one block stays
+  /// L1-resident while every query in the batch is scored against it.
   int code_block = 0;
   /// Kernel tier override for benches and the forced-tier CI runs; the
   /// default uses the process-wide dispatch decision (ActiveKernelTier).
@@ -28,15 +28,9 @@ struct BatchScanOptions {
   const TombstoneSet* tombstones = nullptr;
 };
 
-/// Codes per cache block when BatchScanOptions::code_block == 0: sized so
-/// one block of packed codes (~64 KiB) stays L1/L2-resident while every
-/// query of the batch is scored against it. Shared with the self-join
-/// engine, whose tiles are both query blocks and code blocks at once.
-int PickCodeBlockSize(int words_per_code, int requested);
-
 /// \brief Query-blocked x code-blocked exact top-k over packed codes.
 ///
-/// Scores all `num_queries` queries against one cache-resident block of
+/// Scores all `num_queries` queries against one L1-resident block of
 /// codes before advancing to the next block, so each block of the corpus
 /// is read from memory once per *batch* instead of once per *query* —
 /// the Q-fold traffic amortization the per-query scan cannot get. Codes
@@ -44,9 +38,11 @@ int PickCodeBlockSize(int words_per_code, int requested);
 /// the same bounded max-heap displacement rule as LinearScanIndex::TopK
 /// (strict distance improvement only), so results — ids, distances, and
 /// tie-break order — are byte-identical to the per-query scan. Each
-/// block is walked in short runs through the emitting kernel
-/// (BatchEmitFn): once a query's heap holds k live entries, a run emits
-/// only the codes strictly below its current worst distance.
+/// block is walked in 256-code runs through the emitting kernel
+/// (BatchEmitFn), up to four queries per call, so one load of each step
+/// of codes serves the whole group. Each query's bound is re-read from
+/// its heap before every run: once the heap holds k live entries, a run
+/// emits only the codes strictly below its current worst distance.
 std::vector<std::vector<Neighbor>> BatchTopK(
     const PackedCodes& db, const uint64_t* const* queries, int num_queries,
     int k, const BatchScanOptions& options = {});

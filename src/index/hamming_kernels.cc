@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #if defined(UHSCM_HAVE_AVX2_KERNELS) || defined(UHSCM_HAVE_AVX512_KERNELS)
 #include <immintrin.h>
@@ -113,6 +114,39 @@ int EmitThroughBatch(const uint64_t* query, const uint64_t* codes, int n,
   return count;
 }
 
+/// Codes of three or more words under the multi-query contract: each
+/// query runs EmitThroughBatch alone into its own slice of the output.
+template <DistanceMinFn kBatchMin>
+void EmitWideEachQuery(const uint64_t* const* queries, int num_queries,
+                       const uint64_t* codes, int n, int words,
+                       const int32_t* row_bounds, const int32_t* code_bounds,
+                       int32_t* out_index, int32_t* out_distance,
+                       int* counts) {
+  for (int q = 0; q < num_queries; ++q) {
+    const size_t at = static_cast<size_t>(q) * static_cast<size_t>(n);
+    counts[q] = EmitThroughBatch<kBatchMin>(
+        queries[q], codes, n, words, row_bounds[q], code_bounds,
+        out_index + at, out_distance + at);
+  }
+}
+
+/// Calls `kernel` with `num_queries` (1 to kMaxEmitQueries) as a
+/// std::integral_constant, so the vector kernels can keep each query's
+/// registers in fixed-size arrays.
+template <typename Kernel>
+inline void WithQueryCount(int num_queries, const Kernel& kernel) {
+  switch (num_queries) {
+    case 1:
+      return kernel(std::integral_constant<int, 1>());
+    case 2:
+      return kernel(std::integral_constant<int, 2>());
+    case 3:
+      return kernel(std::integral_constant<int, 3>());
+    default:
+      return kernel(std::integral_constant<int, kMaxEmitQueries>());
+  }
+}
+
 /// Scalar distance-min body: the reference the vector bodies match.
 inline int32_t BatchMinBody(const uint64_t* query, const uint64_t* codes,
                             int n, int words, int32_t* out) {
@@ -124,18 +158,27 @@ inline int32_t BatchMinBody(const uint64_t* query, const uint64_t* codes,
   return best;
 }
 
-/// The scalar tier's emitting body over the distance-min body `kBatchMin`.
+/// The scalar tier's emitting body over the distance-min body
+/// `kBatchMin`: the reference, one query after another. The scalar tier
+/// is bound by its popcounts, not by loading the codes, so sharing each
+/// load among the queries would buy it nothing.
 template <DistanceMinFn kBatchMin>
-inline int EmitScalarBody(const uint64_t* query, const uint64_t* codes, int n,
-                          int words, int32_t row_bound,
-                          const int32_t* code_bounds, int32_t* out_index,
-                          int32_t* out_distance) {
-  if (words <= 2) {
-    return EmitEach(query, codes, 0, n, words, row_bound, code_bounds,
-                    out_index, out_distance, 0);
+inline void EmitScalarBody(const uint64_t* const* queries, int num_queries,
+                           const uint64_t* codes, int n, int words,
+                           const int32_t* row_bounds,
+                           const int32_t* code_bounds, int32_t* out_index,
+                           int32_t* out_distance, int* counts) {
+  if (words > 2) {
+    EmitWideEachQuery<kBatchMin>(queries, num_queries, codes, n, words,
+                                 row_bounds, code_bounds, out_index,
+                                 out_distance, counts);
+    return;
   }
-  return EmitThroughBatch<kBatchMin>(query, codes, n, words, row_bound,
-                                     code_bounds, out_index, out_distance);
+  for (int q = 0; q < num_queries; ++q) {
+    const size_t at = static_cast<size_t>(q) * static_cast<size_t>(n);
+    counts[q] = EmitEach(queries[q], codes, 0, n, words, row_bounds[q],
+                         code_bounds, out_index + at, out_distance + at, 0);
+  }
 }
 
 int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
@@ -143,12 +186,14 @@ int32_t BatchMinScalar(const uint64_t* query, const uint64_t* codes, int n,
   return BatchMinBody(query, codes, n, words, out);
 }
 
-int BatchEmitPortable(const uint64_t* query, const uint64_t* codes, int n,
-                      int words, int32_t row_bound, const int32_t* code_bounds,
-                      int32_t* out_index, int32_t* out_distance) {
-  return EmitScalarBody<&BatchMinScalar>(query, codes, n, words, row_bound,
-                                         code_bounds, out_index,
-                                         out_distance);
+void BatchEmitPortable(const uint64_t* const* queries, int num_queries,
+                       const uint64_t* codes, int n, int words,
+                       const int32_t* row_bounds, const int32_t* code_bounds,
+                       int32_t* out_index, int32_t* out_distance,
+                       int* counts) {
+  EmitScalarBody<&BatchMinScalar>(queries, num_queries, codes, n, words,
+                                  row_bounds, code_bounds, out_index,
+                                  out_distance, counts);
 }
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -161,13 +206,13 @@ __attribute__((target("popcnt"))) int32_t BatchMinPopcnt(
   return BatchMinBody(query, codes, n, words, out);
 }
 
-__attribute__((target("popcnt"))) int BatchEmitPopcnt(
-    const uint64_t* query, const uint64_t* codes, int n, int words,
-    int32_t row_bound, const int32_t* code_bounds, int32_t* out_index,
-    int32_t* out_distance) {
-  return EmitScalarBody<&BatchMinPopcnt>(query, codes, n, words, row_bound,
-                                         code_bounds, out_index,
-                                         out_distance);
+__attribute__((target("popcnt"))) void BatchEmitPopcnt(
+    const uint64_t* const* queries, int num_queries, const uint64_t* codes,
+    int n, int words, const int32_t* row_bounds, const int32_t* code_bounds,
+    int32_t* out_index, int32_t* out_distance, int* counts) {
+  EmitScalarBody<&BatchMinPopcnt>(queries, num_queries, codes, n, words,
+                                  row_bounds, code_bounds, out_index,
+                                  out_distance, counts);
 }
 
 BatchEmitFn PickScalarBody() {
@@ -180,12 +225,13 @@ BatchEmitFn PickScalarBody() { return &BatchEmitPortable; }
 
 }  // namespace
 
-int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
-                    int words, int32_t row_bound, const int32_t* code_bounds,
-                    int32_t* out_index, int32_t* out_distance) {
+void BatchEmitScalar(const uint64_t* const* queries, int num_queries,
+                     const uint64_t* codes, int n, int words,
+                     const int32_t* row_bounds, const int32_t* code_bounds,
+                     int32_t* out_index, int32_t* out_distance, int* counts) {
   static const BatchEmitFn body = PickScalarBody();
-  return body(query, codes, n, words, row_bound, code_bounds, out_index,
-              out_distance);
+  body(queries, num_queries, codes, n, words, row_bounds, code_bounds,
+       out_index, out_distance, counts);
 }
 
 #if defined(UHSCM_HAVE_AVX2_KERNELS)
@@ -248,105 +294,134 @@ UHSCM_AVX2_FN int32_t BatchMinAvx2(const uint64_t* query,
   return best;
 }
 
-/// Distances of the eight 64-bit codes at `p`, as int32 lanes in code
-/// order.
-UHSCM_AVX2_FN inline __m256i Distances8Words1(__m256i q, const uint64_t* p) {
-  const __m256i a = PopcountLanes64(_mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), q));
-  const __m256i b = PopcountLanes64(_mm256_xor_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4)), q));
-  // Dwords [d0 d4 d1 d5 d2 d6 d3 d7] -> code order.
-  return _mm256_permutevar8x32_epi32(
-      _mm256_or_si256(a, _mm256_slli_epi64(b, 32)),
-      _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
-}
-
-/// Distances of the eight 128-bit codes at `p`, as int32 lanes in code
-/// order.
-UHSCM_AVX2_FN inline __m256i Distances8Words2(__m256i q, const uint64_t* p) {
-  __m256i s[4];
-  for (int v = 0; v < 4; ++v) {
-    s[v] = PopcountLanes64(_mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4 * v)), q));
-  }
-  // s[v] holds codes 2v, 2v+1, one per 128-bit lane as (low, high) word
-  // counts; the unpacks add each code's halves: lane 0 gets [d0 d2],
-  // lane 1 [d1 d3] (then [d4 d6] and [d5 d7]).
-  const __m256i d03 = _mm256_add_epi64(_mm256_unpacklo_epi64(s[0], s[1]),
-                                       _mm256_unpackhi_epi64(s[0], s[1]));
-  const __m256i d47 = _mm256_add_epi64(_mm256_unpacklo_epi64(s[2], s[3]),
-                                       _mm256_unpackhi_epi64(s[2], s[3]));
-  // Dwords [d0 d4 d2 d6 d1 d5 d3 d7] -> code order.
-  return _mm256_permutevar8x32_epi32(
-      _mm256_or_si256(d03, _mm256_slli_epi64(d47, 32)),
-      _mm256_setr_epi32(0, 4, 2, 6, 1, 5, 3, 7));
-}
-
-/// Emitting kernel for 64- and 128-bit codes: eight distances per step
-/// are compared against their bounds in registers; only a step with a
-/// hit spills its distances, and the hits are walked by mask bit.
+/// Distances from the query vector `q` to the eight codes loaded in `c`
+/// (two vectors of 64-bit codes, or four of 128-bit codes), as int32
+/// lanes in code order.
 template <int kWords>
-UHSCM_AVX2_FN int EmitNarrowAvx2(const uint64_t* query, const uint64_t* codes,
-                                 int n, int32_t row_bound,
-                                 const int32_t* code_bounds,
-                                 int32_t* out_index, int32_t* out_distance) {
-  __m256i q;
+UHSCM_AVX2_FN inline __m256i Distances8(__m256i q, const __m256i* c) {
   if constexpr (kWords == 1) {
-    q = _mm256_set1_epi64x(static_cast<long long>(query[0]));
+    const __m256i a = PopcountLanes64(_mm256_xor_si256(c[0], q));
+    const __m256i b = PopcountLanes64(_mm256_xor_si256(c[1], q));
+    // Dwords [d0 d4 d1 d5 d2 d6 d3 d7] -> code order.
+    return _mm256_permutevar8x32_epi32(
+        _mm256_or_si256(a, _mm256_slli_epi64(b, 32)),
+        _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7));
   } else {
-    q = _mm256_setr_epi64x(
-        static_cast<long long>(query[0]), static_cast<long long>(query[1]),
-        static_cast<long long>(query[0]), static_cast<long long>(query[1]));
+    __m256i s[4];
+    for (int v = 0; v < 4; ++v) {
+      s[v] = PopcountLanes64(_mm256_xor_si256(c[v], q));
+    }
+    // s[v] holds codes 2v, 2v+1, one per 128-bit lane as (low, high) word
+    // counts; the unpacks add each code's halves: lane 0 gets [d0 d2],
+    // lane 1 [d1 d3] (then [d4 d6] and [d5 d7]).
+    const __m256i d03 = _mm256_add_epi64(_mm256_unpacklo_epi64(s[0], s[1]),
+                                         _mm256_unpackhi_epi64(s[0], s[1]));
+    const __m256i d47 = _mm256_add_epi64(_mm256_unpacklo_epi64(s[2], s[3]),
+                                         _mm256_unpackhi_epi64(s[2], s[3]));
+    // Dwords [d0 d4 d2 d6 d1 d5 d3 d7] -> code order.
+    return _mm256_permutevar8x32_epi32(
+        _mm256_or_si256(d03, _mm256_slli_epi64(d47, 32)),
+        _mm256_setr_epi32(0, 4, 2, 6, 1, 5, 3, 7));
   }
-  const __m256i row = _mm256_set1_epi32(row_bound);
-  alignas(32) int32_t dist[8];
-  int count = 0;
+}
+
+/// Emitting kernel for 64- and 128-bit codes and kQueries queries: each
+/// step loads eight codes once, and every query compares its eight
+/// distances against its bounds in registers; only a query with a hit
+/// spills its distances, and its hits are walked by mask bit.
+template <int kWords, int kQueries>
+UHSCM_AVX2_FN void EmitNarrowAvx2(const uint64_t* const* queries,
+                                  const uint64_t* codes, int n,
+                                  const int32_t* row_bounds,
+                                  const int32_t* code_bounds,
+                                  int32_t* out_index, int32_t* out_distance,
+                                  int* counts) {
+  __m256i q[kQueries];
+  __m256i row[kQueries];
+  int32_t* index[kQueries];
+  int32_t* distance[kQueries];
+  int count[kQueries];
+  for (int j = 0; j < kQueries; ++j) {
+    const uint64_t* query = queries[j];
+    if constexpr (kWords == 1) {
+      q[j] = _mm256_set1_epi64x(static_cast<long long>(query[0]));
+    } else {
+      q[j] = _mm256_setr_epi64x(
+          static_cast<long long>(query[0]), static_cast<long long>(query[1]),
+          static_cast<long long>(query[0]), static_cast<long long>(query[1]));
+    }
+    row[j] = _mm256_set1_epi32(row_bounds[j]);
+    index[j] = out_index + static_cast<size_t>(j) * static_cast<size_t>(n);
+    distance[j] =
+        out_distance + static_cast<size_t>(j) * static_cast<size_t>(n);
+    count[j] = 0;
+  }
+  alignas(32) int32_t spill[8];
   int i = 0;
   for (; i + 8 <= n; i += 8) {
     const uint64_t* p = codes + kWords * static_cast<size_t>(i);
-    __m256i d;
-    if constexpr (kWords == 1) {
-      d = Distances8Words1(q, p);
-    } else {
-      d = Distances8Words2(q, p);
+    __m256i c[2 * kWords];
+    for (int v = 0; v < 2 * kWords; ++v) {
+      c[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4 * v));
     }
-    const __m256i bound =
-        code_bounds == nullptr
-            ? row
-            : _mm256_max_epi32(row, _mm256_loadu_si256(
-                                        reinterpret_cast<const __m256i*>(
-                                            code_bounds + i)));
-    unsigned hits = static_cast<unsigned>(_mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpgt_epi32(bound, d))));
-    if (hits == 0) continue;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(dist), d);
-    do {
-      const int lane = __builtin_ctz(hits);
-      out_index[count] = i + lane;
-      out_distance[count] = dist[lane];
-      ++count;
-      hits &= hits - 1;
-    } while (hits != 0);
+    __m256i code_bound = _mm256_setzero_si256();
+    if (code_bounds != nullptr) {
+      code_bound = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(code_bounds + i));
+    }
+    __m256i d[kQueries];
+    unsigned hits[kQueries];
+    unsigned any = 0;
+    for (int j = 0; j < kQueries; ++j) {
+      d[j] = Distances8<kWords>(q[j], c);
+      const __m256i bound = code_bounds == nullptr
+                                ? row[j]
+                                : _mm256_max_epi32(row[j], code_bound);
+      hits[j] = static_cast<unsigned>(_mm256_movemask_ps(
+          _mm256_castsi256_ps(_mm256_cmpgt_epi32(bound, d[j]))));
+      any |= hits[j];
+    }
+    if (any == 0) continue;
+    for (int j = 0; j < kQueries; ++j) {
+      unsigned h = hits[j];
+      if (h == 0) continue;
+      _mm256_store_si256(reinterpret_cast<__m256i*>(spill), d[j]);
+      do {
+        const int lane = __builtin_ctz(h);
+        index[j][count[j]] = i + lane;
+        distance[j][count[j]] = spill[lane];
+        ++count[j];
+        h &= h - 1;
+      } while (h != 0);
+    }
   }
-  return EmitEach(query, codes, i, n, kWords, row_bound, code_bounds,
-                  out_index, out_distance, count);
+  for (int j = 0; j < kQueries; ++j) {
+    counts[j] = EmitEach(queries[j], codes, i, n, kWords, row_bounds[j],
+                         code_bounds, index[j], distance[j], count[j]);
+  }
 }
 
 }  // namespace
 
-int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
-                  int words, int32_t row_bound, const int32_t* code_bounds,
-                  int32_t* out_index, int32_t* out_distance) {
+void BatchEmitAvx2(const uint64_t* const* queries, int num_queries,
+                   const uint64_t* codes, int n, int words,
+                   const int32_t* row_bounds, const int32_t* code_bounds,
+                   int32_t* out_index, int32_t* out_distance, int* counts) {
   if (words == 1) {
-    return EmitNarrowAvx2<1>(query, codes, n, row_bound, code_bounds,
-                             out_index, out_distance);
+    WithQueryCount(num_queries, [&](auto q) {
+      EmitNarrowAvx2<1, q>(queries, codes, n, row_bounds, code_bounds,
+                           out_index, out_distance, counts);
+    });
+  } else if (words == 2) {
+    WithQueryCount(num_queries, [&](auto q) {
+      EmitNarrowAvx2<2, q>(queries, codes, n, row_bounds, code_bounds,
+                           out_index, out_distance, counts);
+    });
+  } else {
+    EmitWideEachQuery<&BatchMinAvx2>(queries, num_queries, codes, n, words,
+                                     row_bounds, code_bounds, out_index,
+                                     out_distance, counts);
   }
-  if (words == 2) {
-    return EmitNarrowAvx2<2>(query, codes, n, row_bound, code_bounds,
-                             out_index, out_distance);
-  }
-  return EmitThroughBatch<&BatchMinAvx2>(
-      query, codes, n, words, row_bound, code_bounds, out_index, out_distance);
 }
 
 #endif  // UHSCM_HAVE_AVX2_KERNELS
@@ -412,113 +487,134 @@ UHSCM_AVX512VP_FN int32_t BatchMinAvx512(const uint64_t* query,
   return best;
 }
 
-/// Distances of the sixteen 64-bit codes at `p`, as int32 lanes in code
-/// order.
-UHSCM_AVX512VP_FN inline __m512i Distances16Words1Vp(__m512i q,
-                                                     const uint64_t* p) {
-  const __m512i a =
-      _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(p), q));
-  const __m512i b =
-      _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(p + 8), q));
-  // The low dword of every 64-bit lane, a's lanes then b's.
-  return _mm512_permutex2var_epi32(
-      a,
-      _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28,
-                        30),
-      b);
-}
-
-/// Distances of the sixteen 128-bit codes at `p`, as int32 lanes in code
-/// order.
-UHSCM_AVX512VP_FN inline __m512i Distances16Words2Vp(__m512i q,
-                                                     const uint64_t* p) {
-  __m512i s[4];
-  for (int v = 0; v < 4; ++v) {
-    s[v] = _mm512_popcnt_epi64(
-        _mm512_xor_si512(_mm512_loadu_si512(p + 8 * v), q));
-  }
-  // s[v] holds codes 4v..4v+3; code c's low/high word counts sit in
-  // dwords 4c and 4c+2. Gather the low halves of two vectors' codes into
-  // the lower 256 bits and the high halves into the upper 256 bits.
-  const __m512i halves = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 2, 6,
-                                           10, 14, 18, 22, 26, 30);
-  const __m512i h07 = _mm512_permutex2var_epi32(s[0], halves, s[1]);
-  const __m512i h8f = _mm512_permutex2var_epi32(s[2], halves, s[3]);
-  const __m512i lo =
-      _mm512_maskz_shuffle_i64x2(0xFF, h07, h8f, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m512i hi =
-      _mm512_maskz_shuffle_i64x2(0xFF, h07, h8f, _MM_SHUFFLE(3, 2, 3, 2));
-  return _mm512_add_epi32(lo, hi);
-}
-
-/// Emitting kernel for 64- and 128-bit codes: sixteen distances per step
-/// are compared against their bounds in registers, and a step with hits
-/// compress-stores exactly those (index, distance) pairs.
+/// Distances from the query vector `q` to the sixteen codes loaded in
+/// `c` (two vectors of 64-bit codes, or four of 128-bit codes), as int32
+/// lanes in code order.
 template <int kWords>
-UHSCM_AVX512VP_FN int EmitNarrowVp(const uint64_t* query,
-                                   const uint64_t* codes, int n,
-                                   int32_t row_bound,
-                                   const int32_t* code_bounds,
-                                   int32_t* out_index, int32_t* out_distance) {
-  __m512i q;
+UHSCM_AVX512VP_FN inline __m512i Distances16Vp(__m512i q, const __m512i* c) {
   if constexpr (kWords == 1) {
-    q = _mm512_set1_epi64(static_cast<long long>(query[0]));
+    const __m512i a = _mm512_popcnt_epi64(_mm512_xor_si512(c[0], q));
+    const __m512i b = _mm512_popcnt_epi64(_mm512_xor_si512(c[1], q));
+    // The low dword of every 64-bit lane, a's lanes then b's.
+    return _mm512_permutex2var_epi32(
+        a,
+        _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26,
+                          28, 30),
+        b);
   } else {
-    q = Broadcast128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(query)));
+    __m512i s[4];
+    for (int v = 0; v < 4; ++v) {
+      s[v] = _mm512_popcnt_epi64(_mm512_xor_si512(c[v], q));
+    }
+    // s[v] holds codes 4v..4v+3; code c's low/high word counts sit in
+    // dwords 4c and 4c+2. Gather the low halves of two vectors' codes into
+    // the lower 256 bits and the high halves into the upper 256 bits.
+    const __m512i halves = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 2,
+                                             6, 10, 14, 18, 22, 26, 30);
+    const __m512i h07 = _mm512_permutex2var_epi32(s[0], halves, s[1]);
+    const __m512i h8f = _mm512_permutex2var_epi32(s[2], halves, s[3]);
+    const __m512i lo =
+        _mm512_maskz_shuffle_i64x2(0xFF, h07, h8f, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m512i hi =
+        _mm512_maskz_shuffle_i64x2(0xFF, h07, h8f, _MM_SHUFFLE(3, 2, 3, 2));
+    return _mm512_add_epi32(lo, hi);
   }
-  const __m512i row = _mm512_set1_epi32(row_bound);
+}
+
+/// Emitting kernel for 64- and 128-bit codes and kQueries queries: each
+/// step loads sixteen codes once, every query compares its sixteen
+/// distances against its bounds in registers, and a query with hits
+/// compress-stores exactly those (index, distance) pairs.
+template <int kWords, int kQueries>
+UHSCM_AVX512VP_FN void EmitNarrowVp(const uint64_t* const* queries,
+                                    const uint64_t* codes, int n,
+                                    const int32_t* row_bounds,
+                                    const int32_t* code_bounds,
+                                    int32_t* out_index, int32_t* out_distance,
+                                    int* counts) {
+  __m512i q[kQueries];
+  __m512i row[kQueries];
+  int32_t* index[kQueries];
+  int32_t* distance[kQueries];
+  int count[kQueries];
+  for (int j = 0; j < kQueries; ++j) {
+    if constexpr (kWords == 1) {
+      q[j] = _mm512_set1_epi64(static_cast<long long>(queries[j][0]));
+    } else {
+      q[j] = Broadcast128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(queries[j])));
+    }
+    row[j] = _mm512_set1_epi32(row_bounds[j]);
+    index[j] = out_index + static_cast<size_t>(j) * static_cast<size_t>(n);
+    distance[j] =
+        out_distance + static_cast<size_t>(j) * static_cast<size_t>(n);
+    count[j] = 0;
+  }
   const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                           11, 12, 13, 14, 15);
-  int count = 0;
   int i = 0;
   for (; i + 16 <= n; i += 16) {
     const uint64_t* p = codes + kWords * static_cast<size_t>(i);
-    __m512i d;
-    if constexpr (kWords == 1) {
-      d = Distances16Words1Vp(q, p);
-    } else {
-      d = Distances16Words2Vp(q, p);
+    __m512i c[2 * kWords];
+    for (int v = 0; v < 2 * kWords; ++v) {
+      c[v] = _mm512_loadu_si512(p + 8 * v);
     }
-    const __m512i bound =
-        code_bounds == nullptr
-            ? row
-            : _mm512_maskz_max_epi32(0xFFFF, row,
-                                     _mm512_loadu_si512(code_bounds + i));
-    const __mmask16 hits = _mm512_cmplt_epi32_mask(d, bound);
-    if (hits == 0) continue;
-    _mm512_mask_compressstoreu_epi32(
-        out_index + count, hits,
-        _mm512_add_epi32(lanes, _mm512_set1_epi32(i)));
-    _mm512_mask_compressstoreu_epi32(out_distance + count, hits, d);
-    count += Popcount64(hits);
+    __m512i code_bound = _mm512_setzero_si512();
+    if (code_bounds != nullptr) code_bound = _mm512_loadu_si512(code_bounds + i);
+    __m512i d[kQueries];
+    __mmask16 hits[kQueries];
+    __mmask16 any = 0;
+    for (int j = 0; j < kQueries; ++j) {
+      d[j] = Distances16Vp<kWords>(q[j], c);
+      const __m512i bound =
+          code_bounds == nullptr
+              ? row[j]
+              : _mm512_maskz_max_epi32(0xFFFF, row[j], code_bound);
+      hits[j] = _mm512_cmplt_epi32_mask(d[j], bound);
+      any |= hits[j];
+    }
+    if (any == 0) continue;
+    const __m512i ids = _mm512_add_epi32(lanes, _mm512_set1_epi32(i));
+    for (int j = 0; j < kQueries; ++j) {
+      if (hits[j] == 0) continue;
+      _mm512_mask_compressstoreu_epi32(index[j] + count[j], hits[j], ids);
+      _mm512_mask_compressstoreu_epi32(distance[j] + count[j], hits[j], d[j]);
+      count[j] += Popcount64(hits[j]);
+    }
   }
-  return EmitEach(query, codes, i, n, kWords, row_bound, code_bounds,
-                  out_index, out_distance, count);
+  for (int j = 0; j < kQueries; ++j) {
+    counts[j] = EmitEach(queries[j], codes, i, n, kWords, row_bounds[j],
+                         code_bounds, index[j], distance[j], count[j]);
+  }
 }
 
 }  // namespace
 
-int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
-                    int words, int32_t row_bound, const int32_t* code_bounds,
-                    int32_t* out_index, int32_t* out_distance) {
+void BatchEmitAvx512(const uint64_t* const* queries, int num_queries,
+                     const uint64_t* codes, int n, int words,
+                     const int32_t* row_bounds, const int32_t* code_bounds,
+                     int32_t* out_index, int32_t* out_distance, int* counts) {
   // Hosts without VPOPCNTDQ, and codes of 3 to 7 words (less than one
   // whole 512-bit chunk), run the AVX2 kernels.
   static const bool vpopcnt = Avx512VpopcntAvailable();
   if (!vpopcnt || (words > 2 && words < 8)) {
-    return BatchEmitAvx2(query, codes, n, words, row_bound, code_bounds,
-                         out_index, out_distance);
+    BatchEmitAvx2(queries, num_queries, codes, n, words, row_bounds,
+                  code_bounds, out_index, out_distance, counts);
+  } else if (words == 1) {
+    WithQueryCount(num_queries, [&](auto q) {
+      EmitNarrowVp<1, q>(queries, codes, n, row_bounds, code_bounds,
+                         out_index, out_distance, counts);
+    });
+  } else if (words == 2) {
+    WithQueryCount(num_queries, [&](auto q) {
+      EmitNarrowVp<2, q>(queries, codes, n, row_bounds, code_bounds,
+                         out_index, out_distance, counts);
+    });
+  } else {
+    EmitWideEachQuery<&BatchMinAvx512>(queries, num_queries, codes, n, words,
+                                       row_bounds, code_bounds, out_index,
+                                       out_distance, counts);
   }
-  if (words == 1) {
-    return EmitNarrowVp<1>(query, codes, n, row_bound, code_bounds, out_index,
-                           out_distance);
-  }
-  if (words == 2) {
-    return EmitNarrowVp<2>(query, codes, n, row_bound, code_bounds, out_index,
-                           out_distance);
-  }
-  return EmitThroughBatch<&BatchMinAvx512>(query, codes, n, words, row_bound,
-                                           code_bounds, out_index,
-                                           out_distance);
 }
 
 #endif  // UHSCM_HAVE_AVX512_KERNELS

@@ -7,12 +7,13 @@ namespace uhscm::index {
 
 /// \brief The emitting Hamming scan kernel, with runtime CPU dispatch.
 ///
-/// Every scan the library runs (BatchTopK, the self-join) scores one
-/// packed row against a long contiguous run of packed codes and keeps
-/// only the few codes that beat a bound. One BatchEmitFn call does that
-/// for a whole run, letting the implementation vectorize across codes
-/// (AVX2 nibble-LUT popcount or AVX-512 VPOPCNTDQ) and compare in
-/// registers instead of paying per-pair call and loop overhead. The
+/// Every scan the library runs (BatchTopK, the self-join) scores packed
+/// rows against a long contiguous run of packed codes and keeps only the
+/// few codes that beat a bound. One BatchEmitFn call does that for a
+/// whole run and up to four rows at once, letting the implementation
+/// vectorize across codes (AVX2 nibble-LUT popcount or AVX-512
+/// VPOPCNTDQ), load each step of codes once for every row, and compare
+/// in registers instead of paying per-pair call and loop overhead. The
 /// scalar tier is the semantic reference; every other tier must be
 /// bit-for-bit identical to it (tests/hamming_kernels_test.cc).
 enum class KernelTier {
@@ -23,21 +24,29 @@ enum class KernelTier {
             ///< kernels for 3-7 words and on hosts without VPOPCNTDQ
 };
 
-/// Scores one query against `n` contiguous packed codes and writes out
-/// only the codes whose distance is strictly below their bound
-/// `max(row_bound, code_bounds[i])` (`code_bounds` holds `n` entries, or
-/// is null when every bound is `row_bound`).
-/// Each hit is written as its index into the run (`out_index`) and its
-/// exact distance (`out_distance`), in ascending index order; both
-/// buffers must hold `n` entries. Returns the number of hits; a run
-/// where nothing qualifies writes nothing. A bound of INT32_MAX admits
-/// every code; bounds of 0 admit none. Codes of three or more words are
-/// scored exactly in blocks of 128 with a fused block minimum
-/// (EmitThroughBatch in hamming_kernels.cc).
-using BatchEmitFn = int (*)(const uint64_t* query, const uint64_t* codes,
-                            int n, int words, int32_t row_bound,
-                            const int32_t* code_bounds, int32_t* out_index,
-                            int32_t* out_distance);
+/// Most queries one emitting call scores.
+inline constexpr int kMaxEmitQueries = 4;
+
+/// Scores each of `num_queries` queries (1 to kMaxEmitQueries; the same
+/// pointer may appear twice) against `n` contiguous packed codes, and
+/// writes out, per query q, only the codes whose distance to it is
+/// strictly below their bound `max(row_bounds[q], code_bounds[i])`
+/// (`code_bounds` holds `n` entries shared by every query, or is null
+/// when code i's bound is `row_bounds[q]` alone).
+/// Query q's hits start at `out_index + q * n` and `out_distance + q * n`
+/// (both buffers hold `num_queries * n` entries): each is its index into
+/// the run and its exact distance, in ascending index order, and
+/// `counts[q]` is their number. A query with no hit writes nothing but
+/// its count. A bound of INT32_MAX admits every code; bounds of 0 admit
+/// none. A call with one query is the single-row scan the self-joins
+/// run. Codes of three or more words are scored one query at a time, in
+/// blocks of 128 with a fused block minimum (EmitThroughBatch in
+/// hamming_kernels.cc).
+using BatchEmitFn = void (*)(const uint64_t* const* queries, int num_queries,
+                             const uint64_t* codes, int n, int words,
+                             const int32_t* row_bounds,
+                             const int32_t* code_bounds, int32_t* out_index,
+                             int32_t* out_distance, int* counts);
 
 /// Bound that admits every code (BatchTopK's bound until a heap fills).
 inline constexpr int32_t kNoThreshold = INT32_MAX;
@@ -45,9 +54,10 @@ inline constexpr int32_t kNoThreshold = INT32_MAX;
 /// Reference scalar kernel (always available). Runs a body compiled for
 /// the popcnt instruction on CPUs that have it, chosen once at first
 /// call, and a portable body elsewhere; both give identical results.
-int BatchEmitScalar(const uint64_t* query, const uint64_t* codes, int n,
-                    int words, int32_t row_bound, const int32_t* code_bounds,
-                    int32_t* out_index, int32_t* out_distance);
+void BatchEmitScalar(const uint64_t* const* queries, int num_queries,
+                     const uint64_t* codes, int n, int words,
+                     const int32_t* row_bounds, const int32_t* code_bounds,
+                     int32_t* out_index, int32_t* out_distance, int* counts);
 
 /// True when this build carries the AVX2 tier and the CPU supports it.
 bool Avx2Available();
@@ -67,13 +77,15 @@ bool Avx512VpopcntAvailable();
 #define UHSCM_HAVE_AVX2_KERNELS 1
 #define UHSCM_HAVE_AVX512_KERNELS 1
 /// AVX2 tier. Precondition: Avx2Available().
-int BatchEmitAvx2(const uint64_t* query, const uint64_t* codes, int n,
-                  int words, int32_t row_bound, const int32_t* code_bounds,
-                  int32_t* out_index, int32_t* out_distance);
+void BatchEmitAvx2(const uint64_t* const* queries, int num_queries,
+                   const uint64_t* codes, int n, int words,
+                   const int32_t* row_bounds, const int32_t* code_bounds,
+                   int32_t* out_index, int32_t* out_distance, int* counts);
 /// AVX-512 tier. Precondition: Avx512Available().
-int BatchEmitAvx512(const uint64_t* query, const uint64_t* codes, int n,
-                    int words, int32_t row_bound, const int32_t* code_bounds,
-                    int32_t* out_index, int32_t* out_distance);
+void BatchEmitAvx512(const uint64_t* const* queries, int num_queries,
+                     const uint64_t* codes, int n, int words,
+                     const int32_t* row_bounds, const int32_t* code_bounds,
+                     int32_t* out_index, int32_t* out_distance, int* counts);
 #endif
 
 /// The tier the dispatcher selected for this process: the best tier the

@@ -10,7 +10,6 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "index/batch_scan.h"
 #include "index/multi_index_hash.h"
 #include "obs/kernel_counters.h"
 #include "obs/metrics.h"
@@ -45,7 +44,7 @@ struct TileMap {
   std::vector<int> live_prefix;
 
   /// `pick_tile` sizes the tiles from the code width and
-  /// SelfJoinOptions::tile (TopKJoinTileRows or PickCodeBlockSize).
+  /// SelfJoinOptions::tile (TopKJoinTileRows or RadiusJoinTileRows).
   TileMap(const PackedCodes& codes, const SelfJoinOptions& options,
           int (*pick_tile)(int words_per_code, int requested)) {
     n = codes.size();
@@ -254,9 +253,10 @@ void TopKDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
     if (!tiles.IsLive(i)) continue;
     const int live_ahead = tiles.LiveIn(i + 1, t1);
     if (live_ahead == 0) break;  // no live candidate after i in this tile
-    const int emitted =
-        emit(codes.code(i), codes.code(i + 1), t1 - i - 1, words, bounds[i],
-             bounds + i + 1, hits.index.data(), hits.distance.data());
+    const uint64_t* query = codes.code(i);
+    int emitted = 0;
+    emit(&query, 1, codes.code(i + 1), t1 - i - 1, words, bounds + i,
+         bounds + i + 1, hits.index.data(), hits.distance.data(), &emitted);
     int live_emitted = 0;
     for (int e = 0; e < emitted; ++e) {
       const int j = i + 1 + hits.index[static_cast<size_t>(e)];
@@ -307,9 +307,10 @@ void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
   for (int i = i0; i < i1; ++i) {
     if (!tiles.IsLive(i)) continue;
     const int32_t bound_i = bounds_i[static_cast<size_t>(i - i0)];
-    const int emitted =
-        emit(codes.code(i), codes.code(j0), count, words, bound_i,
-             bounds_j.data(), hits.index.data(), hits.distance.data());
+    const uint64_t* query = codes.code(i);
+    int emitted = 0;
+    emit(&query, 1, codes.code(j0), count, words, &bound_i, bounds_j.data(),
+         hits.index.data(), hits.distance.data(), &emitted);
     int live_emitted = 0;
     for (int e = 0; e < emitted; ++e) {
       const int c = hits.index[static_cast<size_t>(e)];
@@ -337,6 +338,18 @@ void TopKOffDiagonalTile(const PackedCodes& codes, const TileMap& tiles,
 
 // ----------------------------------------------------------- RadiusJoin
 
+/// Codes per tiled RadiusJoin tile when SelfJoinOptions::tile is 0: about
+/// 64 KiB (4096 rows at 128 bits), the size MihUnitCostInPairs was priced
+/// at. 16 KiB radius tiles measured mixed against it.
+constexpr int kRadiusTileBytes = 64 * 1024;
+
+/// Rows per tiled RadiusJoin tile: `requested` when positive, otherwise
+/// kRadiusTileBytes of codes and at least 256 rows.
+int RadiusJoinTileRows(int words_per_code, int requested) {
+  if (requested > 0) return requested;
+  return std::max(256, kRadiusTileBytes / (words_per_code * 8));
+}
+
 /// One tile-pair task of a radius join: emits every qualifying live pair
 /// of the (ti, tj) tile rectangle (diagonal tiles scan the strict upper
 /// triangle) into `out`, in (a, b) order within the task. The kernel
@@ -356,9 +369,10 @@ void RadiusTileTask(const PackedCodes& codes, const TileMap& tiles,
     const int start = ti == tj ? i + 1 : j0;  // each unordered pair once
     const int live_range = tiles.LiveIn(start, j1);
     if (live_range == 0) continue;
-    const int emitted =
-        emit(codes.code(i), codes.code(start), j1 - start, words, bound,
-             nullptr, hits.index.data(), hits.distance.data());
+    const uint64_t* query = codes.code(i);
+    int emitted = 0;
+    emit(&query, 1, codes.code(start), j1 - start, words, &bound, nullptr,
+         hits.index.data(), hits.distance.data(), &emitted);
     int live_emitted = 0;
     for (int e = 0; e < emitted; ++e) {
       const int j = start + hits.index[static_cast<size_t>(e)];
@@ -599,7 +613,7 @@ std::vector<JoinPair> RadiusJoin(const PackedCodes& codes, int radius,
                                  const SelfJoinOptions& options,
                                  SelfJoinStats* stats) {
   Stopwatch watch;
-  const TileMap tiles(codes, options, &PickCodeBlockSize);
+  const TileMap tiles(codes, options, &RadiusJoinTileRows);
   const int live = tiles.live();
   SelfJoinStats local;
   local.pairs_total = static_cast<int64_t>(live) * (live - 1) / 2;

@@ -31,8 +31,9 @@ struct SelfJoinOptions {
   /// Rows per tile; 0 picks a size per join. TopKJoin takes about 16 KiB
   /// of codes (TopKJoinTileRows: 1024 rows at 128 bits), so the inner
   /// tile and its bounds stay in L1 while the other tile's rows stream
-  /// past. RadiusJoin's tiled path keeps the batched scan's ~64 KiB
-  /// (PickCodeBlockSize), the size its cost rule was priced at.
+  /// past. RadiusJoin's tiled path takes about 64 KiB (4096 rows at 128
+  /// bits, at least 256), the size its hash-vs-tiles cost rule was priced
+  /// at.
   int tile = 0;
   /// Worker threads for the tile-pair loop (0 = hardware concurrency).
   int threads = 0;

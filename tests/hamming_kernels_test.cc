@@ -38,48 +38,68 @@ std::vector<KernelTier> AvailableTiers() {
 
 // ------------------------------------------------------ emitting kernel
 
-/// What one emitting call wrote: (index, distance) hits in output order.
+/// What one emitting call wrote for one query: (index, distance) hits in
+/// output order.
 struct Emitted {
   std::vector<int32_t> index;
   std::vector<int32_t> distance;
 };
 
-/// Runs `fn` on codes [0, n) of `db` with output buffers padded by a
-/// sentinel tail, and fails if the kernel writes past its returned count.
-Emitted RunEmit(BatchEmitFn fn, const PackedCodes& query,
-                const PackedCodes& db, int n, int32_t row_bound,
-                const int32_t* code_bounds, const std::string& label) {
+/// Runs `fn` for `queries` on codes [0, n) of `db`, query q under row
+/// bound row_bounds[q], with output buffers filled with a sentinel and
+/// padded past num_queries * n. Fails if the kernel writes past a
+/// query's returned count in its slot, or past the buffers.
+std::vector<Emitted> RunEmit(BatchEmitFn fn,
+                             const std::vector<const uint64_t*>& queries,
+                             const PackedCodes& db, int n,
+                             const std::vector<int32_t>& row_bounds,
+                             const int32_t* code_bounds,
+                             const std::string& label) {
   constexpr int32_t kSentinel = -7;
   constexpr int kPad = 16;
-  std::vector<int32_t> index(static_cast<size_t>(n + kPad), kSentinel);
-  std::vector<int32_t> distance(static_cast<size_t>(n + kPad), kSentinel);
-  const int count =
-      fn(query.code(0), db.code(0), n, db.words_per_code(), row_bound,
-         code_bounds, index.data(), distance.data());
-  EXPECT_GE(count, 0) << label;
-  EXPECT_LE(count, n) << label;
-  for (size_t i = static_cast<size_t>(std::max(count, 0)); i < index.size();
-       ++i) {
-    EXPECT_EQ(index[i], kSentinel) << label << " wrote index slot " << i;
-    EXPECT_EQ(distance[i], kSentinel) << label << " wrote distance slot " << i;
+  const int num_queries = static_cast<int>(queries.size());
+  const size_t slots = static_cast<size_t>(num_queries) * n;
+  std::vector<int32_t> index(slots + kPad, kSentinel);
+  std::vector<int32_t> distance(slots + kPad, kSentinel);
+  std::vector<int> counts(queries.size(), -1);
+  fn(queries.data(), num_queries, db.code(0), n, db.words_per_code(),
+     row_bounds.data(), code_bounds, index.data(), distance.data(),
+     counts.data());
+  std::vector<Emitted> out(queries.size());
+  for (int q = 0; q < num_queries; ++q) {
+    const std::string who = label + " q=" + std::to_string(q);
+    const int count = counts[static_cast<size_t>(q)];
+    EXPECT_GE(count, 0) << who;
+    EXPECT_LE(count, n) << who;
+    const size_t begin = static_cast<size_t>(q) * n;
+    const size_t used = begin + static_cast<size_t>(std::clamp(count, 0, n));
+    for (size_t i = used; i < begin + static_cast<size_t>(n); ++i) {
+      EXPECT_EQ(index[i], kSentinel) << who << " wrote index slot " << i;
+      EXPECT_EQ(distance[i], kSentinel) << who << " wrote distance slot " << i;
+    }
+    out[static_cast<size_t>(q)] = {
+        std::vector<int32_t>(index.begin() + begin, index.begin() + used),
+        std::vector<int32_t>(distance.begin() + begin,
+                             distance.begin() + used)};
   }
-  index.resize(static_cast<size_t>(std::max(count, 0)));
-  distance.resize(static_cast<size_t>(std::max(count, 0)));
-  return {index, distance};
+  for (size_t i = slots; i < index.size(); ++i) {
+    EXPECT_EQ(index[i], kSentinel) << label << " wrote index pad " << i;
+    EXPECT_EQ(distance[i], kSentinel) << label << " wrote distance pad " << i;
+  }
+  return out;
 }
 
-/// The emitting contract from first principles: every code whose exact
-/// distance is below max(row_bound, code_bounds[i]) (row_bound alone when
-/// code_bounds is null), in index order.
-Emitted BruteForceEmit(const PackedCodes& query, const PackedCodes& db, int n,
+/// The emitting contract from first principles, for one query: every
+/// code whose exact distance is below max(row_bound, code_bounds[i])
+/// (row_bound alone when code_bounds is null), in index order.
+Emitted BruteForceEmit(const uint64_t* query, const PackedCodes& db, int n,
                        int32_t row_bound, const int32_t* code_bounds) {
   Emitted want;
   for (int i = 0; i < n; ++i) {
     const int32_t bound = code_bounds == nullptr
                               ? row_bound
                               : std::max(row_bound, code_bounds[i]);
-    const int32_t d =
-        HammingDistance(query.code(0), db.code(i), db.words_per_code());
+    const int32_t d = HammingDistance(query, db.code(i), db.words_per_code());
     if (d < bound) {
       want.index.push_back(i);
       want.distance.push_back(d);
@@ -88,28 +108,43 @@ Emitted BruteForceEmit(const PackedCodes& query, const PackedCodes& db, int n,
   return want;
 }
 
-/// Checks one emitting call on codes [0, n) of `db`: the scalar reference
-/// must follow the contract (brute force), and every available tier must
-/// reproduce it exactly — indices, distances and order. Returns the
-/// reference's hits.
+/// Checks one emitting call for `queries` on codes [0, n) of `db`: the
+/// scalar reference must follow the contract (brute force, query by
+/// query), and every available tier must reproduce it exactly — each
+/// query's indices, distances and order. Returns the reference's hits.
+std::vector<Emitted> ExpectEveryTierEmits(
+    const std::vector<const uint64_t*>& queries, const PackedCodes& db, int n,
+    const std::vector<int32_t>& row_bounds, const int32_t* code_bounds,
+    const std::string& label) {
+  const std::vector<Emitted> ref = RunEmit(
+      &BatchEmitScalar, queries, db, n, row_bounds, code_bounds,
+      "scalar " + label);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const Emitted want =
+        BruteForceEmit(queries[q], db, n, row_bounds[q], code_bounds);
+    EXPECT_EQ(ref[q].index, want.index) << "scalar " << label << " q=" << q;
+    EXPECT_EQ(ref[q].distance, want.distance)
+        << "scalar " << label << " q=" << q;
+  }
+  for (const KernelTier tier : AvailableTiers()) {
+    const std::string who = std::string(KernelTierName(tier)) + " " + label;
+    const std::vector<Emitted> got = RunEmit(
+        GetBatchEmitFn(tier), queries, db, n, row_bounds, code_bounds, who);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(got[q].index, ref[q].index) << who << " q=" << q;
+      EXPECT_EQ(got[q].distance, ref[q].distance) << who << " q=" << q;
+    }
+  }
+  return ref;
+}
+
+/// ExpectEveryTierEmits for one query under one row bound.
 Emitted ExpectEveryTierEmits(const PackedCodes& query, const PackedCodes& db,
                              int n, int32_t row_bound,
                              const int32_t* code_bounds,
                              const std::string& label) {
-  const Emitted want = BruteForceEmit(query, db, n, row_bound, code_bounds);
-  const Emitted ref = RunEmit(&BatchEmitScalar, query, db, n, row_bound,
-                              code_bounds, "scalar " + label);
-  EXPECT_EQ(ref.index, want.index) << "scalar " << label;
-  EXPECT_EQ(ref.distance, want.distance) << "scalar " << label;
-  for (const KernelTier tier : AvailableTiers()) {
-    const Emitted got =
-        RunEmit(GetBatchEmitFn(tier), query, db, n, row_bound, code_bounds,
-                std::string(KernelTierName(tier)) + " " + label);
-    EXPECT_EQ(got.index, ref.index) << KernelTierName(tier) << " " << label;
-    EXPECT_EQ(got.distance, ref.distance)
-        << KernelTierName(tier) << " " << label;
-  }
-  return ref;
+  return ExpectEveryTierEmits({query.code(0)}, db, n, {row_bound},
+                              code_bounds, label)[0];
 }
 
 /// Every emitting tier must reproduce the scalar reference exactly, and
@@ -232,6 +267,78 @@ TEST_P(EmitWidths, NearCodesUnderEveryBound) {
   }
 }
 
+TEST_P(EmitWidths, OneToFourQueriesPerCall) {
+  // Calls with 1 to 4 queries, each under its own row bound, must emit
+  // for every query exactly what the contract says for that query alone
+  // (brute force), on every tier. Query 0 sits a few bits from most codes, so its hits are many and
+  // dense; the others are random. Bound sets mix "emit all", "emit
+  // none", the median and the near query's distances per query, with
+  // per-code bounds null, mixed and all zero; query lists repeat a
+  // pointer; run lengths go on and off the 8- and 16-code steps.
+  const int bits = GetParam();
+  const int max_n = 300;
+  Rng rng(5400 + bits);
+  const PackedCodes others =
+      PackedCodes::FromSignMatrix(RandomSignCodes(3, bits, &rng));
+  const PackedCodes near = PackedCodes::FromSignMatrix(
+      RandomSignCodes(1, bits, &rng));
+  const int words = near.words_per_code();
+  std::vector<uint64_t> raw;
+  for (int i = 0; i < max_n; ++i) {
+    std::vector<uint64_t> code(near.code(0), near.code(0) + words);
+    if (i % 3 != 0) {  // every third code is the query itself
+      const int b = static_cast<int>(rng.UniformInt(bits));
+      code[static_cast<size_t>(b / 64)] ^= 1ULL << (b % 64);
+    }
+    if (i % 5 == 0) {  // and every fifth one is far from it
+      for (uint64_t& w : code) w = ~w;
+      code.back() &= bits % 64 == 0 ? ~0ULL : (1ULL << (bits % 64)) - 1;
+    }
+    raw.insert(raw.end(), code.begin(), code.end());
+  }
+  const PackedCodes db = PackedCodes::FromRawWords(max_n, bits, std::move(raw));
+  const std::vector<const uint64_t*> pool = {near.code(0), others.code(0),
+                                             others.code(1), others.code(2)};
+
+  std::vector<int32_t> mixed(static_cast<size_t>(max_n));
+  for (int32_t& b : mixed) b = static_cast<int32_t>(rng.UniformInt(bits + 2));
+  const std::vector<int32_t> zeros(static_cast<size_t>(max_n), 0);
+  const std::vector<const int32_t*> code_bound_sets = {nullptr, mixed.data(),
+                                                       zeros.data()};
+  const char* const code_bound_names[] = {"null", "mixed", "zeros"};
+  const int32_t kMax = std::numeric_limits<int32_t>::max();
+  const int32_t median = bits / 2;
+  const std::vector<std::vector<int32_t>> bound_sets = {
+      {kMax, kMax, kMax, kMax},
+      {0, 0, 0, 0},
+      {2, 0, median, kMax},
+      {0, kMax, 1, median - 4},
+      {1, median, 0, 2},
+  };
+  const std::vector<std::vector<int>> picks = {
+      {0}, {1, 0}, {1, 1}, {2, 0, 1}, {0, 3, 0}, {0, 1, 2, 3}, {3, 0, 0, 1}};
+  for (const int n : {0, 1, 7, 16, 17, 33, 250, 300}) {
+    for (const std::vector<int>& pick : picks) {
+      std::vector<const uint64_t*> queries;
+      for (const int p : pick) queries.push_back(pool[static_cast<size_t>(p)]);
+      for (size_t s = 0; s < bound_sets.size(); ++s) {
+        std::vector<int32_t> row_bounds(bound_sets[s].begin(),
+                                        bound_sets[s].begin() +
+                                            static_cast<long>(pick.size()));
+        for (size_t c = 0; c < code_bound_sets.size(); ++c) {
+          std::string label = "bits=" + std::to_string(bits) +
+                              " n=" + std::to_string(n) + " queries=";
+          for (const int p : pick) label += std::to_string(p);
+          label += " bounds=" + std::to_string(s) + " codes=" +
+                   code_bound_names[c];
+          const int32_t* cb = code_bound_sets[c];
+          ExpectEveryTierEmits(queries, db, n, row_bounds, cb, label);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Widths, EmitWidths,
     ::testing::Values(1, 7, 63, 64, 65, 127, 128, 129, 190, 192, 255, 256,
@@ -282,30 +389,74 @@ TEST(KernelDispatch, ParseKernelTier) {
 
 // ----------------------------------------------------- batched top-k scan
 
-/// TopKBatch must reproduce per-query TopK exactly — ids, distances, and
-/// tie-break order — across widths, k values, and block boundaries.
+/// Codes drawn around `centres` random centres with each bit flipped with
+/// probability `flip`: few centres and small flips give the heavy
+/// distance ties of trained codes.
+PackedCodes ClusteredCodes(int n, int bits, int centres, double flip,
+                           Rng* rng) {
+  const Matrix centre = RandomSignCodes(centres, bits, rng);
+  Matrix m(n, bits);
+  for (int i = 0; i < n; ++i) {
+    const int c = static_cast<int>(rng->UniformInt(centres));
+    for (int b = 0; b < bits; ++b) {
+      m(i, b) = rng->Bernoulli(flip) ? -centre(c, b) : centre(c, b);
+    }
+  }
+  return PackedCodes::FromSignMatrix(m);
+}
+
+/// BatchTopK on every available tier must be memcmp-equal (ids,
+/// distances, tie order) to the per-query scan over the live rows.
+void ExpectBatchEqualsPerQueryScan(const PackedCodes& db,
+                                   const PackedCodes& queries, int k,
+                                   int code_block,
+                                   const TombstoneSet* dead = nullptr) {
+  LinearScanIndex scan(
+      PackedCodes::FromRawWords(db.size(), db.bits(), db.words()));
+  for (int i = 0; dead != nullptr && i < db.size(); ++i) {
+    if (dead->Test(i)) scan.Remove(i);
+  }
+  for (const KernelTier tier : AvailableTiers()) {
+    BatchScanOptions options;
+    options.force_tier = true;
+    options.tier = tier;
+    options.code_block = code_block;
+    options.tombstones = dead;
+    const auto got = BatchTopK(db, queries, k, options);
+    ASSERT_EQ(got.size(), static_cast<size_t>(queries.size()));
+    for (int q = 0; q < queries.size(); ++q) {
+      const auto want = scan.TopK(queries.code(q), k);
+      const auto& g = got[static_cast<size_t>(q)];
+      ASSERT_EQ(g.size(), want.size())
+          << KernelTierName(tier) << " bits=" << db.bits() << " k=" << k
+          << " block=" << code_block << " q=" << q;
+      EXPECT_EQ(std::memcmp(g.data(), want.data(), g.size() * sizeof(Neighbor)),
+                0)
+          << KernelTierName(tier) << " bits=" << db.bits() << " k=" << k
+          << " block=" << code_block << " q=" << q;
+    }
+  }
+}
+
+/// BatchTopK must reproduce per-query TopK exactly — ids, distances, and
+/// tie-break order — across widths, k values, block boundaries, query
+/// counts on and off the kernel's four-query groups, and tombstones.
 class BatchTopKConfigs
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(BatchTopKConfigs, MatchesPerQueryTopKByteForByte) {
   const auto [n, bits, k] = GetParam();
   Rng rng(7000 + n + bits + k);
-  LinearScanIndex scan(
-      PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng)));
-  PackedCodes queries =
-      PackedCodes::FromSignMatrix(RandomSignCodes(9, bits, &rng));
-
-  const auto batched = scan.TopKBatch(queries, k);
-  ASSERT_EQ(batched.size(), 9u);
-  for (int q = 0; q < queries.size(); ++q) {
-    const auto expect = scan.TopK(queries.code(q), k);
-    const auto& got = batched[static_cast<size_t>(q)];
-    ASSERT_EQ(got.size(), expect.size()) << "q=" << q;
-    for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i].id, expect[i].id) << "q=" << q << " rank=" << i;
-      EXPECT_EQ(got[i].distance, expect[i].distance)
-          << "q=" << q << " rank=" << i;
-    }
+  const PackedCodes db =
+      PackedCodes::FromSignMatrix(RandomSignCodes(n, bits, &rng));
+  TombstoneSet dead;
+  dead.Resize(db.size());
+  for (int i = 1; i < db.size(); i += 4) dead.Set(i);
+  for (const int num_queries : {1, 3, 5, 9, 17}) {
+    const PackedCodes queries =
+        PackedCodes::FromSignMatrix(RandomSignCodes(num_queries, bits, &rng));
+    ExpectBatchEqualsPerQueryScan(db, queries, k, 0);
+    ExpectBatchEqualsPerQueryScan(db, queries, k, 0, &dead);
   }
 }
 
@@ -473,55 +624,6 @@ TEST(BatchTopKTest, TombstonesWithFusedMinAcrossTiers) {
 
 // ------------------------------------- emitting scan against the oracle
 
-/// Codes drawn around `centres` random centres with each bit flipped with
-/// probability `flip`: few centres and small flips give the heavy
-/// distance ties of trained codes.
-PackedCodes ClusteredCodes(int n, int bits, int centres, double flip,
-                           Rng* rng) {
-  const Matrix centre = RandomSignCodes(centres, bits, rng);
-  Matrix m(n, bits);
-  for (int i = 0; i < n; ++i) {
-    const int c = static_cast<int>(rng->UniformInt(centres));
-    for (int b = 0; b < bits; ++b) {
-      m(i, b) = rng->Bernoulli(flip) ? -centre(c, b) : centre(c, b);
-    }
-  }
-  return PackedCodes::FromSignMatrix(m);
-}
-
-/// BatchTopK on every available tier must be memcmp-equal (ids,
-/// distances, tie order) to the per-query scan over the live rows.
-void ExpectBatchEqualsPerQueryScan(const PackedCodes& db,
-                                   const PackedCodes& queries, int k,
-                                   int code_block,
-                                   const TombstoneSet* dead = nullptr) {
-  LinearScanIndex scan(
-      PackedCodes::FromRawWords(db.size(), db.bits(), db.words()));
-  for (int i = 0; dead != nullptr && i < db.size(); ++i) {
-    if (dead->Test(i)) scan.Remove(i);
-  }
-  for (const KernelTier tier : AvailableTiers()) {
-    BatchScanOptions options;
-    options.force_tier = true;
-    options.tier = tier;
-    options.code_block = code_block;
-    options.tombstones = dead;
-    const auto got = BatchTopK(db, queries, k, options);
-    ASSERT_EQ(got.size(), static_cast<size_t>(queries.size()));
-    for (int q = 0; q < queries.size(); ++q) {
-      const auto want = scan.TopK(queries.code(q), k);
-      const auto& g = got[static_cast<size_t>(q)];
-      ASSERT_EQ(g.size(), want.size())
-          << KernelTierName(tier) << " bits=" << db.bits() << " k=" << k
-          << " block=" << code_block << " q=" << q;
-      EXPECT_EQ(std::memcmp(g.data(), want.data(), g.size() * sizeof(Neighbor)),
-                0)
-          << KernelTierName(tier) << " bits=" << db.bits() << " k=" << k
-          << " block=" << code_block << " q=" << q;
-    }
-  }
-}
-
 /// 1-, 2- and 3-word codes: the emitting kernels' two narrow layouts and
 /// their blocked path for wider codes.
 class BatchTopKEmit : public ::testing::TestWithParam<int> {};
@@ -666,6 +768,47 @@ TEST(BatchTopKCounters, RegistryInvariantsAfterABatch) {
     EXPECT_GT(armed->value(), 0) << KernelTierName(tier);
     EXPECT_GT(skipped->value(), 0) << KernelTierName(tier);
     EXPECT_LE(skipped->value(), armed->value()) << KernelTierName(tier);
+  }
+}
+
+TEST(BatchTopKCounters, BoundIsReReadAtEveryRun) {
+  // One 2048-row block of eight 256-code runs, at the default block size
+  // and at an explicit one, and five queries: a four-query group and a
+  // single one. Query q's exact duplicate is row q, so with k = 1 every
+  // heap holds distance 0 after the first run. A bound re-read at every
+  // run arms the other seven runs of each query, and each of them emits
+  // nothing; a bound read once per block would arm none of them.
+  Rng rng(5700);
+  const PackedCodes db =
+      PackedCodes::FromSignMatrix(RandomSignCodes(2048, 64, &rng));
+  const PackedCodes queries =
+      PackedCodes::FromRawWords(5, 64, std::vector<uint64_t>(
+                                           db.code(0), db.code(0) + 5));
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter* rows = reg.GetCounter("scan.rows_scanned");
+  obs::Counter* armed = reg.GetCounter("scan.early_abandon_calls");
+  obs::Counter* skipped = reg.GetCounter("scan.blocks_skipped");
+  for (const KernelTier tier : AvailableTiers()) {
+    for (const int block : {0, 2048}) {
+      rows->Reset();
+      armed->Reset();
+      skipped->Reset();
+      BatchScanOptions options;
+      options.force_tier = true;
+      options.tier = tier;
+      options.code_block = block;
+      const auto got = BatchTopK(db, queries, 1, options);
+      for (int q = 0; q < 5; ++q) {
+        ASSERT_EQ(got[static_cast<size_t>(q)].size(), 1u);
+        EXPECT_EQ(got[static_cast<size_t>(q)][0].id, q);
+        EXPECT_EQ(got[static_cast<size_t>(q)][0].distance, 0);
+      }
+      const std::string label =
+          std::string(KernelTierName(tier)) + " block=" + std::to_string(block);
+      EXPECT_EQ(rows->value(), int64_t{2048} * 5) << label;
+      EXPECT_EQ(armed->value(), 5 * 7) << label;
+      EXPECT_EQ(skipped->value(), 5 * 7) << label;
+    }
   }
 }
 

@@ -132,7 +132,7 @@ struct Flags {
   int join_k = 0;      // 0 = no top-k join
   int radius = -1;     // < 0 = no radius join / dedup grouping
   std::string link = "radius";  // "radius" | "best" (reciprocal best match)
-  int tile = 0;        // 0 = auto (cache-sized, PickCodeBlockSize)
+  int tile = 0;        // 0 = auto: ~16 KiB top-k, ~64 KiB radius tiles
   std::string json_out;
   int shards = 4;
   int threads = 0;  // 0 = hardware concurrency (divided across replicas)
